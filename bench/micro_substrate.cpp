@@ -1,15 +1,21 @@
 // Substrate micro-benchmarks (google-benchmark): regression tracking for
 // the data structures the simulator's wall-clock performance rests on,
 // plus the executor hot paths a sweep spends its cells in — B-tree
-// descent, the three fetch policies, hash-join build/probe, and the
-// cold-start-vs-recycle cost of a simulated machine.
+// descent, the three fetch policies, hash-join build/probe, the
+// cold-start-vs-recycle cost of a simulated machine — and the cell-cache
+// layer of the engine loop: keying, concurrent lookup, and flushing.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "bench_util.h"
 #include "common/permutation.h"
 #include "common/rng.h"
+#include "core/cell_cache.h"
 #include "engine/executor.h"
 #include "exec/hash_join.h"
 #include "index/btree.h"
@@ -242,6 +248,88 @@ void BM_MachineRecycle(benchmark::State& state) {
   MachineCell(state, /*recycle=*/true);
 }
 BENCHMARK(BM_MachineRecycle);
+
+// The cell-cache layer of the engine loop. Keys and measurements come from
+// run-time indices and a seeded RNG, so nothing folds away.
+Measurement CacheMeasurement(uint64_t i) {
+  static const std::vector<PlanKind> plans = AllStudyPlans();
+  Measurement m;
+  m.seconds = static_cast<double>(i) * 1e-3;
+  m.output_rows = i;
+  m.io.random_reads = i % 97;
+  m.plan_label = PlanKindLabel(plans[i % plans.size()]);
+  return m;
+}
+
+void BM_CellFingerprint(benchmark::State& state) {
+  Rng rng(13);
+  const uint64_t env = rng.Next();
+  const std::string spec = "cold";
+  const std::string label = PlanKindLabel(PlanKind::kCoverABBitmapFetch);
+  double x = rng.NextDouble();
+  for (auto _ : state) {
+    const uint64_t key = CellFingerprint(env, "plain", spec, label, x, 0.5);
+    benchmark::DoNotOptimize(key);
+    x += 0x1p-20;
+  }
+}
+BENCHMARK(BM_CellFingerprint);
+
+// 50k cached cells probed by 1 and 2 threads with a 3:1 hit:miss mix —
+// roughly the explore path's hit ratio, on the lock the sweep threads
+// share.
+constexpr uint64_t kCacheCells = 50000;
+
+const CellResultCache& LookupCache() {
+  static const CellResultCache* cache = [] {
+    auto* c = new CellResultCache();
+    for (uint64_t i = 0; i < kCacheCells; ++i) {
+      c->Publish(Mix64(i), "plain", CacheMeasurement(i));
+    }
+    return c;
+  }();
+  return *cache;
+}
+
+void BM_CellCacheLookup(benchmark::State& state) {
+  const CellResultCache& cache = LookupCache();
+  Rng rng(static_cast<uint64_t>(state.thread_index()) + 1);
+  Measurement out;
+  for (auto _ : state) {
+    // Keys >= kCacheCells were never published: every fourth probe misses.
+    const uint64_t i = rng.NextBounded(kCacheCells * 4 / 3);
+    benchmark::DoNotOptimize(cache.Lookup(Mix64(i), &out));
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_CellCacheLookup)->Threads(1)->Threads(2);
+
+// A flush of a dirty ~50k-entry cache: snapshot, sort, encode, checksum,
+// atomic write. Each iteration publishes one new cell so the flush is
+// never the clean no-op.
+void BM_CellCacheFlush(benchmark::State& state) {
+  // Start from no file: entries a previous run flushed would load as
+  // duplicates and turn every timed flush into the clean no-op.
+  const std::string dir = bench::OutDir() + "/micro_cell_cache";
+  std::remove(CellCacheFileName(dir).c_str());
+  CellResultCache cache;
+  cache.Open(dir);
+  for (uint64_t i = 0; i < kCacheCells; ++i) {
+    cache.Publish(Mix64(i), "plain", CacheMeasurement(i));
+  }
+  uint64_t next = kCacheCells;
+  for (auto _ : state) {
+    cache.Publish(Mix64(next), "plain", CacheMeasurement(next));
+    ++next;
+    const Status s = cache.WriteCellCacheFile();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{kCacheCells});
+}
+BENCHMARK(BM_CellCacheFlush)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace robustmap

@@ -22,6 +22,7 @@ namespace {
 
 using wire::Cursor;
 using wire::Fnv1a64;
+using wire::Fnv1a64Extend;
 using wire::GetMeasurement;
 using wire::PutMeasurement;
 using wire::PutString;
@@ -52,66 +53,92 @@ uint64_t HashString(const std::string& s) {
   return Fnv1a64(s.data(), s.size());
 }
 
-}  // namespace
-
-std::string CellCacheFileName(const std::string& dir) {
-  return dir + "/cells.rmc";
+/// Continues `h` over the 16 lowercase hex digits `Hex64(v)` prints.
+uint64_t ExtendHex64(uint64_t h, uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char hex[16];
+  for (int i = 15; i >= 0; --i) {
+    hex[i] = kDigits[v & 0xf];
+    v >>= 4;
+  }
+  return Fnv1a64Extend(h, std::string_view(hex, sizeof(hex)));
 }
 
-Status WriteCellCache(std::ostream& os, const CellCacheData& data) {
-  // Ascending fingerprint order whatever the caller supplied: equal
-  // contents must serialize to equal bytes.
-  std::vector<const CellCacheEntry*> sorted;
-  sorted.reserve(data.entries.size());
-  for (const CellCacheEntry& e : data.entries) sorted.push_back(&e);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const CellCacheEntry* a, const CellCacheEntry* b) {
-              return a->fingerprint < b->fingerprint;
+/// Serialized size of one entry: fingerprint, study, measurement.
+size_t EntryBytes(const CellCacheEntry& e) {
+  return sizeof(uint64_t) + sizeof(uint32_t) + e.study.size() +
+         9 * sizeof(uint64_t) + sizeof(uint32_t) + e.m.plan_label.size();
+}
+
+/// An entry with its sort key alongside, so sorting never chases the
+/// pointer.
+struct EntryRef {
+  uint64_t fingerprint;
+  const CellCacheEntry* entry;
+};
+
+/// The one cache encoder: sorts `entries` ascending by fingerprint, so
+/// equal contents serialize to equal bytes whatever order they come in,
+/// rejects duplicate keys, and encodes straight from the entries into a
+/// buffer sized up front.
+Result<std::string> EncodeCellCache(uint32_t fingerprint_schema,
+                                    std::vector<EntryRef> entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const EntryRef& a, const EntryRef& b) {
+              return a.fingerprint < b.fingerprint;
             });
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i]->fingerprint == sorted[i - 1]->fingerprint) {
+  size_t bytes = kMinFileSize;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0 && entries[i].fingerprint == entries[i - 1].fingerprint) {
       return Status::InvalidArgument(
-          "duplicate cell-cache fingerprint " +
-          Hex64(sorted[i]->fingerprint) +
+          "duplicate cell-cache fingerprint " + Hex64(entries[i].fingerprint) +
           "; a content-addressed store holds one entry per key");
     }
+    bytes += EntryBytes(*entries[i].entry);
   }
 
   std::string buf;
+  buf.reserve(bytes);
   buf.append(kMagic, kMagicSize);
   PutU32(&buf, kCellCacheFormatVersion);
-  PutU32(&buf, data.fingerprint_schema);
-  PutU64(&buf, sorted.size());
-  for (const CellCacheEntry* e : sorted) {
-    PutU64(&buf, e->fingerprint);
-    PutString(&buf, e->study);
-    PutMeasurement(&buf, e->m);
+  PutU32(&buf, fingerprint_schema);
+  PutU64(&buf, entries.size());
+  for (const EntryRef& ref : entries) {
+    PutU64(&buf, ref.fingerprint);
+    PutString(&buf, ref.entry->study);
+    PutMeasurement(&buf, ref.entry->m);
   }
   PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
-
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!os.good()) return Status::Internal("cell cache write failed");
-  return Status::OK();
+  return buf;
 }
 
-Status WriteCellCacheFile(const std::string& path,
-                          const CellCacheData& data) {
-  // Write-then-rename: readers only ever see either no file or a complete
-  // one. The temp name carries the writer's address and pid so concurrent
-  // writers never clobber each other's in-flight writes.
+std::vector<EntryRef> EntryRefs(const CellCacheData& data) {
+  std::vector<EntryRef> entries;
+  entries.reserve(data.entries.size());
+  for (const CellCacheEntry& e : data.entries) {
+    entries.push_back({e.fingerprint, &e});
+  }
+  return entries;
+}
+
+/// Writes `bytes` to `path` by write-then-rename: readers only ever see
+/// either no file or a complete one. The temp name carries the buffer's
+/// address and the pid so concurrent writers never clobber each other's
+/// in-flight writes.
+Status WriteFileAtomically(const std::string& path, const std::string& bytes) {
   const std::string tmp =
-      path + ".tmp." + std::to_string(reinterpret_cast<uintptr_t>(&data)) +
+      path + ".tmp." + std::to_string(reinterpret_cast<uintptr_t>(&bytes)) +
       "." + std::to_string(static_cast<unsigned long>(::getpid()));
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     if (!f.is_open()) {
       return Status::Internal("cannot open " + tmp + " for writing");
     }
-    Status s = WriteCellCache(f, data);
-    if (!s.ok()) {
-      f.close();
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    f.close();
+    if (!f.good()) {
       std::remove(tmp.c_str());
-      return s;
+      return Status::Internal("cell cache write failed");
     }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -121,9 +148,32 @@ Status WriteCellCacheFile(const std::string& path,
   return Status::OK();
 }
 
-Result<CellCacheData> ReadCellCache(std::istream& is) {
-  std::string buf((std::istreambuf_iterator<char>(is)),
-                  std::istreambuf_iterator<char>());
+}  // namespace
+
+std::string CellCacheFileName(const std::string& dir) {
+  return dir + "/cells.rmc";
+}
+
+Status WriteCellCache(std::ostream& os, const CellCacheData& data) {
+  auto buf = EncodeCellCache(data.fingerprint_schema, EntryRefs(data));
+  RM_RETURN_IF_ERROR(buf.status());
+  os.write(buf.value().data(),
+           static_cast<std::streamsize>(buf.value().size()));
+  if (!os.good()) return Status::Internal("cell cache write failed");
+  return Status::OK();
+}
+
+Status WriteCellCacheFile(const std::string& path,
+                          const CellCacheData& data) {
+  auto buf = EncodeCellCache(data.fingerprint_schema, EntryRefs(data));
+  RM_RETURN_IF_ERROR(buf.status());
+  return WriteFileAtomically(path, buf.value());
+}
+
+namespace {
+
+/// Decodes a whole cache file's bytes; the one parser behind both readers.
+Result<CellCacheData> ParseCellCache(const std::string& buf) {
   if (buf.size() < kMinFileSize) {
     return Status::Corruption("truncated cell cache: " +
                               std::to_string(buf.size()) +
@@ -196,12 +246,17 @@ Result<CellCacheData> ReadCellCache(std::istream& is) {
   return data;
 }
 
+}  // namespace
+
+Result<CellCacheData> ReadCellCache(std::istream& is) {
+  return ParseCellCache(std::string((std::istreambuf_iterator<char>(is)),
+                                    std::istreambuf_iterator<char>()));
+}
+
 Result<CellCacheData> ReadCellCacheFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.is_open()) {
-    return Status::NotFound("cannot open cell cache " + path);
-  }
-  auto data = ReadCellCache(f);
+  std::string buf;
+  RM_RETURN_IF_ERROR(wire::ReadFileBytes(path, kWhat, &buf));
+  auto data = ParseCellCache(buf);
   if (!data.ok()) {
     if (data.status().IsNotSupported()) {
       return Status::NotSupported(path + ": " + data.status().message());
@@ -236,18 +291,30 @@ uint64_t EnvironmentFingerprint(const RunContext& ctx, int64_t domain) {
   return HashString(canon);
 }
 
+CellKeyer::CellKeyer(uint64_t env_fingerprint, std::string_view study,
+                     std::string_view warmup_spec,
+                     std::string_view plan_label) {
+  // "cell|s<schema>", built once per process.
+  static const std::string kHead =
+      "cell|s" + std::to_string(kCellCacheFingerprintSchemaVersion);
+  uint64_t h = Fnv1a64Extend(wire::kFnv1a64Offset, kHead);
+  h = ExtendHex64(Fnv1a64Extend(h, "|env="), env_fingerprint);
+  h = Fnv1a64Extend(Fnv1a64Extend(h, "|study="), study);
+  h = Fnv1a64Extend(Fnv1a64Extend(h, "|warmup="), warmup_spec);
+  prefix_hash_ = Fnv1a64Extend(Fnv1a64Extend(h, "|plan="), plan_label);
+}
+
+uint64_t CellKeyer::Key(double x, double y) const {
+  uint64_t h = Fnv1a64Extend(prefix_hash_, "|x=");
+  h = ExtendHex64(h, std::bit_cast<uint64_t>(x));
+  h = Fnv1a64Extend(h, "|y=");
+  return ExtendHex64(h, std::bit_cast<uint64_t>(y));
+}
+
 uint64_t CellFingerprint(uint64_t env_fingerprint, const char* study,
                          const std::string& warmup_spec,
                          const std::string& plan_label, double x, double y) {
-  std::string canon = "cell|s" +
-                      std::to_string(kCellCacheFingerprintSchemaVersion);
-  canon += "|env=" + Hex64(env_fingerprint);
-  canon += "|study=" + std::string(study);
-  canon += "|warmup=" + warmup_spec;
-  canon += "|plan=" + plan_label;
-  canon += "|x=" + DoubleBits(x);
-  canon += "|y=" + DoubleBits(y);
-  return HashString(canon);
+  return CellKeyer(env_fingerprint, study, warmup_spec, plan_label).Key(x, y);
 }
 
 void CellResultCache::Open(const std::string& dir) {
@@ -272,10 +339,16 @@ void CellResultCache::Open(const std::string& dir) {
                    kCellCacheFingerprintSchemaVersion);
       return;
     }
-    MutexLock lock(&mu_);
+    const size_t per_stripe = data.value().entries.size() / kStripes + 1;
+    for (Stripe& stripe : stripes_) {
+      MutexLock lock(&stripe.mu);
+      stripe.entries.reserve(per_stripe);
+    }
     for (CellCacheEntry& e : data.value().entries) {
+      Stripe& stripe = StripeOf(e.fingerprint);
+      MutexLock lock(&stripe.mu);
       const uint64_t fp = e.fingerprint;
-      entries_.emplace(fp, std::move(e));
+      stripe.entries.emplace(fp, std::move(e));
     }
     return;
   }
@@ -289,45 +362,82 @@ void CellResultCache::Open(const std::string& dir) {
   }
 }
 
+const CellCacheEntry* CellResultCache::Find(uint64_t fingerprint) const {
+  const Stripe& stripe = StripeOf(fingerprint);
+  MutexLock lock(&stripe.mu);
+  const auto it = stripe.entries.find(fingerprint);
+  return it == stripe.entries.end() ? nullptr : &it->second;
+}
+
 bool CellResultCache::Lookup(uint64_t fingerprint, Measurement* out) const {
-  MutexLock lock(&mu_);
-  const auto it = entries_.find(fingerprint);
-  if (it == entries_.end()) return false;
-  *out = it->second.m;
+  // The copy happens outside the stripe lock: a found entry never changes.
+  const CellCacheEntry* e = Find(fingerprint);
+  if (e == nullptr) return false;
+  *out = e->m;
   return true;
 }
 
 bool CellResultCache::Contains(uint64_t fingerprint) const {
-  MutexLock lock(&mu_);
-  return entries_.find(fingerprint) != entries_.end();
+  return Find(fingerprint) != nullptr;
 }
 
-bool CellResultCache::Publish(uint64_t fingerprint, const std::string& study,
+bool CellResultCache::Publish(uint64_t fingerprint, std::string_view study,
                               const Measurement& m) {
-  MutexLock lock(&mu_);
-  const auto [it, inserted] =
-      entries_.try_emplace(fingerprint, CellCacheEntry{fingerprint, study, m});
-  if (inserted) dirty_ = true;
-  return inserted;
+  // The copy is made before taking the lock; the critical section only
+  // links the node in.
+  CellCacheEntry entry{fingerprint, std::string(study), m};
+  Stripe& stripe = StripeOf(fingerprint);
+  MutexLock lock(&stripe.mu);
+  if (!stripe.entries.try_emplace(fingerprint, std::move(entry)).second) {
+    return false;
+  }
+  stripe.dirty = true;
+  return true;
 }
 
 Status CellResultCache::WriteCellCacheFile() {
-  CellCacheData data;
-  {
-    MutexLock lock(&mu_);
-    if (path_.empty() || !dirty_) return Status::OK();
-    data.entries.reserve(entries_.size());
-    for (const auto& [fp, e] : entries_) data.entries.push_back(e);
+  if (path_.empty()) return Status::OK();
+  MutexLock flush_lock(&flush_mu_);
+  // Each stripe's dirty bit is cleared in the same critical section that
+  // snapshots its entries, so a publish landing after that point dirties
+  // the stripe again for the next flush.
+  std::vector<EntryRef> entries;
+  entries.reserve(size());
+  std::array<bool, kStripes> was_dirty{};
+  bool any_dirty = false;
+  for (size_t i = 0; i < kStripes; ++i) {
+    Stripe& stripe = stripes_[i];
+    MutexLock lock(&stripe.mu);
+    // determinism-lint: allow(unordered-iteration) sorted by EncodeCellCache
+    for (const auto& [fp, e] : stripe.entries) entries.push_back({fp, &e});
+    was_dirty[i] = stripe.dirty;
+    any_dirty = any_dirty || stripe.dirty;
+    stripe.dirty = false;
   }
-  RM_RETURN_IF_ERROR(robustmap::WriteCellCacheFile(path_, data));
-  MutexLock lock(&mu_);
-  dirty_ = false;
-  return Status::OK();
+  if (!any_dirty) return Status::OK();
+  const uint32_t schema = kCellCacheFingerprintSchemaVersion;
+  auto buf = EncodeCellCache(schema, std::move(entries));
+  Status s = buf.ok() ? WriteFileAtomically(path_, buf.value()) : buf.status();
+  if (!s.ok()) {
+    // The file does not hold what the cleared stripes held: dirty them
+    // again so the next flush retries.
+    for (size_t i = 0; i < kStripes; ++i) {
+      if (!was_dirty[i]) continue;
+      Stripe& stripe = stripes_[i];
+      MutexLock lock(&stripe.mu);
+      stripe.dirty = true;
+    }
+  }
+  return s;
 }
 
 size_t CellResultCache::size() const {
-  MutexLock lock(&mu_);
-  return entries_.size();
+  size_t n = 0;
+  for (const Stripe& stripe : stripes_) {
+    MutexLock lock(&stripe.mu);
+    n += stripe.entries.size();
+  }
+  return n;
 }
 
 }  // namespace robustmap

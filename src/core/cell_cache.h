@@ -1,10 +1,12 @@
 #ifndef ROBUSTMAP_CORE_CELL_CACHE_H_
 #define ROBUSTMAP_CORE_CELL_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -83,11 +85,33 @@ Result<CellCacheData> ReadCellCacheFile(const std::string& path);
 /// no wall clock, no pointers, no hash salts).
 uint64_t EnvironmentFingerprint(const RunContext& ctx, int64_t domain);
 
+/// Keys the cells of one (environment, study, warmup spec, plan) series.
+/// The canonical key string is
+///
+///   cell|s<schema>|env=<hex>|study=<study>|warmup=<spec>|plan=<label>
+///   |x=<hex bits>|y=<hex bits>
+///
+/// hashed with FNV-1a 64 as a stream, never built: the constructor hashes
+/// the prefix once and `Key` continues from it with the point's tail, so a
+/// sweep pays a few dozen bytes of hashing per cell and allocates nothing.
+class CellKeyer {
+ public:
+  CellKeyer(uint64_t env_fingerprint, std::string_view study,
+            std::string_view warmup_spec, std::string_view plan_label);
+
+  /// The key of the cell at axis values (x, y).
+  uint64_t Key(double x, double y) const;
+
+ private:
+  uint64_t prefix_hash_ = 0;
+};
+
 /// Fingerprint of one cell measurement: the environment, the study, the
 /// warmup spec in effect for the sweep, the plan label, and the point's
 /// axis *values* (IEEE-754 bit patterns — values, not grid indices, so a
 /// tile slice or a subsampled refinement lattice of the same grid hits
 /// the same keys), all under `kCellCacheFingerprintSchemaVersion`.
+/// Equal to `CellKeyer(env, study, spec, label).Key(x, y)`.
 uint64_t CellFingerprint(uint64_t env_fingerprint, const char* study,
                          const std::string& warmup_spec,
                          const std::string& plan_label, double x, double y);
@@ -98,10 +122,15 @@ uint64_t CellFingerprint(uint64_t env_fingerprint, const char* study,
 /// produced, so maps built from hits are byte-identical to maps built
 /// from measurements (and CI proves it).
 ///
-/// Thread-safe: sweep workers publish and look up concurrently. The cache
-/// never poisons a map — `Open` tolerates a damaged, truncated,
-/// wrong-version, or wrong-schema file by warning on stderr and starting
-/// empty (the next flush repopulates it).
+/// Thread-safe: sweep workers publish and look up concurrently. Entries
+/// live in a fixed number of stripes, each a hash map under its own lock
+/// and chosen by the fingerprint's top bits, so workers on different
+/// cells rarely meet on a lock. Entries are never erased or changed once
+/// inserted, and hash-map nodes keep their addresses, so readers copy a
+/// found entry and the flush serializes the live entries after the locks
+/// are released. The cache never poisons a map — `Open` tolerates a
+/// damaged, truncated, wrong-version, or wrong-schema file by warning on
+/// stderr and starting empty (the next flush repopulates it).
 class CellResultCache {
  public:
   /// An unattached, in-memory cache (progressive sweeps without a
@@ -130,12 +159,15 @@ class CellResultCache {
   /// there (first writer wins; deterministic measurements make the copies
   /// identical, so dropping duplicates keeps re-publishing merge results
   /// from dirtying a clean cache). Returns true when the entry is new.
-  bool Publish(uint64_t fingerprint, const std::string& study,
+  bool Publish(uint64_t fingerprint, std::string_view study,
                const Measurement& m);
 
   /// Flushes to the attached directory when entries were added since the
   /// last flush; a no-op for clean or unattached caches. Atomic
-  /// temp+rename, deterministic bytes.
+  /// temp+rename, deterministic bytes — the same bytes `WriteCellCache`
+  /// gives for the same entries. An entry published while the flush runs
+  /// is either in the file or leaves the cache dirty for the next flush;
+  /// a failed write leaves it dirty too.
   Status WriteCellCacheFile();
 
   size_t size() const;
@@ -143,11 +175,35 @@ class CellResultCache {
   const std::string& path() const { return path_; }
 
  private:
-  std::string path_;  ///< "" = in-memory only
+  /// A power of two, so the stripe is a shift of the fingerprint.
+  static constexpr size_t kStripeBits = 4;
+  static constexpr size_t kStripes = size_t{1} << kStripeBits;
 
-  mutable Mutex mu_;
-  std::map<uint64_t, CellCacheEntry> entries_ GUARDED_BY(mu_);
-  bool dirty_ GUARDED_BY(mu_) = false;
+  // Cache-line aligned so workers on neighbouring stripes do not share a
+  // line through the locks.
+  struct alignas(64) Stripe {
+    mutable Mutex mu;
+    std::unordered_map<uint64_t, CellCacheEntry> entries GUARDED_BY(mu);
+    /// Entries were added here since the last flush took this stripe.
+    bool dirty GUARDED_BY(mu) = false;
+  };
+
+  Stripe& StripeOf(uint64_t fingerprint) {
+    return stripes_[fingerprint >> (64 - kStripeBits)];
+  }
+  const Stripe& StripeOf(uint64_t fingerprint) const {
+    return stripes_[fingerprint >> (64 - kStripeBits)];
+  }
+  /// The stored entry, or nullptr. The pointer stays valid and the entry
+  /// unchanged for the cache's lifetime.
+  const CellCacheEntry* Find(uint64_t fingerprint) const;
+
+  std::string path_;  ///< "" = in-memory only
+  std::array<Stripe, kStripes> stripes_;
+
+  /// Serializes flushes (taken before any stripe lock), so a slower flush
+  /// can never rename an older snapshot over a newer one.
+  Mutex flush_mu_;
 };
 
 }  // namespace robustmap

@@ -152,9 +152,10 @@ Status WriteMapTileFile(const std::string& path, const MapTile& tile) {
   return Status::OK();
 }
 
-Result<MapTile> ReadMapTile(std::istream& is) {
-  std::string buf((std::istreambuf_iterator<char>(is)),
-                  std::istreambuf_iterator<char>());
+namespace {
+
+/// Decodes a whole tile file's bytes; the one parser behind both readers.
+Result<MapTile> ParseMapTile(const std::string& buf) {
   if (buf.size() < kMinFileSize) {
     return Status::Corruption("truncated map tile: " +
                               std::to_string(buf.size()) +
@@ -296,12 +297,17 @@ Result<MapTile> ReadMapTile(std::istream& is) {
   return tile;
 }
 
+}  // namespace
+
+Result<MapTile> ReadMapTile(std::istream& is) {
+  return ParseMapTile(std::string((std::istreambuf_iterator<char>(is)),
+                                  std::istreambuf_iterator<char>()));
+}
+
 Result<MapTile> ReadMapTileFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.is_open()) {
-    return Status::NotFound("cannot open map tile " + path);
-  }
-  auto tile = ReadMapTile(f);
+  std::string buf;
+  RM_RETURN_IF_ERROR(wire::ReadFileBytes(path, kWhat, &buf));
+  auto tile = ParseMapTile(buf);
   if (!tile.ok()) {
     if (tile.status().IsNotSupported()) {
       return Status::NotSupported(path + ": " + tile.status().message());

@@ -250,9 +250,9 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
     const std::string warmup_spec = ctx->warmup.ToSpec();
     fps.reserve(plans.size() * points);
     for (const std::string& label : labels) {
+      const CellKeyer keyer(env, study_name, warmup_spec, label);
       for (size_t pt = 0; pt < points; ++pt) {
-        fps.push_back(CellFingerprint(env, study_name, warmup_spec, label,
-                                      space.x_value(pt), space.y_value(pt)));
+        fps.push_back(keyer.Key(space.x_value(pt), space.y_value(pt)));
       }
     }
   }
@@ -549,10 +549,9 @@ class ShardCacheView {
     fps_.reserve(specs_.size() * num_plans_ * space_.num_points());
     for (const std::string& spec : specs_) {
       for (const std::string& label : labels) {
+        const CellKeyer keyer(env, study, spec, label);
         for (size_t pt = 0; pt < space_.num_points(); ++pt) {
-          fps_.push_back(CellFingerprint(env, study, spec, label,
-                                         space_.x_value(pt),
-                                         space_.y_value(pt)));
+          fps_.push_back(keyer.Key(space_.x_value(pt), space_.y_value(pt)));
         }
       }
     }

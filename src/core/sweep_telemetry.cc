@@ -117,16 +117,31 @@ SweepTelemetry& SweepTelemetry::Get() {
   return *sink;
 }
 
-void SweepTelemetry::AddCounter(const std::string& name, uint64_t delta) {
-  if (!enabled()) return;
-  MutexLock lock(&mu_);
-  counters_[name] += delta;
+namespace {
+
+/// `map[name]` for a heterogeneous-lookup map: finds by view, allocating
+/// the key only on first insertion.
+template <typename Map>
+typename Map::mapped_type& Slot(Map* map, std::string_view name) {
+  auto it = map->find(name);
+  if (it == map->end()) {
+    it = map->emplace(std::string(name), typename Map::mapped_type()).first;
+  }
+  return it->second;
 }
 
-void SweepTelemetry::RecordLatency(const std::string& name, double seconds) {
+}  // namespace
+
+void SweepTelemetry::AddCounter(std::string_view name, uint64_t delta) {
   if (!enabled()) return;
   MutexLock lock(&mu_);
-  histograms_[name].Record(seconds);
+  Slot(&counters_, name) += delta;
+}
+
+void SweepTelemetry::RecordLatency(std::string_view name, double seconds) {
+  if (!enabled()) return;
+  MutexLock lock(&mu_);
+  Slot(&histograms_, name).Record(seconds);
 }
 
 void SweepTelemetry::Reset() {
@@ -140,8 +155,8 @@ Status SweepTelemetry::WriteFile(const std::string& path) const {
   std::map<std::string, LatencyHistogram> histograms;
   {
     MutexLock lock(&mu_);
-    counters = counters_;
-    histograms = histograms_;
+    counters.insert(counters_.begin(), counters_.end());
+    histograms.insert(histograms_.begin(), histograms_.end());
   }
   // std::map iteration gives the deterministic key order the format
   // promises: equal measurements serialize to equal bytes.
@@ -201,12 +216,12 @@ Status SweepTelemetry::MergeFromFile(const std::string& path) {
 
 std::map<std::string, uint64_t> SweepTelemetry::Counters() const {
   MutexLock lock(&mu_);
-  return counters_;
+  return {counters_.begin(), counters_.end()};
 }
 
 std::map<std::string, LatencyHistogram> SweepTelemetry::Histograms() const {
   MutexLock lock(&mu_);
-  return histograms_;
+  return {histograms_.begin(), histograms_.end()};
 }
 
 Result<TelemetryData> ReadTelemetryFile(const std::string& path) {

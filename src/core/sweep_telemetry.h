@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
@@ -54,12 +56,14 @@ class SweepTelemetry {
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Adds `delta` to counter `name`. No-op while disabled.
-  void AddCounter(const std::string& name, uint64_t delta);
+  /// Adds `delta` to counter `name`. No-op while disabled — and then
+  /// allocation-free: the name is only copied the first time it is
+  /// recorded.
+  void AddCounter(std::string_view name, uint64_t delta);
 
   /// Records one latency sample into histogram `name`. No-op while
   /// disabled.
-  void RecordLatency(const std::string& name, double seconds);
+  void RecordLatency(std::string_view name, double seconds);
 
   /// Drops all recorded data (keeps the enabled flag). For forked worker
   /// children and tests.
@@ -81,8 +85,9 @@ class SweepTelemetry {
 
   std::atomic<bool> enabled_{false};
   mutable Mutex mu_;
-  std::map<std::string, uint64_t> counters_ GUARDED_BY(mu_);
-  std::map<std::string, LatencyHistogram> histograms_ GUARDED_BY(mu_);
+  std::map<std::string, uint64_t, std::less<>> counters_ GUARDED_BY(mu_);
+  std::map<std::string, LatencyHistogram, std::less<>> histograms_
+      GUARDED_BY(mu_);
 };
 
 /// A parsed telemetry.json — the read side shared by `map_cat

@@ -3,7 +3,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <fstream>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "engine/executor.h"
@@ -18,27 +20,39 @@ namespace wire {
 /// (the CI byte-for-byte diffs rest on this). Extracted from map_io.cc so
 /// a second format cannot drift from the first by re-implementing it.
 
-inline uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
+inline constexpr uint64_t kFnv1a64Offset = 14695981039346656037ull;
+
+/// Continues an FNV-1a 64 hash `h` over `bytes`: a canonical byte string
+/// hashed piece by piece — never materialized — gets the same value as the
+/// whole string hashed at once.
+inline uint64_t Fnv1a64Extend(uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
   return h;
 }
 
+inline uint64_t Fnv1a64(const char* data, size_t n) {
+  return Fnv1a64Extend(kFnv1a64Offset, std::string_view(data, n));
+}
+
 // ---- little-endian encoding into a growing buffer ----
+//
+// Each integer is assembled in a stack chunk and appended whole: compilers
+// fold the shift loop into one little-endian store, and the buffer grows
+// once per field rather than once per byte.
 
 inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char chunk[4];
+  for (int i = 0; i < 4; ++i) chunk[i] = static_cast<char>(v >> (8 * i));
+  out->append(chunk, sizeof(chunk));
 }
 
 inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char chunk[8];
+  for (int i = 0; i < 8; ++i) chunk[i] = static_cast<char>(v >> (8 * i));
+  out->append(chunk, sizeof(chunk));
 }
 
 inline void PutDouble(std::string* out, double v) {
@@ -48,6 +62,25 @@ inline void PutDouble(std::string* out, double v) {
 inline void PutString(std::string* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
+}
+
+/// Reads the whole file at `path` into `*out` with one sized read. A file
+/// that cannot be opened is `NotFound` (naming `what`, e.g. "map tile"),
+/// so callers keep telling "absent" apart from "damaged".
+inline Status ReadFileBytes(const std::string& path, const char* what,
+                            std::string* out) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  if (!f.is_open()) {
+    return Status::NotFound("cannot open " + std::string(what) + " " + path);
+  }
+  const std::streamoff size = f.tellg();
+  if (size < 0) return Status::Internal("cannot size " + path);
+  out->resize(static_cast<size_t>(size));
+  f.seekg(0);
+  if (!f.read(out->data(), size)) {
+    return Status::Internal("cannot read " + path);
+  }
+  return Status::OK();
 }
 
 /// Bounds-checked sequential reader over a decoded payload. Every getter

@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <bit>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 
+#include "common/rng.h"
 #include "core/parameter_space.h"
+#include "core/wire_format.h"
 #include "testing/test_env.h"
 
 namespace robustmap {
@@ -240,6 +247,63 @@ TEST(CellResultCacheTest, CleanCacheFlushIsANoOp) {
   EXPECT_FALSE(std::ifstream(CellCacheFileName(dir)).good());
 }
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(CellResultCacheTest, FlushedBytesEqualWriteCellCache) {
+  // Entries scattered over every stripe: the flush serializes the live
+  // store, and must give exactly the bytes the free writer gives for the
+  // same entries.
+  const std::string dir = FreshCacheDir("flush_bytes");
+  CellResultCache cache;
+  cache.Open(dir);
+  CellCacheData data;
+  for (uint64_t i = 0; i < 500; ++i) {
+    CellCacheEntry e;
+    e.fingerprint = Mix64(i);
+    e.study = i % 3 == 0 ? "warmcold" : "plain";
+    e.m = SampleMeasurement(0.001 * static_cast<double>(i),
+                            "plan" + std::to_string(i % 13));
+    ASSERT_TRUE(cache.Publish(e.fingerprint, e.study, e.m));
+    data.entries.push_back(std::move(e));
+  }
+  ASSERT_TRUE(cache.WriteCellCacheFile().ok());
+  EXPECT_EQ(FileBytes(CellCacheFileName(dir)), Serialize(data));
+}
+
+TEST(CellResultCacheTest, PublishDuringFlushIsNeverLost) {
+  // A publish that lands while a flush is writing must either be in that
+  // file or leave the cache dirty, so the next flush writes it.
+  constexpr uint64_t kEntries = 2000;
+  const std::string dir = FreshCacheDir("concurrent_flush");
+  CellResultCache cache;
+  cache.Open(dir);
+  std::atomic<bool> done{false};
+  std::thread publisher([&] {
+    for (uint64_t i = 0; i < kEntries; ++i) {
+      cache.Publish(Mix64(i), "plain", SampleMeasurement(1.0, "scan"));
+    }
+    done.store(true);
+  });
+  Status flush_status;
+  while (!done.load() && flush_status.ok()) {
+    flush_status = cache.WriteCellCacheFile();
+  }
+  publisher.join();
+  ASSERT_TRUE(flush_status.ok()) << flush_status.ToString();
+  ASSERT_TRUE(cache.WriteCellCacheFile().ok());
+
+  CellResultCache reopened;
+  reopened.Open(dir);
+  EXPECT_EQ(reopened.size(), kEntries);
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(reopened.Contains(Mix64(i))) << "entry " << i << " lost";
+  }
+}
+
 TEST(CellResultCacheTest, OpenToleratesDamageAndRepopulates) {
   // Each damage flavor: Open must warn-and-start-empty, never error, and
   // the next publish+flush must leave a healthy cache behind.
@@ -329,6 +393,63 @@ TEST(CellFingerprintTest, DistinctInputsYieldDistinctKeys) {
   EXPECT_NE(base, CellFingerprint(e, "plain", "cold", "idx.a", 0.5, 1.0));
   EXPECT_NE(base, CellFingerprint(e, "plain", "cold", "scan", 0.25, 1.0));
   EXPECT_NE(base, CellFingerprint(e, "plain", "cold", "scan", 0.5, 0.5));
+}
+
+std::string Hex(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
+
+/// The canonical key string spelled out and hashed whole: the reference
+/// the streaming keyer must reproduce byte for byte.
+uint64_t ReferenceCellFingerprint(uint64_t env, const std::string& study,
+                                  const std::string& spec,
+                                  const std::string& label, double x,
+                                  double y) {
+  std::string canon =
+      "cell|s" + std::to_string(kCellCacheFingerprintSchemaVersion);
+  canon += "|env=" + Hex(env) + "|study=" + study + "|warmup=" + spec;
+  canon += "|plan=" + label + "|x=" + Hex(std::bit_cast<uint64_t>(x));
+  canon += "|y=" + Hex(std::bit_cast<uint64_t>(y));
+  return wire::Fnv1a64(canon.data(), canon.size());
+}
+
+TEST(CellFingerprintTest, KeysArePinned) {
+  // Existing cells.rmc files stay valid only while these hold: the values
+  // were computed by the string-building implementation the cache format
+  // shipped with. A change here needs a fingerprint-schema bump.
+  EXPECT_EQ(kCellCacheFingerprintSchemaVersion, 1u);
+  EXPECT_EQ(kCellCacheFormatVersion, 1u);
+  EXPECT_EQ(CellFingerprint(0x0123456789abcdefull, "plain", "cold",
+                            "Index(a) fetch", 0.25, 0x1p-12),
+            0x37f145adade845c4ull);
+  EXPECT_EQ(CellFingerprint(0, "warmcold", "resident:0.5", "", -0.0, 1.0),
+            0x7730250ad21b4f90ull);
+}
+
+TEST(CellFingerprintTest, KeyerMatchesCellFingerprintAndReference) {
+  Rng rng(2009);
+  const char* studies[] = {"plain", "warmcold"};
+  const char* specs[] = {"cold", "resident:0.5", "prior"};
+  for (int series = 0; series < 40; ++series) {
+    const uint64_t env = rng.Next();
+    const std::string study = studies[series % 2];
+    const std::string spec = specs[series % 3];
+    std::string label;
+    for (uint64_t n = rng.Next() % 24; n > 0; --n) {
+      label.push_back(static_cast<char>(' ' + rng.Next() % 95));
+    }
+    const CellKeyer keyer(env, study, spec, label);
+    for (int cell = 0; cell < 50; ++cell) {
+      const double x = std::bit_cast<double>(rng.Next());
+      const double y = static_cast<double>(rng.Next() % 4096) / 4096.0;
+      const uint64_t key = keyer.Key(x, y);
+      ASSERT_EQ(key, CellFingerprint(env, study.c_str(), spec, label, x, y));
+      ASSERT_EQ(key, ReferenceCellFingerprint(env, study, spec, label, x, y))
+          << "label '" << label << "'";
+    }
+  }
 }
 
 TEST(CellFingerprintTest, MemoryBudgetsChangeTheEnvironment) {
