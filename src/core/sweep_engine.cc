@@ -211,9 +211,13 @@ class ProgressTracker {
 /// With a `cache`, each cell consults it first — a hit returns the stored
 /// measurement without touching the executor, a miss measures and
 /// publishes back — keyed under `study_name` and the sweep's own
-/// `ctx->warmup`. Order-dependent configurations bypass the cache: their
-/// cell values depend on execution history, which a content fingerprint
-/// cannot capture.
+/// `ctx->warmup`. Only the calling thread touches the cache: every hit is
+/// looked up before the cell loop starts, and the new measurements are
+/// published after it ends (a failing sweep publishes none). Workers then
+/// never take a cache lock or write a cache line, so a parallel sweep's
+/// cost does not hinge on how its threads meet there. Order-dependent
+/// configurations bypass the cache: their cell values depend on execution
+/// history, which a content fingerprint cannot capture.
 Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
                                  const std::vector<PlanKind>& plans,
                                  const ParameterSpace& space,
@@ -256,42 +260,59 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
       }
     }
   }
+  // Every hit, looked up before any worker starts: [plan * points +
+  // point], valid where `is_hit` is set. Exactly one worker visits each
+  // cell and moves its hit out.
+  std::vector<Measurement> hits;
+  std::vector<uint8_t> is_hit;
+  if (cache != nullptr) {
+    hits.resize(fps.size());
+    is_hit.resize(fps.size());
+    for (size_t cell = 0; cell < fps.size(); ++cell) {
+      is_hit[cell] = cache->Lookup(fps[cell], &hits[cell]) ? 1 : 0;
+    }
+  }
   // A hit marks the cell reused (the loops keep it out of every
   // measurement-side sink) and counts under the cache.* namespace.
   const auto lookup = [&](size_t plan, size_t point,
                           Measurement* out) -> bool {
     if (cache == nullptr) return false;
-    if (!cache->Lookup(fps[plan * points + point], out)) {
+    const size_t cell = plan * points + point;
+    if (!is_hit[cell]) {
       SweepTelemetry::Get().AddCounter("cache.misses", 1);
       return false;
     }
+    *out = std::move(hits[cell]);
     SweepTelemetry::Get().AddCounter("cache.hits", 1);
     SweepTelemetry::Get().AddCounter("sweep.cells_reused", 1);
     tl_cell_from_cache = true;
     return true;
   };
-  const auto publish = [&](size_t plan, size_t point, const Measurement& m) {
-    if (cache == nullptr) return;
-    if (cache->Publish(fps[plan * points + point], study_name, m)) {
-      SweepTelemetry::Get().AddCounter("cache.publishes", 1);
+  // Publishes the measured cells of a finished sweep, in cell order.
+  const auto publish = [&](Result<RobustnessMap> map) -> Result<RobustnessMap> {
+    if (cache == nullptr || !map.ok()) return map;
+    for (size_t cell = 0; cell < fps.size(); ++cell) {
+      if (is_hit[cell]) continue;
+      if (cache->Publish(fps[cell], study_name,
+                         map.value().At(cell / points, cell % points))) {
+        SweepTelemetry::Get().AddCounter("cache.publishes", 1);
+      }
     }
+    return map;
   };
   if (ResolveParallelism(opts.num_threads) <= 1 &&
       opts.shared_pool == nullptr && !opts.deterministic_shared_schedule) {
     PoolViewObserver pool_view(ctx->pool, 0);
-    return SweepEngine::RunCellsIndexed(
+    return publish(SweepEngine::RunCellsIndexed(
         space, labels,
         [&](size_t plan, size_t point) -> Result<Measurement> {
           Measurement hit;
           if (lookup(plan, point, &hit)) return hit;
           auto m = executor.Run(ctx, prepared[plan], queries[point]);
-          if (m.ok()) {
-            pool_view.CellDone();
-            publish(plan, point, m.value());
-          }
+          if (m.ok()) pool_view.CellDone();
           return m;
         },
-        opts);
+        opts));
   }
   RunContextFactory local_factory(*ctx);
   RunContextFactory* factory =
@@ -305,17 +326,15 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
   // (the warm-cold study flips it between halves); machines must start
   // under the policy of *this* sweep.
   factory->set_warmup(ctx->warmup);
-  return SweepEngine::RunCellsParallelIndexed(
+  return publish(SweepEngine::RunCellsParallelIndexed(
       space, labels, *factory,
       [&](RunContext* worker_ctx, size_t plan,
           size_t point) -> Result<Measurement> {
         Measurement hit;
         if (lookup(plan, point, &hit)) return hit;
-        auto m = executor.Run(worker_ctx, prepared[plan], queries[point]);
-        if (m.ok()) publish(plan, point, m.value());
-        return m;
+        return executor.Run(worker_ctx, prepared[plan], queries[point]);
       },
-      opts);
+      opts));
 }
 
 /// The warm-cold study: the same plans measured twice — once cold, once
