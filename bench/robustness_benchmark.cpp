@@ -503,9 +503,8 @@ int main() {
   // must not leave workers more imbalanced than uniform tiles did. This
   // is the scorecard's only wall-clock-dependent criterion, so it guards
   // itself against noise twice over: a slack term for scheduling jitter,
-  // and at sub-second busy totals (where the coordinator's 10 ms reap
-  // poll and fork overhead dominate any real signal) the ratios are
-  // reported but not gated.
+  // and at sub-second busy totals (where fork and dispatch overhead
+  // dominate any real signal) the ratios are reported but not gated.
   const bool balance_measurable = uniform_leg.busy_total_seconds >= 1.0 &&
                                   weighted_leg.busy_total_seconds >= 1.0;
   Check(!balance_measurable ||

@@ -57,15 +57,16 @@ Status ComputeAndWriteTile(RunContext* ctx, const Executor& executor,
 /// The sharded equivalent of `SweepStudyPlans`: partitions the grid with
 /// `ShardPlanner` under `opts.cost_model`, skips tiles already valid on
 /// disk (unless `opts.resume == false`), computes the rest through a
-/// pull-based work queue — up to `opts.num_workers` subprocesses in
-/// flight, each freed worker slot immediately pulling the heaviest pending
-/// tile — and merges the tile files into one map that is bit-identical to
+/// pull-based work queue — up to `opts.num_workers` worker processes, each
+/// one that finishes a tile immediately pulling the heaviest pending one —
+/// and merges the tile files into one map that is bit-identical to
 /// a single-process sweep of the same grid — every cell is an independent
 /// cold measurement, so its value cannot depend on which process ran it.
 ///
 /// Requires an order-independent warmup policy on `ctx` (anything but
 /// `kPriorRun`, whose cells inherit state across the tile boundaries this
-/// function erases). POSIX only: workers are fork(2)ed, or fork+exec'd when
+/// function erases). POSIX only: workers are fork(2)ed once per sweep and
+/// serve tiles over pipes, or fork+exec'd once per tile when
 /// `opts.worker_command` is set. A worker failure is reported after all
 /// workers finish; completed tiles remain on disk, so a rerun resumes
 /// rather than restarts.

@@ -1,19 +1,22 @@
 #include "core/sweep_engine.h"
 
 #include <dirent.h>
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -663,11 +666,125 @@ Result<MapTile> MaterializeCachedTile(const ShardCacheView& view,
   return out;
 }
 
+/// read(2) of one fixed-size pipe message, retrying EINTR. Messages are
+/// far below PIPE_BUF, so each write lands whole and a read returns all of
+/// it or nothing: the result is the byte count, 0 on EOF (every write end
+/// closed), -1 on error.
+ssize_t ReadMessage(int fd, void* buf, size_t n) {
+  ssize_t r = 0;
+  do {
+    r = ::read(fd, buf, n);
+  } while (r < 0 && errno == EINTR);
+  return r;
+}
+
+/// write(2) of one pipe message whose reader may be gone. SIGPIPE, whose
+/// default action would kill the whole process, is held blocked for the
+/// call and a raise it caused is consumed, so a vanished reader is just a
+/// false return.
+bool WriteMessage(int fd, const void* buf, size_t n) {
+  sigset_t sigpipe{};
+  sigset_t old_mask{};
+  sigset_t pending{};
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  sigpending(&pending);
+  const bool was_pending = sigismember(&pending, SIGPIPE) == 1;
+  pthread_sigmask(SIG_BLOCK, &sigpipe, &old_mask);
+  ssize_t w = 0;
+  do {
+    w = ::write(fd, buf, n);
+  } while (w < 0 && errno == EINTR);
+  if (w < 0 && errno == EPIPE && !was_pending) {
+    const timespec zero{0, 0};
+    int sig = 0;
+    do {
+      sig = sigtimedwait(&sigpipe, nullptr, &zero);
+    } while (sig < 0 && errno == EINTR);
+  }
+  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
+  return w == static_cast<ssize_t>(n);
+}
+
+/// The worker processes of one sharded sweep, one per lane; a lane is the
+/// unit `worker_busy_seconds` reports. In fork mode a lane is one
+/// persistent forked worker: it reads tile indices from its command pipe
+/// and answers each with one status byte on its result pipe. In exec mode
+/// a lane is the fork+exec'd process of its current tile, and its wake
+/// pipe is an exit pipe whose only writer is that process, so EOF is the
+/// exit notification. Either way the coordinator blocks in poll() on the
+/// wake pipes.
+///
+/// The destructor cleans up on every exit path. It closes the command
+/// pipes, so an idle fork worker sees EOF and exits, and a busy one exits
+/// after its current tile. Then it reaps each lane's known pid — never
+/// waitpid(-1), which would steal the exit status of an embedding
+/// application's own children.
+class WorkerLanes {
+ public:
+  static constexpr size_t kIdle = static_cast<size_t>(-1);
+  struct Lane {
+    pid_t pid = -1;          ///< -1: no live process
+    int cmd_fd = -1;         ///< fork mode: command pipe, write end
+    int wake_fd = -1;        ///< result (fork) or exit (exec) pipe, read end
+    size_t tile = kIdle;     ///< todo index in flight
+    int64_t started_ns = 0;  ///< dispatch time of `tile`
+  };
+
+  explicit WorkerLanes(size_t n) : lanes_(n) {}
+  WorkerLanes(const WorkerLanes&) = delete;
+  WorkerLanes& operator=(const WorkerLanes&) = delete;
+  ~WorkerLanes() {
+    for (size_t i = 0; i < lanes_.size(); ++i) CloseCommand(i);
+    for (size_t i = 0; i < lanes_.size(); ++i) (void)Reap(i, nullptr);
+  }
+
+  Lane& operator[](size_t i) { return lanes_[i]; }
+  size_t size() const { return lanes_.size(); }
+
+  /// Closes a lane's command pipe: its fork worker exits once idle.
+  void CloseCommand(size_t i) {
+    if (lanes_[i].cmd_fd >= 0) ::close(lanes_[i].cmd_fd);
+    lanes_[i].cmd_fd = -1;
+  }
+
+  /// Waits for a lane's process to exit and closes its wake pipe. The lane
+  /// is empty afterwards even when waitpid fails.
+  Status Reap(size_t i, int* wstatus) {
+    Lane& lane = lanes_[i];
+    pid_t r = 0;
+    if (lane.pid > 0) {
+      do {
+        r = ::waitpid(lane.pid, wstatus, 0);
+      } while (r < 0 && errno == EINTR);
+    }
+    const int err = errno;
+    if (lane.wake_fd >= 0) ::close(lane.wake_fd);
+    lane.pid = -1;
+    lane.wake_fd = -1;
+    if (r < 0) return Status::Internal("waitpid failed: " + ErrnoString(err));
+    return Status::OK();
+  }
+
+  /// For a freshly forked worker: closes every coordinator-side pipe end
+  /// it inherited. A worker still holding another worker's command write
+  /// end (or its own) would keep that pipe from ever reaching EOF.
+  void CloseCoordinatorEnds() {
+    for (Lane& lane : lanes_) {
+      if (lane.cmd_fd >= 0) ::close(lane.cmd_fd);
+      if (lane.wake_fd >= 0) ::close(lane.wake_fd);
+    }
+  }
+
+ private:
+  std::vector<Lane> lanes_;
+};
+
 /// The sharded-process backend: partitions the grid with `ShardPlanner`
 /// under the request's cost model, skips tiles already valid on disk
 /// (unless resume is off), computes the rest through a pull-based work
-/// queue — up to num_workers subprocesses in flight, each freed worker
-/// slot immediately pulling the heaviest pending tile — and merges the
+/// queue — up to num_workers worker lanes, each freed lane immediately
+/// pulling the heaviest pending tile — and merges the
 /// tile files layer by layer into maps bit-identical to an in-process
 /// sweep of the same study (every cell is an order-independent
 /// measurement, so its value cannot depend on which process ran it).
@@ -892,7 +1009,7 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
 
   // Pull-based dispatch: the pending queue is ordered heaviest-first under
   // the cost model (LPT — the classic makespan heuristic), and every time
-  // a worker slot frees up it pulls the head of the queue. The expensive
+  // a worker frees up it pulls the head of the queue. The expensive
   // corner tiles start immediately; the cheap tail fills in around them
   // instead of everyone waiting on a monster tile scheduled last.
   SortTilesHeaviestFirst(&todo, model.value());
@@ -965,233 +1082,334 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
                                         ? req.warm_policy
                                         : ctx->warmup;
 
-  // One subprocess per outstanding tile, at most num_workers in flight.
-  // stdio is flushed first so forked children do not replay the parent's
-  // buffered output. Each in-flight tile occupies a worker *slot*; per-slot
-  // busy time is what the balance metrics report.
+  // At most num_workers lanes, each holding one tile at a time. stdio is
+  // flushed first so forked children do not replay the parent's buffered
+  // output. Per-lane busy time, from dispatch to result, is what the
+  // balance metrics report.
   phase_span = std::make_unique<TraceSpan>("shard.dispatch", "shard");
   std::fflush(stdout);
   std::fflush(stderr);
+  const bool exec_mode = !opts.worker_command.empty();
   // Exec-mode workers can only see the cache through its file, so
   // everything this coordinator holds must hit the disk before the first
   // worker starts; fork-mode workers inherit the in-memory cache for
   // free. A failed flush degrades reuse, never the sweep.
-  if (!todo.empty() && !opts.worker_command.empty() &&
-      req.cell_cache != nullptr && req.cell_cache->attached()) {
+  if (!todo.empty() && exec_mode && req.cell_cache != nullptr &&
+      req.cell_cache->attached()) {
     if (Status s = req.cell_cache->WriteCellCacheFile(); !s.ok()) {
       std::fprintf(stderr, "  shard: cell cache flush: %s\n",
                    s.ToString().c_str());
     }
   }
   // Workers report their observability through per-tile sidecar files next
-  // to the tile itself; the coordinator folds each one in at reap time.
+  // to the tile itself; the coordinator folds each one in as the tile
+  // completes.
   const auto trace_sidecar = [](const std::string& tile_path) {
     return tile_path + ".trace.json";
   };
   const auto telemetry_sidecar = [](const std::string& tile_path) {
     return tile_path + ".telemetry.json";
   };
-  struct InFlight {
-    size_t todo_index;
-    size_t slot;
-    int64_t started_ns;
+  const auto tile_path = [&](size_t idx) {
+    return opts.tile_dir + "/" + TileFileName(todo[idx].shard_id);
   };
-  std::map<pid_t, InFlight> running;
-  std::set<size_t> free_slots;
-  std::vector<size_t> failed;
-  size_t next = 0;
-  size_t computed_done = 0;
   SweepOptions worker_opts;
   worker_opts.num_threads = std::max(1u, opts.threads_per_worker);
-  while (next < todo.size() || !running.empty()) {
-    while (next < todo.size() && running.size() < num_workers) {
-      const TileSpec& t = todo[next];
-      const std::string path =
-          opts.tile_dir + "/" + TileFileName(t.shard_id);
-      // A stale sidecar from an aborted run must never merge as if this
-      // dispatch produced it.
-      std::remove(trace_sidecar(path).c_str());
-      std::remove(telemetry_sidecar(path).c_str());
-      pid_t pid = ::fork();
-      if (pid < 0) {
-        return Status::Internal("fork failed: " + ErrnoString(errno));
-      }
-      if (pid == 0) {
-        // Worker. Either exec the external worker binary, or compute the
-        // tile right here on the forked copy of the parent's environment.
-        if (!opts.worker_command.empty()) {
-          std::vector<std::string> args = opts.worker_command;
-          // The tile count is part of a tile id's meaning, and only this
-          // side knows the resolved value — the worker must never re-derive
-          // it from a default that could drift. The rectangle itself rides
-          // along too: with cost-weighted partitioning the boundaries
-          // depend on the model, so the coordinator's exact cuts are the
-          // contract, not something a worker recomputes. The study (and
-          // its warmup policy, when not cold) completes the contract: a
-          // worker computing a different study under the right tile name
-          // would poison the merge.
-          args.push_back("--tiles=" + std::to_string(num_tiles));
-          args.push_back("--tile=" + std::to_string(t.shard_id));
-          args.push_back("--rect=" + RectSpecString(t));
-          args.push_back("--study=" + std::string(StudyKindName(req.study)));
-          if (!flag_policy.is_cold()) {
-            args.push_back("--warmup=" + flag_policy.ToSpec());
-          }
-          args.push_back("--out=" + path);
-          // A persistent cache rides along read-only (the coordinator
-          // flushed it before dispatch); workers publish only in memory
-          // and the coordinator re-publishes the merged cells itself.
-          if (req.cell_cache != nullptr && req.cell_cache->attached()) {
-            const std::string& cache_file = req.cell_cache->path();
-            args.push_back("--cache-dir=" +
-                           cache_file.substr(0, cache_file.rfind('/')));
-          }
-          // Progressive coarse levels sweep a sublattice; the worker must
-          // subsample its reconstructed grid the same way before slicing.
-          if (opts.lattice_stride > 1) {
-            args.push_back("--stride=" +
-                           std::to_string(opts.lattice_stride));
-          }
-          // Observability rides along only when the coordinator itself is
-          // collecting: the worker traces against the coordinator's epoch
-          // into per-tile sidecars merged at reap time.
-          if (Tracer::Get().enabled()) {
-            args.push_back("--trace=" + trace_sidecar(path));
-            args.push_back("--trace-epoch=" +
-                           std::to_string(Tracer::Get().epoch_ns()));
-          }
-          if (SweepTelemetry::Get().enabled()) {
-            args.push_back("--telemetry=" + telemetry_sidecar(path));
-          }
-          std::vector<char*> argv;
-          argv.reserve(args.size() + 1);
-          for (std::string& a : args) argv.push_back(a.data());
-          argv.push_back(nullptr);
-          ::execvp(argv[0], argv.data());
-          WriteTileErrFile(path, Status::Internal("cannot exec " + args[0] +
-                                                  ": " + ErrnoString(errno)));
-          ::_exit(127);
-        }
-        // Forked children inherit the parent's buffered events; drop them
-        // (keeping the shared epoch) so the sidecars report only this
-        // tile's work.
-        if (Tracer::Get().enabled()) {
-          const int64_t epoch = Tracer::Get().epoch_ns();
-          Tracer::Get().Reset();
-          Tracer::Get().SetEpochNs(epoch);
-        }
-        if (SweepTelemetry::Get().enabled()) SweepTelemetry::Get().Reset();
-        Status s = ComputeAndWriteTile(ctx, executor, req.plans, space, t,
-                                       path, worker_opts, req.study,
-                                       req.warm_policy, req.cell_cache);
-        if (!s.ok()) {
-          WriteTileErrFile(path, s);
-          ::_exit(1);
-        }
-        if (Tracer::Get().enabled()) {
-          Status ts = Tracer::Get().WriteFile(trace_sidecar(path));
-          if (!ts.ok()) {
-            std::fprintf(stderr, "  shard: tile %zu trace sidecar: %s\n",
-                         t.shard_id, ts.ToString().c_str());
-          }
-        }
-        if (SweepTelemetry::Get().enabled()) {
-          Status ms =
-              SweepTelemetry::Get().WriteFile(telemetry_sidecar(path));
-          if (!ms.ok()) {
-            std::fprintf(stderr,
-                         "  shard: tile %zu telemetry sidecar: %s\n",
-                         t.shard_id, ms.ToString().c_str());
-          }
-        }
-        ::_exit(0);
-      }
-      size_t slot;
-      if (!free_slots.empty()) {
-        slot = *free_slots.begin();
-        free_slots.erase(free_slots.begin());
-      } else {
-        slot = local.worker_busy_seconds.size();
-        local.worker_busy_seconds.push_back(0);
-      }
-      running.emplace(pid, InFlight{next, slot, MonotonicNowNs()});
-      SweepTelemetry::Get().AddCounter("shard.tiles_dispatched", 1);
-      ++next;
+
+  // The argv of an exec-mode worker for one tile.
+  const auto exec_args = [&](const TileSpec& t, const std::string& path) {
+    std::vector<std::string> args = opts.worker_command;
+    // The tile count is part of a tile id's meaning, and only this side
+    // knows the resolved value — the worker must never re-derive it from a
+    // default that could drift. The rectangle itself rides along too: with
+    // cost-weighted partitioning the boundaries depend on the model, so
+    // the coordinator's exact cuts are the contract, not something a
+    // worker recomputes. The study (and its warmup policy, when not cold)
+    // completes the contract: a worker computing a different study under
+    // the right tile name would poison the merge.
+    args.push_back("--tiles=" + std::to_string(num_tiles));
+    args.push_back("--tile=" + std::to_string(t.shard_id));
+    args.push_back("--rect=" + RectSpecString(t));
+    args.push_back("--study=" + std::string(StudyKindName(req.study)));
+    if (!flag_policy.is_cold()) {
+      args.push_back("--warmup=" + flag_policy.ToSpec());
     }
-    // Reap exactly one of *our* workers. waitpid(-1) would also consume
-    // the exit status of any unrelated child an embedding application has
-    // in flight, so poll the known pids instead; tiles take seconds, the
-    // 10 ms poll interval is noise.
-    bool reaped = false;
-    while (!reaped) {
-      for (auto it = running.begin(); it != running.end();) {
-        int wstatus = 0;
-        pid_t r = ::waitpid(it->first, &wstatus, WNOHANG);
-        if (r == 0 || (r < 0 && errno == EINTR)) {
-          ++it;
-          continue;
-        }
-        if (r < 0) {
-          return Status::Internal("waitpid failed: " + ErrnoString(errno));
-        }
-        const size_t idx = it->second.todo_index;
-        const int64_t started_ns = it->second.started_ns;
-        const double tile_wall_seconds =
-            static_cast<double>(MonotonicNowNs() - started_ns) * 1e-9;
-        local.worker_busy_seconds[it->second.slot] += tile_wall_seconds;
-        free_slots.insert(it->second.slot);
-        it = running.erase(it);
-        reaped = true;
-        const std::string tile_path =
-            opts.tile_dir + "/" + TileFileName(todo[idx].shard_id);
-        if (Tracer::Get().enabled()) {
-          // The dispatch-to-reap span for this tile, on the coordinator's
-          // timeline; the worker's own spans sit inside it once the
-          // sidecar merges.
-          Tracer::Get().AddComplete(
-              "shard.tile " + std::to_string(todo[idx].shard_id), "shard",
-              started_ns, MonotonicNowNs() - started_ns);
-        }
-        SweepTelemetry::Get().RecordLatency("shard.tile_wall_seconds",
-                                            tile_wall_seconds);
-        if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) {
-          ++computed_done;
-          SweepTelemetry::Get().AddCounter("shard.tiles_computed", 1);
-          // Fold the worker's sidecars in and drop them; a missing or
-          // unreadable sidecar degrades the trace, never the sweep.
-          if (Tracer::Get().enabled()) {
-            Status ms = Tracer::Get().MergeFromFile(trace_sidecar(tile_path));
-            if (ms.ok()) {
-              std::remove(trace_sidecar(tile_path).c_str());
-            } else {
-              std::fprintf(stderr, "  shard: tile %zu trace sidecar: %s\n",
-                           todo[idx].shard_id, ms.ToString().c_str());
-            }
-          }
-          if (SweepTelemetry::Get().enabled()) {
-            Status ms = SweepTelemetry::Get().MergeFromFile(
-                telemetry_sidecar(tile_path));
-            if (ms.ok()) {
-              std::remove(telemetry_sidecar(tile_path).c_str());
-            } else {
-              std::fprintf(stderr,
-                           "  shard: tile %zu telemetry sidecar: %s\n",
-                           todo[idx].shard_id, ms.ToString().c_str());
-            }
-          }
-          if (opts.verbose) {
-            std::fprintf(stderr,
-                         "  shard: tile %zu computed (%zu/%zu done)\n",
-                         todo[idx].shard_id,
-                         local.tiles_reused + computed_done,
-                         local.tiles_total);
-          }
-        } else {
-          SweepTelemetry::Get().AddCounter("shard.tiles_failed", 1);
-          failed.push_back(idx);
-        }
+    args.push_back("--out=" + path);
+    // A persistent cache rides along read-only (the coordinator flushed it
+    // before dispatch); workers publish only in memory and the coordinator
+    // re-publishes the merged cells itself.
+    if (req.cell_cache != nullptr && req.cell_cache->attached()) {
+      const std::string& cache_file = req.cell_cache->path();
+      args.push_back("--cache-dir=" +
+                     cache_file.substr(0, cache_file.rfind('/')));
+    }
+    // Progressive coarse levels sweep a sublattice; the worker must
+    // subsample its reconstructed grid the same way before slicing.
+    if (opts.lattice_stride > 1) {
+      args.push_back("--stride=" + std::to_string(opts.lattice_stride));
+    }
+    // Observability rides along only when the coordinator itself is
+    // collecting: the worker traces against the coordinator's epoch into
+    // per-tile sidecars merged as the tile completes.
+    if (Tracer::Get().enabled()) {
+      args.push_back("--trace=" + trace_sidecar(path));
+      args.push_back("--trace-epoch=" +
+                     std::to_string(Tracer::Get().epoch_ns()));
+    }
+    if (SweepTelemetry::Get().enabled()) {
+      args.push_back("--telemetry=" + telemetry_sidecar(path));
+    }
+    return args;
+  };
+
+  // One tile inside a fork-mode worker, on its copy of the parent's
+  // environment. True when the tile file is written; otherwise the
+  // worker's Status is left in the tile's .err file.
+  const auto serve_tile = [&](size_t idx) {
+    const TileSpec& t = todo[idx];
+    const std::string path = tile_path(idx);
+    // The worker inherited the parent's buffered events and has since
+    // recorded its previous tile's; drop them (keeping the shared epoch)
+    // so the sidecars report only this tile's work.
+    if (Tracer::Get().enabled()) {
+      const int64_t epoch = Tracer::Get().epoch_ns();
+      Tracer::Get().Reset();
+      Tracer::Get().SetEpochNs(epoch);
+    }
+    if (SweepTelemetry::Get().enabled()) SweepTelemetry::Get().Reset();
+    Status s = ComputeAndWriteTile(ctx, executor, req.plans, space, t, path,
+                                   worker_opts, req.study, req.warm_policy,
+                                   req.cell_cache);
+    if (!s.ok()) {
+      WriteTileErrFile(path, s);
+      return false;
+    }
+    if (Tracer::Get().enabled()) {
+      Status ts = Tracer::Get().WriteFile(trace_sidecar(path));
+      if (!ts.ok()) {
+        std::fprintf(stderr, "  shard: tile %zu trace sidecar: %s\n",
+                     t.shard_id, ts.ToString().c_str());
       }
-      if (!reaped) ::usleep(10000);
+    }
+    if (SweepTelemetry::Get().enabled()) {
+      Status ms = SweepTelemetry::Get().WriteFile(telemetry_sidecar(path));
+      if (!ms.ok()) {
+        std::fprintf(stderr, "  shard: tile %zu telemetry sidecar: %s\n",
+                     t.shard_id, ms.ToString().c_str());
+      }
+    }
+    return true;
+  };
+
+  WorkerLanes lanes(local.workers_spawned);
+  local.worker_busy_seconds.assign(lanes.size(), 0.0);
+
+  // Forks a persistent worker into an empty lane. It serves tile indices
+  // from its command pipe until EOF, one status byte (0 = tile written)
+  // per tile; a coordinator that dies closes the pipe too, so an orphaned
+  // worker exits after its current tile.
+  const auto spawn_fork_worker = [&](size_t lane) -> Status {
+    int cmd[2] = {-1, -1};
+    int result[2] = {-1, -1};
+    if (::pipe2(cmd, O_CLOEXEC) != 0) {
+      return Status::Internal("pipe failed: " + ErrnoString(errno));
+    }
+    if (::pipe2(result, O_CLOEXEC) != 0) {
+      const int err = errno;
+      ::close(cmd[0]);
+      ::close(cmd[1]);
+      return Status::Internal("pipe failed: " + ErrnoString(err));
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      const int err = errno;
+      for (int fd : {cmd[0], cmd[1], result[0], result[1]}) ::close(fd);
+      return Status::Internal("fork failed: " + ErrnoString(err));
+    }
+    if (pid == 0) {
+      lanes.CloseCoordinatorEnds();
+      ::close(cmd[1]);
+      ::close(result[0]);
+      uint64_t idx = 0;
+      while (ReadMessage(cmd[0], &idx, sizeof idx) ==
+             static_cast<ssize_t>(sizeof idx)) {
+        const uint8_t status = serve_tile(static_cast<size_t>(idx)) ? 0 : 1;
+        if (!WriteMessage(result[1], &status, 1)) break;
+      }
+      ::_exit(0);
+    }
+    ::close(cmd[0]);
+    ::close(result[1]);
+    lanes[lane].pid = pid;
+    lanes[lane].cmd_fd = cmd[1];
+    lanes[lane].wake_fd = result[0];
+    return Status::OK();
+  };
+
+  // Forks and execs the worker command for one tile into an empty lane.
+  // The child alone keeps the exit pipe's write end across exec, so the
+  // pipe reaches EOF exactly when the worker process is gone.
+  const auto spawn_exec_worker = [&](size_t lane, size_t idx) -> Status {
+    const std::string path = tile_path(idx);
+    std::vector<std::string> args = exec_args(todo[idx], path);
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 1);
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    int exit_pipe[2] = {-1, -1};
+    if (::pipe2(exit_pipe, O_CLOEXEC) != 0) {
+      return Status::Internal("pipe failed: " + ErrnoString(errno));
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      const int err = errno;
+      ::close(exit_pipe[0]);
+      ::close(exit_pipe[1]);
+      return Status::Internal("fork failed: " + ErrnoString(err));
+    }
+    if (pid == 0) {
+      ::fcntl(exit_pipe[1], F_SETFD, 0);
+      ::execvp(argv[0], argv.data());
+      WriteTileErrFile(path, Status::Internal("cannot exec " + args[0] +
+                                              ": " + ErrnoString(errno)));
+      ::_exit(127);
+    }
+    ::close(exit_pipe[1]);
+    lanes[lane].pid = pid;
+    lanes[lane].wake_fd = exit_pipe[0];
+    return Status::OK();
+  };
+
+  // Hands an idle lane the heaviest pending tile.
+  size_t next = 0;
+  const auto dispatch = [&](size_t lane) -> Status {
+    const size_t idx = next++;
+    const std::string path = tile_path(idx);
+    // A stale sidecar from an aborted run must never merge as if this
+    // dispatch produced it.
+    std::remove(trace_sidecar(path).c_str());
+    std::remove(telemetry_sidecar(path).c_str());
+    lanes[lane].tile = idx;
+    lanes[lane].started_ns = MonotonicNowNs();
+    if (exec_mode) {
+      RM_RETURN_IF_ERROR(spawn_exec_worker(lane, idx));
+    } else {
+      // A worker that died meanwhile surfaces as EOF on its result pipe,
+      // failing this tile there.
+      const uint64_t msg = idx;
+      (void)WriteMessage(lanes[lane].cmd_fd, &msg, sizeof msg);
+    }
+    SweepTelemetry::Get().AddCounter("shard.tiles_dispatched", 1);
+    return Status::OK();
+  };
+
+  // Accounts a lane's tile as finished: busy time, its span, and either
+  // the worker's sidecars or a failure.
+  std::vector<size_t> failed;
+  size_t computed_done = 0;
+  const auto finish = [&](size_t lane, bool ok) {
+    const size_t idx = lanes[lane].tile;
+    const int64_t started_ns = lanes[lane].started_ns;
+    lanes[lane].tile = WorkerLanes::kIdle;
+    const int64_t now_ns = MonotonicNowNs();
+    const double tile_wall_seconds =
+        static_cast<double>(now_ns - started_ns) * 1e-9;
+    local.worker_busy_seconds[lane] += tile_wall_seconds;
+    const size_t shard_id = todo[idx].shard_id;
+    if (Tracer::Get().enabled()) {
+      // The dispatch-to-result span for this tile, on the coordinator's
+      // timeline; the worker's own spans sit inside it once the sidecar
+      // merges.
+      Tracer::Get().AddComplete("shard.tile " + std::to_string(shard_id),
+                                "shard", started_ns, now_ns - started_ns);
+    }
+    SweepTelemetry::Get().RecordLatency("shard.tile_wall_seconds",
+                                        tile_wall_seconds);
+    if (!ok) {
+      SweepTelemetry::Get().AddCounter("shard.tiles_failed", 1);
+      failed.push_back(idx);
+      return;
+    }
+    ++computed_done;
+    SweepTelemetry::Get().AddCounter("shard.tiles_computed", 1);
+    // Fold the worker's sidecars in and drop them; a missing or unreadable
+    // sidecar degrades the trace, never the sweep.
+    const std::string path = tile_path(idx);
+    if (Tracer::Get().enabled()) {
+      Status ms = Tracer::Get().MergeFromFile(trace_sidecar(path));
+      if (ms.ok()) {
+        std::remove(trace_sidecar(path).c_str());
+      } else {
+        std::fprintf(stderr, "  shard: tile %zu trace sidecar: %s\n",
+                     shard_id, ms.ToString().c_str());
+      }
+    }
+    if (SweepTelemetry::Get().enabled()) {
+      Status ms = SweepTelemetry::Get().MergeFromFile(telemetry_sidecar(path));
+      if (ms.ok()) {
+        std::remove(telemetry_sidecar(path).c_str());
+      } else {
+        std::fprintf(stderr, "  shard: tile %zu telemetry sidecar: %s\n",
+                     shard_id, ms.ToString().c_str());
+      }
+    }
+    if (opts.verbose) {
+      std::fprintf(stderr, "  shard: tile %zu computed (%zu/%zu done)\n",
+                   shard_id, local.tiles_reused + computed_done,
+                   local.tiles_total);
+    }
+  };
+
+  for (size_t lane = 0; lane < lanes.size(); ++lane) {
+    if (!exec_mode) RM_RETURN_IF_ERROR(spawn_fork_worker(lane));
+    RM_RETURN_IF_ERROR(dispatch(lane));
+  }
+  // Block until some lane reports. A result byte finishes a fork worker's
+  // tile; EOF means the lane's process is gone — an exec worker that
+  // exited, a fork worker told to stop, or one that died holding a tile.
+  // A lane whose process is gone is refilled while tiles remain pending.
+  std::vector<pollfd> fds;
+  std::vector<size_t> fd_lane;
+  for (;;) {
+    fds.clear();
+    fd_lane.clear();
+    for (size_t lane = 0; lane < lanes.size(); ++lane) {
+      if (lanes[lane].pid < 0) continue;
+      fds.push_back(pollfd{lanes[lane].wake_fd, POLLIN, 0});
+      fd_lane.push_back(lane);
+    }
+    if (fds.empty()) break;
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal("poll failed: " + ErrnoString(errno));
+    }
+    for (size_t f = 0; f < fds.size(); ++f) {
+      if (fds[f].revents == 0) continue;
+      const size_t lane = fd_lane[f];
+      uint8_t status = 0;
+      if (!exec_mode && ReadMessage(lanes[lane].wake_fd, &status, 1) == 1) {
+        finish(lane, status == 0);
+        if (next < todo.size()) {
+          RM_RETURN_IF_ERROR(dispatch(lane));
+        } else {
+          lanes.CloseCommand(lane);
+        }
+        continue;
+      }
+      int wstatus = 0;
+      lanes.CloseCommand(lane);
+      RM_RETURN_IF_ERROR(lanes.Reap(lane, &wstatus));
+      if (lanes[lane].tile != WorkerLanes::kIdle) {
+        const bool exited_ok = WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
+        finish(lane, exec_mode && exited_ok);
+      }
+      if (next < todo.size()) {
+        if (!exec_mode) {
+          RM_RETURN_IF_ERROR(spawn_fork_worker(lane));
+          ++local.workers_spawned;
+        }
+        RM_RETURN_IF_ERROR(dispatch(lane));
+      }
     }
   }
 

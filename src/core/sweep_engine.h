@@ -81,8 +81,9 @@ struct ShardedSweepOptions {
   bool verbose = false;
 
   /// Empty (the default): workers are forked children of this process,
-  /// computing their tiles with the already-built executor — the in-process
-  /// subprocess mode benches and tests use. Non-empty: each tile spawns
+  /// one per lane for the whole sweep, computing the tiles they are handed
+  /// with the already-built executor — the in-process subprocess mode
+  /// benches and tests use. Non-empty: each tile spawns
   /// fork+exec of this argv with "--tiles=<count>", "--tile=<id>",
   /// "--rect=<x0:x1:y0:y1>", "--study=<name>", "--out=<path>" — and
   /// "--warmup=<spec>" when the study's policy is not cold — appended (the
@@ -163,15 +164,17 @@ struct ShardedSweepStats {
   size_t tiles_computed = 0;  ///< recomputed by workers this run
   size_t tiles_split = 0;     ///< straggler split operations (each turns
                               ///< one pending tile into two)
-  unsigned workers_spawned = 0;
+  unsigned workers_spawned = 0;  ///< worker lanes; in fork mode also the
+                                 ///< persistent workers forked (plus any
+                                 ///< replacement for one that died)
 
-  /// Wall-clock seconds each worker slot spent with a tile subprocess in
-  /// flight (slot = one of the up-to-`num_workers` concurrent lanes; one
-  /// entry per slot actually used). The makespan is dominated by the
-  /// busiest slot, so the spread here *is* the scheduling quality.
+  /// Wall-clock seconds each worker lane spent holding a tile, from its
+  /// dispatch to its result (lane = one of the up-to-`num_workers`
+  /// concurrent workers; one entry per lane). The makespan is dominated by
+  /// the busiest lane, so the spread here *is* the scheduling quality.
   std::vector<double> worker_busy_seconds;
 
-  /// Busiest slot / mean slot — 1.0 is a perfectly balanced sweep, 2.0
+  /// Busiest lane / mean lane — 1.0 is a perfectly balanced sweep, 2.0
   /// means the slowest worker carried twice its fair share while others
   /// idled. 1.0 when nothing was computed.
   double busy_balance_ratio() const {

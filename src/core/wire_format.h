@@ -1,6 +1,8 @@
 #ifndef ROBUSTMAP_CORE_WIRE_FORMAT_H_
 #define ROBUSTMAP_CORE_WIRE_FORMAT_H_
 
+#include <sys/stat.h>
+
 #include <bit>
 #include <cstdint>
 #include <fstream>
@@ -66,12 +68,18 @@ inline void PutString(std::string* out, const std::string& s) {
 
 /// Reads the whole file at `path` into `*out` with one sized read. A file
 /// that cannot be opened is `NotFound` (naming `what`, e.g. "map tile"),
-/// so callers keep telling "absent" apart from "damaged".
+/// so callers keep telling "absent" apart from "damaged". Anything but a
+/// regular file (a directory in a tile's place, say) is `Internal`: its
+/// "size" would be meaningless.
 inline Status ReadFileBytes(const std::string& path, const char* what,
                             std::string* out) {
   std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f.is_open()) {
     return Status::NotFound("cannot open " + std::string(what) + " " + path);
+  }
+  struct stat st = {};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    return Status::Internal(path + " is not a regular file");
   }
   const std::streamoff size = f.tellg();
   if (size < 0) return Status::Internal("cannot size " + path);

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/map_io.h"
 #include "core/sweep_telemetry.h"
 #include "testing/map_expect.h"
 #include "testing/test_env.h"
@@ -91,7 +93,73 @@ TEST(RunShardedSweepTest, MoreTilesThanWorkersStillMergesExactly) {
                                 opts, &stats)
                     .ValueOrDie();
   EXPECT_GT(stats.tiles_total, 3u);
+  // One persistent worker per lane, however many tiles it serves.
+  EXPECT_EQ(stats.workers_spawned,
+            std::min<size_t>(opts.num_workers, stats.tiles_computed));
   ExpectMapsBitIdentical(reference, merged);
+}
+
+TEST(RunShardedSweepTest, FailingTileDoesNotTakeItsSiblingsDown) {
+  ProcEnv env;
+  Executor executor(env.db());
+  ParameterSpace space = SmallGrid();
+  SweepOptions serial;
+  serial.num_threads = 1;
+  auto reference =
+      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
+          .ValueOrDie();
+
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("sibling");
+  opts.num_workers = 2;
+  opts.num_tiles = 12;
+  // The resume below recomputes one tile on two workers; unsplit, it is
+  // exactly one computed tile.
+  opts.split_stragglers = false;
+  // A directory where tile 3's file belongs: its temp+rename fails, and
+  // the fork worker that computed it must keep serving tiles.
+  const std::string blocked = opts.tile_dir + "/" + TileFileName(3);
+  ASSERT_TRUE(EnsureDirectory(blocked).ok());
+  ShardedSweepStats stats;
+  auto failed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
+                                opts, &stats);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsInternal());
+  EXPECT_NE(failed.status().message().find("sweep worker for tile 3 failed"),
+            std::string::npos)
+      << failed.status().ToString();
+  for (size_t id = 0; id < opts.num_tiles; ++id) {
+    if (id == 3) continue;
+    const std::string path = opts.tile_dir + "/" + TileFileName(id);
+    EXPECT_TRUE(ReadMapTileFile(path).ok()) << path;
+  }
+
+  ASSERT_EQ(::rmdir(blocked.c_str()), 0);
+  ShardedSweepStats resumed_stats;
+  auto resumed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
+                                 opts, &resumed_stats)
+                     .ValueOrDie();
+  EXPECT_EQ(resumed_stats.tiles_computed, 1u);
+  EXPECT_EQ(resumed_stats.tiles_reused, opts.num_tiles - 1);
+  ExpectMapsBitIdentical(reference, resumed);
+}
+
+TEST(RunShardedSweepTest, KilledExecWorkerFailsFast) {
+  // Exec-mode workers are waited for through an exit pipe, not polled: a
+  // worker killed before it writes anything must fail its tile promptly.
+  ProcEnv env;
+  Executor executor(env.db());
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("killed_exec");
+  opts.num_workers = 2;
+  opts.num_tiles = 4;
+  opts.worker_command = {"/bin/sh", "-c", "kill -9 $$"};
+  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
+                                SmallGrid(), opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInternal());
+  EXPECT_NE(result.status().message().find("killed?"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(RunShardedSweepTest, AllCostModelsMergeTheIdenticalMap) {
