@@ -1,9 +1,10 @@
 // Substrate micro-benchmarks (google-benchmark): regression tracking for
 // the data structures the simulator's wall-clock performance rests on,
 // plus the executor hot paths a sweep spends its cells in — B-tree
-// descent, the three fetch policies, hash-join build/probe, the
-// cold-start-vs-recycle cost of a simulated machine — and the cell-cache
-// layer of the engine loop: keying, concurrent lookup, and flushing.
+// descent, procedural cursor scans, the three fetch policies, the bitmap
+// AND, hash-join build/probe, the cold-start-vs-recycle cost of a
+// simulated machine — and the cell-cache layer of the engine loop:
+// keying, concurrent lookup, and flushing.
 
 #include <benchmark/benchmark.h>
 
@@ -117,6 +118,52 @@ void BM_ProceduralIndexEntryAt(benchmark::State& state) {
 }
 BENCHMARK(BM_ProceduralIndexEntryAt);
 
+// A 256-entry cursor scan from a fresh seek, the shape of a low-band cell's
+// index range: single-column entries are synthesized per step, composite
+// ones (64 per key0 group here, so the scan spans 4-5 groups) read from
+// the thread's group slot. Leaf reads go through a buffer pool.
+void ProceduralCursorScan(benchmark::State& state,
+                          std::vector<uint32_t> key_columns) {
+  VirtualClock clock;
+  SimDevice device(DiskParameters{}, &clock);
+  LruBufferPool pool(&device, 4096);
+  RunContext ctx;
+  ctx.clock = &clock;
+  ctx.device = &device;
+  ctx.pool = &pool;
+  ProceduralTableOptions topts;
+  topts.row_bits = 20;
+  topts.value_bits = 14;
+  auto table = ProceduralTable::Create(&device, topts).ValueOrDie();
+  ProceduralIndexOptions iopts;
+  iopts.key_columns = std::move(key_columns);
+  auto index =
+      ProceduralIndex::Create(&device, table.get(), iopts).ValueOrDie();
+  Rng rng(17);
+  for (auto _ : state) {
+    auto cursor = index->Seek(
+        &ctx, static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 14)),
+        static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 14)));
+    Rid fold = 0;
+    for (int i = 0; i < 256 && cursor->Valid(); ++i) {
+      fold ^= cursor->entry().rid;
+      cursor->Next(&ctx);
+    }
+    benchmark::DoNotOptimize(fold);
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+
+void BM_ProceduralCursorScan(benchmark::State& state) {
+  ProceduralCursorScan(state, {0});
+}
+BENCHMARK(BM_ProceduralCursorScan);
+
+void BM_ProceduralCursorScanComposite(benchmark::State& state) {
+  ProceduralCursorScan(state, {0, 1});
+}
+BENCHMARK(BM_ProceduralCursorScanComposite);
+
 void BM_BufferPoolAccess(benchmark::State& state) {
   VirtualClock clock;
   SimDevice device(DiskParameters{}, &clock);
@@ -170,13 +217,14 @@ StudyEnvironment& MicroEnv() {
 }
 
 // Measures one full cell — ColdStart, plan execution, drain — for `kind`
-// at 1% selectivity on both predicates: the per-cell unit the batched
-// sweep loops amortize their setup across.
-void RunPlanCell(benchmark::State& state, PlanKind kind) {
+// at `selectivity` (1% by default) on both predicates: the per-cell unit
+// the batched sweep loops amortize their setup across.
+void RunPlanCell(benchmark::State& state, PlanKind kind,
+                 double selectivity = 0.01) {
   StudyEnvironment& env = MicroEnv();
   const Executor::PreparedPlan plan =
       env.executor().Prepare(kind).ValueOrDie();
-  const QuerySpec query = env.MakeQuery(0.01, 0.01);
+  const QuerySpec query = env.MakeQuery(selectivity, selectivity);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         env.executor().Run(env.ctx(), plan, query).ValueOrDie());
@@ -200,6 +248,20 @@ void BM_FetchBitmap(benchmark::State& state) {
   RunPlanCell(state, PlanKind::kCoverABBitmapFetch);
 }
 BENCHMARK(BM_FetchBitmap);
+
+// The same plan in the low band (2^-10 on both predicates): a 256-entry
+// index range leaves a handful of rids in a 2^18-rid bitmap, so scanning
+// the bitmap, not fetching rows, is the work.
+void BM_FetchBitmapLowBand(benchmark::State& state) {
+  RunPlanCell(state, PlanKind::kCoverABBitmapFetch, 0x1p-10);
+}
+BENCHMARK(BM_FetchBitmapLowBand);
+
+// Bitmap AND of both single-column indexes, then the bitmap-ordered fetch.
+void BM_BitmapAndFetchCell(benchmark::State& state) {
+  RunPlanCell(state, PlanKind::kBitmapAndFetch);
+}
+BENCHMARK(BM_BitmapAndFetchCell);
 
 // Hash-join build + probe (rid intersection over both single-column
 // indexes), and the covering merge join it competes with.

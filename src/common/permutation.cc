@@ -14,32 +14,4 @@ FeistelPermutation::FeistelPermutation(int bits, uint64_t seed) : bits_(bits) {
   for (auto& k : keys_) k = rng.Next();
 }
 
-uint64_t FeistelPermutation::RoundFunction(int round, uint64_t half) const {
-  return Mix64(half ^ keys_[round]) & half_mask_;
-}
-
-uint64_t FeistelPermutation::Permute(uint64_t x) const {
-  uint64_t left = x >> half_bits_;
-  uint64_t right = x & half_mask_;
-  for (int r = 0; r < kRounds; ++r) {
-    uint64_t next_left = right;
-    uint64_t next_right = left ^ RoundFunction(r, right);
-    left = next_left;
-    right = next_right;
-  }
-  return (left << half_bits_) | right;
-}
-
-uint64_t FeistelPermutation::Inverse(uint64_t y) const {
-  uint64_t left = y >> half_bits_;
-  uint64_t right = y & half_mask_;
-  for (int r = kRounds - 1; r >= 0; --r) {
-    uint64_t prev_right = left;
-    uint64_t prev_left = right ^ RoundFunction(r, prev_right);
-    left = prev_left;
-    right = prev_right;
-  }
-  return (left << half_bits_) | right;
-}
-
 }  // namespace robustmap

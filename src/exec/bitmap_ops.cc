@@ -2,14 +2,71 @@
 
 namespace robustmap {
 
+namespace {
+
+/// Index of the lowest set bit; `x` must be non-zero.
+uint64_t LowestBit(uint64_t x) {
+  return static_cast<uint64_t>(__builtin_ctzll(x));
+}
+
+}  // namespace
+
+void RidBitmap::Reset(uint64_t num_rids) {
+  num_rids_ = num_rids;
+  num_words_ = (num_rids + 63) / 64;
+  bits_.assign(num_words_ + (num_words_ + 63) / 64, 0);
+}
+
+void RidBitmap::Release() {
+  num_rids_ = 0;
+  num_words_ = 0;
+  bits_.clear();
+  bits_.shrink_to_fit();
+}
+
+void RidBitmap::And(const RidBitmap& other) {
+  assert(other.num_rids_ == num_rids_);
+  for (uint64_t s = 0; num_words_ + s < bits_.size(); ++s) {
+    uint64_t& marks = bits_[num_words_ + s];
+    const uint64_t both = marks & other.bits_[num_words_ + s];
+    for (uint64_t only = marks & ~both; only != 0; only &= only - 1) {
+      bits_[(s << 6) + LowestBit(only)] = 0;
+    }
+    uint64_t kept = both;
+    for (uint64_t m = both; m != 0; m &= m - 1) {
+      const uint64_t w = (s << 6) + LowestBit(m);
+      bits_[w] &= other.bits_[w];
+      if (bits_[w] == 0) kept &= ~(uint64_t{1} << LowestBit(m));
+    }
+    marks = kept;
+  }
+}
+
+uint64_t RidBitmap::Next(uint64_t pos) const {
+  if (pos >= num_rids_) return num_rids_;
+  uint64_t w = pos >> 6;
+  const uint64_t word = bits_[w] & (~uint64_t{0} << (pos & 63));
+  if (word != 0) return (w << 6) + LowestBit(word);
+  // Later words: find the next marked one through the summary.
+  if (++w >= num_words_) return num_rids_;
+  uint64_t s = w >> 6;
+  uint64_t marks = bits_[num_words_ + s] & (~uint64_t{0} << (w & 63));
+  while (marks == 0) {
+    if (num_words_ + ++s >= bits_.size()) return num_rids_;
+    marks = bits_[num_words_ + s];
+  }
+  w = (s << 6) + LowestBit(marks);
+  return (w << 6) + LowestBit(bits_[w]);
+}
+
 Status BitmapAndOp::FillBitmap(RunContext* ctx, Operator* child,
-                               std::vector<uint64_t>* bits) {
-  bits->assign((table_rows_ + 63) / 64, 0);
+                               RidBitmap* bits) {
+  bits->Reset(table_rows_);
   RM_RETURN_IF_ERROR(child->Open(ctx));
   Row r;
   uint64_t inserted = 0;
   while (child->Next(ctx, &r)) {
-    (*bits)[r.rid >> 6] |= uint64_t{1} << (r.rid & 63);
+    bits->Set(r.rid);
     ++inserted;
   }
   RM_RETURN_IF_ERROR(child->status());
@@ -20,37 +77,28 @@ Status BitmapAndOp::FillBitmap(RunContext* ctx, Operator* child,
 
 Status BitmapAndOp::Open(RunContext* ctx) {
   scan_pos_ = 0;
-  std::vector<uint64_t> right_bits;
+  RidBitmap right_bits;
   RM_RETURN_IF_ERROR(FillBitmap(ctx, left_.get(), &bits_));
   RM_RETURN_IF_ERROR(FillBitmap(ctx, right_.get(), &right_bits));
-  for (size_t i = 0; i < bits_.size(); ++i) bits_[i] &= right_bits[i];
-  // Word-wise AND plus the output scan below.
-  ctx->ChargeCpuOps(bits_.size() * 2, ctx->cpu.bitmap_set_seconds);
+  bits_.And(right_bits);
+  // Word-wise AND plus the output scan below, charged as passes over
+  // every word whatever the host skips.
+  ctx->ChargeCpuOps(bits_.num_words() * 2, ctx->cpu.bitmap_set_seconds);
   return Status::OK();
 }
 
 bool BitmapAndOp::Next(RunContext* ctx, Row* out) {
   (void)ctx;
-  while (scan_pos_ < table_rows_) {
-    uint64_t word_idx = scan_pos_ >> 6;
-    uint64_t word = bits_[word_idx] >> (scan_pos_ & 63);
-    if (word == 0) {
-      scan_pos_ = (word_idx + 1) << 6;
-      continue;
-    }
-    scan_pos_ += static_cast<uint64_t>(__builtin_ctzll(word));
-    out->rid = scan_pos_;
-    out->valid_cols = 0;
-    ++scan_pos_;
-    return true;
-  }
-  return false;
+  scan_pos_ = bits_.Next(scan_pos_);
+  if (scan_pos_ >= bits_.num_rids()) return false;
+  out->rid = scan_pos_++;
+  out->valid_cols = 0;
+  return true;
 }
 
 void BitmapAndOp::Close(RunContext* ctx) {
   (void)ctx;
-  bits_.clear();
-  bits_.shrink_to_fit();
+  bits_.Release();
 }
 
 std::string BitmapAndOp::DebugName() const {

@@ -9,7 +9,7 @@ namespace robustmap {
 Status FetchOp::Open(RunContext* ctx) {
   rids_.clear();
   rid_pos_ = 0;
-  bitmap_.clear();
+  bitmap_.Release();
   bitmap_scan_pos_ = 0;
   rows_fetched_ = 0;
   RM_RETURN_IF_ERROR(child_->Open(ctx));
@@ -32,18 +32,18 @@ Status FetchOp::Prepare(RunContext* ctx) {
     return Status::OK();
   }
   // kBitmap: one bit per table row; insertion is cheap and order-free.
-  bitmap_bits_ = table_->num_rows();
-  bitmap_.assign((bitmap_bits_ + 63) / 64, 0);
+  bitmap_.Reset(table_->num_rows());
   uint64_t inserted = 0;
   while (child_->Next(ctx, &r)) {
-    bitmap_[r.rid >> 6] |= uint64_t{1} << (r.rid & 63);
+    bitmap_.Set(r.rid);
     ++inserted;
   }
   RM_RETURN_IF_ERROR(child_->status());
   child_->Close(ctx);
   ctx->ChargeCpuOps(inserted, ctx->cpu.bitmap_set_seconds);
-  // The sweep below scans every bitmap word once.
-  ctx->ChargeCpuOps(bitmap_.size(), ctx->cpu.bitmap_set_seconds);
+  // The sweep below, charged as one pass over every bitmap word whatever
+  // the host skips.
+  ctx->ChargeCpuOps(bitmap_.num_words(), ctx->cpu.bitmap_set_seconds);
   return Status::OK();
 }
 
@@ -64,19 +64,10 @@ bool FetchOp::NextRid(RunContext* ctx, Rid* rid) {
       return true;
     }
     case FetchPolicy::kBitmap: {
-      while (bitmap_scan_pos_ < bitmap_bits_) {
-        uint64_t word_idx = bitmap_scan_pos_ >> 6;
-        uint64_t word = bitmap_[word_idx] >> (bitmap_scan_pos_ & 63);
-        if (word == 0) {
-          bitmap_scan_pos_ = (word_idx + 1) << 6;
-          continue;
-        }
-        bitmap_scan_pos_ += static_cast<uint64_t>(__builtin_ctzll(word));
-        *rid = bitmap_scan_pos_;
-        ++bitmap_scan_pos_;
-        return true;
-      }
-      return false;
+      bitmap_scan_pos_ = bitmap_.Next(bitmap_scan_pos_);
+      if (bitmap_scan_pos_ >= bitmap_.num_rids()) return false;
+      *rid = bitmap_scan_pos_++;
+      return true;
     }
   }
   return false;
@@ -100,8 +91,7 @@ void FetchOp::Close(RunContext* ctx) {
   if (policy_ == FetchPolicy::kNaive) child_->Close(ctx);
   rids_.clear();
   rids_.shrink_to_fit();
-  bitmap_.clear();
-  bitmap_.shrink_to_fit();
+  bitmap_.Release();
 }
 
 std::string FetchOp::DebugName() const {

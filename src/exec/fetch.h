@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "exec/bitmap_ops.h"
 #include "exec/operator.h"
 #include "exec/predicate.h"
 #include "storage/table.h"
@@ -55,8 +56,7 @@ class FetchOp : public Operator {
   // kSorted / kBitmap state.
   std::vector<Rid> rids_;
   size_t rid_pos_ = 0;
-  std::vector<uint64_t> bitmap_;
-  uint64_t bitmap_bits_ = 0;
+  RidBitmap bitmap_;
   uint64_t bitmap_scan_pos_ = 0;
 
   uint64_t rows_fetched_ = 0;

@@ -49,31 +49,82 @@ GroupCacheSlot& GroupCacheFor(uint64_t index_id) {
 
 }  // namespace
 
-class ProceduralIndex::Cursor : public IndexCursor {
+// Leaf-aware cursor: it carries its end ordinal and the first ordinal of
+// the next leaf, so it charges a leaf read at exactly the ordinals a
+// per-entry `ordinal % entries_per_leaf == 0` test would, without the
+// division. Single-column entries are synthesized inline; a composite
+// cursor reads its next entry straight from this thread's group slot while
+// the slot still holds (this index, this group), and falls back to
+// `EntryAt` — which re-materializes the group — on a group boundary or
+// after another cursor or index took the slot. Like the group cache, a
+// cursor belongs to the thread that advances it.
+class ProceduralIndex::Cursor final : public IndexCursor {
  public:
   Cursor(const ProceduralIndex* index, uint64_t ordinal)
-      : index_(index), ordinal_(ordinal) {
-    if (Valid()) entry_ = index_->EntryAt(ordinal_);
+      : index_(index),
+        ordinal_(ordinal),
+        end_(index->num_entries()),
+        next_leaf_((ordinal / index->opts_.entries_per_leaf + 1) *
+                   index->opts_.entries_per_leaf) {
+    if (index_->opts_.key_columns.size() == 1) {
+      perm_ = &index_->table_->column_permutation(index_->opts_.key_columns[0]);
+      value_shift_ = index_->table_->value_shift();
+    }
+    if (Valid()) Load();
   }
 
-  bool Valid() const override { return ordinal_ < index_->num_entries(); }
+  bool Valid() const override { return ordinal_ < end_; }
 
   void Next(RunContext* ctx) override {
     assert(Valid());
-    ++ordinal_;
-    if (!Valid()) return;
-    if (ordinal_ % index_->entries_per_leaf() == 0) {
+    if (++ordinal_ >= end_) return;
+    if (ordinal_ == next_leaf_) {
       ctx->ReadPage(index_->LeafPageOf(ordinal_), /*cacheable=*/true);
+      next_leaf_ += index_->opts_.entries_per_leaf;
     }
-    entry_ = index_->EntryAt(ordinal_);
+    if (perm_ == nullptr && ordinal_ < group_end_ &&
+        slot_->index_id == index_->cache_id_ && slot_->group == group_) {
+      entry_ = slot_->entries[ordinal_ - group_begin_];
+      return;
+    }
+    Load();
   }
 
   const IndexEntry& entry() const override { return entry_; }
 
  private:
+  /// Synthesizes the entry at `ordinal_`; for a composite index, also
+  /// (re)binds the group slot that `EntryAt` just filled.
+  void Load() {
+    if (perm_ != nullptr) {
+      entry_.key0 = static_cast<int64_t>(ordinal_ >> value_shift_);
+      entry_.key1 = 0;
+      entry_.rid = perm_->Inverse(ordinal_);
+      return;
+    }
+    entry_ = index_->EntryAt(ordinal_);
+    const uint64_t rpv = index_->table_->rows_per_value();
+    group_ = ordinal_ / rpv;
+    group_begin_ = group_ * rpv;
+    group_end_ = group_begin_ + rpv;
+    slot_ = &GroupCacheFor(index_->cache_id_);
+  }
+
   const ProceduralIndex* index_;
   uint64_t ordinal_;
+  uint64_t end_;
+  uint64_t next_leaf_;  ///< first ordinal of the next leaf page
   IndexEntry entry_;
+
+  // Single-column synthesis (perm_ == nullptr for a composite index).
+  const FeistelPermutation* perm_ = nullptr;
+  int value_shift_ = 0;
+
+  // Composite: the group holding ordinal_ and the slot it was read into.
+  const GroupCacheSlot* slot_ = nullptr;
+  uint64_t group_ = 0;
+  uint64_t group_begin_ = 0;
+  uint64_t group_end_ = 0;
 };
 
 Result<std::unique_ptr<ProceduralIndex>> ProceduralIndex::Create(

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "exec/bitmap_ops.h"
 #include "exec/hash_join.h"
 #include "exec/index_scan.h"
@@ -136,6 +139,100 @@ TEST(BitmapAndTest, EmitsRidsInAscendingOrder) {
     first = false;
   }
   join.Close(env.ctx());
+}
+
+/// Every member of `bits` in scan order.
+std::vector<Rid> Members(const RidBitmap& bits) {
+  std::vector<Rid> out;
+  for (uint64_t from = 0;;) {
+    const uint64_t pos = bits.Next(from);
+    if (pos >= bits.num_rids()) break;
+    if (pos < from) {
+      ADD_FAILURE() << "Next(" << from << ") went back to " << pos;
+      break;
+    }
+    out.push_back(pos);
+    from = pos + 1;
+  }
+  return out;
+}
+
+TEST(RidBitmapTest, WordAndBlockEdges) {
+  // Tables that end in a partial word of a partial 4,096-rid summary
+  // block (4,098 and 8,193 rids) and on a block boundary (12,288).
+  for (uint64_t n : {uint64_t{4098}, uint64_t{8193}, uint64_t{64 * 64 * 3}}) {
+    SCOPED_TRACE("num_rids " + std::to_string(n));
+    RidBitmap bits;
+    bits.Reset(n);
+    EXPECT_EQ(bits.num_words(), (n + 63) / 64);
+    const std::vector<Rid> want = {0, 63, 64, 4095, 4096, n - 1};
+    for (Rid r : want) bits.Set(r);
+    for (Rid r : want) bits.Set(r);  // duplicates change nothing
+    EXPECT_EQ(Members(bits), want);
+    EXPECT_EQ(bits.Next(1), 63u);
+    EXPECT_EQ(bits.Next(65), 4095u);
+    EXPECT_EQ(bits.Next(4097), n - 1);
+    EXPECT_EQ(bits.Next(n), n);
+  }
+}
+
+TEST(RidBitmapTest, EmptySetScansToTheEnd) {
+  RidBitmap bits;
+  bits.Reset(10000);
+  EXPECT_EQ(bits.Next(0), 10000u);
+  EXPECT_TRUE(Members(bits).empty());
+  bits.Reset(0);
+  EXPECT_EQ(bits.Next(0), 0u);
+}
+
+TEST(RidBitmapTest, AndKeepsTheIntersection) {
+  const uint64_t n = 9000;
+  RidBitmap evens;
+  RidBitmap odds;
+  RidBitmap threes;
+  evens.Reset(n);
+  odds.Reset(n);
+  threes.Reset(n);
+  std::vector<Rid> sixes;
+  for (Rid r = 0; r < n; ++r) {
+    (r % 2 == 0 ? evens : odds).Set(r);
+    if (r % 3 == 0) threes.Set(r);
+    if (r % 6 == 0) sixes.push_back(r);
+  }
+  RidBitmap both = evens;
+  both.And(threes);
+  EXPECT_EQ(Members(both), sixes);
+
+  evens.And(odds);  // disjoint
+  EXPECT_TRUE(Members(evens).empty());
+  EXPECT_EQ(evens.Next(0), n);
+}
+
+TEST(RidBitmapTest, AndClearsWordsOnlyOneSideMarks) {
+  RidBitmap a;
+  RidBitmap b;
+  a.Reset(20000);
+  b.Reset(20000);
+  for (Rid r : {5, 70, 4200, 12000, 19999}) a.Set(r);
+  for (Rid r : {6, 70, 12000, 12001}) b.Set(r);
+  a.And(b);
+  EXPECT_EQ(Members(a), (std::vector<Rid>{70, 12000}));
+  // A scan that starts inside a cleared word must not find its old bits.
+  EXPECT_EQ(a.Next(5), 70u);
+  EXPECT_EQ(a.Next(4200), 12000u);
+  EXPECT_EQ(a.Next(19999), 20000u);
+}
+
+TEST(BitmapAndTest, EmptyAndDisjointInputs) {
+  ProcEnv env;
+  // Values 70..80 lie beyond the 64-value domain: the left side is empty.
+  BitmapAndOp empty(ScanA(&env, 70, 80), ScanB(&env, 0, 63),
+                    env.table().num_rows());
+  EXPECT_TRUE(CollectRids(env.ctx(), &empty).empty());
+  // No row has both a = 0 and a = 1.
+  BitmapAndOp disjoint(ScanA(&env, 0, 0), ScanA(&env, 1, 1),
+                       env.table().num_rows());
+  EXPECT_TRUE(CollectRids(env.ctx(), &disjoint).empty());
 }
 
 TEST(RidMapTest, InsertFindAbsent) {
