@@ -24,7 +24,9 @@
 // --cache-info inspects a cell-result cache (the --cache-dir of
 // `sweep_shard` / `sweep_worker`, or its cells.rmc directly): file format
 // version, fingerprint schema version (flagged when this build would
-// ignore it as stale), entry count, and a per-study entry breakdown.
+// ignore it as stale), entry count, the file's layout (base entries,
+// journal segments and their entries, dropped tail bytes), and a
+// per-study entry breakdown.
 //
 // Reads any tile format version this build's reader accepts (v1/v2 files
 // are single-layer; v3 files carry one named layer per study output, e.g.
@@ -237,6 +239,17 @@ int PrintCacheInfo(const std::string& arg) {
   std::printf("  fingerprint schema : %u%s\n", data.value().fingerprint_schema,
               stale.c_str());
   std::printf("  entries            : %zu\n", data.value().entries.size());
+  // The file's layout: a compacted base, then the journal segments that
+  // flushes appended since.
+  uint64_t journaled = 0;
+  for (const uint64_t n : data.value().segment_entries) journaled += n;
+  std::printf("  base entries       : %llu\n",
+              static_cast<unsigned long long>(data.value().base_entries));
+  std::printf("  journal segments   : %zu (%llu entries)\n",
+              data.value().segment_entries.size(),
+              static_cast<unsigned long long>(journaled));
+  std::printf("  dropped tail bytes : %llu\n",
+              static_cast<unsigned long long>(data.value().dropped_bytes));
   if (data.value().entries.empty()) return 0;
   std::map<std::string, size_t> by_study;
   for (const CellCacheEntry& e : data.value().entries) {

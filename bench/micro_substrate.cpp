@@ -4,11 +4,12 @@
 // descent, procedural cursor scans, the three fetch policies, the bitmap
 // AND, hash-join build/probe, the cold-start-vs-recycle cost of a
 // simulated machine — and the cell-cache layer of the engine loop:
-// keying, concurrent lookup, and flushing.
+// keying, concurrent lookup, appending, compacting and opening.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -366,32 +367,112 @@ void BM_CellCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_CellCacheLookup)->Threads(1)->Threads(2);
 
-// A flush of a dirty ~50k-entry cache: snapshot, sort, encode, checksum,
-// atomic write. Each iteration publishes one new cell so the flush is
-// never the clean no-op.
-void BM_CellCacheFlush(benchmark::State& state) {
-  // Start from no file: entries a previous run flushed would load as
-  // duplicates and turn every timed flush into the clean no-op.
-  const std::string dir = bench::OutDir() + "/micro_cell_cache";
+// The flush layer, at the explore workload's sizes: a ~50k-entry cache
+// gaining ~7,600 entries a flush. A flush appends the new entries as one
+// journal segment, or compacts when the segments would outgrow the base.
+constexpr uint64_t kFlushCells = 7600;
+
+/// A directory under bench_out/ with no cells.rmc in it.
+std::string EmptyCacheDir(const std::string& name) {
+  const std::string dir = bench::OutDir() + "/" + name;
   std::remove(CellCacheFileName(dir).c_str());
-  CellResultCache cache;
-  cache.Open(dir);
-  for (uint64_t i = 0; i < kCacheCells; ++i) {
-    cache.Publish(Mix64(i), "plain", CacheMeasurement(i));
+  return dir;
+}
+
+void PublishRange(CellResultCache* cache, uint64_t first, uint64_t n) {
+  for (uint64_t i = first; i < first + n; ++i) {
+    cache->Publish(Mix64(i), "plain", CacheMeasurement(i));
   }
-  uint64_t next = kCacheCells;
+}
+
+bool Flushed(benchmark::State& state, CellResultCache* cache) {
+  const Status s = cache->WriteCellCacheFile();
+  if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+  return s.ok();
+}
+
+// One flush of 7,600 new entries over a 50k-entry base: an append. Each
+// iteration re-stages the base and reopens it, untimed, as a new session
+// would.
+void BM_CellCacheAppend(benchmark::State& state) {
+  const std::string dir = EmptyCacheDir("micro_cell_cache_append");
+  const std::string path = CellCacheFileName(dir);
+  const std::string base = dir + "/base.rmc";
+  {
+    CellResultCache seed;
+    seed.Open(dir);
+    PublishRange(&seed, 0, kCacheCells);
+    if (!Flushed(state, &seed)) return;
+    std::filesystem::copy_file(
+        path, base, std::filesystem::copy_options::overwrite_existing);
+  }
+  std::unique_ptr<CellResultCache> cache;
   for (auto _ : state) {
-    cache.Publish(Mix64(next), "plain", CacheMeasurement(next));
-    ++next;
-    const Status s = cache.WriteCellCacheFile();
-    if (!s.ok()) {
-      state.SkipWithError(s.ToString().c_str());
-      break;
-    }
+    state.PauseTiming();
+    std::filesystem::copy_file(
+        base, path, std::filesystem::copy_options::overwrite_existing);
+    cache = std::make_unique<CellResultCache>();
+    cache->Open(dir);
+    PublishRange(cache.get(), kCacheCells, kFlushCells);
+    state.ResumeTiming();
+    if (!Flushed(state, cache.get())) break;
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{kFlushCells});
+}
+BENCHMARK(BM_CellCacheAppend)->Unit(benchmark::kMillisecond);
+
+// A compaction of 50k entries: snapshot, sort, encode, checksum, atomic
+// write. A cache with no file always compacts.
+void BM_CellCacheCompact(benchmark::State& state) {
+  const std::string dir = EmptyCacheDir("micro_cell_cache_compact");
+  std::unique_ptr<CellResultCache> cache;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::remove(CellCacheFileName(dir).c_str());
+    cache = std::make_unique<CellResultCache>();
+    cache->Open(dir);
+    PublishRange(cache.get(), 0, kCacheCells);
+    state.ResumeTiming();
+    if (!Flushed(state, cache.get())) break;
   }
   state.SetItemsProcessed(state.iterations() * int64_t{kCacheCells});
 }
-BENCHMARK(BM_CellCacheFlush)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CellCacheCompact)->Unit(benchmark::kMillisecond);
+
+// Opening a 50k-entry cache written through real flushes: one compacted
+// base (segments:0), or the same entries as a base plus 4 appended
+// segments of 5,000 (segments:4).
+void BM_CellCacheOpen(benchmark::State& state) {
+  constexpr uint64_t kSegmentCells = 5000;
+  const uint64_t segments = static_cast<uint64_t>(state.range(0));
+  const std::string dir =
+      EmptyCacheDir("micro_cell_cache_open" + std::to_string(segments));
+  {
+    CellResultCache writer;
+    writer.Open(dir);
+    uint64_t published = kCacheCells - segments * kSegmentCells;
+    PublishRange(&writer, 0, published);
+    if (!Flushed(state, &writer)) return;
+    for (uint64_t s = 0; s < segments; ++s, published += kSegmentCells) {
+      PublishRange(&writer, published, kSegmentCells);
+      if (!Flushed(state, &writer)) return;
+    }
+  }
+  std::unique_ptr<CellResultCache> cache;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cache = std::make_unique<CellResultCache>();
+    state.ResumeTiming();
+    cache->Open(dir);
+    benchmark::DoNotOptimize(cache->size());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{kCacheCells});
+}
+BENCHMARK(BM_CellCacheOpen)
+    ->ArgName("segments")
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace robustmap

@@ -1,16 +1,15 @@
 #include "core/cell_cache.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <functional>
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <queue>
 #include <utility>
 
 #include "core/sharded_sweep.h"
@@ -30,6 +29,7 @@ using wire::PutU32;
 using wire::PutU64;
 
 constexpr char kMagic[8] = {'R', 'M', 'C', 'C', 'A', 'C', 'H', 'E'};
+constexpr char kSegmentMagic[8] = {'R', 'M', 'C', 'J', 'S', 'E', 'G', '1'};
 constexpr size_t kMagicSize = sizeof(kMagic);
 constexpr size_t kVersionOffset = kMagicSize;
 constexpr size_t kChecksumSize = sizeof(uint64_t);
@@ -37,6 +37,14 @@ constexpr size_t kChecksumSize = sizeof(uint64_t);
 // cache file can be.
 constexpr size_t kMinFileSize =
     kMagicSize + 2 * sizeof(uint32_t) + sizeof(uint64_t) + kChecksumSize;
+// Magic + entry count + checksum: the least a journal segment can be.
+constexpr size_t kSegmentOverhead =
+    kMagicSize + sizeof(uint64_t) + kChecksumSize;
+// A fingerprint, a study length, and the measurement's fixed fields: the
+// least any entry occupies.
+constexpr size_t kMinEntryBytes =
+    sizeof(uint64_t) + sizeof(uint32_t) + 9 * sizeof(uint64_t) +
+    sizeof(uint32_t);
 
 // The artifact name Cursor errors lead with ("truncated cell cache: ...").
 constexpr char kWhat[] = "cell cache";
@@ -66,8 +74,7 @@ uint64_t ExtendHex64(uint64_t h, uint64_t v) {
 
 /// Serialized size of one entry: fingerprint, study, measurement.
 size_t EntryBytes(const CellCacheEntry& e) {
-  return sizeof(uint64_t) + sizeof(uint32_t) + e.study.size() +
-         9 * sizeof(uint64_t) + sizeof(uint32_t) + e.m.plan_label.size();
+  return kMinEntryBytes + e.study.size() + e.m.plan_label.size();
 }
 
 /// An entry with its sort key alongside, so sorting never chases the
@@ -77,39 +84,78 @@ struct EntryRef {
   const CellCacheEntry* entry;
 };
 
-/// The one cache encoder: sorts `entries` ascending by fingerprint, so
-/// equal contents serialize to equal bytes whatever order they come in,
-/// rejects duplicate keys, and encodes straight from the entries into a
-/// buffer sized up front.
-Result<std::string> EncodeCellCache(uint32_t fingerprint_schema,
-                                    std::vector<EntryRef> entries) {
-  std::sort(entries.begin(), entries.end(),
+/// Sorts `entries` ascending by fingerprint, so equal contents serialize
+/// to equal bytes whatever order they come in, and rejects duplicate
+/// keys.
+Status SortEntries(std::vector<EntryRef>* entries) {
+  std::sort(entries->begin(), entries->end(),
             [](const EntryRef& a, const EntryRef& b) {
               return a.fingerprint < b.fingerprint;
             });
-  size_t bytes = kMinFileSize;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i > 0 && entries[i].fingerprint == entries[i - 1].fingerprint) {
+  for (size_t i = 1; i < entries->size(); ++i) {
+    const uint64_t fp = (*entries)[i].fingerprint;
+    if (fp == (*entries)[i - 1].fingerprint) {
       return Status::InvalidArgument(
-          "duplicate cell-cache fingerprint " + Hex64(entries[i].fingerprint) +
+          "duplicate cell-cache fingerprint " + Hex64(fp) +
           "; a content-addressed store holds one entry per key");
     }
-    bytes += EntryBytes(*entries[i].entry);
   }
+  return Status::OK();
+}
 
+/// The bytes `entries` encode to.
+size_t EntriesBytes(const std::vector<EntryRef>& entries) {
+  size_t bytes = 0;
+  for (const EntryRef& ref : entries) bytes += EntryBytes(*ref.entry);
+  return bytes;
+}
+
+void PutEntries(std::string* buf, const std::vector<EntryRef>& entries) {
+  for (const EntryRef& ref : entries) {
+    PutU64(buf, ref.fingerprint);
+    PutString(buf, ref.entry->study);
+    PutMeasurement(buf, ref.entry->m);
+  }
+}
+
+/// The one base encoder: sorted entries, encoded straight from the entries
+/// into a buffer sized up front.
+Result<std::string> EncodeCellCache(uint32_t fingerprint_schema,
+                                    std::vector<EntryRef> entries) {
+  RM_RETURN_IF_ERROR(SortEntries(&entries));
   std::string buf;
-  buf.reserve(bytes);
+  buf.reserve(kMinFileSize + EntriesBytes(entries));
   buf.append(kMagic, kMagicSize);
   PutU32(&buf, kCellCacheFormatVersion);
   PutU32(&buf, fingerprint_schema);
   PutU64(&buf, entries.size());
-  for (const EntryRef& ref : entries) {
-    PutU64(&buf, ref.fingerprint);
-    PutString(&buf, ref.entry->study);
-    PutMeasurement(&buf, ref.entry->m);
-  }
+  PutEntries(&buf, entries);
   PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
   return buf;
+}
+
+/// One journal segment of `entries` (sorted, unique), chained from
+/// `prev`, the checksum the file it extends ends with.
+std::string EncodeSegment(uint64_t prev,
+                          const std::vector<EntryRef>& entries) {
+  std::string buf;
+  buf.reserve(kSegmentOverhead + EntriesBytes(entries));
+  buf.append(kSegmentMagic, kMagicSize);
+  PutU64(&buf, entries.size());
+  PutEntries(&buf, entries);
+  PutU64(&buf, Fnv1a64Extend(prev, buf));
+  return buf;
+}
+
+/// The u64 checksum a base or a segment ends with.
+uint64_t TrailingChecksum(const std::string& bytes) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < kChecksumSize; ++i) {
+    const auto byte = static_cast<unsigned char>(
+        bytes[bytes.size() - kChecksumSize + i]);
+    v |= static_cast<uint64_t>(byte) << (8 * i);
+  }
+  return v;
 }
 
 std::vector<EntryRef> EntryRefs(const CellCacheData& data) {
@@ -119,33 +165,6 @@ std::vector<EntryRef> EntryRefs(const CellCacheData& data) {
     entries.push_back({e.fingerprint, &e});
   }
   return entries;
-}
-
-/// Writes `bytes` to `path` by write-then-rename: readers only ever see
-/// either no file or a complete one. The temp name carries the buffer's
-/// address and the pid so concurrent writers never clobber each other's
-/// in-flight writes.
-Status WriteFileAtomically(const std::string& path, const std::string& bytes) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(reinterpret_cast<uintptr_t>(&bytes)) +
-      "." + std::to_string(static_cast<unsigned long>(::getpid()));
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f.is_open()) {
-      return Status::Internal("cannot open " + tmp + " for writing");
-    }
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    f.close();
-    if (!f.good()) {
-      std::remove(tmp.c_str());
-      return Status::Internal("cell cache write failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -167,13 +186,95 @@ Status WriteCellCacheFile(const std::string& path,
                           const CellCacheData& data) {
   auto buf = EncodeCellCache(data.fingerprint_schema, EntryRefs(data));
   RM_RETURN_IF_ERROR(buf.status());
-  return WriteFileAtomically(path, buf.value());
+  return wire::WriteFileAtomically(path, buf.value(), kWhat);
 }
 
 namespace {
 
-/// Decodes a whole cache file's bytes; the one parser behind both readers.
-Result<CellCacheData> ParseCellCache(const std::string& buf) {
+/// Where one run of ascending entries sits in a cache file: the base's or
+/// one journal segment's.
+struct Run {
+  size_t start = 0;    ///< offset of its magic
+  size_t entries = 0;  ///< offset of its first entry
+  uint64_t count = 0;
+};
+
+/// The trusted structure of a cache file: the whole base, then every
+/// segment up to the first one that is torn, out of order, or fails its
+/// checksum. A segment that repeats a key is caught when its entries are
+/// decoded.
+struct Layout {
+  uint32_t fingerprint_schema = 0;
+  std::vector<Run> runs;  ///< runs[0] is the base
+  size_t base_bytes = 0;
+  size_t kept_bytes = 0;  ///< the base plus the kept segments
+  uint64_t checksum = 0;  ///< the checksum the kept bytes end with
+};
+
+/// Reads a run's entry count, bounded by the bytes that could back it
+/// *before* anything allocates, so a damaged count surfaces as
+/// Corruption, not as a multi-terabyte resize throwing bad_alloc.
+Status GetCount(Cursor* c, uint64_t* count) {
+  RM_RETURN_IF_ERROR(c->GetU64(count));
+  if (*count > c->remaining() / kMinEntryBytes) {
+    return Status::Corruption("cell cache claims " + std::to_string(*count) +
+                              " entries but only " +
+                              std::to_string(c->remaining()) +
+                              " bytes remain");
+  }
+  return Status::OK();
+}
+
+/// Walks `count` entries without decoding them, checking that their
+/// fingerprints strictly ascend.
+Status SkipEntries(Cursor* c, uint64_t count) {
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t fp = 0;
+    uint32_t len = 0;
+    RM_RETURN_IF_ERROR(c->GetU64(&fp));
+    if (i > 0 && fp <= prev) {
+      return Status::Corruption(
+          "cell cache entries out of fingerprint order (deterministic "
+          "files are sorted)");
+    }
+    prev = fp;
+    RM_RETURN_IF_ERROR(c->GetU32(&len));  // study, then the fixed fields
+    RM_RETURN_IF_ERROR(c->Skip(size_t{len} + 9 * sizeof(uint64_t)));
+    RM_RETURN_IF_ERROR(c->GetU32(&len));  // plan label
+    RM_RETURN_IF_ERROR(c->Skip(len));
+  }
+  return Status::OK();
+}
+
+/// Scans the journal segment at `c`'s position, which must chain from
+/// `*checksum`; on success advances `*checksum` to the segment's own.
+Status ScanSegment(const std::string& buf, Cursor* c, uint64_t* checksum,
+                   Run* seg) {
+  seg->start = c->position();
+  if (c->remaining() < kSegmentOverhead ||
+      std::memcmp(buf.data() + seg->start, kSegmentMagic, kMagicSize) != 0) {
+    return Status::Corruption("not a cell cache segment");
+  }
+  RM_RETURN_IF_ERROR(c->Skip(kMagicSize));
+  RM_RETURN_IF_ERROR(GetCount(c, &seg->count));
+  seg->entries = c->position();
+  RM_RETURN_IF_ERROR(SkipEntries(c, seg->count));
+  const std::string_view bytes(buf.data() + seg->start,
+                               c->position() - seg->start);
+  uint64_t stored = 0;
+  RM_RETURN_IF_ERROR(c->GetU64(&stored));
+  if (stored != Fnv1a64Extend(*checksum, bytes)) {
+    return Status::Corruption("cell cache segment checksum mismatch");
+  }
+  *checksum = stored;
+  return Status::OK();
+}
+
+/// Scans a whole cache file's bytes; the one parser behind both readers
+/// and `CellResultCache::Open`. The base must be whole; segments are kept
+/// up to the first one that is not.
+Result<Layout> ScanCellCache(const std::string& buf) {
   if (buf.size() < kMinFileSize) {
     return Status::Corruption("truncated cell cache: " +
                               std::to_string(buf.size()) +
@@ -185,65 +286,123 @@ Result<CellCacheData> ParseCellCache(const std::string& buf) {
   // Version gates everything else: an unknown version may checksum or lay
   // out its payload differently, so it is the one error reported before
   // the integrity check.
-  Cursor header(buf.data() + kVersionOffset, buf.size() - kVersionOffset,
-                kWhat);
+  Cursor c(buf.data(), buf.size(), kWhat);
   uint32_t version = 0;
-  RM_RETURN_IF_ERROR(header.GetU32(&version));
+  RM_RETURN_IF_ERROR(c.Skip(kVersionOffset));
+  RM_RETURN_IF_ERROR(c.GetU32(&version));
   if (version != kCellCacheFormatVersion) {
     return Status::NotSupported(
         "cell cache format version " + std::to_string(version) +
         " (this build reads version " +
         std::to_string(kCellCacheFormatVersion) + ")");
   }
-  const size_t payload_size = buf.size() - kChecksumSize;
-  Cursor trailer(buf.data() + payload_size, kChecksumSize, kWhat);
-  uint64_t stored = 0;
-  RM_RETURN_IF_ERROR(trailer.GetU64(&stored));
-  const uint64_t computed = Fnv1a64(buf.data(), payload_size);
-  if (stored != computed) {
+  Layout l;
+  Run base;
+  RM_RETURN_IF_ERROR(c.GetU32(&l.fingerprint_schema));
+  RM_RETURN_IF_ERROR(GetCount(&c, &base.count));
+  base.entries = c.position();
+  RM_RETURN_IF_ERROR(SkipEntries(&c, base.count));
+  const size_t payload_size = c.position();
+  RM_RETURN_IF_ERROR(c.GetU64(&l.checksum));
+  if (l.checksum != Fnv1a64(buf.data(), payload_size)) {
     return Status::Corruption("cell cache checksum mismatch (file damaged "
                               "or cut short)");
   }
+  l.runs.push_back(base);
+  l.base_bytes = l.kept_bytes = c.position();
+  while (c.remaining() > 0) {
+    Run seg;
+    if (!ScanSegment(buf, &c, &l.checksum, &seg).ok()) break;
+    l.runs.push_back(seg);
+    l.kept_bytes = c.position();
+  }
+  return l;
+}
 
-  Cursor c(buf.data() + kVersionOffset + sizeof(uint32_t),
-           payload_size - kVersionOffset - sizeof(uint32_t), kWhat);
-  CellCacheData data;
-  RM_RETURN_IF_ERROR(c.GetU32(&data.fingerprint_schema));
-  uint64_t count = 0;
-  RM_RETURN_IF_ERROR(c.GetU64(&count));
-  // Every entry occupies at least a fingerprint, a study length, and the
-  // measurement's fixed fields; bound the count by the bytes that could
-  // back it *before* allocating, so a damaged count surfaces as
-  // Corruption, not as a multi-terabyte resize throwing bad_alloc.
-  constexpr size_t kMinEntryBytes =
-      sizeof(uint64_t) + sizeof(uint32_t) + 9 * sizeof(uint64_t) +
-      sizeof(uint32_t);
-  if (count > c.remaining() / kMinEntryBytes) {
-    return Status::Corruption("cell cache claims " + std::to_string(count) +
-                              " entries but only " +
-                              std::to_string(c.remaining()) +
-                              " bytes remain");
+/// Decodes the rest of an entry after its fingerprint.
+Status GetEntryBody(Cursor* c, CellCacheEntry* e) {
+  RM_RETURN_IF_ERROR(c->GetString(&e->study));
+  return GetMeasurement(c, &e->m);
+}
+
+Cursor EntriesOf(const std::string& buf, const Run& run) {
+  return Cursor(buf.data() + run.entries, buf.size() - run.entries, kWhat);
+}
+
+/// K-way merges the first `n` runs (each ascending) into `*order`.
+/// Returns `n`, or the first run that repeats a key of an earlier one, in
+/// which case `*order` is not the merge of anything.
+size_t MergeRuns(std::vector<std::vector<CellCacheEntry>>* runs, size_t n,
+                 std::vector<CellCacheEntry*>* order) {
+  // (fingerprint, run): on equal keys the earlier run pops first.
+  using Head = std::pair<uint64_t, size_t>;
+  std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
+  std::vector<size_t> next(n, 0);
+  size_t total = 0;
+  for (size_t r = 0; r < n; ++r) {
+    total += (*runs)[r].size();
+    if (!(*runs)[r].empty()) heads.push({(*runs)[r][0].fingerprint, r});
   }
-  data.entries.resize(count);
-  uint64_t prev_fp = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    CellCacheEntry& e = data.entries[i];
-    RM_RETURN_IF_ERROR(c.GetU64(&e.fingerprint));
-    if (i > 0 && e.fingerprint <= prev_fp) {
-      return Status::Corruption(
-          "cell cache entries out of fingerprint order (deterministic "
-          "files are sorted)");
+  order->clear();
+  order->reserve(total);
+  size_t repeats = n;
+  while (!heads.empty()) {
+    const auto [fp, r] = heads.top();
+    heads.pop();
+    std::vector<CellCacheEntry>& run = (*runs)[r];
+    if (!order->empty() && order->back()->fingerprint == fp) {
+      repeats = std::min(repeats, r);
+    } else {
+      order->push_back(&run[next[r]]);
     }
-    prev_fp = e.fingerprint;
-    RM_RETURN_IF_ERROR(c.GetString(&e.study));
-    RM_RETURN_IF_ERROR(GetMeasurement(&c, &e.m));
+    if (++next[r] < run.size()) heads.push({run[next[r]].fingerprint, r});
   }
-  if (c.remaining() != 0) {
-    return Status::Corruption("cell cache has " +
-                              std::to_string(c.remaining()) +
-                              " trailing bytes past its declared entries");
+  return repeats;
+}
+
+/// Decodes a whole cache file's bytes: every kept run, k-way merged into
+/// one ascending list. A segment that repeats a key of an earlier run is
+/// dropped with every later one.
+Result<CellCacheData> ParseCellCache(const std::string& buf) {
+  auto scanned = ScanCellCache(buf);
+  RM_RETURN_IF_ERROR(scanned.status());
+  const Layout& l = scanned.value();
+  std::vector<std::vector<CellCacheEntry>> runs(l.runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    Cursor c = EntriesOf(buf, l.runs[r]);
+    runs[r].resize(l.runs[r].count);
+    for (CellCacheEntry& e : runs[r]) {
+      RM_RETURN_IF_ERROR(c.GetU64(&e.fingerprint));
+      RM_RETURN_IF_ERROR(GetEntryBody(&c, &e));
+    }
   }
+  CellCacheData data;
+  data.fingerprint_schema = l.fingerprint_schema;
+  size_t kept = runs.size();
+  if (kept == 1) {  // a compacted file is already in order
+    data.entries = std::move(runs[0]);
+  } else {
+    std::vector<CellCacheEntry*> order;
+    for (size_t repeats; (repeats = MergeRuns(&runs, kept, &order)) < kept;) {
+      kept = repeats;
+    }
+    data.entries.reserve(order.size());
+    for (CellCacheEntry* e : order) data.entries.push_back(std::move(*e));
+  }
+  data.base_entries = l.runs[0].count;
+  for (size_t r = 1; r < kept; ++r) {
+    data.segment_entries.push_back(l.runs[r].count);
+  }
+  data.dropped_bytes =
+      buf.size() - (kept < l.runs.size() ? l.runs[kept].start : l.kept_bytes);
   return data;
+}
+
+/// Prefixes a reader error with the file it came from, keeping its kind.
+Status AtPath(const std::string& path, const Status& s) {
+  const std::string msg = path + ": " + s.message();
+  return s.IsNotSupported() ? Status::NotSupported(msg)
+                            : Status::Corruption(msg);
 }
 
 }  // namespace
@@ -257,12 +416,7 @@ Result<CellCacheData> ReadCellCacheFile(const std::string& path) {
   std::string buf;
   RM_RETURN_IF_ERROR(wire::ReadFileBytes(path, kWhat, &buf));
   auto data = ParseCellCache(buf);
-  if (!data.ok()) {
-    if (data.status().IsNotSupported()) {
-      return Status::NotSupported(path + ": " + data.status().message());
-    }
-    return Status::Corruption(path + ": " + data.status().message());
-  }
+  if (!data.ok()) return AtPath(path, data.status());
   return data;
 }
 
@@ -325,40 +479,100 @@ void CellResultCache::Open(const std::string& dir) {
     return;
   }
   path_ = CellCacheFileName(dir);
-  auto data = ReadCellCacheFile(path_);
-  if (data.ok()) {
-    if (data.value().fingerprint_schema !=
-        kCellCacheFingerprintSchemaVersion) {
-      // Stale schema: the keys were computed under assumptions this build
-      // no longer makes. Partial trust would poison maps; starting over
-      // only costs re-measurement.
+  std::string buf;
+  Status read = wire::ReadFileBytes(path_, kWhat, &buf);
+  auto scanned = read.ok() ? ScanCellCache(buf) : Result<Layout>(read);
+  if (!scanned.ok()) {
+    if (!read.IsNotFound()) {
+      // Damaged or foreign file: warn and start empty — a cache must never
+      // poison a map, and the next flush overwrites the wreckage.
+      const Status s = read.ok() ? AtPath(path_, scanned.status()) : read;
       std::fprintf(stderr,
-                   "  cell cache: %s has fingerprint schema %u, this build "
-                   "uses %u; ignoring it (the next flush repopulates)\n",
-                   path_.c_str(), data.value().fingerprint_schema,
-                   kCellCacheFingerprintSchemaVersion);
-      return;
-    }
-    const size_t per_stripe = data.value().entries.size() / kStripes + 1;
-    for (Stripe& stripe : stripes_) {
-      MutexLock lock(&stripe.mu);
-      stripe.entries.reserve(per_stripe);
-    }
-    for (CellCacheEntry& e : data.value().entries) {
-      Stripe& stripe = StripeOf(e.fingerprint);
-      MutexLock lock(&stripe.mu);
-      const uint64_t fp = e.fingerprint;
-      stripe.entries.emplace(fp, std::move(e));
+                   "  cell cache: ignoring unreadable %s (%s); starting "
+                   "empty\n",
+                   path_.c_str(), s.ToString().c_str());
     }
     return;
   }
-  if (!data.status().IsNotFound()) {
-    // Damaged or foreign file: warn and start empty — a cache must never
-    // poison a map, and the next flush overwrites the wreckage.
+  const Layout& l = scanned.value();
+  if (l.fingerprint_schema != kCellCacheFingerprintSchemaVersion) {
+    // Stale schema: the keys were computed under assumptions this build
+    // no longer makes. Partial trust would poison maps; starting over
+    // only costs re-measurement.
     std::fprintf(stderr,
-                 "  cell cache: ignoring unreadable %s (%s); starting "
-                 "empty\n",
-                 path_.c_str(), data.status().ToString().c_str());
+                 "  cell cache: %s has fingerprint schema %u, this build "
+                 "uses %u; ignoring it (the next flush repopulates)\n",
+                 path_.c_str(), l.fingerprint_schema,
+                 kCellCacheFingerprintSchemaVersion);
+    return;
+  }
+  uint64_t total = 0;
+  for (const Run& run : l.runs) total += run.count;
+  for (Stripe& stripe : stripes_) {
+    MutexLock lock(&stripe.mu);
+    stripe.entries.reserve(total / kStripes + 1);
+  }
+  // Each entry is decoded straight into its stripe, and a failed emplace
+  // is the duplicate check. A stripe is a range of keys and a run's keys
+  // ascend, so each run's share of a stripe is contiguous: loading stripe
+  // by stripe gives a journaled file the locality of a compacted one. Only
+  // a segment can repeat a key (the scan checked that keys ascend within a
+  // run). The first that does is dropped with every later one, after
+  // taking back out the entries they had added.
+  struct Pending {
+    Cursor c;
+    uint64_t left;
+    uint64_t fp;  ///< the next entry's key, already read when left > 0
+  };
+  std::vector<Pending> runs;
+  for (const Run& run : l.runs) runs.push_back({EntriesOf(buf, run), 0, 0});
+  std::vector<std::vector<uint64_t>> added(runs.size());
+  size_t kept = runs.size();
+  for (size_t r = 0; r < kept; ++r) {
+    runs[r].left = l.runs[r].count;
+    if (runs[r].left > 0 && !runs[r].c.GetU64(&runs[r].fp).ok()) kept = r;
+  }
+  for (size_t i = 0; i < kStripes; ++i) {
+    Stripe& stripe = stripes_[i];
+    MutexLock lock(&stripe.mu);
+    for (size_t r = 0; r < kept; ++r) {
+      Pending& p = runs[r];
+      while (p.left > 0 && &StripeOf(p.fp) == &stripe) {
+        const auto [it, inserted] = stripe.entries.try_emplace(p.fp);
+        if (!inserted) {
+          kept = r;
+          break;
+        }
+        added[r].push_back(p.fp);
+        it->second.fingerprint = p.fp;
+        if (!GetEntryBody(&p.c, &it->second).ok() ||
+            (--p.left > 0 && !p.c.GetU64(&p.fp).ok())) {
+          kept = r;
+          break;
+        }
+      }
+    }
+  }
+  for (size_t r = kept; r < runs.size(); ++r) {
+    for (const uint64_t fp : added[r]) {
+      Stripe& stripe = StripeOf(fp);
+      MutexLock lock(&stripe.mu);
+      stripe.entries.erase(fp);
+    }
+  }
+  MutexLock flush_lock(&flush_mu_);
+  base_bytes_ = l.base_bytes;
+  file_bytes_ = l.kept_bytes;
+  file_checksum_ = l.checksum;
+  const size_t kept_bytes =
+      kept < l.runs.size() ? l.runs[kept].start : l.kept_bytes;
+  if (kept_bytes < buf.size()) {
+    // Never partly trusted. The file is longer than `file_bytes_`, so the
+    // next flush compacts the tail away rather than appending after it.
+    std::fprintf(stderr,
+                 "  cell cache: dropped the last %zu bytes of %s (a torn, "
+                 "damaged or repeating journal segment)\n",
+                 buf.size() - kept_bytes, path_.c_str());
   }
 }
 
@@ -388,47 +602,85 @@ bool CellResultCache::Publish(uint64_t fingerprint, std::string_view study,
   CellCacheEntry entry{fingerprint, std::string(study), m};
   Stripe& stripe = StripeOf(fingerprint);
   MutexLock lock(&stripe.mu);
-  if (!stripe.entries.try_emplace(fingerprint, std::move(entry)).second) {
-    return false;
-  }
-  stripe.dirty = true;
+  const auto [it, inserted] =
+      stripe.entries.try_emplace(fingerprint, std::move(entry));
+  if (!inserted) return false;
+  stripe.fresh.push_back(&it->second);
   return true;
 }
 
 Status CellResultCache::WriteCellCacheFile() {
   if (path_.empty()) return Status::OK();
   MutexLock flush_lock(&flush_mu_);
-  // Each stripe's dirty bit is cleared in the same critical section that
-  // snapshots its entries, so a publish landing after that point dirties
-  // the stripe again for the next flush.
+  // Take every stripe's fresh entries; a publish landing after its stripe
+  // is taken stays fresh for the next flush.
+  StripeEntries taken;
+  std::vector<EntryRef> fresh;
+  for (size_t i = 0; i < kStripes; ++i) {
+    Stripe& stripe = stripes_[i];
+    MutexLock lock(&stripe.mu);
+    taken[i].swap(stripe.fresh);
+    for (const CellCacheEntry* e : taken[i]) {
+      fresh.push_back({e->fingerprint, e});
+    }
+  }
+  if (fresh.empty()) return Status::OK();
+  // Append while the segments stay no bigger than the base.
+  const uint64_t segment_bytes = kSegmentOverhead + EntriesBytes(fresh);
+  if (file_bytes_ - base_bytes_ + segment_bytes <= base_bytes_) {
+    if (Status s = SortEntries(&fresh); !s.ok()) {
+      Restore(taken);
+      return s;
+    }
+    const std::string segment = EncodeSegment(file_checksum_, fresh);
+    auto appended = wire::AppendFileIfSize(path_, file_bytes_, segment);
+    if (!appended.ok()) {
+      // The file may now end in part of this segment: keep the entries
+      // fresh, and compact next time.
+      base_bytes_ = 0;
+      Restore(taken);
+      return appended.status();
+    }
+    if (appended.value()) {
+      file_bytes_ += segment.size();
+      file_checksum_ = TrailingChecksum(segment);
+      return Status::OK();
+    }
+    // The file is no longer the one this cache left (replaced or extended
+    // behind its back): compact over it.
+  }
+  // Compact. Each stripe's snapshot and its fresh list are taken in one
+  // critical section, so everything published so far is in the file.
   std::vector<EntryRef> entries;
   entries.reserve(size());
-  std::array<bool, kStripes> was_dirty{};
-  bool any_dirty = false;
   for (size_t i = 0; i < kStripes; ++i) {
     Stripe& stripe = stripes_[i];
     MutexLock lock(&stripe.mu);
     // determinism-lint: allow(unordered-iteration) sorted by EncodeCellCache
     for (const auto& [fp, e] : stripe.entries) entries.push_back({fp, &e});
-    was_dirty[i] = stripe.dirty;
-    any_dirty = any_dirty || stripe.dirty;
-    stripe.dirty = false;
+    taken[i].insert(taken[i].end(), stripe.fresh.begin(), stripe.fresh.end());
+    stripe.fresh.clear();
   }
-  if (!any_dirty) return Status::OK();
   const uint32_t schema = kCellCacheFingerprintSchemaVersion;
   auto buf = EncodeCellCache(schema, std::move(entries));
-  Status s = buf.ok() ? WriteFileAtomically(path_, buf.value()) : buf.status();
+  Status s = buf.ok() ? wire::WriteFileAtomically(path_, buf.value(), kWhat)
+                      : buf.status();
   if (!s.ok()) {
-    // The file does not hold what the cleared stripes held: dirty them
-    // again so the next flush retries.
-    for (size_t i = 0; i < kStripes; ++i) {
-      if (!was_dirty[i]) continue;
-      Stripe& stripe = stripes_[i];
-      MutexLock lock(&stripe.mu);
-      stripe.dirty = true;
-    }
+    Restore(taken);
+    return s;
   }
-  return s;
+  base_bytes_ = file_bytes_ = buf.value().size();
+  file_checksum_ = TrailingChecksum(buf.value());
+  return Status::OK();
+}
+
+void CellResultCache::Restore(const StripeEntries& taken) {
+  for (size_t i = 0; i < kStripes; ++i) {
+    if (taken[i].empty()) continue;
+    Stripe& stripe = stripes_[i];
+    MutexLock lock(&stripe.mu);
+    stripe.fresh.insert(stripe.fresh.end(), taken[i].begin(), taken[i].end());
+  }
 }
 
 size_t CellResultCache::size() const {

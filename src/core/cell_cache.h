@@ -47,13 +47,20 @@ struct CellCacheEntry {
 
 /// A decoded cache file: its fingerprint schema plus the entries, sorted
 /// ascending by fingerprint (the deterministic-bytes order `WriteCellCache`
-/// enforces).
+/// enforces). The readers also report the file's layout; the writers
+/// ignore it.
 struct CellCacheData {
   uint32_t fingerprint_schema = kCellCacheFingerprintSchemaVersion;
   std::vector<CellCacheEntry> entries;
+  /// Entries in the base, then in each kept journal segment.
+  uint64_t base_entries = 0;
+  std::vector<uint64_t> segment_entries;
+  /// Bytes past the last kept segment that were not trusted.
+  uint64_t dropped_bytes = 0;
 };
 
-/// Serializes a cache. The on-disk layout follows the map_io conventions:
+/// Serializes a cache as one compacted base. The on-disk layout follows
+/// the map_io conventions:
 ///
 ///   magic "RMCCACHE" | u32 format version | u32 fingerprint schema
 ///   | u64 entry count
@@ -62,15 +69,31 @@ struct CellCacheData {
 ///
 /// Entries are written in ascending fingerprint order whatever order the
 /// caller supplies, so equal contents serialize to equal bytes.
+///
+/// A flushing `CellResultCache` may follow the base with journal
+/// segments, each holding only the entries published since the previous
+/// flush:
+///
+///   magic "RMCJSEG1" | u64 entry count | ascending entries, as above
+///   | u64 checksum: FNV-1a continued from the previous checksum (the
+///     base's trailer for the first segment) over the segment's bytes
+///
+/// so a segment only ever extends the exact file it was appended to. A
+/// file with no segments is byte for byte a compacted base. Builds that
+/// predate segments read a journaled file as checksum-damaged, warn, and
+/// start empty.
 Status WriteCellCache(std::ostream& os, const CellCacheData& data);
 
 /// Writes atomically: to `path` + a ".tmp" suffix, then rename(2), so a
 /// crash mid-write never leaves a plausible-looking partial cache behind.
 Status WriteCellCacheFile(const std::string& path, const CellCacheData& data);
 
-/// Deserializes a cache, with distinct errors for the failure modes:
-/// not-a-cache / truncated file and checksum mismatch are `Corruption`
-/// (saying which), an unknown format version is `NotSupported`. A
+/// Deserializes a cache. The base must be whole, with distinct errors for
+/// the failure modes: not-a-cache / truncated file and checksum mismatch
+/// are `Corruption` (saying which), an unknown format version is
+/// `NotSupported`. Segments are kept up to the first one that is torn,
+/// fails its checksum or repeats a key; that one and everything after it
+/// are dropped and counted in `dropped_bytes`, never partly trusted. A
 /// mismatched *fingerprint* schema parses fine and is surfaced in the
 /// result — whether stale-schema entries are usable is the caller's
 /// policy call (`CellResultCache::Open` drops them; `map_cat
@@ -131,6 +154,14 @@ uint64_t CellFingerprint(uint64_t env_fingerprint, const char* study,
 /// are released. The cache never poisons a map — `Open` tolerates a
 /// damaged, truncated, wrong-version, or wrong-schema file by warning on
 /// stderr and starting empty (the next flush repopulates it).
+///
+/// A flush costs its new entries, not the whole cache: it appends them to
+/// `cells.rmc` as one journal segment, unless the segments would then
+/// outgrow the base, in which case it compacts — rewrites the file as one
+/// base. Each compaction at least doubles the base, so an entry is
+/// rewritten O(1) times amortized and `Open` never reads more than twice
+/// the base. Replacing the file replaces the cache: a flush appends only
+/// while the file is still the size this cache left it.
 class CellResultCache {
  public:
   /// An unattached, in-memory cache (progressive sweeps without a
@@ -141,11 +172,13 @@ class CellResultCache {
   CellResultCache& operator=(const CellResultCache&) = delete;
 
   /// Attaches this cache to `dir` (created if missing) and loads
-  /// `cells.rmc` when a valid one is present. Damage of any kind —
-  /// truncation, checksum mismatch, unknown format version, stale
+  /// `cells.rmc` when a valid one is present. Damage of any kind to the
+  /// base — truncation, checksum mismatch, unknown format version, stale
   /// fingerprint schema — is a warning on stderr and an empty cache,
-  /// never an error and never a partially trusted one. Call once, before
-  /// sharing the cache with sweep workers.
+  /// never an error and never a partially trusted one. A damaged journal
+  /// tail is a warning too: the base and the segments before it load,
+  /// and the next flush compacts. Call once, before sharing the cache
+  /// with sweep workers.
   void Open(const std::string& dir);
 
   /// True with the stored measurement in `*out` when `fingerprint` is
@@ -163,11 +196,12 @@ class CellResultCache {
                const Measurement& m);
 
   /// Flushes to the attached directory when entries were added since the
-  /// last flush; a no-op for clean or unattached caches. Atomic
-  /// temp+rename, deterministic bytes — the same bytes `WriteCellCache`
-  /// gives for the same entries. An entry published while the flush runs
-  /// is either in the file or leaves the cache dirty for the next flush;
-  /// a failed write leaves it dirty too.
+  /// last flush; a no-op for clean or unattached caches. Appends the new
+  /// entries as one segment, or compacts: atomic temp+rename of
+  /// deterministic bytes — the same bytes `WriteCellCache` gives for the
+  /// same entries. An entry published while the flush runs is either in
+  /// the file or left for the next flush; a failed write leaves it for the
+  /// next flush too, and a failed append makes that flush compact.
   Status WriteCellCacheFile();
 
   size_t size() const;
@@ -184,9 +218,11 @@ class CellResultCache {
   struct alignas(64) Stripe {
     mutable Mutex mu;
     std::unordered_map<uint64_t, CellCacheEntry> entries GUARDED_BY(mu);
-    /// Entries were added here since the last flush took this stripe.
-    bool dirty GUARDED_BY(mu) = false;
+    /// The nodes published here since the last flush took this stripe.
+    std::vector<const CellCacheEntry*> fresh GUARDED_BY(mu);
   };
+  using StripeEntries = std::array<std::vector<const CellCacheEntry*>,
+                                   kStripes>;
 
   Stripe& StripeOf(uint64_t fingerprint) {
     return stripes_[fingerprint >> (64 - kStripeBits)];
@@ -198,12 +234,24 @@ class CellResultCache {
   /// unchanged for the cache's lifetime.
   const CellCacheEntry* Find(uint64_t fingerprint) const;
 
+  /// Puts entries a failed flush took back on their stripes' fresh lists.
+  void Restore(const StripeEntries& taken);
+
   std::string path_;  ///< "" = in-memory only
   std::array<Stripe, kStripes> stripes_;
 
   /// Serializes flushes (taken before any stripe lock), so a slower flush
   /// can never rename an older snapshot over a newer one.
   Mutex flush_mu_;
+  /// The file as this cache last read or wrote it: the base's bytes, the
+  /// trusted file's bytes, and the checksum they end with. A base of 0
+  /// bytes takes no segment, so the next flush compacts: that is the state
+  /// with no usable file and after a failed append. A file that is not
+  /// `file_bytes_` long (a dropped tail, a replaced file) is compacted over
+  /// too.
+  uint64_t base_bytes_ GUARDED_BY(flush_mu_) = 0;
+  uint64_t file_bytes_ GUARDED_BY(flush_mu_) = 0;
+  uint64_t file_checksum_ GUARDED_BY(flush_mu_) = 0;
 };
 
 }  // namespace robustmap

@@ -1,14 +1,9 @@
 #include "core/map_io.h"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "core/wire_format.h"
@@ -62,9 +57,8 @@ Status GetAxis(Cursor* c, Axis* axis) {
   return Status::OK();
 }
 
-}  // namespace
-
-Status WriteMapTile(std::ostream& os, const MapTile& tile) {
+/// The one tile encoder: validates the tile and returns its bytes.
+Result<std::string> EncodeMapTile(const MapTile& tile) {
   auto expected = SliceSpace(tile.parent_space, tile.spec);
   RM_RETURN_IF_ERROR(expected.status());
   if (!(tile.map.space() == expected.value())) {
@@ -119,37 +113,26 @@ Status WriteMapTile(std::ostream& os, const MapTile& tile) {
     }
   }
   PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
+  return buf;
+}
 
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+}  // namespace
+
+Status WriteMapTile(std::ostream& os, const MapTile& tile) {
+  auto buf = EncodeMapTile(tile);
+  RM_RETURN_IF_ERROR(buf.status());
+  os.write(buf.value().data(),
+           static_cast<std::streamsize>(buf.value().size()));
   if (!os.good()) return Status::Internal("map tile write failed");
   return Status::OK();
 }
 
 Status WriteMapTileFile(const std::string& path, const MapTile& tile) {
-  // Write-then-rename: readers (and resuming coordinators) only ever see
-  // either no file or a complete one. The temp name carries the writer's
-  // address so concurrent workers never clobber each other's in-flight
-  // writes.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(reinterpret_cast<uintptr_t>(&tile)) +
-      "." + std::to_string(static_cast<unsigned long>(::getpid()));
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f.is_open()) {
-      return Status::Internal("cannot open " + tmp + " for writing");
-    }
-    Status s = WriteMapTile(f, tile);
-    if (!s.ok()) {
-      f.close();
-      std::remove(tmp.c_str());
-      return s;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
+  // Readers (and resuming coordinators) only ever see either no tile or a
+  // complete one.
+  auto buf = EncodeMapTile(tile);
+  RM_RETURN_IF_ERROR(buf.status());
+  return wire::WriteFileAtomically(path, buf.value(), kWhat);
 }
 
 namespace {

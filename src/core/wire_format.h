@@ -1,10 +1,15 @@
 #ifndef ROBUSTMAP_CORE_WIRE_FORMAT_H_
 #define ROBUSTMAP_CORE_WIRE_FORMAT_H_
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <bit>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -91,6 +96,74 @@ inline Status ReadFileBytes(const std::string& path, const char* what,
   return Status::OK();
 }
 
+/// Writes `bytes` to `path` by write-then-rename: readers only ever see
+/// either no file or a complete one. The temp name carries the buffer's
+/// address and the pid, so concurrent writers never clobber each other's
+/// in-flight writes. `what` names the artifact in errors ("map tile").
+inline Status WriteFileAtomically(const std::string& path,
+                                  const std::string& bytes,
+                                  const char* what) {
+  const std::string tmp =
+      path + ".tmp." + std::to_string(reinterpret_cast<uintptr_t>(&bytes)) +
+      "." + std::to_string(static_cast<unsigned long>(::getpid()));
+  {
+    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+    if (!f.is_open()) {
+      return Status::Internal("cannot open " + tmp + " for writing");
+    }
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    f.close();
+    if (!f.good()) {
+      std::remove(tmp.c_str());
+      return Status::Internal(std::string(what) + " write failed");
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("cannot rename " + tmp + " to " + path);
+  }
+  return Status::OK();
+}
+
+/// Appends `bytes` to the existing file at `path`, but only while that
+/// file is still exactly `expected_size` bytes long: true when appended,
+/// false (nothing written) when its size has moved, i.e. someone else
+/// replaced or extended it. A file that cannot be opened, sized, written
+/// or closed is `Internal`; after a failed write the file may end in a
+/// partial append, which a reader of an appendable format must detect.
+inline Result<bool> AppendFileIfSize(const std::string& path,
+                                     uint64_t expected_size,
+                                     const std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::Internal("cannot open " + path + " for appending: " +
+                            std::strerror(errno));
+  }
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::Internal("cannot size " + path);
+  }
+  if (static_cast<uint64_t>(st.st_size) != expected_size) {
+    ::close(fd);
+    return false;
+  }
+  for (size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const std::string why = n < 0 ? std::strerror(errno) : "no progress";
+      ::close(fd);
+      return Status::Internal("append to " + path + " failed: " + why);
+    }
+    done += static_cast<size_t>(n);
+  }
+  if (::close(fd) != 0) {
+    return Status::Internal("append to " + path + " failed on close");
+  }
+  return true;
+}
+
 /// Bounds-checked sequential reader over a decoded payload. Every getter
 /// fails with `Corruption("truncated <what> ...")` rather than reading
 /// past the end, so a file whose declared counts outrun its bytes is
@@ -139,6 +212,13 @@ class Cursor {
     return Status::OK();
   }
 
+  Status Skip(size_t n) {
+    RM_RETURN_IF_ERROR(Need(n));
+    pos_ += n;
+    return Status::OK();
+  }
+
+  size_t position() const { return pos_; }
   size_t remaining() const { return size_ - pos_; }
 
  private:

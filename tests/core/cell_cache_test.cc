@@ -1,12 +1,14 @@
 #include "core/cell_cache.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -276,32 +278,363 @@ TEST(CellResultCacheTest, FlushedBytesEqualWriteCellCache) {
 
 TEST(CellResultCacheTest, PublishDuringFlushIsNeverLost) {
   // A publish that lands while a flush is writing must either be in that
-  // file or leave the cache dirty, so the next flush writes it.
-  constexpr uint64_t kEntries = 2000;
+  // file or stay fresh for the next flush, whether that flush appends a
+  // segment or compacts. Rounds of different sizes make both happen: a
+  // compaction renames a new file into place, an append grows the same
+  // one.
   const std::string dir = FreshCacheDir("concurrent_flush");
+  const std::string path = CellCacheFileName(dir);
   CellResultCache cache;
   cache.Open(dir);
-  std::atomic<bool> done{false};
-  std::thread publisher([&] {
-    for (uint64_t i = 0; i < kEntries; ++i) {
-      cache.Publish(Mix64(i), "plain", SampleMeasurement(1.0, "scan"));
+  size_t appends = 0;
+  size_t compactions = 0;
+  struct stat last = {};
+  uint64_t published = 0;
+  for (const uint64_t round : {600, 150, 150, 150, 1200, 150}) {
+    const uint64_t first = published;
+    std::atomic<bool> done{false};
+    std::thread publisher([&] {
+      for (uint64_t i = first; i < first + round; ++i) {
+        cache.Publish(Mix64(i), "plain", SampleMeasurement(1.0, "scan"));
+      }
+      done.store(true);
+    });
+    // The flush that starts after the publisher is done is the last.
+    Status flush_status;
+    for (bool more = true; more && flush_status.ok();) {
+      more = !done.load();
+      flush_status = cache.WriteCellCacheFile();
+      struct stat st = {};
+      if (::stat(path.c_str(), &st) == 0 && st.st_size != last.st_size) {
+        ++(st.st_ino == last.st_ino ? appends : compactions);
+        last = st;
+      }
     }
-    done.store(true);
-  });
-  Status flush_status;
-  while (!done.load() && flush_status.ok()) {
-    flush_status = cache.WriteCellCacheFile();
+    publisher.join();
+    ASSERT_TRUE(flush_status.ok()) << flush_status.ToString();
+    published += round;
   }
-  publisher.join();
-  ASSERT_TRUE(flush_status.ok()) << flush_status.ToString();
-  ASSERT_TRUE(cache.WriteCellCacheFile().ok());
+  EXPECT_GE(appends, 1u);
+  EXPECT_GE(compactions, 2u);
 
   CellResultCache reopened;
   reopened.Open(dir);
-  EXPECT_EQ(reopened.size(), kEntries);
-  for (uint64_t i = 0; i < kEntries; ++i) {
+  EXPECT_EQ(reopened.size(), published);
+  for (uint64_t i = 0; i < published; ++i) {
     ASSERT_TRUE(reopened.Contains(Mix64(i))) << "entry " << i << " lost";
   }
+}
+
+CellCacheEntry JournalEntry(uint64_t i) {
+  CellCacheEntry e;
+  e.fingerprint = Mix64(i);
+  e.study = i % 3 == 0 ? "warmcold" : "plain";
+  e.m = SampleMeasurement(0.001 * static_cast<double>(i),
+                          "plan" + std::to_string(i % 13));
+  return e;
+}
+
+/// Entries 0..n-1, as a compacted file would hold them.
+CellCacheData JournalEntries(uint64_t n) {
+  CellCacheData data;
+  for (uint64_t i = 0; i < n; ++i) data.entries.push_back(JournalEntry(i));
+  return data;
+}
+
+/// Publishes entries first..first+n-1 and flushes; returns the file size.
+size_t PublishAndFlush(CellResultCache* cache, uint64_t first, uint64_t n) {
+  for (uint64_t i = first; i < first + n; ++i) {
+    const CellCacheEntry e = JournalEntry(i);
+    EXPECT_TRUE(cache->Publish(e.fingerprint, e.study, e.m));
+  }
+  EXPECT_TRUE(cache->WriteCellCacheFile().ok());
+  return FileBytes(cache->path()).size();
+}
+
+/// Entries in the journal BuildJournal writes, after each flush.
+constexpr uint64_t kJournalEntries[] = {40, 48, 56};
+
+/// Opens `cache` on a fresh `dir` and flushes a 40-entry base, then two
+/// 8-entry segments, through real flushes. Returns the file size after
+/// each flush: where the base and each segment end.
+std::vector<size_t> BuildJournal(const std::string& dir,
+                                 CellResultCache* cache) {
+  cache->Open(dir);
+  std::vector<size_t> ends;
+  uint64_t published = 0;
+  for (const uint64_t total : kJournalEntries) {
+    ends.push_back(PublishAndFlush(cache, published, total - published));
+    published = total;
+  }
+  return ends;
+}
+
+/// The entries and layout `ReadCellCache` reports, checked against the
+/// first `n` journal entries in ascending order.
+void ExpectJournalRead(const CellCacheData& got, uint64_t n,
+                       size_t segments, size_t dropped_bytes) {
+  EXPECT_EQ(got.base_entries, kJournalEntries[0]);
+  EXPECT_EQ(got.segment_entries.size(), segments);
+  EXPECT_EQ(got.dropped_bytes, dropped_bytes);
+  ASSERT_EQ(got.entries.size(), n);
+  // Serializing re-sorts; equal bytes means every field matches, and the
+  // pairwise check means the reader already returned them in order.
+  EXPECT_EQ(Serialize(got), Serialize(JournalEntries(n)));
+  for (size_t i = 1; i < got.entries.size(); ++i) {
+    ASSERT_LT(got.entries[i - 1].fingerprint, got.entries[i].fingerprint);
+  }
+}
+
+TEST(CellCacheJournalTest, FlushesAppendSegmentsAfterAWholeBase) {
+  const std::string dir = FreshCacheDir("journal_layout");
+  CellResultCache cache;
+  const std::vector<size_t> ends = BuildJournal(dir, &cache);
+  const std::string bytes = FileBytes(CellCacheFileName(dir));
+  // The first flush wrote a compacted base; the next two appended.
+  EXPECT_EQ(bytes.substr(0, ends[0]), Serialize(JournalEntries(40)));
+  EXPECT_EQ(bytes.compare(ends[0], 8, "RMCJSEG1"), 0);
+  EXPECT_EQ(bytes.compare(ends[1], 8, "RMCJSEG1"), 0);
+  auto read = ReadCellCacheFile(CellCacheFileName(dir));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ExpectJournalRead(read.value(), 56, 2, 0);
+  EXPECT_EQ(read.value().segment_entries, (std::vector<uint64_t>{8, 8}));
+}
+
+TEST(CellCacheJournalTest, TruncationKeepsTheBaseAndWholeSegmentsOnly) {
+  const std::string dir = FreshCacheDir("journal_truncate");
+  CellResultCache cache;
+  const std::vector<size_t> ends = BuildJournal(dir, &cache);
+  const std::string bytes = FileBytes(CellCacheFileName(dir));
+  ASSERT_EQ(bytes.size(), ends[2]);
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    SCOPED_TRACE("prefix of " + std::to_string(len) + " bytes");
+    auto r = Parse(bytes.substr(0, len));
+    if (len < ends[0]) {
+      // Shorter than the base: a loud Corruption, never a shorter cache.
+      ASSERT_FALSE(r.ok());
+      ASSERT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // Ending inside segment k keeps the base and segments 1..k-1.
+    const size_t whole = len < ends[1] ? 0 : len < ends[2] ? 1 : 2;
+    ExpectJournalRead(r.value(), kJournalEntries[whole], whole,
+                      len - ends[whole]);
+  }
+}
+
+TEST(CellCacheJournalTest, BitFlipDropsThatSegmentAndEveryLaterOne) {
+  for (size_t k = 1; k <= 2; ++k) {
+    SCOPED_TRACE("segment " + std::to_string(k));
+    const std::string dir =
+        FreshCacheDir("journal_flip" + std::to_string(k));
+    std::vector<size_t> ends;
+    {
+      CellResultCache writer;
+      ends = BuildJournal(dir, &writer);
+    }
+    const std::string path = CellCacheFileName(dir);
+    // The magic, the count, an entry byte and the checksum in turn.
+    for (const size_t at : {ends[k - 1], ends[k - 1] + 9,
+                            (ends[k - 1] + ends[k]) / 2, ends[k] - 1}) {
+      std::string bytes = FileBytes(path);
+      bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
+      auto r = Parse(bytes);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectJournalRead(r.value(), kJournalEntries[k - 1], k - 1,
+                        bytes.size() - ends[k - 1]);
+    }
+
+    // Open keeps the same entries, and the next flush compacts the
+    // damaged tail away.
+    std::string bytes = FileBytes(path);
+    bytes[ends[k] - 1] = static_cast<char>(bytes[ends[k] - 1] ^ 0x10);
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    CellResultCache cache;
+    cache.Open(dir);
+    EXPECT_EQ(cache.size(), kJournalEntries[k - 1]);
+    PublishAndFlush(&cache, 100, 1);
+    CellCacheData want = JournalEntries(kJournalEntries[k - 1]);
+    want.entries.push_back(JournalEntry(100));
+    EXPECT_EQ(FileBytes(path), Serialize(want));
+  }
+}
+
+/// A journal segment spelled out by hand from the documented layout,
+/// chained from `prev`.
+std::string HandMadeSegment(uint64_t prev,
+                            const std::vector<CellCacheEntry>& entries) {
+  std::string seg = "RMCJSEG1";
+  wire::PutU64(&seg, entries.size());
+  for (const CellCacheEntry& e : entries) {
+    wire::PutU64(&seg, e.fingerprint);
+    wire::PutString(&seg, e.study);
+    wire::PutMeasurement(&seg, e.m);
+  }
+  wire::PutU64(&seg, wire::Fnv1a64Extend(prev, seg));
+  return seg;
+}
+
+uint64_t LastChecksum(const std::string& bytes) {
+  wire::Cursor c(bytes.data() + bytes.size() - 8, 8, "test");
+  uint64_t v = 0;
+  EXPECT_TRUE(c.GetU64(&v).ok());
+  return v;
+}
+
+TEST(CellCacheJournalTest, SegmentRepeatingOrMisorderingKeysIsDropped) {
+  const std::string dir = FreshCacheDir("journal_repeat");
+  {
+    CellResultCache writer;
+    BuildJournal(dir, &writer);
+  }
+  const std::string path = CellCacheFileName(dir);
+  const std::string journal = FileBytes(path);
+
+  // A hand-made segment of a new key is accepted, so the layout is the
+  // documented one.
+  CellCacheEntry fresh = JournalEntry(1000);
+  fresh.fingerprint = 1;  // below every Mix64 key here
+  const std::string good = HandMadeSegment(LastChecksum(journal), {fresh});
+  auto accepted = Parse(journal + good);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(accepted.value().segment_entries.size(), 3u);
+  EXPECT_EQ(accepted.value().entries.size(), 57u);
+
+  // Keys that do not ascend: the whole segment goes.
+  const std::string misordered = HandMadeSegment(
+      LastChecksum(journal), {JournalEntry(2000), fresh});
+  auto unsorted = Parse(journal + misordered);
+  ASSERT_TRUE(unsorted.ok()) << unsorted.status().ToString();
+  ExpectJournalRead(unsorted.value(), 56, 2, misordered.size());
+
+  // The same new key followed by a key from the base: the whole segment
+  // goes, and so does a good segment after it.
+  const std::string repeating =
+      HandMadeSegment(LastChecksum(journal), {fresh, JournalEntry(5)});
+  const std::string after =
+      HandMadeSegment(LastChecksum(repeating), {JournalEntry(2000)});
+  const std::string bytes = journal + repeating + after;
+  auto r = Parse(bytes);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectJournalRead(r.value(), 56, 2, repeating.size() + after.size());
+
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  CellResultCache cache;
+  cache.Open(dir);
+  EXPECT_EQ(cache.size(), 56u);
+  EXPECT_FALSE(cache.Contains(1));  // added, then taken back out
+  EXPECT_FALSE(cache.Contains(JournalEntry(2000).fingerprint));
+  Measurement out;
+  ASSERT_TRUE(cache.Lookup(JournalEntry(5).fingerprint, &out));
+  ExpectMeasurementsEqual(out, JournalEntry(5).m);
+}
+
+TEST(CellCacheJournalTest, CopyingABaseOverAJournalLeavesOnlyThatBase) {
+  // A session that re-stages the cache by copying a seed file over
+  // cells.rmc gets the seed's entries and nothing the journal held.
+  const std::string dir = FreshCacheDir("journal_restage");
+  std::vector<size_t> ends;
+  {
+    CellResultCache writer;
+    ends = BuildJournal(dir, &writer);
+  }
+  const std::string path = CellCacheFileName(dir);
+  const std::string seed = dir + "/seed.rmc";
+  {
+    const std::string base = FileBytes(path).substr(0, ends[0]);
+    std::ofstream f(seed, std::ios::binary | std::ios::trunc);
+    f.write(base.data(), static_cast<std::streamsize>(base.size()));
+  }
+  std::filesystem::copy_file(seed, path,
+                             std::filesystem::copy_options::overwrite_existing);
+  CellResultCache cache;
+  cache.Open(dir);
+  EXPECT_EQ(cache.size(), kJournalEntries[0]);
+  EXPECT_FALSE(cache.Contains(JournalEntry(kJournalEntries[0]).fingerprint));
+  std::remove(seed.c_str());
+}
+
+TEST(CellCacheJournalTest, ReplacedFileIsCompactedOverNeverAppendedTo) {
+  const std::string dir = FreshCacheDir("journal_replaced");
+  const std::string path = CellCacheFileName(dir);
+  CellResultCache cache;
+  BuildJournal(dir, &cache);
+  CellCacheData other;
+  for (uint64_t i = 5000; i < 5003; ++i) {
+    other.entries.push_back(JournalEntry(i));
+  }
+  ASSERT_TRUE(WriteCellCacheFile(path, other).ok());
+
+  PublishAndFlush(&cache, 56, 4);
+  EXPECT_EQ(FileBytes(path), Serialize(JournalEntries(60)));
+  auto read = ReadCellCacheFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read.value().segment_entries.empty());
+}
+
+TEST(CellCacheJournalTest, CompactionEqualsWriteCellCacheOfTheSameEntries) {
+  const std::string dir = FreshCacheDir("journal_compact");
+  const std::string path = CellCacheFileName(dir);
+  CellResultCache cache;
+  BuildJournal(dir, &cache);
+  // The journaled file reads back exactly as its compacted form does, in
+  // the same order.
+  auto journaled = ReadCellCacheFile(path);
+  auto compacted = Parse(Serialize(JournalEntries(56)));
+  ASSERT_TRUE(journaled.ok() && compacted.ok());
+  ASSERT_EQ(journaled.value().entries.size(),
+            compacted.value().entries.size());
+  for (size_t i = 0; i < compacted.value().entries.size(); ++i) {
+    const CellCacheEntry& j = journaled.value().entries[i];
+    const CellCacheEntry& c = compacted.value().entries[i];
+    ASSERT_EQ(j.fingerprint, c.fingerprint) << i;
+    EXPECT_EQ(j.study, c.study);
+    ExpectMeasurementsEqual(j.m, c.m);
+  }
+
+  // More 8-entry flushes append until the segments would outgrow the
+  // base; that flush compacts to exactly WriteCellCache's bytes, into a
+  // base at least twice the old one.
+  uint64_t published = 56;
+  bool compacted_once = false;
+  for (int flush = 0; flush < 6 && !compacted_once; ++flush) {
+    PublishAndFlush(&cache, published, 8);
+    published += 8;
+    auto read = ReadCellCacheFile(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    compacted_once = read.value().segment_entries.empty();
+    if (compacted_once) {
+      EXPECT_GE(read.value().base_entries, 2 * kJournalEntries[0]);
+    }
+  }
+  ASSERT_TRUE(compacted_once);
+  EXPECT_EQ(FileBytes(path), Serialize(JournalEntries(published)));
+}
+
+TEST(CellCacheJournalTest, FailedAppendLosesNothingAndNextFlushCompacts) {
+  const std::string dir = FreshCacheDir("journal_failed_append");
+  const std::string path = CellCacheFileName(dir);
+  CellResultCache cache;
+  BuildJournal(dir, &cache);
+  for (uint64_t i = 56; i < 60; ++i) {
+    const CellCacheEntry e = JournalEntry(i);
+    ASSERT_TRUE(cache.Publish(e.fingerprint, e.study, e.m));
+  }
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  EXPECT_FALSE(cache.WriteCellCacheFile().ok());
+  EXPECT_FALSE(std::ifstream(path).good());
+
+  // Nothing new was published, yet the next flush still has the four
+  // entries to write, and writes a whole base.
+  ASSERT_TRUE(cache.WriteCellCacheFile().ok());
+  EXPECT_EQ(FileBytes(path), Serialize(JournalEntries(60)));
 }
 
 TEST(CellResultCacheTest, OpenToleratesDamageAndRepopulates) {
