@@ -26,7 +26,8 @@ bool ParseIntFlag(const std::string& arg, const std::string& name,
       v < std::numeric_limits<int>::min() ||
       v > std::numeric_limits<int>::max()) {
     // An unparseable value must not silently become some other number —
-    // for --tile that would compute the wrong tile under the right name.
+    // for --stride that would compute the wrong lattice under the right
+    // tile names.
     return false;
   }
   *value = static_cast<int>(v);

@@ -12,9 +12,10 @@
 namespace robustmap::bench {
 
 /// The grid and scale a sharded sweep runs over, as shared between the
-/// `sweep_shard` coordinator and the `sweep_worker` it exec's. A tile id is
-/// only meaningful relative to an exact grid, so both binaries parse — and
-/// the coordinator re-serializes — these flags through this one struct.
+/// `sweep_shard` coordinator and the serving `sweep_worker`s it exec's. A
+/// tile request's rectangle is only meaningful relative to an exact grid,
+/// so both binaries parse — and the coordinator re-serializes — these
+/// flags through this one struct.
 struct ShardGrid {
   int row_bits = 16;
   int min_log2 = -8;

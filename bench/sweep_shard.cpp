@@ -1,7 +1,9 @@
 // Coordinator for sharded sweeps: partitions the study grid into tiles,
-// spawns `sweep_worker` subprocesses (fork/exec) to compute the missing
-// ones, and merges the checkpointed tile files into one map per study
-// layer — bit-identical to a single-process sweep of the same grid.
+// starts one serving `sweep_worker` per lane (fork+exec, or a forked
+// in-process worker with --fork), feeds each the missing tiles one
+// request line at a time, and merges the checkpointed tile files into one
+// map per study layer — bit-identical to a single-process sweep of the
+// same grid.
 // Rerunning against the same --out-dir resumes: tiles already valid on
 // disk are skipped, so a killed paper-scale sweep restarts where it left
 // off instead of from zero.
@@ -13,7 +15,7 @@
 //               [--cost-model=uniform|analytic|measured]
 //               [--study=plain|warmcold] [--warmup=SPEC]
 //               [--worker=PATH]   # sweep_worker binary (default: next to me)
-//               [--fork]          # forked in-process workers, no exec
+//               [--fork]          # forked serving workers, no exec
 //               [--serial]        # single-process reference sweep
 //               [--no-split]      # disable straggler-tile splitting
 //               [--no-resume] [--verbose]
@@ -337,9 +339,10 @@ int main(int argc, char** argv) {
   }
 
   if (!use_fork) {
-    // The engine itself appends --tiles/--tile/--rect/--study/--warmup/
-    // --out, so the resolved partition and study are always the
-    // coordinator's own.
+    // The command prefix of a serving worker. The engine appends the
+    // session flags (--tile-dir, --study, --warmup, ...) and sends each
+    // tile's id and rectangle as a request, so the resolved partition and
+    // study are always the coordinator's own.
     req.sharded.worker_command = {worker_path};
     for (std::string& flag : GridArgs(grid)) {
       req.sharded.worker_command.push_back(std::move(flag));

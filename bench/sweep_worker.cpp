@@ -1,52 +1,51 @@
-// One worker of a sharded sweep: rebuilds the study environment from its
-// flags, computes exactly one grid tile of the requested study, and writes
-// it as a checkpointed binary tile file (single-layer for the plain study,
-// one named layer per study output otherwise; v2/v3 wall-time metadata is
-// the cost feedback later coordinator runs reschedule from). Normally
-// spawned by `sweep_shard` (which appends --tile/--rect/--study/--out to
-// its own grid flags), but equally runnable by hand or from a cluster
-// scheduler — a tile file is self-describing, so tiles computed anywhere
-// merge as long as the grid flags match.
+// One serving worker of a sharded sweep: rebuilds the study environment
+// from its flags once, then computes grid tiles on request until its input
+// ends, each written as a checkpointed binary tile file (single-layer for
+// the plain study, one named layer per study output otherwise, stamped
+// with the wall time later coordinator runs reschedule from). Normally
+// exec'd by `sweep_shard` once per lane (the engine appends --tile-dir,
+// --study and the other session flags to its grid flags), but equally
+// runnable by hand or from a cluster scheduler — a tile file is
+// self-describing, so tiles computed anywhere merge as long as the grid
+// flags match.
 //
 // Usage:
-//   sweep_worker --tiles=N --tile=K --out=PATH
-//                [--rect=X0:X1:Y0:Y1] [--stride=K]
+//   sweep_worker --tile-dir=DIR [--stride=K]
 //                [--study=plain|warmcold] [--warmup=SPEC]
 //                [--row-bits=16] [--min-log2=-8] [--steps-per-octave=1]
 //                [--plans=all|smoke] [--threads=1] [--cache-dir=DIR]
-//                [--trace=FILE] [--trace-epoch=NS] [--telemetry=FILE]
+//                [--trace-epoch=NS] [--telemetry]
 //
-// --trace / --telemetry write this worker's spans and counters as sidecar
-// files the coordinator merges at reap time; --trace-epoch aligns the
-// worker's span timestamps to the coordinator's time axis (a raw
-// CLOCK_MONOTONIC reading, valid across processes on one boot). These are
-// explicit flags only — a worker never reads REPRO_TRACE, or every worker
-// inherited from one environment would clobber the same file.
+// The protocol is `ServeTiles` (core/sharded_sweep.h): each stdin line
+// "<shard_id> <x0:x1:y0:y1>" asks for one tile of the grid, written to
+// DIR/tile_NNNN.rmt, and is answered by one byte on stdout — '0' when the
+// tile file was written, '1' when its Status is in DIR/tile_NNNN.rmt.err.
+// EOF on stdin ends the worker. Everything else it prints goes to stderr:
 //
-// With --rect the tile rectangle is taken verbatim (the coordinator's
-// cost-weighted cuts depend on its model, so the exact boundaries are part
-// of the contract); without it the worker re-derives tile K of the uniform
-// N-way partition, the pre-cost-model contract, still honored so old
-// driver scripts keep working. --warmup (see WarmupPolicy::FromSpec for
-// the grammar) is the warm layer's policy for --study=warmcold and the
-// measurement policy for a plain study; it must be order-independent —
-// prior-run warmth cannot cross the tile boundaries sharding erases.
+//   echo "7 0:4:0:8" | sweep_worker --plans=smoke --tile-dir=shard_out
 //
-// --stride=K subsamples the grid to its stride-K lattice *before* tile
-// resolution — the coarse levels of a progressive sweep, whose --rect
-// cuts are indices into the subsampled space. --cache-dir points at a
-// cell-result cache directory (see core/cell_cache.h); the worker
-// consults it read-only — already-measured cells are copied into the
-// tile instead of re-measured — and never flushes, so N concurrent
-// workers share one cache file without racing on it (the coordinator
-// publishes the merged results back).
-//
-// On failure, writes the error to PATH.err (the coordinator reads it back)
-// and exits non-zero.
+// --warmup (see WarmupPolicy::FromSpec for the grammar) is the warm
+// layer's policy for --study=warmcold and the measurement policy for a
+// plain study; it must be order-independent — prior-run warmth cannot
+// cross the tile boundaries sharding erases. --stride=K subsamples the
+// grid to its stride-K lattice, the coarse levels of a progressive sweep,
+// whose rectangles index the subsampled space. --cache-dir points at a
+// cell-result cache directory (see core/cell_cache.h); the worker consults
+// it read-only — already-measured cells are copied into the tile instead
+// of re-measured — and never flushes, so concurrent workers share one
+// cache file without racing on it (the coordinator publishes the merged
+// results back). --trace-epoch traces each tile against the coordinator's
+// time axis (a raw CLOCK_MONOTONIC reading, valid across processes on one
+// boot) and --telemetry collects counters; both land in per-tile sidecars
+// the coordinator merges. They are explicit flags only — a worker never
+// reads REPRO_TRACE.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,166 +61,111 @@ using namespace robustmap::bench;
 
 namespace {
 
-int Fail(const std::string& out, const Status& s) {
+int Fail(const Status& s) {
   std::fprintf(stderr, "sweep_worker: %s\n", s.ToString().c_str());
-  if (!out.empty()) WriteTileErrFile(out, s);
   return 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The answer channel is the stdout the coordinator handed over; move it
+  // off fd 1 before anything can print, so a stray printf never corrupts
+  // the framing.
+  const int answer_fd = ::dup(STDOUT_FILENO);
+  ::dup2(STDERR_FILENO, STDOUT_FILENO);
+
   ShardGrid grid;
-  int tiles = 0;
-  int tile_id = -1;
   int threads = 1;
   int stride = 1;
-  std::string out;
-  std::string rect;
+  bool telemetry = false;
+  std::string tile_dir;
   std::string cache_dir;
   std::string study_name = "plain";
   std::string warmup_spec = "cold";
-  std::string trace_path;
   std::string trace_epoch;
-  std::string telemetry_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "tiles", &tiles) ||
-        ParseIntFlag(arg, "tile", &tile_id) ||
-        ParseIntFlag(arg, "threads", &threads) ||
+    if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "threads", &threads) ||
         ParseIntFlag(arg, "stride", &stride) ||
-        ParseFlag(arg, "out", &out) || ParseFlag(arg, "rect", &rect) ||
+        ParseFlag(arg, "tile-dir", &tile_dir) ||
         ParseFlag(arg, "cache-dir", &cache_dir) ||
         ParseFlag(arg, "study", &study_name) ||
         ParseFlag(arg, "warmup", &warmup_spec) ||
-        ParseFlag(arg, "trace", &trace_path) ||
-        ParseFlag(arg, "trace-epoch", &trace_epoch) ||
-        ParseFlag(arg, "telemetry", &telemetry_path)) {
+        ParseFlag(arg, "trace-epoch", &trace_epoch)) {
+      continue;
+    }
+    if (arg == "--telemetry") {
+      telemetry = true;
       continue;
     }
     std::fprintf(stderr, "sweep_worker: unknown flag %s\n", arg.c_str());
     return 2;
   }
-  if (tiles <= 0 || tile_id < 0 || out.empty()) {
+  if (tile_dir.empty()) {
     std::fprintf(stderr,
-                 "usage: sweep_worker --tiles=N --tile=K --out=PATH "
-                 "[--rect=X0:X1:Y0:Y1] [--stride=K] "
+                 "usage: sweep_worker --tile-dir=DIR [--stride=K] "
                  "[--study=plain|warmcold] [--warmup=SPEC] "
                  "[--row-bits=..] [--min-log2=..] "
                  "[--steps-per-octave=..] [--plans=all|smoke] "
-                 "[--threads=..] [--cache-dir=DIR]\n");
+                 "[--threads=..] [--cache-dir=DIR] [--trace-epoch=NS] "
+                 "[--telemetry]  (tile requests on stdin)\n");
     return 2;
   }
-  // Every remaining rejection leaves a PATH.err for the coordinator: a
-  // worker that dies without saying why turns a config typo into a
-  // "killed?" mystery at the other end of the process boundary.
   auto study = StudyKindFromString(study_name);
-  if (!study.ok()) return Fail(out, study.status());
+  if (!study.ok()) return Fail(study.status());
   auto warmup = WarmupPolicy::FromSpec(warmup_spec);
-  if (!warmup.ok()) return Fail(out, warmup.status());
+  if (!warmup.ok()) return Fail(warmup.status());
   if (warmup.value().is_order_dependent()) {
-    return Fail(out, Status::InvalidArgument(
-                         "--warmup=" + warmup_spec +
-                         " is order-dependent; a tile worker cannot "
-                         "inherit cache state across tile boundaries"));
+    return Fail(Status::InvalidArgument(
+        "--warmup=" + warmup_spec +
+        " is order-dependent; a tile worker cannot inherit cache state "
+        "across tile boundaries"));
   }
   std::vector<PlanKind> plans = GridPlans(grid);
   if (plans.empty()) {
-    return Fail(out,
-                Status::InvalidArgument("unknown plan set " + grid.plan_set));
+    return Fail(Status::InvalidArgument("unknown plan set " + grid.plan_set));
   }
-  if (!trace_path.empty()) {
-    if (!trace_epoch.empty()) {
-      char* end = nullptr;
-      const long long epoch = std::strtoll(trace_epoch.c_str(), &end, 10);
-      if (end == trace_epoch.c_str() || *end != '\0') {
-        return Fail(out, Status::InvalidArgument(
-                             "--trace-epoch=" + trace_epoch +
-                             " is not an integer nanosecond reading"));
-      }
-      Tracer::Get().SetEpochNs(epoch);
+  if (stride < 1) {
+    return Fail(Status::InvalidArgument("--stride=" + std::to_string(stride) +
+                                        " must be a positive lattice stride"));
+  }
+  if (!trace_epoch.empty()) {
+    char* end = nullptr;
+    const long long epoch = std::strtoll(trace_epoch.c_str(), &end, 10);
+    if (end == trace_epoch.c_str() || *end != '\0') {
+      return Fail(Status::InvalidArgument(
+          "--trace-epoch=" + trace_epoch +
+          " is not an integer nanosecond reading"));
     }
+    Tracer::Get().SetEpochNs(epoch);
     Tracer::Get().Enable();
   }
-  if (!telemetry_path.empty()) SweepTelemetry::Get().Enable();
+  if (telemetry) SweepTelemetry::Get().Enable();
+  if (Status s = EnsureDirectory(tile_dir); !s.ok()) return Fail(s);
 
-  if (stride < 1) {
-    return Fail(out, Status::InvalidArgument(
-                         "--stride=" + std::to_string(stride) +
-                         " must be a positive lattice stride"));
+  SweepRequest req;
+  req.plans = std::move(plans);
+  req.space = MakeGridSpace(grid);
+  if (stride > 1) {
+    req.space = SubsampleSpace(req.space, static_cast<size_t>(stride));
   }
-  ParameterSpace space = MakeGridSpace(grid);
-  // Progressive coarse levels: the coordinator partitioned the stride-K
-  // lattice, so its --rect indices only make sense against the same
-  // subsampled space.
-  if (stride > 1) space = SubsampleSpace(space, static_cast<size_t>(stride));
-  TileSpec spec;
-  spec.shard_id = static_cast<size_t>(tile_id);
-  if (!rect.empty()) {
-    // The coordinator's exact (possibly cost-weighted) cuts; SliceSpace
-    // validation below rejects a rectangle that doesn't fit this grid.
-    if (!ParseRectSpec(rect, &spec)) {
-      return Fail(out, Status::InvalidArgument(
-                           "--rect=" + rect +
-                           " is not X0:X1:Y0:Y1 grid indices"));
-    }
-  } else {
-    auto tile_plan =
-        ShardPlanner::Partition(space, static_cast<size_t>(tiles));
-    if (!tile_plan.ok()) return Fail(out, tile_plan.status());
-    const TileSpec* found = nullptr;
-    for (const TileSpec& t : tile_plan.value()) {
-      if (t.shard_id == static_cast<size_t>(tile_id)) found = &t;
-    }
-    if (found == nullptr) {
-      return Fail(out, Status::InvalidArgument(
-                           "tile " + std::to_string(tile_id) +
-                           " does not exist in a " + std::to_string(tiles) +
-                           "-way partition of this grid"));
-    }
-    spec = *found;
-  }
-  if (auto sub = SliceSpace(space, spec); !sub.ok()) {
-    return Fail(out, sub.status());
-  }
-
-  auto env = [&] {
-    TraceSpan span("worker.build_env", "worker");
-    return MakeGridEnvironment(grid);
-  }();
+  req.study = study.value();
+  req.warm_policy = warmup.value();
+  req.sharded.tile_dir = tile_dir;
+  req.sharded.threads_per_worker = static_cast<unsigned>(std::max(threads, 1));
+  std::unique_ptr<StudyEnvironment> env = MakeGridEnvironment(grid);
   // A plain study measures under the context's policy; a warm-cold study
   // keeps the context cold (its cold layer) and warms only the warm layer.
-  if (study.value() == StudyKind::kPlainMap) {
-    env->ctx()->warmup = warmup.value();
-  }
+  if (req.study == StudyKind::kPlainMap) env->ctx()->warmup = warmup.value();
   // Read-only cache consultation: hits skip the measurement, misses stay
   // in this process's memory. Only the coordinator flushes — one writer,
   // however many workers race through the same directory.
   CellResultCache cache;
-  if (!cache_dir.empty()) cache.Open(cache_dir);
-  SweepOptions opts;
-  opts.num_threads = static_cast<unsigned>(threads < 1 ? 1 : threads);
-  Status s = ComputeAndWriteTile(env->ctx(), env->executor(), plans, space,
-                                 spec, out, opts, study.value(),
-                                 warmup.value(),
-                                 cache_dir.empty() ? nullptr : &cache);
-  if (!s.ok()) return Fail(out, s);
-  // Sidecars are best-effort: a failed observability write degrades the
-  // trace, never the tile the coordinator is waiting on.
-  if (!trace_path.empty()) {
-    if (Status ts = Tracer::Get().WriteFile(trace_path); !ts.ok()) {
-      std::fprintf(stderr, "sweep_worker: %s\n", ts.ToString().c_str());
-    }
+  if (!cache_dir.empty()) {
+    cache.Open(cache_dir);
+    req.cell_cache = &cache;
   }
-  if (!telemetry_path.empty()) {
-    if (Status ms = SweepTelemetry::Get().WriteFile(telemetry_path);
-        !ms.ok()) {
-      std::fprintf(stderr, "sweep_worker: %s\n", ms.ToString().c_str());
-    }
-  }
-  std::printf(
-      "sweep_worker: tile %d/%d (%zux%zu cells x %zu plans, %s) -> %s\n",
-      tile_id, tiles, spec.x_size(), spec.y_size(), plans.size(),
-      StudyKindName(study.value()), out.c_str());
+  ServeTiles(STDIN_FILENO, answer_fd, env->ctx(), env->executor(), req);
   return 0;
 }

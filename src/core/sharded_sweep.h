@@ -1,6 +1,8 @@
 #ifndef ROBUSTMAP_CORE_SHARDED_SWEEP_H_
 #define ROBUSTMAP_CORE_SHARDED_SWEEP_H_
 
+#include <sys/types.h>
+
 #include <string>
 #include <vector>
 
@@ -30,29 +32,45 @@ std::string TileErrFileName(const std::string& tile_path);
 /// the built-in workers and external worker binaries share.
 void WriteTileErrFile(const std::string& tile_path, const Status& s);
 
+/// Observability sidecars a worker leaves next to a tile it computed while
+/// the coordinator traces or collects telemetry; the coordinator merges
+/// and deletes them as the tile completes.
+std::string TileTraceFileName(const std::string& tile_path);
+std::string TileTelemetryFileName(const std::string& tile_path);
+
+/// read(2) retrying EINTR: the byte count, 0 on EOF (every write end
+/// closed), -1 on error.
+ssize_t ReadMessage(int fd, void* buf, size_t n);
+
+/// write(2) of one pipe message (below PIPE_BUF, so it lands whole) whose
+/// reader may be gone. SIGPIPE, whose default action would kill the whole
+/// process, is held blocked for the call and a raise it caused is
+/// consumed, so a vanished reader is just a false return.
+bool WriteMessage(int fd, const void* buf, size_t n);
+
 /// mkdir -p: creates `path` and any missing parents, tolerating ones that
 /// already exist.
 Status EnsureDirectory(const std::string& path);
 
-/// Computes one tile — `study` restricted to the tile's rectangle, run
-/// through `SweepEngine::Run` on the in-process backend `sweep_opts`
-/// selects — and writes it atomically to `path`: one cell layer per study
-/// output (named per `StudyLayerNames`), stamping the sweep's wall-clock
-/// seconds into the tile's metadata (the measured-cost feedback later
-/// runs reschedule from). The body of both worker modes and of the
-/// `sweep_worker` executable. `warm_policy` is the warm layer's policy for
-/// `kWarmColdDelta` and ignored for plain tiles (which sweep under
-/// `ctx->warmup`, as always). A non-null `cell_cache` is consulted per
-/// cell and populated with the tile's measurements (in this process's
-/// memory only — tile workers never flush it).
-Status ComputeAndWriteTile(RunContext* ctx, const Executor& executor,
-                           const std::vector<PlanKind>& plans,
-                           const ParameterSpace& space, const TileSpec& tile,
-                           const std::string& path,
-                           const SweepOptions& sweep_opts = {},
-                           StudyKind study = StudyKind::kPlainMap,
-                           const WarmupPolicy& warm_policy = {},
-                           CellResultCache* cell_cache = nullptr);
+/// The request line that asks a `ServeTiles` worker for `tile`:
+/// "<shard_id> <x0:x1:y0:y1>\n" (the `RectSpecString` grammar).
+std::string TileRequestLine(const TileSpec& tile);
+
+/// The serve loop every sharded worker runs, forked or exec'd. Reads tile
+/// requests from `in_fd` until EOF, one `TileRequestLine` each. Each tile
+/// of `req.space` is swept on the threaded backend (req's plans, study,
+/// warm policy and cell cache; `threads_per_worker` threads), written
+/// atomically to `req.sharded.tile_dir + "/" + TileFileName(shard_id)`
+/// with its sweep's wall-clock seconds as scheduling metadata, and
+/// answered with one byte on `out_fd`: '0' when the tile file was written,
+/// '1' when its Status is in `TileErrFileName(path)` instead. A request
+/// that does not parse or does not fit the grid is answered '1' as well;
+/// its reason goes to the .err file when the shard id is readable, to
+/// stderr when it is not. While the tracer or telemetry is enabled, each
+/// written tile also gets its observability sidecars, holding that tile's
+/// events only. Returns on EOF or when an answer cannot be written.
+void ServeTiles(int in_fd, int out_fd, RunContext* ctx,
+                const Executor& executor, const SweepRequest& req);
 
 /// The sharded equivalent of `SweepStudyPlans`: partitions the grid with
 /// `ShardPlanner` under `opts.cost_model`, skips tiles already valid on
@@ -65,8 +83,8 @@ Status ComputeAndWriteTile(RunContext* ctx, const Executor& executor,
 ///
 /// Requires an order-independent warmup policy on `ctx` (anything but
 /// `kPriorRun`, whose cells inherit state across the tile boundaries this
-/// function erases). POSIX only: workers are fork(2)ed once per sweep and
-/// serve tiles over pipes, or fork+exec'd once per tile when
+/// function erases). POSIX only: one worker per lane serves tiles over
+/// pipes (`ServeTiles`), fork(2)ed, or fork+exec'd when
 /// `opts.worker_command` is set. A worker failure is reported after all
 /// workers finish; completed tiles remain on disk, so a rerun resumes
 /// rather than restarts.

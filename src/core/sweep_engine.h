@@ -80,17 +80,16 @@ struct ShardedSweepOptions {
   /// Per-tile progress lines on stderr.
   bool verbose = false;
 
-  /// Empty (the default): workers are forked children of this process,
-  /// one per lane for the whole sweep, computing the tiles they are handed
-  /// with the already-built executor — the in-process subprocess mode
-  /// benches and tests use. Non-empty: each tile spawns
-  /// fork+exec of this argv with "--tiles=<count>", "--tile=<id>",
-  /// "--rect=<x0:x1:y0:y1>", "--study=<name>", "--out=<path>" — and
-  /// "--warmup=<spec>" when the study's policy is not cold — appended (the
-  /// `sweep_worker` contract — the resolved tile count, its exact
-  /// rectangle, and the study ride along so worker and coordinator can
-  /// never compute different things under the same tile name), for
-  /// coordinators whose workers must build their own environment.
+  /// How workers start; every worker runs `ServeTiles`, one per lane for
+  /// the whole sweep. Empty (the default): forked children of this
+  /// process, computing with the already-built executor — the mode benches
+  /// and tests use. Non-empty: the command prefix of a serving worker
+  /// (`sweep_worker` and its grid flags), exec'd with the request pipe as
+  /// stdin and the answer pipe as stdout, for coordinators whose workers
+  /// must build their own environment. The engine appends the sweep's
+  /// session flags: "--tile-dir=<dir>", "--study=<name>", and when they
+  /// apply "--warmup=<spec>", "--stride=<k>", "--cache-dir=<dir>",
+  /// "--trace-epoch=<ns>" and "--telemetry".
   std::vector<std::string> worker_command;
 
   /// How tiles are sized and dispatched. `kUniform` reproduces the
@@ -123,7 +122,7 @@ struct ShardedSweepOptions {
 
   /// Internal to progressive sweeps: the request's `space` is the stride-k
   /// sublattice of the grid the worker flags describe (see
-  /// `SubsampleSpace`). Forwarded to exec-mode workers as "--stride=<k>"
+  /// `SubsampleSpace`). Forwarded to exec'd workers as "--stride=<k>"
   /// so worker and coordinator slice rectangles from the same lattice;
   /// 1 for ordinary sweeps. Set by `SweepEngine::Run`'s progressive
   /// driver, not by callers.
@@ -164,9 +163,9 @@ struct ShardedSweepStats {
   size_t tiles_computed = 0;  ///< recomputed by workers this run
   size_t tiles_split = 0;     ///< straggler split operations (each turns
                               ///< one pending tile into two)
-  unsigned workers_spawned = 0;  ///< worker lanes; in fork mode also the
-                                 ///< persistent workers forked (plus any
-                                 ///< replacement for one that died)
+  unsigned workers_spawned = 0;  ///< worker processes started, forked or
+                                 ///< exec'd: one per lane, plus one for
+                                 ///< each that died with tiles pending
 
   /// Wall-clock seconds each worker lane spent holding a tile, from its
   /// dispatch to its result (lane = one of the up-to-`num_workers`

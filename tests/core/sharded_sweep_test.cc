@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,137 @@ TEST(RunShardedSweepTest, KilledExecWorkerFailsFast) {
   EXPECT_TRUE(result.status().IsInternal());
   EXPECT_NE(result.status().message().find("killed?"), std::string::npos)
       << result.status().ToString();
+}
+
+/// Lines in `path`; 0 when it does not exist. Fake workers append one line
+/// per process start, counting spawns even for a sweep that fails (and so
+/// returns no stats).
+size_t CountLines(const std::string& path) {
+  std::ifstream f(path);
+  size_t lines = 0;
+  for (std::string line; std::getline(f, line);) ++lines;
+  return lines;
+}
+
+TEST(RunShardedSweepTest, WorkerKilledMidTileIsReplacedForEachPendingTile) {
+  // Each worker takes one request and dies holding it: that tile fails,
+  // and every tile still pending gets a fresh worker.
+  ProcEnv env;
+  Executor executor(env.db());
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("killed_mid_tile");
+  opts.num_workers = 2;
+  opts.num_tiles = 4;
+  ASSERT_TRUE(EnsureDirectory(opts.tile_dir).ok());
+  const std::string log = opts.tile_dir + "/spawned.log";
+  std::remove(log.c_str());
+  // The tile directory is the script's $0.
+  opts.worker_command = {"/bin/sh", "-c",
+                         "echo >> \"$0/spawned.log\"; read request; "
+                         "kill -9 $$",
+                         opts.tile_dir};
+  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
+                                SmallGrid(), opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInternal());
+  EXPECT_NE(result.status().message().find("killed?"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(CountLines(log), opts.num_tiles);
+  EXPECT_GT(CountLines(log), opts.num_workers);
+}
+
+TEST(RunShardedSweepTest, WorkerAnsweringFailureKeepsServing) {
+  // A worker that answers '1' with its reason in the tile's .err file is
+  // alive and keeps its lane: no replacement, and the reason reaches the
+  // sweep's Status.
+  ProcEnv env;
+  Executor executor(env.db());
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("answers_failure");
+  opts.num_workers = 2;
+  opts.num_tiles = 6;
+  ASSERT_TRUE(EnsureDirectory(opts.tile_dir).ok());
+  const std::string log = opts.tile_dir + "/spawned.log";
+  std::remove(log.c_str());
+  // The tile directory is the script's $0.
+  opts.worker_command = {"/bin/sh", "-c",
+                         "echo >> \"$0/spawned.log\"; "
+                         "while read id rect; do "
+                         "printf 'fake worker refused tile %s' \"$id\" "
+                         "> \"$0/$(printf tile_%04d.rmt \"$id\").err\"; "
+                         "printf 1; done",
+                         opts.tile_dir};
+  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
+                                SmallGrid(), opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInternal());
+  EXPECT_NE(result.status().message().find(
+                "sweep worker for tile 0 failed: fake worker refused tile 0"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(CountLines(log), opts.num_workers);
+}
+
+TEST(RunShardedSweepTest, UnexecutableWorkerCommandFailsWithCannotExec) {
+  ProcEnv env;
+  Executor executor(env.db());
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("cannot_exec");
+  opts.num_workers = 2;
+  opts.num_tiles = 4;
+  opts.worker_command = {opts.tile_dir + "/no_such_worker"};
+  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
+                                SmallGrid(), opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInternal());
+  EXPECT_NE(result.status().message().find("cannot exec " +
+                                           opts.worker_command[0] + ": "),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(result.status().message().find("killed?"), std::string::npos);
+}
+
+TEST(ServeTilesTest, AnswersEachRequestLineAndReturnsOnEof) {
+  ProcEnv env;
+  Executor executor(env.db());
+  SweepRequest req;
+  req.plans = StudySubset();
+  req.space = SmallGrid();
+  req.sharded.tile_dir = FreshTileDir("serve");
+  ASSERT_TRUE(EnsureDirectory(req.sharded.tile_dir).ok());
+  TileSpec tile;
+  tile.shard_id = 5;
+  tile.x_end = 2;
+  tile.y_end = 3;
+  TileSpec outside = tile;
+  outside.shard_id = 6;
+  outside.x_end = 99;
+  const std::string tile_path = req.sharded.tile_dir + "/" + TileFileName(5);
+  const std::string outside_path =
+      req.sharded.tile_dir + "/" + TileFileName(6);
+  std::remove(TileErrFileName(outside_path).c_str());
+  const std::string requests =
+      TileRequestLine(tile) + TileRequestLine(outside) + "not a request\n";
+  int in[2] = {-1, -1};
+  int out[2] = {-1, -1};
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  ASSERT_TRUE(WriteMessage(in[1], requests.data(), requests.size()));
+  ::close(in[1]);
+  ServeTiles(in[0], out[1], env.ctx(), executor, req);
+  ::close(in[0]);
+  ::close(out[1]);
+  char answers[8] = {};
+  EXPECT_EQ(ReadMessage(out[0], answers, sizeof answers), 3);
+  ::close(out[0]);
+  EXPECT_EQ(std::string(answers, 3), "011");
+  auto written = ReadMapTileFile(tile_path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(written.value().spec, tile);
+  std::ifstream err(TileErrFileName(outside_path));
+  std::string reason((std::istreambuf_iterator<char>(err)),
+                     std::istreambuf_iterator<char>());
+  EXPECT_NE(reason.find("outside the"), std::string::npos) << reason;
 }
 
 TEST(RunShardedSweepTest, AllCostModelsMergeTheIdenticalMap) {
