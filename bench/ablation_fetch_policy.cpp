@@ -56,13 +56,13 @@ int main() {
       Axis::Selectivity("selectivity(a)", scale.grid_min_log2, 0));
   RunContextFactory factory(*env->ctx());
   auto map =
-      SweepEngine::RunCellsParallel(
+      SweepEngine::RunCellsParallelIndexed(
           space, {"fetch.naive", "fetch.sorted", "fetch.bitmap"}, factory,
-          [&](RunContext* ctx, size_t plan, double x, double) {
+          [&](RunContext* ctx, size_t plan, size_t point) {
             FetchPolicy p = plan == 0   ? FetchPolicy::kNaive
                             : plan == 1 ? FetchPolicy::kSorted
                                         : FetchPolicy::kBitmap;
-            return RunFetchPlan(ctx, env.get(), x, p);
+            return RunFetchPlan(ctx, env.get(), space.x_value(point), p);
           },
           SweepOpts(scale))
           .ValueOrDie();

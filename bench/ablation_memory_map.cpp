@@ -41,12 +41,12 @@ int main() {
   // memory axis parallelizes without cross-cell interference.
   RunContextFactory factory(*env->ctx());
   auto map =
-      SweepEngine::RunCellsParallel(
+      SweepEngine::RunCellsParallelIndexed(
           space, {"A.hj(a,b) s_b=1"}, factory,
-          [&](RunContext* ctx, size_t, double s,
-              double mem) -> Result<Measurement> {
-            ctx->hash_memory_bytes = static_cast<uint64_t>(mem);
-            QuerySpec q = env->MakeQuery(s, 1.0);
+          [&](RunContext* ctx, size_t, size_t point) -> Result<Measurement> {
+            ctx->hash_memory_bytes =
+                static_cast<uint64_t>(space.y_value(point));
+            QuerySpec q = env->MakeQuery(space.x_value(point), 1.0);
             return env->executor().Run(ctx, PlanKind::kHashJoinAB, q);
           },
           SweepOpts(scale))

@@ -97,11 +97,12 @@ int main() {
   ParameterSpace space = ParameterSpace::OneD(Axis::SelectivityFine(
       "input fraction of table", scale.grid_min_log2, 0, 2));
   RunContextFactory factory(*env->ctx());
-  auto map = SweepEngine::RunCellsParallel(
+  auto map = SweepEngine::RunCellsParallelIndexed(
                  space, {"sort.graceful", "sort.naive"}, factory,
-                 [&](RunContext* ctx, size_t plan, double x, double) {
+                 [&](RunContext* ctx, size_t plan, size_t point) {
                    uint64_t rows = static_cast<uint64_t>(
-                       x * static_cast<double>(table_rows));
+                       space.x_value(point) *
+                       static_cast<double>(table_rows));
                    return RunSortRows(ctx, rows,
                                       plan == 0 ? SpillKind::kGraceful
                                                 : SpillKind::kNaive);

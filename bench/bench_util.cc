@@ -154,11 +154,11 @@ Status WriteMapRmt(const std::string& path, const RobustnessMap& map) {
                                   map});
 }
 
-Status WriteWarmColdRmt(const std::string& path, const WarmColdMaps& maps) {
-  MapTile tile{FullGridSpec(maps.cold.space()), maps.cold.space(),
-               maps.cold};
+Status WriteWarmColdRmt(const std::string& path, const SweepOutcome& out) {
+  MapTile tile{FullGridSpec(out.cold().space()), out.cold().space(),
+               out.cold()};
   tile.layer_names = StudyLayerNames(StudyKind::kWarmColdDelta);
-  tile.extra_layers = {maps.warm, maps.delta};
+  tile.extra_layers = {out.warm(), out.delta()};
   return WriteMapTileFile(path, tile);
 }
 
@@ -194,18 +194,19 @@ void ExportMap(const std::string& figure_name, const RobustnessMap& map,
 }
 
 void ExportWarmColdMaps(const std::string& figure_name,
-                        const WarmColdMaps& maps) {
-  ExportMap(figure_name + "_cold", maps.cold);
-  ExportMap(figure_name + "_warm", maps.warm);
+                        const SweepOutcome& out) {
+  ExportMap(figure_name + "_cold", out.cold());
+  ExportMap(figure_name + "_warm", out.warm());
   std::string base = OutDir() + "/" + figure_name;
-  WarnArtifact(WriteWarmColdRmt(base + "_warmcold.rmt", maps),
+  WarnArtifact(WriteWarmColdRmt(base + "_warmcold.rmt", out),
                base + "_warmcold.rmt");
-  if (maps.delta.space().is_2d()) {
+  const RobustnessMap& delta = out.delta();
+  if (delta.space().is_2d()) {
     ColorScale diverging = ColorScale::DivergingSeconds();
-    for (size_t pl = 0; pl < maps.delta.num_plans(); ++pl) {
+    for (size_t pl = 0; pl < delta.num_plans(); ++pl) {
       std::string path = base + "_delta_plan" + std::to_string(pl) + ".ppm";
-      WarnArtifact(WritePpm(path, maps.delta.space(),
-                            maps.delta.SecondsOfPlan(pl), diverging),
+      WarnArtifact(WritePpm(path, delta.space(), delta.SecondsOfPlan(pl),
+                            diverging),
                    path);
     }
     WarnArtifact(WriteLegendPpm(base + "_delta_legend.ppm", diverging),
@@ -214,7 +215,7 @@ void ExportWarmColdMaps(const std::string& figure_name,
   std::printf("[artifacts] %s_warmcold.rmt%s written (per-layer csv: "
               "`map_cat --csv --layer=L`)\n",
               base.c_str(),
-              maps.delta.space().is_2d() ? ", *_delta_plan*.ppm" : "");
+              delta.space().is_2d() ? ", *_delta_plan*.ppm" : "");
 }
 
 void PrintCurveTable(const RobustnessMap& map) {

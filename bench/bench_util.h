@@ -103,8 +103,9 @@ void WarnArtifact(const Status& s, const std::string& path);
 /// Written with wall_seconds 0, so equal maps produce equal bytes.
 Status WriteMapRmt(const std::string& path, const RobustnessMap& map);
 
-/// The multi-layer form: cold/warm/delta as one three-layer tile file.
-Status WriteWarmColdRmt(const std::string& path, const WarmColdMaps& maps);
+/// The multi-layer form: a warm-cold study's cold/warm/delta layers as
+/// one three-layer tile file.
+Status WriteWarmColdRmt(const std::string& path, const SweepOutcome& out);
 
 /// Writes the artifact set for a map: the canonical `.rmt`, a gnuplot
 /// `.plt` whose data is piped from that `.rmt` via `map_cat --dat`, and
@@ -113,12 +114,12 @@ Status WriteWarmColdRmt(const std::string& path, const WarmColdMaps& maps);
 void ExportMap(const std::string& figure_name, const RobustnessMap& map,
                bool relative = false);
 
-/// Writes the full artifact set of a paired cold/warm study:
+/// Writes the full artifact set of a warm-cold study outcome:
 /// `<figure>_cold.*` and `<figure>_warm.*` via ExportMap, the three-layer
 /// `_warmcold.rmt`, per-plan delta PPMs on the diverging scale, and the
 /// diverging-legend strip.
 void ExportWarmColdMaps(const std::string& figure_name,
-                        const WarmColdMaps& maps);
+                        const SweepOutcome& out);
 
 /// Prints a 1-D map as a fixed-width table of seconds (plans as columns).
 void PrintCurveTable(const RobustnessMap& map);

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +38,18 @@ void Check(bool ok, const char* name, double value, const char* detail) {
   std::printf("  [%s] %-52s %10.4g   %s\n", ok ? "PASS" : "FAIL", name, value,
               detail);
   if (!ok) ++g_failures;
+}
+
+/// This figure's plain-map study on the sharded backend under `opts`.
+SweepRequest ShardedRequest(const std::vector<PlanKind>& plans,
+                            const ParameterSpace& space,
+                            const ShardedSweepOptions& opts) {
+  SweepRequest req;
+  req.plans = plans;
+  req.space = space;
+  req.backend = BackendKind::kShardedProcess;
+  req.sharded = opts;
+  return req;
 }
 
 }  // namespace
@@ -85,18 +98,19 @@ int main() {
     opts.num_workers = workers;
     opts.resume = false;  // a fresh timing run, not a resume
     opts.verbose = scale.verbose;
-    ShardedSweepStats stats;
     WallTimer timer;
-    auto merged = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                  opts, &stats)
-                      .ValueOrDie();
+    SweepOutcome merged =
+        SweepEngine::Run(env->ctx(), env->executor(),
+                         ShardedRequest(plans, space, opts))
+            .ValueOrDie();
     double wall = timer.Seconds();
+    const ShardedSweepStats& stats = merged.sharded_stats;
     std::printf("%u worker process(es): %zu tiles, %.2fs (%.2fx, "
                 "balance %.2f)\n",
                 workers, stats.tiles_total, wall,
                 wall > 0 ? serial_wall / wall : 0.0,
                 stats.busy_balance_ratio());
-    Check(MapsBitIdentical(serial, merged),
+    Check(MapsBitIdentical(serial, merged.map()),
           ("merged map == serial map, " + std::to_string(workers) +
            " worker(s)")
               .c_str(),
@@ -115,14 +129,15 @@ int main() {
         scale.num_shards != 0 ? scale.num_shards : 8;  // REPRO_SHARDS
     opts.num_tiles = last_tiles;
     opts.verbose = scale.verbose;
-    ShardedSweepStats stats;
-    auto merged = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                  opts, &stats)
-                      .ValueOrDie();
-    Check(stats.tiles_reused == stats.tiles_total &&
-              stats.tiles_computed == 0,
+    const ShardedSweepStats reused =
+        SweepEngine::Run(env->ctx(), env->executor(),
+                         ShardedRequest(plans, space, opts))
+            .ValueOrDie()
+            .sharded_stats;
+    Check(reused.tiles_reused == reused.tiles_total &&
+              reused.tiles_computed == 0,
           "resume with all tiles valid recomputes nothing",
-          static_cast<double>(stats.tiles_reused), "tiles reused");
+          static_cast<double>(reused.tiles_reused), "tiles reused");
 
     std::remove((last_dir + "/" + TileFileName(0)).c_str());
     {
@@ -131,9 +146,11 @@ int main() {
       f.seekp(64);
       f.put('\x5a');
     }
-    auto resumed = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                   opts, &stats)
-                       .ValueOrDie();
+    SweepOutcome resumed =
+        SweepEngine::Run(env->ctx(), env->executor(),
+                         ShardedRequest(plans, space, opts))
+            .ValueOrDie();
+    const ShardedSweepStats& stats = resumed.sharded_stats;
     // Two pending tiles on an 8-worker box is exactly the straggler shape:
     // the splitter cuts the recomputation finer (one extra tile per
     // split), but only the two damaged tiles' cells are recomputed.
@@ -141,7 +158,8 @@ int main() {
           "resume recomputes only the missing + corrupt tiles",
           static_cast<double>(stats.tiles_computed),
           "tiles recomputed (1 deleted + 1 corrupted, straggler-split)");
-    Check(MapsBitIdentical(serial, resumed), "resumed map still == serial",
+    Check(MapsBitIdentical(serial, resumed.map()),
+          "resumed map still == serial",
           1, "checkpoint damage is fully healed");
   }
 
@@ -156,12 +174,13 @@ int main() {
     uopts.resume = false;
     uopts.verbose = scale.verbose;
     uopts.cost_model = CostModelKind::kUniform;
-    ShardedSweepStats ustats;
-    auto uniform = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                   uopts, &ustats)
-                       .ValueOrDie();
-    Check(MapsBitIdentical(serial, uniform),
-          "uniform cost model merges == serial", ustats.busy_balance_ratio(),
+    SweepOutcome uniform =
+        SweepEngine::Run(env->ctx(), env->executor(),
+                         ShardedRequest(plans, space, uopts))
+            .ValueOrDie();
+    Check(MapsBitIdentical(serial, uniform.map()),
+          "uniform cost model merges == serial",
+          uniform.sharded_stats.busy_balance_ratio(),
           "balance ratio (slowest/mean worker)");
 
     // The measured-feedback contract, checked at its root: every readable
@@ -171,7 +190,7 @@ int main() {
     // Scanned by directory, not by planned id: the heal above replaced
     // two planned tiles with straggler pieces under fresh ids and left
     // one corrupt (unreadable, hence unusable) file behind.
-    std::vector<std::pair<std::string, MapTile>> disk_tiles;
+    std::map<std::string, MapTile> disk_tiles;
     auto measured_model =
         MeasuredCostModelFromDir(last_dir, space, &disk_tiles).ValueOrDie();
     size_t timed_tiles = 0;
@@ -191,13 +210,13 @@ int main() {
     mopts.resume = false;  // measured boundaries differ; this is a re-balance
     mopts.verbose = scale.verbose;
     mopts.cost_model = CostModelKind::kMeasured;
-    ShardedSweepStats mstats;
-    auto measured = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                    mopts, &mstats)
-                        .ValueOrDie();
-    Check(MapsBitIdentical(serial, measured),
+    SweepOutcome measured =
+        SweepEngine::Run(env->ctx(), env->executor(),
+                         ShardedRequest(plans, space, mopts))
+            .ValueOrDie();
+    Check(MapsBitIdentical(serial, measured.map()),
           "measured cost model merges == serial",
-          mstats.busy_balance_ratio(),
+          measured.sharded_stats.busy_balance_ratio(),
           "balance ratio (slowest/mean worker)");
     // With every tile timed above, the measured model is genuinely built
     // from observations: its total is the tiles' summed wall seconds (as
@@ -213,24 +232,22 @@ int main() {
 
   // Study × backend composition: the sharded warm/cold/delta study — the
   // §3.2 buffer-contents study past one process for the first time. All
-  // three merged layers must be bit-identical to the serial
-  // `RunWarmColdSweep` reference, and a resumed run must reuse every
-  // multi-layer tile.
+  // three merged layers must be bit-identical to the serial in-process
+  // warm-cold study, and a resumed run must reuse every multi-layer tile.
   {
-    WarmupPolicy policy = WarmupPolicy::FractionResident(0.5);
-    SweepOptions serial_opts;
-    serial_opts.num_threads = 1;
-    serial_opts.verbose = scale.verbose;
-    auto reference = RunWarmColdSweep(env->ctx(), env->executor(), plans,
-                                      space, policy, serial_opts)
-                         .ValueOrDie();
-
     SweepRequest req;
     req.plans = plans;
     req.space = space;
     req.study = StudyKind::kWarmColdDelta;
+    req.backend = BackendKind::kThreaded;
+    req.warm_policy = WarmupPolicy::FractionResident(0.5);
+    req.sweep.num_threads = 1;
+    req.sweep.verbose = scale.verbose;
+    SweepOutcome reference =
+        SweepEngine::Run(env->ctx(), env->executor(), req).ValueOrDie();
+
     req.backend = BackendKind::kShardedProcess;
-    req.warm_policy = policy;
+    req.sweep = SweepOptions{};
     req.sharded.tile_dir = OutDir() + "/fig_sharded_warmcold";
     req.sharded.num_workers = scale.num_shards != 0 ? scale.num_shards : 4;
     req.sharded.num_tiles = 8;
@@ -238,10 +255,10 @@ int main() {
     req.sharded.verbose = scale.verbose;
     auto sharded = SweepEngine::Run(env->ctx(), env->executor(), req)
                        .ValueOrDie();
-    Check(MapsBitIdentical(reference.cold, sharded.cold()) &&
-              MapsBitIdentical(reference.warm, sharded.warm()) &&
-              MapsBitIdentical(reference.delta, sharded.delta()),
-          "sharded warm/cold/delta == serial RunWarmColdSweep", 3,
+    Check(MapsBitIdentical(reference.cold(), sharded.cold()) &&
+              MapsBitIdentical(reference.warm(), sharded.warm()) &&
+              MapsBitIdentical(reference.delta(), sharded.delta()),
+          "sharded warm/cold/delta == serial warm-cold study", 3,
           "all three merged layers bit-identical");
 
     req.sharded.resume = true;
@@ -250,7 +267,7 @@ int main() {
     Check(resumed.sharded_stats.tiles_reused ==
                   resumed.sharded_stats.tiles_total &&
               resumed.sharded_stats.tiles_computed == 0 &&
-              MapsBitIdentical(reference.delta, resumed.delta()),
+              MapsBitIdentical(reference.delta(), resumed.delta()),
           "warm/cold resume reuses every multi-layer tile",
           static_cast<double>(resumed.sharded_stats.tiles_reused),
           "three-layer tiles revalidated from disk");

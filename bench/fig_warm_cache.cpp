@@ -109,31 +109,31 @@ int main() {
   };
 
   ColorScale diverging = ColorScale::DivergingSeconds();
-  std::vector<WarmColdMaps> results;
+  std::vector<SweepOutcome> results;
   for (const PlanSet& set : sets) {
     std::printf("\n--- plan set: %s ---\n", set.name);
-    auto maps = SweepEngine::Run(env->ctx(), env->executor(),
-                                 warmcold_request(set.plans))
-                    .ValueOrDie()
-                    .ToWarmColdMaps();
+    SweepOutcome maps = SweepEngine::Run(env->ctx(), env->executor(),
+                                         warmcold_request(set.plans))
+                            .ValueOrDie();
 
-    for (size_t pl = 0; pl < maps.delta.num_plans(); ++pl) {
+    for (size_t pl = 0; pl < maps.delta().num_plans(); ++pl) {
       HeatmapOptions hopts;
       hopts.title = "\n";
       hopts.title += set.name;
       hopts.title += " / ";
-      hopts.title += maps.delta.plan_label(pl);
+      hopts.title += maps.delta().plan_label(pl);
       hopts.title += ": warm minus cold";
-      std::printf("%s", RenderHeatmap(space, maps.delta.SecondsOfPlan(pl),
-                                      diverging, hopts)
-                            .c_str());
+      std::printf("%s",
+                  RenderHeatmap(space, maps.delta().SecondsOfPlan(pl),
+                                diverging, hopts)
+                      .c_str());
     }
     std::printf("%s", RenderLegend(diverging).c_str());
 
-    auto cold0 = maps.cold.SecondsOfPlan(0);
-    auto warm0 = maps.warm.SecondsOfPlan(0);
+    auto cold0 = maps.cold().SecondsOfPlan(0);
+    auto warm0 = maps.warm().SecondsOfPlan(0);
     std::printf("\n%s %s: cold %s .. %s, warm %s .. %s, best delta %s\n",
-                set.name, maps.cold.plan_label(0).c_str(),
+                set.name, maps.cold().plan_label(0).c_str(),
                 FormatSeconds(*std::min_element(cold0.begin(), cold0.end()))
                     .c_str(),
                 FormatSeconds(*std::max_element(cold0.begin(), cold0.end()))
@@ -142,7 +142,7 @@ int main() {
                     .c_str(),
                 FormatSeconds(*std::max_element(warm0.begin(), warm0.end()))
                     .c_str(),
-                FormatSeconds(MinDelta(maps.delta)).c_str());
+                FormatSeconds(MinDelta(maps.delta())).c_str());
 
     ExportWarmColdMaps(std::string("fig_warm_cache_") + set.name, maps);
     results.push_back(std::move(maps));
@@ -160,7 +160,7 @@ int main() {
     serial.backend = BackendKind::kSerial;
     auto reference = SweepEngine::Run(env->ctx(), env->executor(), serial)
                          .ValueOrDie();
-    bool identical = MapsBitIdentical(reference.map(), results[0].cold);
+    bool identical = MapsBitIdentical(reference.map(), results[0].cold());
     for (unsigned threads : {4u, 8u}) {
       SweepRequest req = StudyRequest(scale, plans, space);
       req.sweep.num_threads = threads;
@@ -176,15 +176,14 @@ int main() {
   {
     auto again = SweepEngine::Run(env->ctx(), env->executor(),
                                   warmcold_request(sets[0].plans))
-                     .ValueOrDie()
-                     .ToWarmColdMaps();
-    Check(MapsBitIdentical(again.warm, results[0].warm),
+                     .ValueOrDie();
+    Check(MapsBitIdentical(again.warm(), results[0].warm()),
           "warm map reproducible run-to-run", 1, "explicit page-set policy");
   }
 
   // The warm cache must actually help somewhere in each plan set.
   for (size_t i = 0; i < sets.size(); ++i) {
-    double lo = MinDelta(results[i].delta);
+    double lo = MinDelta(results[i].delta());
     Check(lo < 0, (std::string(sets[i].name) + ": warm faster somewhere")
                       .c_str(),
           lo, "min over all cells of warm - cold seconds");

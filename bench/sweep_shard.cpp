@@ -237,35 +237,26 @@ int main(int argc, char** argv) {
   WallTimer timer;
   if (serial) {
     // The reference run the CI byte-diffs sharded merges against: the
-    // plain study through the serial legacy path, the warm-cold study
-    // through `RunWarmColdSweep` itself — the acceptance bar for the
-    // sharded backend is bit-identity to exactly these.
-    SweepOptions opts;
-    opts.num_threads = 1;
-    opts.verbose = verbose;
-    std::vector<RobustnessMap> layers;
-    if (study.value() == StudyKind::kWarmColdDelta) {
-      auto maps = RunWarmColdSweep(env->ctx(), env->executor(), plans, space,
-                                   warmup.value(), opts);
-      if (!maps.ok()) {
-        std::fprintf(stderr, "sweep_shard: %s\n",
-                     maps.status().ToString().c_str());
-        return 1;
-      }
-      layers.push_back(std::move(maps.value().cold));
-      layers.push_back(std::move(maps.value().warm));
-      layers.push_back(std::move(maps.value().delta));
-    } else {
+    // same study through the engine's in-process path on one thread — the
+    // acceptance bar for the sharded backend is bit-identity to exactly
+    // this.
+    SweepRequest ref;
+    ref.plans = plans;
+    ref.space = space;
+    ref.study = study.value();
+    ref.warm_policy = warmup.value();
+    ref.sweep.num_threads = 1;
+    ref.sweep.verbose = verbose;
+    if (study.value() == StudyKind::kPlainMap) {
       env->ctx()->warmup = warmup.value();
-      auto map = SweepStudyPlans(env->ctx(), env->executor(), plans, space,
-                                 opts);
-      if (!map.ok()) {
-        std::fprintf(stderr, "sweep_shard: %s\n",
-                     map.status().ToString().c_str());
-        return 1;
-      }
-      layers.push_back(std::move(map).value());
     }
+    auto out = SweepEngine::Run(env->ctx(), env->executor(), ref);
+    if (!out.ok()) {
+      std::fprintf(stderr, "sweep_shard: %s\n",
+                   out.status().ToString().c_str());
+      return 1;
+    }
+    const std::vector<RobustnessMap>& layers = out.value().layers;
     Status s = WriteMergedArtifacts(out_dir, study.value(), layers);
     if (!s.ok()) {
       std::fprintf(stderr, "sweep_shard: %s\n", s.ToString().c_str());

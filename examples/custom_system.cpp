@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "core/metrics.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "engine/plan_enumerator.h"
 #include "engine/system.h"
 #include "workload/distributions.h"
@@ -55,12 +55,12 @@ int main() {
        {SystemConfig::SystemA(), system_d}) {
     QuerySpec q = MakeStudyQuery(0.5, 0.5, dataset.domain);
     auto plans = EnumeratePlans(sys, q);
-    std::vector<PlanKind> kinds;
-    for (const auto& p : plans) kinds.push_back(p.kind);
-    RobustnessMap map =
-        SweepStudyPlans(&ctx, executor, kinds, space).ValueOrDie();
-    auto summaries = SummarizePlans(map, ToleranceSpec{0.01, 1.0});
-    std::printf("%s (%zu plans):\n%s\n", sys.name.c_str(), kinds.size(),
+    SweepRequest req;
+    for (const auto& p : plans) req.plans.push_back(p.kind);
+    req.space = space;
+    SweepOutcome out = SweepEngine::Run(&ctx, executor, req).ValueOrDie();
+    auto summaries = SummarizePlans(out.map(), ToleranceSpec{0.01, 1.0});
+    std::printf("%s (%zu plans):\n%s\n", sys.name.c_str(), req.plans.size(),
                 RenderSummaryTable(summaries).c_str());
   }
 

@@ -10,7 +10,7 @@
 #include "core/metrics.h"
 #include "core/optimality.h"
 #include "core/relative.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "viz/ascii_heatmap.h"
 #include "viz/legend.h"
 #include "workload/dataset.h"
@@ -26,9 +26,12 @@ int main() {
   ParameterSpace space =
       ParameterSpace::TwoD(Axis::Selectivity("selectivity(a)", -12, 0),
                            Axis::Selectivity("selectivity(b)", -12, 0));
-  RobustnessMap map =
-      SweepStudyPlans(env->ctx(), env->executor(), AllStudyPlans(), space)
-          .ValueOrDie();
+  SweepRequest req;
+  req.plans = AllStudyPlans();
+  req.space = space;
+  SweepOutcome out =
+      SweepEngine::Run(env->ctx(), env->executor(), req).ValueOrDie();
+  const RobustnessMap& map = out.map();
   RelativeMap rel = ComputeRelative(map);
 
   // Show the relative maps the paper contrasts: fragile vs. robust.

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common/format.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "viz/ascii_heatmap.h"
 #include "workload/dataset.h"
 
@@ -37,12 +37,13 @@ int main() {
   // 3. Sweep the whole selectivity axis and draw the Figure-1-style map.
   ParameterSpace space =
       ParameterSpace::OneD(Axis::Selectivity("selectivity(a)", -14, 0));
-  RobustnessMap map =
-      SweepStudyPlans(env->ctx(), env->executor(),
-                      {PlanKind::kTableScan, PlanKind::kIndexANaive,
-                       PlanKind::kIndexAImproved},
-                      space)
-          .ValueOrDie();
+  SweepRequest req;
+  req.plans = {PlanKind::kTableScan, PlanKind::kIndexANaive,
+               PlanKind::kIndexAImproved};
+  req.space = space;
+  SweepOutcome out =
+      SweepEngine::Run(env->ctx(), env->executor(), req).ValueOrDie();
+  const RobustnessMap& map = out.map();
 
   std::vector<ChartSeries> series;
   for (size_t pl = 0; pl < map.num_plans(); ++pl) {

@@ -1,15 +1,16 @@
 // Mapping your own operator: the paper's §4 sort-spill prediction.
 //
-// Demonstrates the generic RunSweep API — no PlanKind involved. Any
-// operator tree can be measured over any run-time condition; here the
-// condition is input size relative to sort memory, and the subjects are a
-// graceful external merge sort vs. a naive spill-everything sort.
+// Demonstrates the generic cell loop, `SweepEngine::RunCellsIndexed` — no
+// PlanKind involved. Any operator tree can be measured over any run-time
+// condition; here the condition is input size relative to sort memory,
+// and the subjects are a graceful external merge sort vs. a naive
+// spill-everything sort.
 
 #include <cstdio>
 
 #include "common/format.h"
 #include "core/landmarks.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "exec/index_scan.h"
 #include "exec/sort.h"
 #include "viz/ascii_heatmap.h"
@@ -55,12 +56,13 @@ int main() {
   ParameterSpace space = ParameterSpace::OneD(
       Axis::SelectivityFine("input fraction", -8, 0, 2));
   RobustnessMap map =
-      RunSweep(space, {"graceful external sort", "naive spill-all sort"},
-               [&](size_t plan, double x, double) {
-                 return MeasureSort(env.get(), x,
-                                    plan == 0 ? SpillKind::kGraceful
-                                              : SpillKind::kNaive);
-               })
+      SweepEngine::RunCellsIndexed(
+          space, {"graceful external sort", "naive spill-all sort"},
+          [&](size_t plan, size_t point) {
+            return MeasureSort(env.get(), space.x_value(point),
+                               plan == 0 ? SpillKind::kGraceful
+                                         : SpillKind::kNaive);
+          })
           .ValueOrDie();
 
   std::vector<ChartSeries> series = {

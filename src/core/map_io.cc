@@ -1,5 +1,8 @@
 #include "core/map_io.h"
 
+#include <dirent.h>
+
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <iterator>
@@ -174,14 +177,10 @@ Result<MapTile> ParseMapTile(const std::string& buf) {
 
   Cursor c(buf.data() + kVersionOffset + sizeof(uint32_t),
            payload_size - kVersionOffset - sizeof(uint32_t), kWhat);
-  // v2 carries the tile sweep's wall time right after the version; a v1
-  // file simply has no timing signal, which downstream cost models treat
-  // as "unmeasured", never as an error. v3 adds the layer count; earlier
-  // versions are by definition single-layer.
+  // The tile sweep's wall time follows the version. v3 adds the layer
+  // count; v2 is by definition single-layer.
   double wall_seconds = 0;
-  if (version >= 2) {
-    RM_RETURN_IF_ERROR(c.GetDouble(&wall_seconds));
-  }
+  RM_RETURN_IF_ERROR(c.GetDouble(&wall_seconds));
   uint64_t num_layers = 1;
   if (version >= 3) {
     RM_RETURN_IF_ERROR(c.GetU64(&num_layers));
@@ -298,6 +297,21 @@ Result<MapTile> ReadMapTileFile(const std::string& path) {
     return Status::Corruption(path + ": " + tile.status().message());
   }
   return tile;
+}
+
+std::vector<std::string> SortedTileFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  if (DIR* d = ::opendir(dir.c_str()); d != nullptr) {
+    while (const dirent* entry = ::readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name.size() > 4 && name.rfind(".rmt") == name.size() - 4) {
+        names.push_back(name);
+      }
+    }
+    ::closedir(d);
+    std::sort(names.begin(), names.end());
+  }
+  return names;
 }
 
 Result<std::vector<RobustnessMap>> MergeTileLayers(

@@ -7,28 +7,27 @@
 
 #include "common/status.h"
 #include "core/robustness_map.h"
-#include "core/shard_planner.h"
+#include "core/parameter_space.h"
 
 namespace robustmap {
 
 /// Current version of the binary tile format. Writers emit the *lowest*
 /// version that can carry the tile — v2 for a plain single-layer tile
 /// (keeping every pre-existing artifact byte-stable), v3 only when the tile
-/// carries layer names or more than one layer. Readers additionally accept
-/// every older version back to `kMinReadableMapTileFormatVersion` (missing
-/// fields default), and reject anything else outright — the format carries
-/// measured data between processes (and potentially machines), so silent
+/// carries layer names or more than one layer. Readers accept versions
+/// `kMinReadableMapTileFormatVersion`..`kMapTileFormatVersion` and reject
+/// anything else outright as `NotSupported` — the format carries measured
+/// data between processes (and potentially machines), so silent
 /// misinterpretation is never an acceptable failure mode.
 ///
-/// v1: magic, version, spec, axes, labels, cells, checksum.
-/// v2: adds `wall_seconds` (the tile sweep's measured wall time)
-///     immediately after the version field — the per-tile cost feedback
-///     `CostModelKind::kMeasured` reschedules from.
+/// v2: magic, version, `wall_seconds` (the tile sweep's measured wall
+///     time — the per-tile cost feedback `CostModelKind::kMeasured`
+///     reschedules from), spec, axes, labels, cells, checksum.
 /// v3: adds a layer count after `wall_seconds` and, after the plan labels,
 ///     one named cell block per layer — the serialized form of a
 ///     multi-output study (e.g. cold/warm/delta from a warm-cold sweep).
 inline constexpr uint32_t kMapTileFormatVersion = 3;
-inline constexpr uint32_t kMinReadableMapTileFormatVersion = 1;
+inline constexpr uint32_t kMinReadableMapTileFormatVersion = 2;
 
 /// One serialized unit of a sharded sweep: one `RobustnessMap` per study
 /// output layer over a rectangular slice of a parent grid, together with
@@ -44,10 +43,10 @@ struct MapTile {
   RobustnessMap map;            ///< layer 0 over SliceSpace(parent_space, spec)
 
   /// Wall-clock seconds the sweep that produced this tile took; 0 when
-  /// unknown (a v1 file, or an artifact that was merged rather than
-  /// measured). Scheduling metadata only: it never participates in
-  /// bit-identity comparisons of the *map*, and merged/reference artifacts
-  /// write 0 so equal maps still serialize to equal bytes.
+  /// unknown (an artifact that was merged rather than measured).
+  /// Scheduling metadata only: it never participates in bit-identity
+  /// comparisons of the *map*, and merged/reference artifacts write 0 so
+  /// equal maps still serialize to equal bytes.
   double wall_seconds = 0;
 
   /// Layer names, one per layer when non-empty (e.g. {"cold", "warm",
@@ -96,6 +95,12 @@ Status WriteMapTileFile(const std::string& path, const MapTile& tile);
 /// (saying which), an unknown format version is `NotSupported`.
 Result<MapTile> ReadMapTile(std::istream& is);
 Result<MapTile> ReadMapTileFile(const std::string& path);
+
+/// The `.rmt` file names in `dir`, sorted (empty when `dir` cannot be
+/// read). readdir order is filesystem-dependent; every decision made from
+/// a directory scan must come from the sorted list, so a given directory
+/// state always yields the same cost model and the same shard plan.
+std::vector<std::string> SortedTileFiles(const std::string& dir);
 
 /// Reassembles a full map per layer from tiles. Every tile must agree on
 /// the parent space, plan labels, layer count, and layer names, lie inside

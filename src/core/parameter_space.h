@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
+
 namespace robustmap {
 
 /// One run-time-condition axis of a robustness map (e.g. a predicate's
@@ -77,6 +79,44 @@ class ParameterSpace {
 /// level. `stride == 1` returns `space` unchanged; the first value of each
 /// axis is always kept, so the result is never empty.
 ParameterSpace SubsampleSpace(const ParameterSpace& space, size_t stride);
+
+/// One rectangular tile of a sweep grid: the half-open cell ranges
+/// [x_begin, x_end) × [y_begin, y_end) in *grid indices* of the parent
+/// space. A tile covers every plan over its rectangle — sharding splits the
+/// grid, never the plan list, so each tile file is a complete miniature map
+/// and merging is a pure copy.
+struct TileSpec {
+  size_t shard_id = 0;  ///< stable for a given (space, max_tiles) pair
+  size_t x_begin = 0;
+  size_t x_end = 0;
+  size_t y_begin = 0;
+  size_t y_end = 0;  ///< {0, 1} for 1-D spaces
+
+  size_t x_size() const { return x_end - x_begin; }
+  size_t y_size() const { return y_end - y_begin; }
+  size_t num_points() const { return x_size() * y_size(); }
+
+  bool operator==(const TileSpec&) const = default;
+};
+
+/// The sub-space a tile sweeps: the parent's axes restricted to the tile's
+/// index ranges (axis names preserved, 1-D stays 1-D). Rejects rectangles
+/// that are empty or fall outside the parent grid.
+Result<ParameterSpace> SliceSpace(const ParameterSpace& parent,
+                                  const TileSpec& tile);
+
+/// The "X0:X1:Y0:Y1" rectangle spelling of a tile request line
+/// (half-open grid-index ranges). One formatter and one parser, shared by
+/// the coordinator that writes requests and the worker that reads them, so
+/// the two can never drift on the grammar.
+std::string RectSpecString(const TileSpec& tile);
+
+/// Parses a rect spec into the four rectangle fields of `*tile` (the
+/// shard id is untouched). Returns false — leaving `*tile` unspecified —
+/// for anything that is not exactly four ':'-separated non-negative
+/// integers. Range validation against a concrete grid is `SliceSpace`'s
+/// job, not the parser's.
+bool ParseRectSpec(const std::string& raw, TileSpec* tile);
 
 }  // namespace robustmap
 

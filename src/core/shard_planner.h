@@ -2,34 +2,18 @@
 #define ROBUSTMAP_CORE_SHARD_PLANNER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "core/map_io.h"
 #include "core/parameter_space.h"
+#include "core/sweep_cost.h"
+#include "core/sweep_engine.h"
 
 namespace robustmap {
-
-class CellCostModel;
-
-/// One rectangular tile of a sweep grid: the half-open cell ranges
-/// [x_begin, x_end) × [y_begin, y_end) in *grid indices* of the parent
-/// space. A tile covers every plan over its rectangle — sharding splits the
-/// grid, never the plan list, so each tile file is a complete miniature map
-/// and merging is a pure copy.
-struct TileSpec {
-  size_t shard_id = 0;  ///< stable for a given (space, max_tiles) pair
-  size_t x_begin = 0;
-  size_t x_end = 0;
-  size_t y_begin = 0;
-  size_t y_end = 0;  ///< {0, 1} for 1-D spaces
-
-  size_t x_size() const { return x_end - x_begin; }
-  size_t y_size() const { return y_end - y_begin; }
-  size_t num_points() const { return x_size() * y_size(); }
-
-  bool operator==(const TileSpec&) const = default;
-};
 
 /// Partitions sweep grids into rectangular tiles for sharded execution.
 class ShardPlanner {
@@ -62,24 +46,83 @@ class ShardPlanner {
       const CellCostModel& model);
 };
 
-/// The sub-space a tile sweeps: the parent's axes restricted to the tile's
-/// index ranges (axis names preserved, 1-D stays 1-D). Rejects rectangles
-/// that are empty or fall outside the parent grid.
-Result<ParameterSpace> SliceSpace(const ParameterSpace& parent,
-                                  const TileSpec& tile);
+/// The sharded coordinator's planning-time view of the cell cache: the
+/// fingerprint of every (stored layer, plan, point) of the study, and
+/// which points are cached in every stored layer of every plan. Stored
+/// layers are what tiles persist directly from measurements — the plain
+/// map's one sweep, or the warm-cold study's cold and warm halves; the
+/// delta layer is derived at merge time and never cached.
+class ShardCacheView {
+ public:
+  ShardCacheView(CellResultCache* cache, const RunContext& ctx,
+                 int64_t domain, const SweepRequest& req,
+                 const std::vector<std::string>& labels);
 
-/// The "X0:X1:Y0:Y1" rectangle spelling of the `--rect=` worker flag
-/// (half-open grid-index ranges). One formatter and one parser, shared by
-/// the coordinator that emits the flag and the worker that consumes it, so
-/// the two can never drift on the grammar.
-std::string RectSpecString(const TileSpec& tile);
+  size_t num_layers() const { return num_layers_; }
+  CellResultCache* cache() const { return cache_; }
 
-/// Parses a rect spec into the four rectangle fields of `*tile` (the
-/// shard id is untouched). Returns false — leaving `*tile` unspecified —
-/// for anything that is not exactly four ':'-separated non-negative
-/// integers. Range validation against a concrete grid is `SliceSpace`'s
-/// job, not the parser's.
-bool ParseRectSpec(const std::string& raw, TileSpec* tile);
+  uint64_t fp(size_t layer, size_t plan, size_t pt) const {
+    return fps_[(layer * num_plans_ + plan) * space_.num_points() + pt];
+  }
+
+  /// Row-major per-point flags for `CellCostModel::WithDiscountedCells`:
+  /// 1 where every stored layer of every plan is cached.
+  const std::vector<uint8_t>& cached_flags() const { return cached_; }
+
+  /// True when `t` is non-empty and every one of its points is cached.
+  bool TileCached(const TileSpec& t) const;
+
+  /// Publishes every cell of the merged stored layers back into the cache
+  /// (insert-if-absent), returning how many entries were new.
+  uint64_t PublishLayers(const std::vector<RobustnessMap>& merged,
+                         const char* study) const;
+
+ private:
+  CellResultCache* cache_;
+  const ParameterSpace& space_;
+  const size_t num_plans_;
+  size_t num_layers_ = 0;
+  std::vector<uint64_t> fps_;    ///< [layer][plan][point], row-major
+  std::vector<uint8_t> cached_;  ///< [point]
+};
+
+/// The scheduling model of a sharded sweep under `req.sharded.cost_model`,
+/// with cached cells (when `cache_view` is set) discounted to a vanishing
+/// epsilon so weighted tiles are cut around the cells still to measure.
+/// Measured mode reads the tile directory's per-tile wall times (and
+/// degrades to the analytic prior when none are usable); when resuming,
+/// the tiles it read are handed back in `*preloaded`, keyed by path, so
+/// `PlanShards` need not read and checksum them a second time.
+Result<CellCostModel> ShardCostModel(const SweepRequest& req,
+                                     const ShardCacheView* cache_view,
+                                     std::map<std::string, MapTile>* preloaded);
+
+/// What a sharded sweep has to do, decided before any worker starts.
+struct ShardPlan {
+  /// Tiles whose layers are already known: valid checkpoints, adopted
+  /// pieces of a split tile, and tiles materialized from the cell cache.
+  std::vector<MapTile> loaded;
+
+  /// Tiles for workers to compute, heaviest first under the cost model:
+  /// planned tiles plus, under fresh synthetic shard ids, coverage
+  /// remainders and straggler pieces.
+  std::vector<TileSpec> todo;
+
+  /// tiles_total, tiles_reused, tiles_split, tiles_computed, and the
+  /// planned workers_spawned (one per lane).
+  ShardedSweepStats stats;
+};
+
+/// Plans a sharded sweep of `req` under `model` without starting a process
+/// or writing a file: reuses valid checkpoints (when resuming) and fully
+/// cached tiles, adopts on-disk pieces of planned tiles, and queues the
+/// rest heaviest first, straggler-split when workers would idle. The same
+/// directory and cache state always yields the same plan.
+Result<ShardPlan> PlanShards(const SweepRequest& req,
+                             const std::vector<std::string>& labels,
+                             const CellCostModel& model,
+                             const ShardCacheView* cache_view,
+                             std::map<std::string, MapTile> preloaded = {});
 
 }  // namespace robustmap
 

@@ -16,8 +16,10 @@
 namespace robustmap {
 
 // `ShardedSweepOptions` and `ShardedSweepStats` live in core/sweep_engine.h
-// (the sharded-process backend is one axis of the engine); this header
-// keeps the worker-side helpers and the legacy coordinator entry point.
+// (the sharded-process backend is one axis of the engine) and its planner
+// in core/shard_planner.h; this header holds both ends of the worker
+// protocol: the serve loop every worker runs and the coordinator's
+// dispatcher.
 
 /// Checkpoint file name for a shard, e.g. "tile_0007.rmt".
 std::string TileFileName(size_t shard_id);
@@ -72,32 +74,18 @@ std::string TileRequestLine(const TileSpec& tile);
 void ServeTiles(int in_fd, int out_fd, RunContext* ctx,
                 const Executor& executor, const SweepRequest& req);
 
-/// The sharded equivalent of `SweepStudyPlans`: partitions the grid with
-/// `ShardPlanner` under `opts.cost_model`, skips tiles already valid on
-/// disk (unless `opts.resume == false`), computes the rest through a
-/// pull-based work queue — up to `opts.num_workers` worker processes, each
-/// one that finishes a tile immediately pulling the heaviest pending one —
-/// and merges the tile files into one map that is bit-identical to
-/// a single-process sweep of the same grid — every cell is an independent
-/// cold measurement, so its value cannot depend on which process ran it.
-///
-/// Requires an order-independent warmup policy on `ctx` (anything but
-/// `kPriorRun`, whose cells inherit state across the tile boundaries this
-/// function erases). POSIX only: one worker per lane serves tiles over
-/// pipes (`ServeTiles`), fork(2)ed, or fork+exec'd when
-/// `opts.worker_command` is set. A worker failure is reported after all
-/// workers finish; completed tiles remain on disk, so a rerun resumes
-/// rather than restarts.
-///
-/// Compatibility shim over `SweepEngine::Run` with a plain-map study on
-/// the sharded-process backend; multi-layer studies (warm/cold/delta
-/// tiles) go through the engine directly.
-Result<RobustnessMap> RunShardedSweep(RunContext* ctx,
-                                      const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const ShardedSweepOptions& opts,
-                                      ShardedSweepStats* stats = nullptr);
+/// The coordinator end of the `ServeTiles` protocol: computes the planned
+/// `todo` tiles (heaviest first) on `stats->workers_spawned` lanes, each a
+/// persistent worker — a forked child, or `req.sharded.worker_command`
+/// exec'd with the sweep's session flags ("--stride=<stride>" on a
+/// progressive sweep's coarse levels) — pulling the next pending tile as
+/// soon as it answers. A worker that dies is replaced while tiles remain;
+/// a failed tile fails the sweep once every worker has finished. Records
+/// lane busy times and replacement workers in `*stats`.
+Status DispatchTiles(RunContext* ctx, const Executor& executor,
+                     const SweepRequest& req,
+                     const std::vector<TileSpec>& todo, size_t stride,
+                     ShardedSweepStats* stats);
 
 }  // namespace robustmap
 

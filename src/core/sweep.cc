@@ -3,45 +3,12 @@
 #include <thread>
 #include <utility>
 
-#include "core/sweep_engine.h"
-
 namespace robustmap {
 
 unsigned ResolveParallelism(unsigned requested) {
   if (requested != 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-Result<RobustnessMap> RunSweep(const ParameterSpace& space,
-                               const std::vector<std::string>& plan_labels,
-                               const PointRunner& runner,
-                               const SweepOptions& opts) {
-  return SweepEngine::RunCells(space, plan_labels, runner, opts);
-}
-
-Result<RobustnessMap> ParallelRunSweep(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const RunContextFactory& factory, const ContextPointRunner& runner,
-    const SweepOptions& opts) {
-  return SweepEngine::RunCellsParallel(space, plan_labels, factory, runner,
-                                       opts);
-}
-
-Result<RobustnessMap> SweepStudyPlans(RunContext* ctx,
-                                      const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const SweepOptions& opts) {
-  SweepRequest req;
-  req.plans = plans;
-  req.space = space;
-  req.study = StudyKind::kPlainMap;
-  req.backend = BackendKind::kThreaded;
-  req.sweep = opts;
-  auto out = SweepEngine::Run(ctx, executor, req);
-  RM_RETURN_IF_ERROR(out.status());
-  return std::move(out.value().layers.front());
 }
 
 Result<RobustnessMap> DiffMaps(const RobustnessMap& warm,
@@ -73,24 +40,6 @@ Result<RobustnessMap> DiffMaps(const RobustnessMap& warm,
     }
   }
   return delta;
-}
-
-Result<WarmColdMaps> RunWarmColdSweep(RunContext* ctx,
-                                      const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const WarmupPolicy& warm_policy,
-                                      const SweepOptions& opts) {
-  SweepRequest req;
-  req.plans = plans;
-  req.space = space;
-  req.study = StudyKind::kWarmColdDelta;
-  req.backend = BackendKind::kThreaded;
-  req.warm_policy = warm_policy;
-  req.sweep = opts;
-  auto out = SweepEngine::Run(ctx, executor, req);
-  RM_RETURN_IF_ERROR(out.status());
-  return std::move(out.value()).ToWarmColdMaps();
 }
 
 }  // namespace robustmap

@@ -48,12 +48,12 @@ struct SweepOptions {
   /// Worker threads for parallel sweeps: 0 = one per hardware thread,
   /// 1 = serial in the caller's thread. Any setting produces bit-identical
   /// maps: every cell is a cold measurement on an isolated simulated
-  /// machine, so only wall-clock time changes. (`RunSweep` is inherently
-  /// serial and ignores this field.)
+  /// machine, so only wall-clock time changes. (`RunCellsIndexed` is
+  /// inherently serial and ignores this field.)
   unsigned num_threads = 0;
 
-  /// Called after every measured cell, from both `RunSweep` and
-  /// `ParallelRunSweep`. Invocations are serialized (cells_done increases by
+  /// Called after every measured cell, from both the serial and the
+  /// parallel cell loop. Invocations are serialized (cells_done increases by
   /// one per call), so the callback needs no locking of its own — but it
   /// runs under the sweep's progress lock, so keep it cheap.
   SweepProgressFn progress;
@@ -62,10 +62,10 @@ struct SweepOptions {
   /// per-worker pools, modeling concurrent queries sharing one server's
   /// memory. Results are deterministic only with `num_threads == 1` (the
   /// serial fallback); a parallel schedule makes residency — intentionally —
-  /// scheduling-dependent. Honored by `SweepStudyPlans` and
-  /// `RunWarmColdSweep`; combine with `WarmupPolicy::PriorRun()` on the
-  /// prototype context for cross-query reuse, since the default cold policy
-  /// clears the shared cache at every measurement.
+  /// scheduling-dependent. Honored by `SweepEngine::Run`'s in-process
+  /// backends; combine with `WarmupPolicy::PriorRun()` on the prototype
+  /// context for cross-query reuse, since the default cold policy clears
+  /// the shared cache at every measurement.
   SharedBufferPool* shared_pool = nullptr;
 
   /// Replaces the scheduling-dependent parallel order with a fixed
@@ -80,101 +80,29 @@ struct SweepOptions {
   bool deterministic_shared_schedule = false;
 };
 
-/// Generic sweep: measures `runner(plan, x, y)` for every plan over every
-/// grid point. `y` is -1 for 1-D spaces. Use this form to map arbitrary
-/// run-time conditions (memory, input size, ...). An empty plan list or an
-/// empty grid is an `InvalidArgument`, here and in `ParallelRunSweep` — a
-/// sweep over nothing is a caller bug, not a map.
-///
-/// Compatibility shim over `SweepEngine::RunCells` (core/sweep_engine.h) —
-/// every entry point in this header forwards to the engine, which is the
-/// one code path that applies cost models, warmup policies, shared pools,
-/// deterministic schedules, and progress callbacks.
-using PointRunner =
-    std::function<Result<Measurement>(size_t plan, double x, double y)>;
-
-/// Index-based runner form: the cell is identified by its grid-point index
-/// instead of resolved axis values, so a caller that precomputed per-point
-/// state (bound queries, prepared plans) indexes straight into its tables —
-/// the engine's core loops run on this form, and the value-based forms are
-/// adapters that resolve `x_value`/`y_value` per cell.
+/// The cell runner of `SweepEngine::RunCellsIndexed`: measures `plan` at
+/// grid point `point` of the sweep's space. The cell is identified by its
+/// grid-point index rather than resolved axis values, so a caller that
+/// precomputed per-point state (bound queries, prepared plans) indexes
+/// straight into its tables; `space.x_value(point)` / `y_value(point)`
+/// recover the axis values (`y_value` is -1 on 1-D spaces).
 using IndexedPointRunner =
     std::function<Result<Measurement>(size_t plan, size_t point)>;
 
-Result<RobustnessMap> RunSweep(const ParameterSpace& space,
-                               const std::vector<std::string>& plan_labels,
-                               const PointRunner& runner,
-                               const SweepOptions& opts = {});
-
-/// Runner form for parallel sweeps: the worker's private machine is passed
-/// in, so per-cell run-time conditions (memory budgets, CPU constants) can
-/// be varied without racing other workers. The runner is invoked
-/// concurrently and must only touch shared state that is safe for
-/// concurrent reads (all storage objects' read paths are).
-using ContextPointRunner = std::function<Result<Measurement>(
-    RunContext* ctx, size_t plan, double x, double y)>;
-
-/// Index-based form of `ContextPointRunner` (see `IndexedPointRunner`).
+/// The runner of `SweepEngine::RunCellsParallelIndexed`: the worker's
+/// private machine is passed in, so per-cell run-time conditions (memory
+/// budgets, CPU constants) can be varied without racing other workers.
+/// The runner is invoked concurrently and must only touch shared state
+/// that is safe for concurrent reads (all storage objects' read paths
+/// are).
 using IndexedContextPointRunner = std::function<Result<Measurement>(
     RunContext* ctx, size_t plan, size_t point)>;
-
-/// Thread-pool sweep over `opts.num_threads` workers, each measuring on its
-/// own simulated machine built by `factory`. Cells are claimed from a
-/// shared queue in cost-weighted blocks (contiguous runs of the serial
-/// order sized to carry ~equal analytic cost — cheap cells batch, the
-/// expensive corner goes one cell at a time) and written into the map by
-/// (plan, point) index, so the resulting map is bit-identical to a serial
-/// sweep regardless of thread count, block shapes, or scheduling. On
-/// error, the Status of the first failing cell (in serial plan-major
-/// order) is returned, deterministically.
-Result<RobustnessMap> ParallelRunSweep(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const RunContextFactory& factory, const ContextPointRunner& runner,
-    const SweepOptions& opts = {});
-
-/// The paper's standard sweep: axes are predicate selectivities, plans are
-/// `PlanKind`s executed by `executor` under `ctx`'s warmup policy (cold by
-/// default). For 1-D spaces only pred_a is active. With
-/// `opts.num_threads != 1` or `opts.shared_pool` set, runs as a
-/// `ParallelRunSweep` with `ctx` as the machine prototype. Shim over
-/// `SweepEngine::Run` with a plain-map study on the threaded backend.
-Result<RobustnessMap> SweepStudyPlans(RunContext* ctx, const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const SweepOptions& opts = {});
-
-/// A paired cold/warm study of the same plans over the same space.
-struct WarmColdMaps {
-  RobustnessMap cold;
-  RobustnessMap warm;
-  /// Per-cell warm − cold: `seconds` is the signed time delta (negative
-  /// where the warm cache helps). `output_rows` and `io` are zero — the
-  /// counters are unsigned; consult the paired maps for absolute I/O.
-  RobustnessMap delta;
-};
 
 /// warm − cold, cell by cell. The maps must have identical shapes and plan
 /// labels, and each cell pair must agree on `output_rows` (caching must
 /// never change a result) — anything else is an error.
 Result<RobustnessMap> DiffMaps(const RobustnessMap& warm,
                                const RobustnessMap& cold);
-
-/// Measures the same plans twice — once cold, once under `warm_policy` —
-/// and returns both maps plus their delta. The cold sweep always uses
-/// private per-worker pools (cold cells must be independent); the warm
-/// sweep honors `opts.shared_pool`. The warm half is forced serial when
-/// cache state is execution-order-dependent — a `kPriorRun` policy, or any
-/// policy over a shared pool (each cell's ColdStart mutates the one shared
-/// cache) — so the warm map is reproducible run-to-run for every policy.
-/// `ctx->warmup` is restored on return. Shim over `SweepEngine::Run` with
-/// a warm-cold-delta study on the threaded backend; to shard the same
-/// study across processes, call the engine with the sharded backend.
-Result<WarmColdMaps> RunWarmColdSweep(RunContext* ctx,
-                                      const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const WarmupPolicy& warm_policy,
-                                      const SweepOptions& opts = {});
 
 }  // namespace robustmap
 

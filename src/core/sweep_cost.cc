@@ -1,7 +1,5 @@
 #include "core/sweep_cost.h"
 
-#include <dirent.h>
-
 #include <algorithm>
 #include <cassert>
 #include <numeric>
@@ -179,32 +177,19 @@ double CellCostModel::TileCost(const TileSpec& tile) const {
 
 Result<CellCostModel> MeasuredCostModelFromDir(
     const std::string& tile_dir, const ParameterSpace& space,
-    std::vector<std::pair<std::string, MapTile>>* tiles_out) {
+    std::map<std::string, MapTile>* tiles_out) {
   std::vector<TileCostRecord> records;
-  if (DIR* dir = ::opendir(tile_dir.c_str()); dir != nullptr) {
-    std::vector<std::string> names;
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.size() > 4 && name.rfind(".rmt") == name.size() - 4) {
-        names.push_back(name);
-      }
+  for (const std::string& name : SortedTileFiles(tile_dir)) {
+    const std::string path = tile_dir + "/" + name;
+    auto tile = ReadMapTileFile(path);
+    if (!tile.ok()) continue;  // damaged or foreign file: no signal
+    if (!(tile.value().parent_space == space)) continue;
+    if (tile.value().wall_seconds > 0) {
+      records.push_back(
+          TileCostRecord{tile.value().spec, tile.value().wall_seconds});
     }
-    ::closedir(dir);
-    // readdir order is filesystem-dependent; a sorted scan keeps the model
-    // (and with it the weighted partition) identical across runs.
-    std::sort(names.begin(), names.end());
-    for (const std::string& name : names) {
-      const std::string path = tile_dir + "/" + name;
-      auto tile = ReadMapTileFile(path);
-      if (!tile.ok()) continue;  // damaged or foreign file: no signal
-      if (!(tile.value().parent_space == space)) continue;
-      if (tile.value().wall_seconds > 0) {
-        records.push_back(
-            TileCostRecord{tile.value().spec, tile.value().wall_seconds});
-      }
-      if (tiles_out != nullptr) {
-        tiles_out->emplace_back(path, std::move(tile).value());
-      }
+    if (tiles_out != nullptr) {
+      tiles_out->emplace(path, std::move(tile).value());
     }
   }
   return CellCostModel::FromMeasuredTiles(space, records);

@@ -1,6 +1,7 @@
 #ifndef ROBUSTMAP_CORE_SWEEP_COST_H_
 #define ROBUSTMAP_CORE_SWEEP_COST_H_
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -8,7 +9,6 @@
 #include "common/status.h"
 #include "core/map_io.h"
 #include "core/parameter_space.h"
-#include "core/shard_planner.h"
 
 namespace robustmap {
 
@@ -38,7 +38,7 @@ struct TileCostRecord {
 /// Relative cost of every cell of a sweep grid, the one currency all
 /// scheduling layers trade in: the shard planner sizes tiles by it, the
 /// coordinator dispatches the heaviest pending tile first, and
-/// `ParallelRunSweep` batches cells into equal-cost blocks. Weights are
+/// the parallel cell loop batches cells into equal-cost blocks. Weights are
 /// relative — only ratios matter — and strictly positive, so every tile and
 /// block has nonzero cost and weighted partitions can never produce an
 /// empty band.
@@ -93,18 +93,18 @@ class CellCostModel {
 /// Builds the measured model from the tile files of a prior sweep: every
 /// `*.rmt` in `tile_dir` that parses, describes `space`, and carries a
 /// positive wall time becomes a record (anything else — other grids,
-/// v1 files with no timing, merged full-grid artifacts written with
+/// unreadable files, merged full-grid artifacts written with
 /// wall_seconds = 0 — is skipped). An unreadable or empty directory is not
 /// an error: the result is then the pure analytic prior, which is exactly
 /// what a first-ever run should schedule by.
 ///
 /// With `tiles_out` set, every tile of `space` the scan parsed (timed or
-/// not) is also moved out as (path, tile) pairs, so a resuming caller can
+/// not) is also moved out, keyed by path, so a resuming caller can
 /// validate checkpoints against the bytes already read instead of reading
 /// and checksumming every file a second time.
 Result<CellCostModel> MeasuredCostModelFromDir(
     const std::string& tile_dir, const ParameterSpace& space,
-    std::vector<std::pair<std::string, MapTile>>* tiles_out = nullptr);
+    std::map<std::string, MapTile>* tiles_out = nullptr);
 
 /// Reorders tiles heaviest-first under `model` (stable, so equal-cost
 /// tiles keep their snake adjacency) — the LPT dispatch order that lets a

@@ -1,22 +1,12 @@
 #include "core/sweep_engine.h"
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -24,6 +14,7 @@
 #include "common/trace.h"
 #include "core/cell_cache.h"
 #include "core/map_io.h"
+#include "core/shard_planner.h"
 #include "core/sharded_sweep.h"
 #include "core/sweep_telemetry.h"
 #include "engine/query.h"
@@ -415,920 +406,119 @@ Result<std::vector<RobustnessMap>> WarmColdLayers(
   return layers;
 }
 
-Result<std::string> ReadErrFile(const std::string& tile_path) {
-  std::ifstream f(TileErrFileName(tile_path));
-  if (!f.is_open()) return Status::NotFound("no error file");
-  std::ostringstream os;
-  os << f.rdbuf();
-  return os.str();
-}
-
-/// A checkpoint is reusable only if it parses, its checksum holds, and it
-/// describes exactly the tile the current plan expects — same rectangle,
-/// same parent grid, same plans, same study layers. Anything else (a tile
-/// from an older configuration, a plain tile in a warm-cold directory, a
-/// damaged file) must be recomputed. A tile the measured cost-model scan
-/// already read and validated is taken from `preloaded` instead of reading
-/// (and checksumming) the file a second time.
-Result<MapTile> LoadValidTile(std::map<std::string, MapTile>* preloaded,
-                              const std::string& path,
-                              const TileSpec& expected,
-                              const ParameterSpace& space,
-                              const std::vector<std::string>& labels,
-                              StudyKind study) {
-  auto tile = [&]() -> Result<MapTile> {
-    if (auto it = preloaded->find(path); it != preloaded->end()) {
-      Result<MapTile> found(std::move(it->second));
-      preloaded->erase(it);
-      return found;
-    }
-    return ReadMapTileFile(path);
-  }();
-  RM_RETURN_IF_ERROR(tile.status());
-  const MapTile& t = tile.value();
-  if (!(t.spec == expected) || !(t.parent_space == space) ||
-      t.map.plan_labels() != labels) {
-    return Status::InvalidArgument(
-        path + " describes a different tile, grid, or plan set");
-  }
-  if (t.num_layers() != StudyLayerCount(study) ||
-      t.layer_names != StudyLayerNames(study)) {
-    return Status::InvalidArgument(
-        path + " carries a different study's layers");
-  }
-  return tile;
-}
-
-/// The `.rmt` files in `dir`, sorted by name. readdir order is
-/// filesystem-dependent; every decision made from a directory scan
-/// (synthetic shard ids, coverage adoption below) must come from the
-/// sorted list so a given directory state always produces the same plan.
-std::vector<std::string> SortedTileFiles(const std::string& dir_path) {
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(dir_path.c_str()); dir != nullptr) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.size() > 4 && name.rfind(".rmt") == name.size() - 4) {
-        names.push_back(name);
-      }
-    }
-    ::closedir(dir);
-    std::sort(names.begin(), names.end());
-  }
-  return names;
-}
-
-/// True when `inner`'s (non-empty) rectangle lies entirely inside
-/// `outer`'s. Shard ids play no part: a cell's value is a deterministic
-/// function of (space, plans, study), so *any* valid tile covering the
-/// right cells carries the right bytes whatever id computed it.
-bool RectContains(const TileSpec& outer, const TileSpec& inner) {
-  return inner.num_points() > 0 && inner.x_begin >= outer.x_begin &&
-         inner.x_end <= outer.x_end && inner.y_begin >= outer.y_begin &&
-         inner.y_end <= outer.y_end;
-}
-
-/// Appends `outer` minus `inner` (which must nest inside `outer`) as up to
-/// four disjoint rectangles — the guillotine cut: full-height left and
-/// right strips, then the bottom and top slabs of the middle column. The
-/// pieces' shard ids are left for the caller to assign.
-void SubtractRect(const TileSpec& outer, const TileSpec& inner,
-                  std::vector<TileSpec>* out) {
-  auto push = [out](size_t x0, size_t x1, size_t y0, size_t y1) {
-    if (x0 >= x1 || y0 >= y1) return;
-    TileSpec piece;
-    piece.x_begin = x0;
-    piece.x_end = x1;
-    piece.y_begin = y0;
-    piece.y_end = y1;
-    out->push_back(piece);
-  };
-  push(outer.x_begin, inner.x_begin, outer.y_begin, outer.y_end);
-  push(inner.x_end, outer.x_end, outer.y_begin, outer.y_end);
-  push(inner.x_begin, inner.x_end, outer.y_begin, inner.y_begin);
-  push(inner.x_begin, inner.x_end, inner.y_end, outer.y_end);
-}
-
-/// Cuts `t` in two at its cost midpoint along the longer axis: the cut
-/// lands at the first slice boundary where the accumulated cost reaches
-/// half the tile's, clamped so both halves are non-empty. `t` must span
-/// more than one point. Purely a function of (tile, model) — the
-/// determinism of straggler splitting rests on this.
-std::pair<TileSpec, TileSpec> SplitTileAtCostMidpoint(
-    const TileSpec& t, const CellCostModel& model) {
-  const bool cut_x = t.x_size() >= t.y_size() ? t.x_size() > 1 : false;
-  const size_t begin = cut_x ? t.x_begin : t.y_begin;
-  const size_t end = cut_x ? t.x_end : t.y_end;
-  const double total = model.TileCost(t);
-  size_t cut = end - 1;
-  double acc = 0;
-  for (size_t i = begin; i < end; ++i) {
-    TileSpec slice = t;
-    if (cut_x) {
-      slice.x_begin = i;
-      slice.x_end = i + 1;
-    } else {
-      slice.y_begin = i;
-      slice.y_end = i + 1;
-    }
-    acc += model.TileCost(slice);
-    if (acc * 2 >= total) {
-      cut = i + 1;
-      break;
-    }
-  }
-  cut = std::max(begin + 1, std::min(cut, end - 1));
-  TileSpec a = t;
-  TileSpec b = t;
-  if (cut_x) {
-    a.x_end = cut;
-    b.x_begin = cut;
-  } else {
-    a.y_end = cut;
-    b.y_begin = cut;
-  }
-  return {a, b};
-}
-
-/// The sharded coordinator's planning-time view of the cell cache: the
-/// fingerprint of every (stored layer, plan, point) of the study. Stored
-/// layers are what tiles persist directly from measurements — the plain
-/// map's one sweep, or the warm-cold study's cold and warm halves; the
-/// delta layer is derived at merge time and never cached.
-class ShardCacheView {
- public:
-  ShardCacheView(CellResultCache* cache, const RunContext& ctx,
-                 int64_t domain, const SweepRequest& req,
-                 const std::vector<std::string>& labels)
-      : cache_(cache), space_(req.space), num_plans_(labels.size()) {
-    const uint64_t env = EnvironmentFingerprint(ctx, domain);
-    const char* study = StudyKindName(req.study);
-    specs_ = req.study == StudyKind::kWarmColdDelta
-                 ? std::vector<std::string>{WarmupPolicy::Cold().ToSpec(),
-                                            req.warm_policy.ToSpec()}
-                 : std::vector<std::string>{ctx.warmup.ToSpec()};
-    fps_.reserve(specs_.size() * num_plans_ * space_.num_points());
-    for (const std::string& spec : specs_) {
-      for (const std::string& label : labels) {
-        const CellKeyer keyer(env, study, spec, label);
-        for (size_t pt = 0; pt < space_.num_points(); ++pt) {
-          fps_.push_back(keyer.Key(space_.x_value(pt), space_.y_value(pt)));
-        }
-      }
-    }
-  }
-
-  size_t num_layers() const { return specs_.size(); }
-  CellResultCache* cache() const { return cache_; }
-
-  uint64_t fp(size_t layer, size_t plan, size_t pt) const {
-    return fps_[(layer * num_plans_ + plan) * space_.num_points() + pt];
-  }
-
-  /// True when every stored layer of every plan is cached at `pt`.
-  bool PointCached(size_t pt) const {
-    for (size_t layer = 0; layer < specs_.size(); ++layer) {
-      for (size_t plan = 0; plan < num_plans_; ++plan) {
-        if (!cache_->Contains(fp(layer, plan, pt))) return false;
-      }
-    }
-    return true;
-  }
-
-  /// Row-major per-point flags for `CellCostModel::WithDiscountedCells`.
-  std::vector<uint8_t> CachedFlags() const {
-    std::vector<uint8_t> flags(space_.num_points());
-    for (size_t pt = 0; pt < flags.size(); ++pt) {
-      flags[pt] = PointCached(pt) ? 1 : 0;
-    }
-    return flags;
-  }
-
-  static bool TileCached(const TileSpec& t, const ParameterSpace& space,
-                         const std::vector<uint8_t>& flags) {
-    for (size_t yi = t.y_begin; yi < t.y_end; ++yi) {
-      for (size_t xi = t.x_begin; xi < t.x_end; ++xi) {
-        if (!flags[space.IndexOf(xi, yi)]) return false;
-      }
-    }
-    return t.num_points() > 0;
-  }
-
- private:
-  CellResultCache* cache_;
-  const ParameterSpace& space_;
-  const size_t num_plans_;
-  std::vector<std::string> specs_;  ///< warmup spec per stored layer
-  std::vector<uint64_t> fps_;       ///< [layer][plan][point], row-major
-};
-
-/// Builds the tile a worker would have computed for a fully-cached
-/// rectangle straight from the cache: per-layer cell copies, the derived
-/// delta for a warm-cold study, wall_seconds 0 (nothing was measured —
-/// the same stamp merged artifacts carry). Byte-equivalence holds because
-/// hits return the exact Measurement a fresh run would have produced.
-Result<MapTile> MaterializeCachedTile(const ShardCacheView& view,
-                                      const SweepRequest& req,
-                                      const std::vector<std::string>& labels,
-                                      const TileSpec& t) {
-  auto sub = SliceSpace(req.space, t);
-  RM_RETURN_IF_ERROR(sub.status());
-  std::vector<RobustnessMap> layers;
-  for (size_t layer = 0; layer < view.num_layers(); ++layer) {
-    RobustnessMap map(sub.value(), labels);
-    for (size_t plan = 0; plan < labels.size(); ++plan) {
-      for (size_t syi = 0; syi < sub.value().y_size(); ++syi) {
-        for (size_t sxi = 0; sxi < sub.value().x_size(); ++sxi) {
-          const size_t parent_pt =
-              req.space.IndexOf(t.x_begin + sxi, t.y_begin + syi);
-          Measurement m;
-          if (!view.cache()->Lookup(view.fp(layer, plan, parent_pt), &m)) {
-            return Status::Internal(
-                "cell vanished from the cache while planning tile " +
-                std::to_string(t.shard_id));
-          }
-          map.Set(plan, sub.value().IndexOf(sxi, syi), std::move(m));
-        }
-      }
-    }
-    layers.push_back(std::move(map));
-  }
-  if (req.study == StudyKind::kWarmColdDelta) {
-    auto delta = DiffMaps(layers[1], layers[0]);
-    RM_RETURN_IF_ERROR(delta.status());
-    layers.push_back(std::move(delta).value());
-  }
-  MapTile out{t, req.space, std::move(layers.front()), 0.0};
-  out.layer_names = StudyLayerNames(req.study);
-  out.extra_layers.assign(std::make_move_iterator(layers.begin() + 1),
-                          std::make_move_iterator(layers.end()));
-  return out;
-}
-
-/// The worker processes of one sharded sweep, one per lane; a lane is the
-/// unit `worker_busy_seconds` reports. Every worker, forked or exec'd,
-/// runs `ServeTiles`: it reads tile requests from its command pipe and
-/// answers each with one byte on its result pipe, so the coordinator
-/// blocks in poll() on the result pipes, and EOF on one means that
-/// worker is gone.
-///
-/// The destructor cleans up on every exit path. It closes the command
-/// pipes, so an idle worker sees EOF and exits, and a busy one exits
-/// after its current tile. Then it reaps each lane's known pid — never
-/// waitpid(-1), which would steal the exit status of an embedding
-/// application's own children.
-class WorkerLanes {
- public:
-  static constexpr size_t kIdle = static_cast<size_t>(-1);
-  struct Lane {
-    pid_t pid = -1;          ///< -1: no live process
-    int cmd_fd = -1;         ///< command pipe, write end
-    int result_fd = -1;      ///< result pipe, read end
-    size_t tile = kIdle;     ///< todo index in flight
-    int64_t started_ns = 0;  ///< dispatch time of `tile`
-  };
-
-  explicit WorkerLanes(size_t n) : lanes_(n) {}
-  WorkerLanes(const WorkerLanes&) = delete;
-  WorkerLanes& operator=(const WorkerLanes&) = delete;
-  ~WorkerLanes() {
-    for (size_t i = 0; i < lanes_.size(); ++i) CloseCommand(i);
-    for (size_t i = 0; i < lanes_.size(); ++i) (void)Reap(i);
-  }
-
-  Lane& operator[](size_t i) { return lanes_[i]; }
-  size_t size() const { return lanes_.size(); }
-
-  /// Closes a lane's command pipe: its worker exits once idle.
-  void CloseCommand(size_t i) {
-    if (lanes_[i].cmd_fd >= 0) ::close(lanes_[i].cmd_fd);
-    lanes_[i].cmd_fd = -1;
-  }
-
-  /// Waits for a lane's process to exit and closes its result pipe. The
-  /// lane is empty afterwards even when waitpid fails.
-  Status Reap(size_t i) {
-    Lane& lane = lanes_[i];
-    pid_t r = 0;
-    if (lane.pid > 0) {
-      do {
-        r = ::waitpid(lane.pid, nullptr, 0);
-      } while (r < 0 && errno == EINTR);
-    }
-    const int err = errno;
-    if (lane.result_fd >= 0) ::close(lane.result_fd);
-    lane.pid = -1;
-    lane.result_fd = -1;
-    if (r < 0) return Status::Internal("waitpid failed: " + ErrnoString(err));
-    return Status::OK();
-  }
-
-  /// For a freshly forked worker: closes every coordinator-side pipe end
-  /// it inherited. A worker still holding another worker's command write
-  /// end (or its own) would keep that pipe from ever reaching EOF.
-  void CloseCoordinatorEnds() {
-    for (Lane& lane : lanes_) {
-      if (lane.cmd_fd >= 0) ::close(lane.cmd_fd);
-      if (lane.result_fd >= 0) ::close(lane.result_fd);
-    }
-  }
-
- private:
-  std::vector<Lane> lanes_;
-};
-
-/// The sharded-process backend: partitions the grid with `ShardPlanner`
-/// under the request's cost model, skips tiles already valid on disk
-/// (unless resume is off), computes the rest through a pull-based work
-/// queue — up to num_workers worker lanes, each freed lane immediately
-/// pulling the heaviest pending tile — and merges the
-/// tile files layer by layer into maps bit-identical to an in-process
-/// sweep of the same study (every cell is an order-independent
-/// measurement, so its value cannot depend on which process ran it).
-Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
-                                     const Executor& executor,
-                                     const SweepRequest& req) {
-  const ShardedSweepOptions& opts = req.sharded;
-  const ParameterSpace& space = req.space;
-  if (opts.tile_dir.empty()) {
-    return Status::InvalidArgument("sharded sweep needs a tile_dir");
-  }
-  if (ctx->warmup.is_order_dependent() ||
+/// Sharded and progressive sweeps run cells out of sweep order — in other
+/// processes, or reused from a coarser level — so every cell must be a
+/// pure function of its coordinates: no prior-run warmth, no shared pool,
+/// no deterministic shared schedule.
+Status RequireOrderIndependent(const RunContext& ctx, const SweepRequest& req,
+                               const std::string& what) {
+  if (ctx.warmup.is_order_dependent() ||
       (req.study == StudyKind::kWarmColdDelta &&
        req.warm_policy.is_order_dependent())) {
     return Status::InvalidArgument(
-        "sharded sweeps require an order-independent warmup policy; "
-        "kPriorRun cells inherit cache state across the tile boundaries "
-        "sharding erases");
+        what + " require an order-independent warmup policy; kPriorRun "
+               "cells inherit the cache state of the cells run before them");
   }
   if (req.sweep.shared_pool != nullptr ||
       req.sweep.deterministic_shared_schedule) {
     return Status::InvalidArgument(
-        "sharded sweeps cannot share one buffer pool across processes; "
-        "shared-pool (and deterministic-schedule) studies are in-process "
-        "serial features");
+        what + " cannot run under a shared pool or a deterministic shared "
+               "schedule, whose cell values depend on execution order");
   }
-  const unsigned num_workers = ResolveParallelism(opts.num_workers);
-  const size_t num_tiles =
-      opts.num_tiles == 0 ? num_workers : opts.num_tiles;
-  TraceSpan coordinator_span("shard.coordinator", "shard");
-  std::unique_ptr<TraceSpan> phase_span =
-      std::make_unique<TraceSpan>("shard.plan", "shard");
+  return Status::OK();
+}
 
+/// The sharded-process backend: plans the tiles (`PlanShards` — reused
+/// checkpoints, adopted pieces, cache-materialized tiles, and the
+/// heaviest-first queue with its straggler pieces), computes the queue on
+/// worker processes (`DispatchTiles`), and merges all tiles layer by layer
+/// into maps bit-identical to an in-process sweep of the same study (every
+/// cell is an order-independent measurement, so its value cannot depend
+/// on which process ran it). `stride` > 1 marks a progressive sweep's
+/// coarse level, whose `req.space` is that sublattice of the grid exec'd
+/// workers reconstruct from their flags.
+Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
+                                     const Executor& executor,
+                                     const SweepRequest& req,
+                                     size_t stride = 1) {
+  const ShardedSweepOptions& opts = req.sharded;
+  if (opts.tile_dir.empty()) {
+    return Status::InvalidArgument("sharded sweep needs a tile_dir");
+  }
+  RM_RETURN_IF_ERROR(RequireOrderIndependent(*ctx, req, "sharded sweeps"));
+  TraceSpan coordinator_span("shard.coordinator", "shard");
   std::vector<std::string> labels;
   labels.reserve(req.plans.size());
   for (PlanKind k : req.plans) labels.push_back(PlanKindLabel(k));
 
   // The cache view, computed once at planning time: it discounts cached
-  // cells in the cost model below, skips dispatching fully-cached tiles,
-  // and keys the post-merge publish of every measured cell.
+  // cells in the cost model, skips dispatching fully-cached tiles, and
+  // keys the post-merge publish of every measured cell.
+  auto plan_span = std::make_unique<TraceSpan>("shard.plan", "shard");
   std::optional<ShardCacheView> cache_view;
-  std::vector<uint8_t> cached_flags;
   if (req.cell_cache != nullptr) {
     cache_view.emplace(req.cell_cache, *ctx, executor.db().domain, req,
                        labels);
-    cached_flags = cache_view->CachedFlags();
   }
-  // The scheduling model. Measured mode scans the checkpoint directory
-  // *before* anything is recomputed, so the partition reflects what the
-  // previous run's tiles actually cost; with no usable timings it degrades
-  // to the analytic prior, never to an error.
-  std::vector<std::pair<std::string, MapTile>> prescanned;
-  auto model = [&]() -> Result<CellCostModel> {
-    switch (opts.cost_model) {
-      case CostModelKind::kUniform:
-        return CellCostModel::Uniform(space);
-      case CostModelKind::kAnalytic:
-        return CellCostModel::Analytic(space);
-      case CostModelKind::kMeasured:
-        // When resuming, keep what the scan read: the checkpoint pass
-        // below can then validate those tiles from memory instead of
-        // reading and checksumming every file twice.
-        return MeasuredCostModelFromDir(opts.tile_dir, space,
-                                        opts.resume ? &prescanned : nullptr);
-    }
-    return Status::InvalidArgument("unknown cost model kind");
-  }();
-  RM_RETURN_IF_ERROR(model.status());
-  if (cache_view.has_value()) {
-    // Cached cells are hits, not measurements: costed at a vanishing
-    // epsilon, the weighted partition cuts its tiles around the cells that
-    // still need measuring (uniform mode partitions by area regardless,
-    // as it always did).
-    model = model.value().WithDiscountedCells(cached_flags);
-  }
+  const ShardCacheView* view = cache_view ? &*cache_view : nullptr;
   std::map<std::string, MapTile> preloaded;
-  for (auto& [path, tile] : prescanned) {
-    preloaded.emplace(path, std::move(tile));
-  }
-  prescanned.clear();
-  auto tiles = opts.cost_model == CostModelKind::kUniform
-                   ? ShardPlanner::Partition(space, num_tiles)
-                   : ShardPlanner::PartitionWeighted(space, num_tiles,
-                                                     model.value());
-  RM_RETURN_IF_ERROR(tiles.status());
+  auto model = ShardCostModel(req, view, &preloaded);
+  RM_RETURN_IF_ERROR(model.status());
   RM_RETURN_IF_ERROR(EnsureDirectory(opts.tile_dir));
+  auto plan = PlanShards(req, labels, model.value(), view, std::move(preloaded));
+  RM_RETURN_IF_ERROR(plan.status());
+  plan_span.reset();
+  std::vector<TileSpec>& todo = plan.value().todo;
+  ShardedSweepStats& stats = plan.value().stats;
 
-  // Synthetic shard ids — straggler pieces and coverage remainders below —
-  // must collide neither with a planned id nor with any tile file already
-  // in the directory, so both are folded into the counter before any id is
-  // handed out.
-  const std::vector<std::string> disk_tiles = SortedTileFiles(opts.tile_dir);
-  size_t next_shard_id = 0;
-  for (const TileSpec& t : tiles.value()) {
-    next_shard_id = std::max(next_shard_id, t.shard_id + 1);
-  }
-  for (const std::string& name : disk_tiles) {
-    size_t id = 0;
-    if (std::sscanf(name.c_str(), "tile_%zu.rmt", &id) == 1) {
-      next_shard_id = std::max(next_shard_id, id + 1);
-    }
-  }
-
-  // The coverage-adoption candidate pool: every valid on-disk tile of this
-  // exact study (grid, plans, layers — shard id deliberately ignored, any
-  // valid tile for this study carries the right bytes for its rectangle).
-  // Read lazily: the pool is only needed when a planned tile's own file is
-  // missing or invalid, i.e. when a previous run was killed or damaged.
-  std::vector<std::pair<std::string, MapTile>> candidates;
-  bool candidates_loaded = false;
-  const auto load_candidates = [&] {
-    if (candidates_loaded) return;
-    candidates_loaded = true;
-    for (const std::string& name : disk_tiles) {
-      auto tile = ReadMapTileFile(opts.tile_dir + "/" + name);
-      if (!tile.ok()) continue;  // damaged or foreign file: not a candidate
-      const MapTile& t = tile.value();
-      if (!(t.parent_space == space) || t.map.plan_labels() != labels ||
-          t.num_layers() != StudyLayerCount(req.study) ||
-          t.layer_names != StudyLayerNames(req.study)) {
-        continue;
-      }
-      candidates.emplace_back(name, std::move(tile).value());
-    }
-  };
-
-  // Scan the checkpoint directory: valid tiles are carried over in memory,
-  // the rest queue for workers. A planned tile whose own file is gone may
-  // still be partially covered by tiles a killed run left behind — most
-  // importantly the pieces of a straggler split — so those are adopted and
-  // only the uncovered remainder rectangles queue (as fresh synthetic
-  // tiles).
-  phase_span = std::make_unique<TraceSpan>("shard.scan", "shard");
-  std::vector<MapTile> loaded;
-  std::vector<TileSpec> todo;
-  std::vector<bool> candidate_used;
-  for (const TileSpec& t : tiles.value()) {
-    const std::string path = opts.tile_dir + "/" + TileFileName(t.shard_id);
-    auto tile = opts.resume
-                    ? LoadValidTile(&preloaded, path, t, space, labels,
-                                    req.study)
-                    : Result<MapTile>(Status::NotFound("resume disabled"));
-    if (tile.ok()) {
-      loaded.push_back(std::move(tile).value());
-      SweepTelemetry::Get().AddCounter("shard.tiles_resumed", 1);
-      if (opts.verbose) {
-        std::fprintf(stderr, "  shard: tile %zu valid on disk, reused\n",
-                     t.shard_id);
-      }
-      continue;
-    }
-    std::remove(TileErrFileName(path).c_str());
-    // A tile whose every cell is already cached never reaches a worker:
-    // its layers are materialized from the cache right here. Nothing is
-    // written to disk — the point of skipping is to touch nothing.
-    if (cache_view.has_value() &&
-        ShardCacheView::TileCached(t, space, cached_flags)) {
-      auto mem = MaterializeCachedTile(*cache_view, req, labels, t);
-      RM_RETURN_IF_ERROR(mem.status());
-      loaded.push_back(std::move(mem).value());
-      SweepTelemetry::Get().AddCounter("shard.tiles_from_cache", 1);
-      // The per-cell hit counters the lookup path would have bumped had
-      // the tile been dispatched — a warm rerun's telemetry shows
-      // cache.hits == cells either way. Stored layers only: a warm-cold
-      // delta is derived, not looked up.
-      const size_t tile_cells =
-          cache_view->num_layers() * labels.size() * t.x_size() * t.y_size();
-      SweepTelemetry::Get().AddCounter("cache.hits", tile_cells);
-      SweepTelemetry::Get().AddCounter("sweep.cells_reused", tile_cells);
-      if (opts.verbose) {
-        std::fprintf(stderr,
-                     "  shard: tile %zu fully cached, not dispatched\n",
-                     t.shard_id);
-      }
-      continue;
-    }
-    std::vector<TileSpec> remainders{t};
-    bool adopted_any = false;
-    if (opts.resume) {
-      load_candidates();
-      candidate_used.resize(candidates.size(), false);
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        if (candidate_used[ci]) continue;
-        const TileSpec& cand = candidates[ci].second.spec;
-        // Adopt only a candidate nesting inside one current remainder
-        // piece; anything straddling a cut is simply recomputed — the
-        // exact-cover check in MergeTileLayers stays the safety net.
-        const auto host =
-            std::find_if(remainders.begin(), remainders.end(),
-                         [&](const TileSpec& r) {
-                           return RectContains(r, cand);
-                         });
-        if (host == remainders.end()) continue;
-        const TileSpec hole = *host;
-        remainders.erase(host);
-        SubtractRect(hole, cand, &remainders);
-        candidate_used[ci] = true;
-        adopted_any = true;
-        loaded.push_back(std::move(candidates[ci].second));
-        SweepTelemetry::Get().AddCounter("shard.tiles_adopted", 1);
-        if (opts.verbose) {
-          std::fprintf(stderr,
-                       "  shard: tile %zu partially covered by %s, "
-                       "adopted\n",
-                       t.shard_id, candidates[ci].first.c_str());
-        }
-      }
-    }
-    if (!adopted_any) {
-      todo.push_back(t);
-      continue;
-    }
-    for (TileSpec r : remainders) {
-      r.shard_id = next_shard_id++;
-      const std::string rpath =
-          opts.tile_dir + "/" + TileFileName(r.shard_id);
-      std::remove(TileErrFileName(rpath).c_str());
-      todo.push_back(r);
-    }
-  }
-  SweepTelemetry::Get().AddCounter("shard.tiles_queued", todo.size());
-
-  // Pull-based dispatch: the pending queue is ordered heaviest-first under
-  // the cost model (LPT — the classic makespan heuristic), and every time
-  // a worker frees up it pulls the head of the queue. The expensive
-  // corner tiles start immediately; the cheap tail fills in around them
-  // instead of everyone waiting on a monster tile scheduled last.
-  SortTilesHeaviestFirst(&todo, model.value());
-
-  ShardedSweepStats local;
-  local.tiles_total = tiles.value().size();
-  local.tiles_reused = loaded.size();
-
-  // Straggler splitting, decided purely from the cost model before any
-  // dispatch (never from mid-run wall-clock observations — reap timing
-  // would make the tile set, the stats, and the verbose output depend on
-  // scheduling luck): with idle workers guaranteed — fewer pending tiles
-  // than workers, the resume-two-damaged-tiles-on-a-big-box shape — any
-  // pending tile still holding more than 1.25× a worker's fair share of
-  // the pending cost is cut at its cost midpoint, repeatedly, until the
-  // heaviest pending tile fits or is a single cell. Tiles are keyed by
-  // cell ranges, so the merged bytes cannot change; only the checkpoint
-  // granularity does.
-  if (opts.split_stragglers && num_workers > 1 && !todo.empty() &&
-      todo.size() < num_workers) {
-    double pending_total = 0;
-    for (const TileSpec& t : todo) pending_total += model.value().TileCost(t);
-    const double threshold =
-        1.25 * pending_total / static_cast<double>(num_workers);
-    while (todo.front().num_points() > 1 &&
-           model.value().TileCost(todo.front()) > threshold) {
-      const TileSpec head = todo.front();
-      todo.erase(todo.begin());
-      auto [a, b] = SplitTileAtCostMidpoint(head, model.value());
-      a.shard_id = next_shard_id++;
-      b.shard_id = next_shard_id++;
-      for (const TileSpec& child : {a, b}) {
-        const std::string cpath =
-            opts.tile_dir + "/" + TileFileName(child.shard_id);
-        std::remove(TileErrFileName(cpath).c_str());
-        const double child_cost = model.value().TileCost(child);
-        const auto pos = std::find_if(
-            todo.begin(), todo.end(), [&](const TileSpec& u) {
-              return model.value().TileCost(u) < child_cost;
-            });
-        todo.insert(pos, child);
-      }
-      ++local.tiles_split;
-      SweepTelemetry::Get().AddCounter("shard.tiles_split", 1);
-      if (opts.verbose) {
-        std::fprintf(stderr,
-                     "  shard: straggler tile %zu split into %zu + %zu\n",
-                     head.shard_id, a.shard_id, b.shard_id);
-      }
-    }
-  }
-
-  local.tiles_computed = todo.size();
-  local.workers_spawned =
-      static_cast<unsigned>(std::min<size_t>(num_workers, todo.size()));
-
-  if (opts.verbose && !todo.empty()) {
-    std::fprintf(stderr,
-                 "  shard: %s cost model, %s study, %zu pending tiles "
-                 "(heaviest %.3g, lightest %.3g relative cost)\n",
-                 CostModelKindName(opts.cost_model),
-                 StudyKindName(req.study), todo.size(),
-                 model.value().TileCost(todo.front()),
-                 model.value().TileCost(todo.back()));
-  }
-
-  // At most num_workers lanes, each holding one tile at a time. stdio is
-  // flushed first so forked children do not replay the parent's buffered
-  // output. Per-lane busy time, from dispatch to result, is what the
-  // balance metrics report.
-  phase_span = std::make_unique<TraceSpan>("shard.dispatch", "shard");
-  std::fflush(stdout);
-  std::fflush(stderr);
-  const bool exec_mode = !opts.worker_command.empty();
   // Exec-mode workers can only see the cache through its file, so
   // everything this coordinator holds must hit the disk before the first
   // worker starts; fork-mode workers inherit the in-memory cache for
   // free. A failed flush degrades reuse, never the sweep.
-  if (!todo.empty() && exec_mode && req.cell_cache != nullptr &&
-      req.cell_cache->attached()) {
+  if (!todo.empty() && !opts.worker_command.empty() &&
+      req.cell_cache != nullptr && req.cell_cache->attached()) {
     if (Status s = req.cell_cache->WriteCellCacheFile(); !s.ok()) {
       std::fprintf(stderr, "  shard: cell cache flush: %s\n",
                    s.ToString().c_str());
     }
   }
-  const auto tile_path = [&](size_t idx) {
-    return opts.tile_dir + "/" + TileFileName(todo[idx].shard_id);
-  };
-
-  // The argv of an exec-mode worker: the command prefix plus this sweep's
-  // session flags. Tiles themselves arrive as request lines, so the
-  // coordinator's exact (possibly cost-weighted) cuts are the contract.
-  // The study and its warmup policy (the warm layer's for a warm-cold
-  // study, the context's own for a plain study measured warm) complete
-  // it: a worker computing a different study under the right tile name
-  // would poison the merge.
-  std::vector<std::string> worker_args = opts.worker_command;
-  if (exec_mode) {
-    const WarmupPolicy& policy = req.study == StudyKind::kWarmColdDelta
-                                     ? req.warm_policy
-                                     : ctx->warmup;
-    worker_args.push_back("--tile-dir=" + opts.tile_dir);
-    worker_args.push_back("--study=" + std::string(StudyKindName(req.study)));
-    if (!policy.is_cold()) worker_args.push_back("--warmup=" + policy.ToSpec());
-    // Progressive coarse levels sweep a sublattice; the worker must
-    // subsample its reconstructed grid the same way before slicing.
-    if (opts.lattice_stride > 1) {
-      worker_args.push_back("--stride=" + std::to_string(opts.lattice_stride));
-    }
-    // A persistent cache rides along read-only (flushed above); workers
-    // publish only in memory and the coordinator re-publishes the merged
-    // cells itself.
-    if (req.cell_cache != nullptr && req.cell_cache->attached()) {
-      const std::string& cache_file = req.cell_cache->path();
-      worker_args.push_back("--cache-dir=" +
-                            cache_file.substr(0, cache_file.rfind('/')));
-    }
-    // Observability rides along only when the coordinator itself is
-    // collecting: the worker traces against the coordinator's epoch into
-    // per-tile sidecars merged as each tile completes.
-    if (Tracer::Get().enabled()) {
-      worker_args.push_back("--trace-epoch=" +
-                            std::to_string(Tracer::Get().epoch_ns()));
-    }
-    if (SweepTelemetry::Get().enabled()) {
-      worker_args.push_back("--telemetry");
-    }
-  }
-  std::vector<char*> worker_argv;
-  for (std::string& a : worker_args) worker_argv.push_back(a.data());
-  worker_argv.push_back(nullptr);
-
-  WorkerLanes lanes(local.workers_spawned);
-  local.worker_busy_seconds.assign(lanes.size(), 0.0);
-
-  // Starts a worker in an empty lane, wired to two fresh pipes: a forked
-  // child that serves tiles itself, or the worker command exec'd with the
-  // pipes as its stdin and stdout. Either way a coordinator that dies
-  // closes the command pipe too, so an orphaned worker exits after its
-  // current tile.
-  size_t next = 0;
-  const auto spawn_worker = [&](size_t lane) -> Status {
-    int cmd[2] = {-1, -1};
-    int result[2] = {-1, -1};
-    const bool piped =
-        ::pipe2(cmd, O_CLOEXEC) == 0 && ::pipe2(result, O_CLOEXEC) == 0;
-    const pid_t pid = piped ? ::fork() : -1;
-    if (pid < 0) {
-      const int err = errno;
-      for (int fd : {cmd[0], cmd[1], result[0], result[1]}) {
-        if (fd >= 0) ::close(fd);
-      }
-      return Status::Internal(std::string(piped ? "fork" : "pipe") +
-                              " failed: " + ErrnoString(err));
-    }
-    if (pid == 0) {
-      if (!exec_mode) {
-        lanes.CloseCoordinatorEnds();
-        ::close(cmd[1]);
-        ::close(result[0]);
-        ServeTiles(cmd[0], result[1], ctx, executor, req);
-        ::_exit(0);
-      }
-      // dup2 clears O_CLOEXEC on the copies: exactly fds 0 and 1 of the
-      // two pipes survive the exec.
-      ::dup2(cmd[0], STDIN_FILENO);
-      ::dup2(result[1], STDOUT_FILENO);
-      ::execvp(worker_argv[0], worker_argv.data());
-      // The tile dispatched to this lane next fails with the reason.
-      const int err = errno;
-      WriteTileErrFile(tile_path(next),
-                       Status::Internal("cannot exec " + worker_args[0] +
-                                        ": " + ErrnoString(err)));
-      ::_exit(127);
-    }
-    ::close(cmd[0]);
-    ::close(result[1]);
-    lanes[lane].pid = pid;
-    lanes[lane].cmd_fd = cmd[1];
-    lanes[lane].result_fd = result[0];
-    return Status::OK();
-  };
-
-  // Hands an idle lane the heaviest pending tile as one request line. A
-  // worker that died meanwhile surfaces as EOF on its result pipe, failing
-  // this tile there.
-  const auto dispatch = [&](size_t lane) {
-    const size_t idx = next++;
-    const std::string path = tile_path(idx);
-    // A stale sidecar from an aborted run must never merge as if this
-    // dispatch produced it.
-    std::remove(TileTraceFileName(path).c_str());
-    std::remove(TileTelemetryFileName(path).c_str());
-    lanes[lane].tile = idx;
-    lanes[lane].started_ns = MonotonicNowNs();
-    const std::string request = TileRequestLine(todo[idx]);
-    (void)WriteMessage(lanes[lane].cmd_fd, request.data(), request.size());
-    SweepTelemetry::Get().AddCounter("shard.tiles_dispatched", 1);
-  };
-
-  // Accounts a lane's tile as finished: busy time, its span, and either
-  // the worker's sidecars or a failure.
-  std::vector<size_t> failed;
-  size_t computed_done = 0;
-  const auto finish = [&](size_t lane, bool ok) {
-    const size_t idx = lanes[lane].tile;
-    const int64_t started_ns = lanes[lane].started_ns;
-    lanes[lane].tile = WorkerLanes::kIdle;
-    const int64_t now_ns = MonotonicNowNs();
-    const double tile_wall_seconds =
-        static_cast<double>(now_ns - started_ns) * 1e-9;
-    local.worker_busy_seconds[lane] += tile_wall_seconds;
-    const size_t shard_id = todo[idx].shard_id;
-    if (Tracer::Get().enabled()) {
-      // The dispatch-to-result span for this tile, on the coordinator's
-      // timeline; the worker's own spans sit inside it once the sidecar
-      // merges.
-      Tracer::Get().AddComplete("shard.tile " + std::to_string(shard_id),
-                                "shard", started_ns, now_ns - started_ns);
-    }
-    SweepTelemetry::Get().RecordLatency("shard.tile_wall_seconds",
-                                        tile_wall_seconds);
-    if (!ok) {
-      SweepTelemetry::Get().AddCounter("shard.tiles_failed", 1);
-      failed.push_back(idx);
-      return;
-    }
-    ++computed_done;
-    SweepTelemetry::Get().AddCounter("shard.tiles_computed", 1);
-    // Fold the worker's sidecars in and drop them; a missing or unreadable
-    // sidecar degrades the trace, never the sweep.
-    const auto merge = [&](auto& sink, const std::string& file,
-                           const char* what) {
-      if (!sink.enabled()) return;
-      if (Status ms = sink.MergeFromFile(file); ms.ok()) {
-        std::remove(file.c_str());
-      } else {
-        std::fprintf(stderr, "  shard: tile %zu %s sidecar: %s\n",
-                     shard_id, what, ms.ToString().c_str());
-      }
-    };
-    merge(Tracer::Get(), TileTraceFileName(tile_path(idx)), "trace");
-    merge(SweepTelemetry::Get(), TileTelemetryFileName(tile_path(idx)),
-          "telemetry");
-    if (opts.verbose) {
-      std::fprintf(stderr, "  shard: tile %zu computed (%zu/%zu done)\n",
-                   shard_id, local.tiles_reused + computed_done,
-                   local.tiles_total);
-    }
-  };
-
-  for (size_t lane = 0; lane < lanes.size(); ++lane) {
-    RM_RETURN_IF_ERROR(spawn_worker(lane));
-    dispatch(lane);
-  }
-  // Block until some lane reports. An answer byte finishes the lane's
-  // tile; EOF means the lane's worker is gone — told to stop, or dead
-  // while holding a tile, which then fails. A lane whose worker is gone
-  // gets a new one while tiles remain pending.
-  std::vector<pollfd> fds;
-  std::vector<size_t> fd_lane;
-  for (;;) {
-    fds.clear();
-    fd_lane.clear();
-    for (size_t lane = 0; lane < lanes.size(); ++lane) {
-      if (lanes[lane].pid < 0) continue;
-      fds.push_back(pollfd{lanes[lane].result_fd, POLLIN, 0});
-      fd_lane.push_back(lane);
-    }
-    if (fds.empty()) break;
-    if (::poll(fds.data(), fds.size(), -1) < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("poll failed: " + ErrnoString(errno));
-    }
-    for (size_t f = 0; f < fds.size(); ++f) {
-      if (fds[f].revents == 0) continue;
-      const size_t lane = fd_lane[f];
-      char answer = 0;
-      if (ReadMessage(lanes[lane].result_fd, &answer, 1) == 1) {
-        finish(lane, answer == '0');
-        if (next < todo.size()) {
-          dispatch(lane);
-        } else {
-          lanes.CloseCommand(lane);
-        }
-        continue;
-      }
-      lanes.CloseCommand(lane);
-      RM_RETURN_IF_ERROR(lanes.Reap(lane));
-      if (lanes[lane].tile != WorkerLanes::kIdle) finish(lane, false);
-      if (next < todo.size()) {
-        RM_RETURN_IF_ERROR(spawn_worker(lane));
-        ++local.workers_spawned;
-        dispatch(lane);
-      }
-    }
-  }
-
-  if (!failed.empty()) {
-    // Report the failure of the lowest shard id — stable whatever dispatch
-    // order the cost model produced — with the worker's own Status when it
-    // managed to leave one. Completed tiles stay on disk, so the rerun
-    // that follows a fix resumes instead of restarting.
-    size_t worst = failed.front();
-    for (size_t idx : failed) {
-      if (todo[idx].shard_id < todo[worst].shard_id) worst = idx;
-    }
-    const TileSpec& t = todo[worst];
-    const std::string path = opts.tile_dir + "/" + TileFileName(t.shard_id);
-    auto msg = ReadErrFile(path);
-    return Status::Internal(
-        "sweep worker for tile " + std::to_string(t.shard_id) + " failed" +
-        (msg.ok() ? ": " + msg.value()
-                  : " without leaving an error file (killed?)"));
-  }
+  RM_RETURN_IF_ERROR(
+      DispatchTiles(ctx, executor, req, todo, stride, &stats));
 
   // Merge: freshly computed tiles are read back from disk — the same
   // validated path a resumed coordinator takes — then stitched with the
   // reused ones, layer by layer.
-  phase_span = std::make_unique<TraceSpan>("shard.merge", "shard");
+  TraceSpan merge_span("shard.merge", "shard");
+  std::vector<MapTile>& loaded = plan.value().loaded;
   for (const TileSpec& t : todo) {
-    const std::string path = opts.tile_dir + "/" + TileFileName(t.shard_id);
-    auto tile = ReadMapTileFile(path);
+    auto tile = ReadMapTileFile(opts.tile_dir + "/" + TileFileName(t.shard_id));
     RM_RETURN_IF_ERROR(tile.status());
     loaded.push_back(std::move(tile).value());
   }
   SweepTelemetry::Get().AddCounter("shard.tiles_merged", loaded.size());
-  auto merged = MergeTileLayers(space, labels, loaded);
+  auto merged = MergeTileLayers(req.space, labels, loaded);
   RM_RETURN_IF_ERROR(merged.status());
-  // Every merged cell goes back into the cache — whatever process measured
-  // it (workers publish into their own address spaces, which the parent
-  // never sees). Insert-if-absent: re-publishing cells the cache already
-  // holds keeps a clean cache clean.
-  if (cache_view.has_value()) {
-    uint64_t published = 0;
-    for (size_t layer = 0; layer < cache_view->num_layers(); ++layer) {
-      const RobustnessMap& merged_layer = merged.value()[layer];
-      for (size_t plan = 0; plan < labels.size(); ++plan) {
-        for (size_t pt = 0; pt < space.num_points(); ++pt) {
-          if (req.cell_cache->Publish(cache_view->fp(layer, plan, pt),
-                                      StudyKindName(req.study),
-                                      merged_layer.At(plan, pt))) {
-            ++published;
-          }
-        }
-      }
-    }
-    if (published > 0) {
-      SweepTelemetry::Get().AddCounter("cache.publishes", published);
-    }
-  }
-  phase_span.reset();
   if (merged.value().size() != StudyLayerCount(req.study)) {
     return Status::Internal("merged " + std::to_string(merged.value().size()) +
                             " layers for a " +
                             std::to_string(StudyLayerCount(req.study)) +
                             "-layer study");
   }
+  // Every merged cell goes back into the cache — whatever process measured
+  // it (workers publish into their own address spaces, which the parent
+  // never sees). Insert-if-absent: re-publishing cells the cache already
+  // holds keeps a clean cache clean.
+  if (cache_view.has_value()) {
+    const uint64_t published =
+        cache_view->PublishLayers(merged.value(), StudyKindName(req.study));
+    if (published > 0) {
+      SweepTelemetry::Get().AddCounter("cache.publishes", published);
+    }
+  }
   SweepOutcome out;
   out.study = req.study;
   out.layers = std::move(merged).value();
-  out.sharded_stats = std::move(local);
+  out.sharded_stats = std::move(stats);
   return out;
 }
 
@@ -1364,20 +554,8 @@ RobustnessMap UpsampleNearest(const RobustnessMap& coarse,
 /// *when* cells were measured, never what.
 Result<SweepOutcome> RunProgressive(RunContext* ctx, const Executor& executor,
                                     const SweepRequest& req) {
-  if (ctx->warmup.is_order_dependent() ||
-      (req.study == StudyKind::kWarmColdDelta &&
-       req.warm_policy.is_order_dependent())) {
-    return Status::InvalidArgument(
-        "progressive sweeps require an order-independent warmup policy; "
-        "coarse-level reuse replays cells out of sweep order");
-  }
-  if (req.sweep.shared_pool != nullptr ||
-      req.sweep.deterministic_shared_schedule) {
-    return Status::InvalidArgument(
-        "progressive sweeps cannot reuse cells under a shared pool or a "
-        "deterministic shared schedule, whose cell values depend on "
-        "execution order");
-  }
+  RM_RETURN_IF_ERROR(
+      RequireOrderIndependent(*ctx, req, "progressive sweeps"));
   // Reuse across levels needs a cache; when the caller brought none, a
   // sweep-lifetime in-memory one serves.
   CellResultCache local_cache;
@@ -1401,7 +579,6 @@ Result<SweepOutcome> RunProgressive(RunContext* ctx, const Executor& executor,
     level.progressive = ProgressiveOptions{};
     level.cell_cache = cache;
     level.space = SubsampleSpace(req.space, stride);
-    level.sharded.lattice_stride = stride;
     if (req.backend == BackendKind::kShardedProcess && stride > 1) {
       // Coarse-level checkpoints live one subdirectory per level, so each
       // level's resume scan sees only its own lattice's tiles; the final
@@ -1410,7 +587,9 @@ Result<SweepOutcome> RunProgressive(RunContext* ctx, const Executor& executor,
       level.sharded.tile_dir =
           req.sharded.tile_dir + "/level_" + std::to_string(stride);
     }
-    out = SweepEngine::Run(ctx, executor, level);
+    out = req.backend == BackendKind::kShardedProcess
+              ? RunShardedStudy(ctx, executor, level, stride)
+              : SweepEngine::Run(ctx, executor, level);
     RM_RETURN_IF_ERROR(out.status());
     SweepTelemetry::Get().AddCounter("sweep.progressive_levels", 1);
     if (req.progressive.on_snapshot) {
@@ -1488,17 +667,6 @@ const char* BackendKindName(BackendKind kind) {
   return "?";
 }
 
-Result<RobustnessMap> SweepEngine::RunCells(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const PointRunner& runner, const SweepOptions& opts) {
-  return RunCellsIndexed(
-      space, plan_labels,
-      [&](size_t plan, size_t point) {
-        return runner(plan, space.x_value(point), space.y_value(point));
-      },
-      opts);
-}
-
 Result<RobustnessMap> SweepEngine::RunCellsIndexed(
     const ParameterSpace& space, const std::vector<std::string>& plan_labels,
     const IndexedPointRunner& runner, const SweepOptions& opts) {
@@ -1520,18 +688,6 @@ Result<RobustnessMap> SweepEngine::RunCellsIndexed(
     }
   }
   return map;
-}
-
-Result<RobustnessMap> SweepEngine::RunCellsParallel(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const RunContextFactory& factory, const ContextPointRunner& runner,
-    const SweepOptions& opts) {
-  return RunCellsParallelIndexed(
-      space, plan_labels, factory,
-      [&](RunContext* ctx, size_t plan, size_t point) {
-        return runner(ctx, plan, space.x_value(point), space.y_value(point));
-      },
-      opts);
 }
 
 Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(

@@ -52,8 +52,7 @@ enum class BackendKind {
 Result<BackendKind> BackendKindFromString(const std::string& name);
 const char* BackendKindName(BackendKind kind);
 
-/// Options for the sharded-process backend (also the configuration of the
-/// `RunShardedSweep` compatibility shim).
+/// Options for the sharded-process backend.
 struct ShardedSweepOptions {
   /// Directory the per-tile checkpoint files live in; created if missing.
   /// Point a rerun at the same directory to resume a killed sweep.
@@ -119,14 +118,6 @@ struct ShardedSweepOptions {
   /// finds covering a planned tile and recomputes only the uncovered
   /// remainder.
   bool split_stragglers = true;
-
-  /// Internal to progressive sweeps: the request's `space` is the stride-k
-  /// sublattice of the grid the worker flags describe (see
-  /// `SubsampleSpace`). Forwarded to exec'd workers as "--stride=<k>"
-  /// so worker and coordinator slice rectangles from the same lattice;
-  /// 1 for ordinary sweeps. Set by `SweepEngine::Run`'s progressive
-  /// driver, not by callers.
-  size_t lattice_stride = 1;
 };
 
 /// Coarse-to-fine refinement for a sweep: measure the stride-k sublattice
@@ -243,12 +234,6 @@ struct SweepOutcome {
   const RobustnessMap& cold() const { return layers[0]; }
   const RobustnessMap& warm() const { return layers[1]; }
   const RobustnessMap& delta() const { return layers[2]; }
-
-  /// Unpacks a kWarmColdDelta outcome into the legacy struct.
-  WarmColdMaps ToWarmColdMaps() && {
-    return WarmColdMaps{std::move(layers[0]), std::move(layers[1]),
-                        std::move(layers[2])};
-  }
 };
 
 /// The composable sweep engine: any study × any backend, one entry point.
@@ -257,44 +242,34 @@ struct SweepOutcome {
 /// no shared pool): every (study, backend) pair produces layers
 /// bit-identical to the serial reference of the same study — the backend
 /// axis only ever changes wall-clock time. Order-dependent configurations
-/// are confined to the in-process backends (serialized as the legacy
-/// entry points always did) and rejected with `InvalidArgument` by the
-/// sharded backend.
+/// are confined to the in-process backends (serialized) and rejected with
+/// `InvalidArgument` by the sharded backend.
 class SweepEngine {
  public:
-  /// Executes `req`. The legacy entry points (`SweepStudyPlans`,
-  /// `RunWarmColdSweep`, `RunShardedSweep`) are thin shims over this.
+  /// Executes `req`.
   static Result<SweepOutcome> Run(RunContext* ctx, const Executor& executor,
                                   const SweepRequest& req);
 
-  /// The generic serial cell loop (the engine's substrate, exposed for
-  /// sweeps over arbitrary runners — ablations mapping memory budgets or
-  /// spill behavior rather than study plans). `RunSweep` shims here; the
-  /// value-based form adapts onto `RunCellsIndexed`.
-  static Result<RobustnessMap> RunCells(
-      const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-      const PointRunner& runner, const SweepOptions& opts = {});
-
-  /// The core serial loop: the runner receives the grid-point index, so
+  /// The generic serial cell loop, exposed for sweeps over arbitrary
+  /// runners — ablations mapping memory budgets or spill behavior rather
+  /// than study plans. The runner receives the grid-point index, so
   /// per-point state precomputed once per sweep (bound queries, prepared
-  /// plans) is a table lookup per cell, not a rebuild.
+  /// plans) is a table lookup per cell, not a rebuild. An empty plan list
+  /// or an empty grid is an `InvalidArgument`, here and in the parallel
+  /// loop: a sweep over nothing is a caller bug, not a map.
   static Result<RobustnessMap> RunCellsIndexed(
       const ParameterSpace& space, const std::vector<std::string>& plan_labels,
       const IndexedPointRunner& runner, const SweepOptions& opts = {});
 
-  /// The generic thread-pool cell loop over per-worker simulated machines
-  /// built by `factory`; bit-identical to `RunCells` at any thread count.
-  /// `ParallelRunSweep` shims here; the value-based form adapts onto
-  /// `RunCellsParallelIndexed`.
-  static Result<RobustnessMap> RunCellsParallel(
-      const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-      const RunContextFactory& factory, const ContextPointRunner& runner,
-      const SweepOptions& opts = {});
-
-  /// The core parallel loop (index-based, see `RunCellsIndexed`). Worker
-  /// machines are drawn from the factory's arena (`Acquire`/`Release`), so
-  /// repeated sweeps over one factory recycle their simulated machines
-  /// instead of rebuilding them.
+  /// The generic thread-pool cell loop over `opts.num_threads` workers,
+  /// each measuring on its own simulated machine drawn from `factory`'s
+  /// arena (`Acquire`/`Release`), so repeated sweeps over one factory
+  /// recycle their machines instead of rebuilding them. Cells are claimed
+  /// from a shared queue in cost-weighted blocks (contiguous runs of the
+  /// serial order sized to carry ~equal analytic cost) and written into
+  /// the map by (plan, point) index, so the map is bit-identical to
+  /// `RunCellsIndexed` at any thread count. On error, the Status of the
+  /// first failing cell in serial plan-major order is returned.
   static Result<RobustnessMap> RunCellsParallelIndexed(
       const ParameterSpace& space, const std::vector<std::string>& plan_labels,
       const RunContextFactory& factory, const IndexedContextPointRunner& runner,

@@ -75,13 +75,4 @@ Status WriteWarmColdCsv(std::ostream& os, const RobustnessMap& cold,
   return Status::OK();
 }
 
-Status WriteWarmColdCsvFile(const std::string& path, const RobustnessMap& cold,
-                            const RobustnessMap& warm) {
-  std::ofstream f(path);
-  if (!f.is_open()) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  return WriteWarmColdCsv(f, cold, warm);
-}
-
 }  // namespace robustmap

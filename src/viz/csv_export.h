@@ -26,10 +26,6 @@ Status WriteMapCsvFile(const std::string& path, const RobustnessMap& map);
 Status WriteWarmColdCsv(std::ostream& os, const RobustnessMap& cold,
                         const RobustnessMap& warm);
 
-/// Convenience: writes to a file.
-Status WriteWarmColdCsvFile(const std::string& path, const RobustnessMap& cold,
-                            const RobustnessMap& warm);
-
 }  // namespace robustmap
 
 #endif  // ROBUSTMAP_VIZ_CSV_EXPORT_H_

@@ -15,7 +15,7 @@
 #include "common/permutation.h"
 #include "common/rng.h"
 #include "core/map_io.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "core/wire_format.h"
 #include "engine/plan.h"
 #include "workload/dataset.h"
@@ -56,11 +56,12 @@ uint64_t SerialMapDigest(const ParameterSpace& space, int value_bits) {
   opts.row_bits = 12;
   opts.value_bits = value_bits;
   auto env = StudyEnvironment::Create(opts).ValueOrDie();
-  SweepOptions sweep;
-  sweep.num_threads = 1;
-  const RobustnessMap map = SweepStudyPlans(env->ctx(), env->executor(),
-                                            AllStudyPlans(), space, sweep)
-                                .ValueOrDie();
+  SweepRequest req;
+  req.plans = AllStudyPlans();
+  req.space = space;
+  req.sweep.num_threads = 1;
+  const RobustnessMap map =
+      SweepEngine::Run(env->ctx(), env->executor(), req).ValueOrDie().map();
   TileSpec full;
   full.x_end = space.x_size();
   full.y_end = space.y_size();

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/shard_planner.h"
 #include "testing/map_expect.h"
 
 namespace robustmap {
@@ -81,8 +82,8 @@ uint64_t TestFnv1a64(const std::string& data) {
 /// bytes: drop the 8-byte wall_seconds field that v2 inserted after the
 /// version word, patch the version back to 1, and restamp the trailing
 /// checksum. This is exactly the layout the v1 writer produced, so the
-/// reader's backward-compatibility promise gets tested against real v1
-/// bytes without checking a binary blob into the repo.
+/// reader's rejection of it is tested against real v1 bytes without
+/// checking a binary blob into the repo.
 std::string SerializeAsV1(const MapTile& tile) {
   std::string v2 = Serialize(tile);
   constexpr size_t kWallOffset = 8 + 4;  // magic + version
@@ -145,34 +146,16 @@ TEST(MapIoTest, WallSecondsMetadataRoundTrips) {
                    0.0);
 }
 
-TEST(MapIoTest, ReadsVersionOneFiles) {
-  // The backward-compatibility contract: a v1 byte stream (no wall-time
-  // field) reads cleanly under the v2 reader, cell for cell, with the
-  // missing metadata defaulting to "unrecorded".
-  ParameterSpace space = SmallSpace();
-  MapTile tile = FullTile(space, {"scan", "idx.a"});
-  tile.wall_seconds = 99.0;  // must NOT survive: v1 cannot carry it
-  const std::string v1 = SerializeAsV1(tile);
-  auto back = Deserialize(v1).ValueOrDie();
-  EXPECT_EQ(back.spec, tile.spec);
-  EXPECT_TRUE(back.parent_space == space);
-  EXPECT_DOUBLE_EQ(back.wall_seconds, 0.0);
-  ExpectMapsBitIdentical(back.map, tile.map);
-}
-
-TEST(MapIoTest, VersionOneTruncationAndCorruptionStayDistinct) {
-  const std::string v1 = SerializeAsV1(FullTile(SmallSpace(), {"scan"}));
-  for (size_t keep : {size_t{5}, v1.size() / 2, v1.size() - 1}) {
-    auto r = Deserialize(v1.substr(0, keep));
-    ASSERT_FALSE(r.ok()) << "kept " << keep;
-    EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
-  }
-  std::string damaged = v1;
-  damaged[damaged.size() / 2] ^= 0x01;
-  auto r = Deserialize(damaged);
+TEST(MapIoTest, RejectsVersionOneFiles) {
+  // v1 (no wall-time field) is below the oldest readable version: a
+  // well-formed v1 byte stream is NotSupported, never misread as v2.
+  const std::string v1 =
+      SerializeAsV1(FullTile(SmallSpace(), {"scan", "idx.a"}));
+  auto r = Deserialize(v1);
   ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsCorruption());
-  EXPECT_NE(r.status().message().find("checksum"), std::string::npos);
+  EXPECT_TRUE(r.status().IsNotSupported()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("version 1"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(MapIoTest, TruncationInsideWallMetadataIsCorruption) {

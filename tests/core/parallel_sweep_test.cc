@@ -1,4 +1,4 @@
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,16 @@ ParameterSpace StressSpace() {
                               Axis::Selectivity("b", -6, 0));
 }
 
+/// The plain study of `plans` over `space` on `threads` threads.
+SweepRequest StudyRequest(std::vector<PlanKind> plans, ParameterSpace space,
+                          unsigned threads) {
+  SweepRequest req;
+  req.plans = std::move(plans);
+  req.space = std::move(space);
+  req.sweep.num_threads = threads;
+  return req;
+}
+
 TEST(ParallelRunSweepTest, StudySweepBitIdenticalAcrossThreadCounts) {
   ProcEnv env;
   Executor executor(env.db());
@@ -37,11 +47,10 @@ TEST(ParallelRunSweepTest, StudySweepBitIdenticalAcrossThreadCounts) {
   env.ctx()->hash_memory_bytes = 4096;
   ParameterSpace space = StressSpace();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StressPlans(), space, serial)
-          .ValueOrDie();
+  auto reference = SweepEngine::Run(env.ctx(), executor,
+                                    StudyRequest(StressPlans(), space, 1))
+                       .ValueOrDie()
+                       .map();
 
   for (unsigned threads : {1u, 4u, 8u}) {
     SweepOptions opts;
@@ -49,10 +58,11 @@ TEST(ParallelRunSweepTest, StudySweepBitIdenticalAcrossThreadCounts) {
     RunContextFactory factory(*env.ctx());
     int64_t domain = executor.db().domain;
     auto parallel =
-        ParallelRunSweep(
+        SweepEngine::RunCellsParallelIndexed(
             space, reference.plan_labels(), factory,
-            [&](RunContext* ctx, size_t plan, double sx, double sy) {
-              QuerySpec q = MakeStudyQuery(sx, sy, domain);
+            [&](RunContext* ctx, size_t plan, size_t point) {
+              QuerySpec q = MakeStudyQuery(space.x_value(point),
+                                           space.y_value(point), domain);
               return executor.Run(ctx, StressPlans()[plan], q);
             },
             opts)
@@ -67,18 +77,13 @@ TEST(ParallelRunSweepTest, SweepStudyPlansParallelPathMatchesSerial) {
   Executor executor(env.db());
   ParameterSpace space = StressSpace();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StressPlans(), space, serial)
-          .ValueOrDie();
-
-  SweepOptions parallel;
-  parallel.num_threads = 8;
-  auto map =
-      SweepStudyPlans(env.ctx(), executor, StressPlans(), space, parallel)
-          .ValueOrDie();
-  ExpectMapsBitIdentical(reference, map);
+  auto reference = SweepEngine::Run(env.ctx(), executor,
+                                    StudyRequest(StressPlans(), space, 1))
+                       .ValueOrDie();
+  auto parallel = SweepEngine::Run(env.ctx(), executor,
+                                   StudyRequest(StressPlans(), space, 8))
+                      .ValueOrDie();
+  ExpectMapsBitIdentical(reference.map(), parallel.map());
 }
 
 TEST(ParallelRunSweepTest, ReportsFirstErrorInSerialOrder) {
@@ -91,9 +96,9 @@ TEST(ParallelRunSweepTest, ReportsFirstErrorInSerialOrder) {
   // the one a serial plan-major sweep would hit first: plan 2's.
   SweepOptions opts;
   opts.num_threads = 8;
-  auto result = ParallelRunSweep(
+  auto result = SweepEngine::RunCellsParallelIndexed(
       space, {"p0", "p1", "p2", "p3"}, factory,
-      [&](RunContext*, size_t plan, double, double) -> Result<Measurement> {
+      [&](RunContext*, size_t plan, size_t) -> Result<Measurement> {
         if (plan >= 2) {
           return Status::Internal("boom in plan " + std::to_string(plan));
         }
@@ -114,11 +119,9 @@ TEST(ParallelRunSweepTest, PropagatesMissingIndexError) {
   Executor executor(db);
   ParameterSpace space = StressSpace();
 
-  SweepOptions opts;
-  opts.num_threads = 4;
-  auto result = SweepStudyPlans(env.ctx(), executor,
-                                {PlanKind::kTableScan, PlanKind::kMdamAB},
-                                space, opts);
+  auto result = SweepEngine::Run(
+      env.ctx(), executor,
+      StudyRequest({PlanKind::kTableScan, PlanKind::kMdamAB}, space, 4));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
@@ -129,10 +132,10 @@ TEST(ParallelRunSweepTest, OneDSpacePassesNegativeY) {
   RunContextFactory factory(*env.ctx());
   SweepOptions opts;
   opts.num_threads = 2;
-  auto map = ParallelRunSweep(
+  auto map = SweepEngine::RunCellsParallelIndexed(
                  space, {"p"}, factory,
-                 [&](RunContext*, size_t, double, double y) {
-                   EXPECT_EQ(y, -1.0);
+                 [&](RunContext*, size_t, size_t point) {
+                   EXPECT_EQ(space.y_value(point), -1.0);
                    Measurement m;
                    m.seconds = 1.0;
                    return Result<Measurement>(m);

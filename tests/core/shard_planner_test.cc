@@ -1,14 +1,22 @@
 #include "core/shard_planner.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "core/cell_cache.h"
+#include "core/sharded_sweep.h"
 #include "core/sweep_cost.h"
+#include "testing/test_env.h"
 
 namespace robustmap {
 namespace {
+
+using ::robustmap::testing::ProcEnv;
 
 ParameterSpace Grid(int x_min_log2, int y_min_log2) {
   return ParameterSpace::TwoD(Axis::Selectivity("a", x_min_log2, 0),
@@ -249,6 +257,187 @@ TEST(SliceSpaceTest, RejectsEmptyAndOutOfRangeRectangles) {
   outside.y_begin = 0;
   outside.y_end = 1;
   EXPECT_FALSE(SliceSpace(space, outside).ok());
+}
+
+// ---------------------------------------------------------------------------
+// PlanShards: the sharded coordinator's planning step, tested against tile
+// files written into a temp directory — no worker process is started.
+
+/// A fresh, empty tile directory per test case.
+std::string FreshPlanDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/plan_shards_" + name +
+                          "_" + std::to_string(::getpid());
+  for (const std::string& file : SortedTileFiles(dir)) {
+    std::remove((dir + "/" + file).c_str());
+  }
+  EXPECT_TRUE(EnsureDirectory(dir).ok());
+  return dir;
+}
+
+std::vector<std::string> PlanLabels() {
+  return {PlanKindLabel(PlanKind::kTableScan)};
+}
+
+/// A plain single-plan sharded request over `space` into `dir`.
+SweepRequest PlanRequest(const ParameterSpace& space, const std::string& dir,
+                         unsigned workers, size_t tiles) {
+  SweepRequest req;
+  req.plans = {PlanKind::kTableScan};
+  req.space = space;
+  req.backend = BackendKind::kShardedProcess;
+  req.sharded.tile_dir = dir;
+  req.sharded.num_workers = workers;
+  req.sharded.num_tiles = tiles;
+  req.sharded.cost_model = CostModelKind::kUniform;
+  return req;
+}
+
+/// Writes a valid tile of `req`'s study for `rect` under `shard_id`, every
+/// cell's seconds set to its parent-grid point index.
+void WritePlanTile(const SweepRequest& req, TileSpec rect, size_t shard_id) {
+  rect.shard_id = shard_id;
+  const ParameterSpace sub = SliceSpace(req.space, rect).ValueOrDie();
+  RobustnessMap map(sub, PlanLabels());
+  for (size_t pt = 0; pt < sub.num_points(); ++pt) {
+    const auto [sx, sy] = sub.CoordsOf(pt);
+    Measurement m;
+    m.seconds = static_cast<double>(
+        req.space.IndexOf(rect.x_begin + sx, rect.y_begin + sy));
+    map.Set(0, pt, m);
+  }
+  ASSERT_TRUE(WriteMapTileFile(req.sharded.tile_dir + "/" +
+                                   TileFileName(shard_id),
+                               MapTile{rect, req.space, map})
+                  .ok());
+}
+
+TileSpec Rect(size_t x0, size_t x1, size_t y0, size_t y1) {
+  TileSpec t;
+  t.x_begin = x0;
+  t.x_end = x1;
+  t.y_begin = y0;
+  t.y_end = y1;
+  return t;
+}
+
+ShardPlan Plan(const SweepRequest& req,
+               const ShardCacheView* cache_view = nullptr) {
+  const CellCostModel model = CellCostModel::Uniform(req.space).ValueOrDie();
+  return PlanShards(req, PlanLabels(), model, cache_view).ValueOrDie();
+}
+
+TEST(PlanShardsTest, SameDirectoryStateYieldsTheSameTodoList) {
+  const ParameterSpace space = Grid(-8, -6);  // 9 x 7
+  SweepRequest req = PlanRequest(space, FreshPlanDir("same"), 8, 4);
+  req.sharded.cost_model = CostModelKind::kAnalytic;
+  const CellCostModel model = CellCostModel::Analytic(space).ValueOrDie();
+  const auto planned =
+      ShardPlanner::PartitionWeighted(space, 4, model).ValueOrDie();
+  // Two planned tiles valid on disk, two missing: the two pending tiles
+  // leave idle workers, so the plan also splits stragglers.
+  WritePlanTile(req, planned[0], planned[0].shard_id);
+  WritePlanTile(req, planned[2], planned[2].shard_id);
+
+  const ShardPlan first =
+      PlanShards(req, PlanLabels(), model, nullptr).ValueOrDie();
+  const ShardPlan second =
+      PlanShards(req, PlanLabels(), model, nullptr).ValueOrDie();
+  EXPECT_GT(first.stats.tiles_split, 0u);
+  EXPECT_EQ(first.stats.tiles_reused, 2u);
+  EXPECT_EQ(first.todo, second.todo);  // ids, rectangles and order
+  EXPECT_EQ(first.stats.tiles_split, second.stats.tiles_split);
+  EXPECT_EQ(first.loaded.size(), second.loaded.size());
+}
+
+TEST(PlanShardsTest, StragglerPiecesPartitionTheTileUnderFreshIds) {
+  const ParameterSpace space = Grid(-8, -6);
+  const SweepRequest req = PlanRequest(space, FreshPlanDir("split"), 4, 1);
+  // A tile file of an earlier sweep over another grid holds id 7: it is
+  // not adoptable, but no piece may reuse its id.
+  WritePlanTile(PlanRequest(Grid(-4, -4), req.sharded.tile_dir, 4, 1),
+                Rect(0, 1, 0, 1), 7);
+
+  const ShardPlan plan = Plan(req);
+  EXPECT_EQ(plan.stats.tiles_total, 1u);
+  EXPECT_TRUE(plan.loaded.empty());
+  EXPECT_GE(plan.stats.tiles_split, 1u);
+  ASSERT_EQ(plan.todo.size(), 1u + plan.stats.tiles_split);
+  ExpectExactCover(space, plan.todo);
+  std::vector<size_t> ids;
+  for (const TileSpec& t : plan.todo) ids.push_back(t.shard_id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+  for (size_t id : ids) {
+    EXPECT_NE(id, 0u) << "collides with the planned tile";
+    EXPECT_NE(id, 7u) << "collides with a tile file on disk";
+  }
+  EXPECT_EQ(plan.stats.workers_spawned, 4u);
+}
+
+TEST(PlanShardsTest, AdoptsSplitPiecesAndQueuesOnlyTheRemainder) {
+  const ParameterSpace space = Grid(-8, -6);  // 9 x 7, one planned tile
+  SweepRequest req = PlanRequest(space, FreshPlanDir("adopt"), 1, 1);
+  // Two pieces a killed split left behind; tile 0 itself is missing.
+  WritePlanTile(req, Rect(0, 4, 0, 7), 5);
+  WritePlanTile(req, Rect(4, 9, 0, 3), 6);
+
+  const ShardPlan plan = Plan(req);
+  EXPECT_EQ(plan.stats.tiles_reused, 2u);
+  ASSERT_EQ(plan.loaded.size(), 2u);
+  ASSERT_EQ(plan.todo.size(), 1u);
+  TileSpec remainder = Rect(4, 9, 3, 7);  // only the uncovered remainder
+  remainder.shard_id = 7;                 // the first id free on disk
+  EXPECT_EQ(plan.todo[0], remainder);
+  std::vector<TileSpec> cover = plan.todo;
+  for (const MapTile& t : plan.loaded) cover.push_back(t.spec);
+  ExpectExactCover(space, cover);
+}
+
+TEST(PlanShardsTest, FullyCachedTilesAreNeverQueued) {
+  ProcEnv env;
+  const ParameterSpace space = Grid(-8, -6);
+  SweepRequest req = PlanRequest(space, FreshPlanDir("cached"), 1, 4);
+  const auto planned = ShardPlanner::Partition(space, 4).ValueOrDie();
+  // Cache every cell of planned tile 1.
+  CellResultCache cache;
+  req.cell_cache = &cache;
+  const ShardCacheView keys(&cache, *env.ctx(), env.domain(), req,
+                            PlanLabels());
+  const TileSpec& cached = planned[1];
+  for (size_t yi = cached.y_begin; yi < cached.y_end; ++yi) {
+    for (size_t xi = cached.x_begin; xi < cached.x_end; ++xi) {
+      Measurement m;
+      m.seconds = 1.5;
+      cache.Publish(keys.fp(0, 0, space.IndexOf(xi, yi)), "plain", m);
+    }
+  }
+
+  const ShardCacheView view(&cache, *env.ctx(), env.domain(), req,
+                            PlanLabels());
+  const ShardPlan plan = Plan(req, &view);
+  ASSERT_EQ(plan.loaded.size(), 1u);
+  EXPECT_EQ(plan.loaded[0].spec, cached);
+  EXPECT_DOUBLE_EQ(plan.loaded[0].map.At(0, 0).seconds, 1.5);
+  EXPECT_EQ(plan.todo.size(), planned.size() - 1);
+  for (const TileSpec& t : plan.todo) EXPECT_NE(t, cached);
+}
+
+TEST(PlanShardsTest, ResumeOffIgnoresValidTilesOnDisk) {
+  const ParameterSpace space = Grid(-8, -6);
+  SweepRequest req = PlanRequest(space, FreshPlanDir("no_resume"), 1, 4);
+  const auto planned = ShardPlanner::Partition(space, 4).ValueOrDie();
+  for (const TileSpec& t : planned) WritePlanTile(req, t, t.shard_id);
+
+  const ShardPlan resumed = Plan(req);
+  EXPECT_TRUE(resumed.todo.empty());
+  EXPECT_EQ(resumed.stats.tiles_reused, planned.size());
+
+  req.sharded.resume = false;
+  const ShardPlan fresh = Plan(req);
+  EXPECT_TRUE(fresh.loaded.empty());
+  EXPECT_EQ(fresh.stats.tiles_reused, 0u);
+  EXPECT_EQ(fresh.todo.size(), planned.size());
+  ExpectExactCover(space, fresh.todo);
 }
 
 }  // namespace

@@ -33,6 +33,27 @@ ParameterSpace SmallGrid() {
 
 /// A unique checkpoint directory per test case, so resume state never
 /// bleeds between tests (or between repeated runs of one test binary).
+/// The serial in-process sweep of the study subset over `space`: the
+/// reference every sharded merge must reproduce byte for byte.
+SweepRequest SerialRequest(const ParameterSpace& space) {
+  SweepRequest req;
+  req.plans = StudySubset();
+  req.space = space;
+  req.sweep.num_threads = 1;
+  return req;
+}
+
+/// The same study on the sharded backend under `opts`.
+SweepRequest ShardedRequest(const ParameterSpace& space,
+                            const ShardedSweepOptions& opts) {
+  SweepRequest req;
+  req.plans = StudySubset();
+  req.space = space;
+  req.backend = BackendKind::kShardedProcess;
+  req.sharded = opts;
+  return req;
+}
+
 std::string FreshTileDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/sharded_" + name + "_" +
                     std::to_string(::getpid());
@@ -47,21 +68,20 @@ TEST(RunShardedSweepTest, MergedMapBitIdenticalAcrossWorkerCounts) {
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
   auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+      SweepEngine::Run(env.ctx(), executor, SerialRequest(space))
+          .ValueOrDie()
+          .map();
 
   for (unsigned workers : {1u, 2u, 8u}) {
     ShardedSweepOptions opts;
     opts.tile_dir =
         FreshTileDir("workers" + std::to_string(workers));
     opts.num_workers = workers;
-    ShardedSweepStats stats;
-    auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                  opts, &stats)
-                      .ValueOrDie();
+    auto merged =
+        SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+            .ValueOrDie();
+    const ShardedSweepStats& stats = merged.sharded_stats;
     SCOPED_TRACE(std::to_string(workers) + " workers");
     // Each straggler split turns one pending tile into two, so with more
     // workers than planned tiles the computed count exceeds the plan by
@@ -71,7 +91,7 @@ TEST(RunShardedSweepTest, MergedMapBitIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(stats.tiles_split, 0u);
     }
     EXPECT_EQ(stats.tiles_reused, 0u);
-    ExpectMapsBitIdentical(reference, merged);
+    ExpectMapsBitIdentical(reference, merged.map());
   }
 }
 
@@ -79,36 +99,34 @@ TEST(RunShardedSweepTest, MoreTilesThanWorkersStillMergesExactly) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
-  SweepOptions serial;
-  serial.num_threads = 1;
   auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+      SweepEngine::Run(env.ctx(), executor, SerialRequest(space))
+          .ValueOrDie()
+          .map();
 
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("finetiles");
   opts.num_workers = 3;
   opts.num_tiles = 11;  // deliberately not a multiple of the worker count
-  ShardedSweepStats stats;
-  auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                opts, &stats)
-                    .ValueOrDie();
+  auto merged =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& stats = merged.sharded_stats;
   EXPECT_GT(stats.tiles_total, 3u);
   // One persistent worker per lane, however many tiles it serves.
   EXPECT_EQ(stats.workers_spawned,
             std::min<size_t>(opts.num_workers, stats.tiles_computed));
-  ExpectMapsBitIdentical(reference, merged);
+  ExpectMapsBitIdentical(reference, merged.map());
 }
 
 TEST(RunShardedSweepTest, FailingTileDoesNotTakeItsSiblingsDown) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
-  SweepOptions serial;
-  serial.num_threads = 1;
   auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+      SweepEngine::Run(env.ctx(), executor, SerialRequest(space))
+          .ValueOrDie()
+          .map();
 
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("sibling");
@@ -121,9 +139,8 @@ TEST(RunShardedSweepTest, FailingTileDoesNotTakeItsSiblingsDown) {
   // the fork worker that computed it must keep serving tiles.
   const std::string blocked = opts.tile_dir + "/" + TileFileName(3);
   ASSERT_TRUE(EnsureDirectory(blocked).ok());
-  ShardedSweepStats stats;
-  auto failed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                opts, &stats);
+  auto failed = SweepEngine::Run(env.ctx(), executor,
+                                 ShardedRequest(space, opts));
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsInternal());
   EXPECT_NE(failed.status().message().find("sweep worker for tile 3 failed"),
@@ -136,13 +153,13 @@ TEST(RunShardedSweepTest, FailingTileDoesNotTakeItsSiblingsDown) {
   }
 
   ASSERT_EQ(::rmdir(blocked.c_str()), 0);
-  ShardedSweepStats resumed_stats;
-  auto resumed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                 opts, &resumed_stats)
-                     .ValueOrDie();
+  auto resumed =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& resumed_stats = resumed.sharded_stats;
   EXPECT_EQ(resumed_stats.tiles_computed, 1u);
   EXPECT_EQ(resumed_stats.tiles_reused, opts.num_tiles - 1);
-  ExpectMapsBitIdentical(reference, resumed);
+  ExpectMapsBitIdentical(reference, resumed.map());
 }
 
 TEST(RunShardedSweepTest, KilledExecWorkerFailsFast) {
@@ -155,8 +172,8 @@ TEST(RunShardedSweepTest, KilledExecWorkerFailsFast) {
   opts.num_workers = 2;
   opts.num_tiles = 4;
   opts.worker_command = {"/bin/sh", "-c", "kill -9 $$"};
-  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
-                                SmallGrid(), opts);
+  auto result = SweepEngine::Run(env.ctx(), executor,
+                                 ShardedRequest(SmallGrid(), opts));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
   EXPECT_NE(result.status().message().find("killed?"), std::string::npos)
@@ -190,8 +207,8 @@ TEST(RunShardedSweepTest, WorkerKilledMidTileIsReplacedForEachPendingTile) {
                          "echo >> \"$0/spawned.log\"; read request; "
                          "kill -9 $$",
                          opts.tile_dir};
-  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
-                                SmallGrid(), opts);
+  auto result = SweepEngine::Run(env.ctx(), executor,
+                                 ShardedRequest(SmallGrid(), opts));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
   EXPECT_NE(result.status().message().find("killed?"), std::string::npos)
@@ -221,8 +238,8 @@ TEST(RunShardedSweepTest, WorkerAnsweringFailureKeepsServing) {
                          "> \"$0/$(printf tile_%04d.rmt \"$id\").err\"; "
                          "printf 1; done",
                          opts.tile_dir};
-  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
-                                SmallGrid(), opts);
+  auto result = SweepEngine::Run(env.ctx(), executor,
+                                 ShardedRequest(SmallGrid(), opts));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
   EXPECT_NE(result.status().message().find(
@@ -240,8 +257,8 @@ TEST(RunShardedSweepTest, UnexecutableWorkerCommandFailsWithCannotExec) {
   opts.num_workers = 2;
   opts.num_tiles = 4;
   opts.worker_command = {opts.tile_dir + "/no_such_worker"};
-  auto result = RunShardedSweep(env.ctx(), executor, StudySubset(),
-                                SmallGrid(), opts);
+  auto result = SweepEngine::Run(env.ctx(), executor,
+                                 ShardedRequest(SmallGrid(), opts));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
   EXPECT_NE(result.status().message().find("cannot exec " +
@@ -298,11 +315,10 @@ TEST(RunShardedSweepTest, AllCostModelsMergeTheIdenticalMap) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
-  SweepOptions serial;
-  serial.num_threads = 1;
   auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+      SweepEngine::Run(env.ctx(), executor, SerialRequest(space))
+          .ValueOrDie()
+          .map();
 
   // The measured leg reuses the analytic leg's directory, so the wall
   // times that run stamped into its tiles are the feedback being tested.
@@ -318,13 +334,13 @@ TEST(RunShardedSweepTest, AllCostModelsMergeTheIdenticalMap) {
     opts.num_tiles = 6;
     opts.resume = false;  // measured mode moves boundaries; recompute all
     opts.cost_model = kind;
-    ShardedSweepStats stats;
-    auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                  opts, &stats)
-                      .ValueOrDie();
+    auto merged =
+        SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+            .ValueOrDie();
+    const ShardedSweepStats& stats = merged.sharded_stats;
     SCOPED_TRACE(CostModelKindName(kind));
     EXPECT_EQ(stats.tiles_computed, stats.tiles_total);
-    ExpectMapsBitIdentical(reference, merged);
+    ExpectMapsBitIdentical(reference, merged.map());
     // Every slot that ran a tile accounted busy time.
     ASSERT_FALSE(stats.worker_busy_seconds.empty());
     for (double busy : stats.worker_busy_seconds) EXPECT_GT(busy, 0.0);
@@ -345,19 +361,19 @@ TEST(RunShardedSweepTest, WeightedTilesResumeLikeUniformOnes) {
   opts.num_tiles = 5;
   opts.cost_model = CostModelKind::kAnalytic;
 
-  ShardedSweepStats first;
-  auto map1 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &first)
-                  .ValueOrDie();
+  auto map1 =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& first = map1.sharded_stats;
   EXPECT_EQ(first.tiles_computed, first.tiles_total);
 
-  ShardedSweepStats second;
-  auto map2 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &second)
-                  .ValueOrDie();
+  auto map2 =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& second = map2.sharded_stats;
   EXPECT_EQ(second.tiles_computed, 0u);
   EXPECT_EQ(second.tiles_reused, second.tiles_total);
-  ExpectMapsBitIdentical(map1, map2);
+  ExpectMapsBitIdentical(map1.map(), map2.map());
 }
 
 TEST(ShardedSweepStatsTest, BalanceRatioIsMaxOverMean) {
@@ -377,20 +393,20 @@ TEST(RunShardedSweepTest, ResumeReusesAllValidTiles) {
   opts.tile_dir = FreshTileDir("resume");
   opts.num_workers = 4;
 
-  ShardedSweepStats first;
-  auto map1 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &first)
-                  .ValueOrDie();
+  auto map1 =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& first = map1.sharded_stats;
   EXPECT_EQ(first.tiles_computed, first.tiles_total);
 
-  ShardedSweepStats second;
-  auto map2 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &second)
-                  .ValueOrDie();
+  auto map2 =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& second = map2.sharded_stats;
   EXPECT_EQ(second.tiles_computed, 0u);
   EXPECT_EQ(second.tiles_reused, second.tiles_total);
   EXPECT_EQ(second.workers_spawned, 0u);
-  ExpectMapsBitIdentical(map1, map2);
+  ExpectMapsBitIdentical(map1.map(), map2.map());
 }
 
 TEST(RunShardedSweepTest, ResumeRecomputesOnlyMissingAndCorruptTiles) {
@@ -402,7 +418,8 @@ TEST(RunShardedSweepTest, ResumeRecomputesOnlyMissingAndCorruptTiles) {
   opts.num_workers = 4;
 
   auto map1 =
-      RunShardedSweep(env.ctx(), executor, StudySubset(), space, opts)
+      SweepEngine::Run(env.ctx(), executor,
+                       ShardedRequest(space, opts))
           .ValueOrDie();
 
   // Kill one checkpoint outright and damage a second in place.
@@ -419,17 +436,17 @@ TEST(RunShardedSweepTest, ResumeRecomputesOnlyMissingAndCorruptTiles) {
     f.put(static_cast<char>(byte ^ 0x01));
   }
 
-  ShardedSweepStats stats;
-  auto map2 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &stats)
-                  .ValueOrDie();
+  auto map2 =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& stats = map2.sharded_stats;
   // Two damaged tiles on a four-worker box leaves workers idle, so the
   // straggler splitter cuts the recomputation finer: 2 + one extra tile
   // per split. The healed map must still match the original bytes.
   EXPECT_EQ(stats.tiles_computed, 2u + stats.tiles_split);
   EXPECT_GT(stats.tiles_split, 0u);
   EXPECT_EQ(stats.tiles_reused, stats.tiles_total - 2);
-  ExpectMapsBitIdentical(map1, map2);
+  ExpectMapsBitIdentical(map1.map(), map2.map());
 }
 
 TEST(RunShardedSweepTest, MegaTileSplitsAndMeasuresEachCellExactlyOnce) {
@@ -441,22 +458,21 @@ TEST(RunShardedSweepTest, MegaTileSplitsAndMeasuresEachCellExactlyOnce) {
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
   auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+      SweepEngine::Run(env.ctx(), executor, SerialRequest(space))
+          .ValueOrDie()
+          .map();
 
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("megatile");
   opts.num_workers = 4;
   opts.num_tiles = 1;
-  ShardedSweepStats stats;
   SweepTelemetry::Get().Reset();
   SweepTelemetry::Get().Enable();
-  auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                opts, &stats)
-                    .ValueOrDie();
+  auto merged =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& stats = merged.sharded_stats;
   SweepTelemetry::Get().Disable();
   const auto counters = SweepTelemetry::Get().Counters();
   SweepTelemetry::Get().Reset();
@@ -469,7 +485,7 @@ TEST(RunShardedSweepTest, MegaTileSplitsAndMeasuresEachCellExactlyOnce) {
   ASSERT_TRUE(counters.count("sweep.cells_measured"));
   EXPECT_EQ(counters.at("sweep.cells_measured"),
             StudySubset().size() * space.num_points());
-  ExpectMapsBitIdentical(reference, merged);
+  ExpectMapsBitIdentical(reference, merged.map());
 }
 
 TEST(RunShardedSweepTest, ResumeAdoptsSplitPiecesByCoverage) {
@@ -482,30 +498,29 @@ TEST(RunShardedSweepTest, ResumeAdoptsSplitPiecesByCoverage) {
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
   auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+      SweepEngine::Run(env.ctx(), executor, SerialRequest(space))
+          .ValueOrDie()
+          .map();
 
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("adopt");
   opts.num_workers = 8;
   opts.num_tiles = 2;
-  ShardedSweepStats stats;
-  auto first = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                               opts, &stats)
-                   .ValueOrDie();
+  auto first =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& stats = first.sharded_stats;
   ASSERT_GE(stats.tiles_split, 1u);
-  ExpectMapsBitIdentical(reference, first);
+  ExpectMapsBitIdentical(reference, first.map());
 
-  ShardedSweepStats resumed_stats;
-  auto resumed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                 opts, &resumed_stats)
-                     .ValueOrDie();
+  auto resumed =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& resumed_stats = resumed.sharded_stats;
   EXPECT_EQ(resumed_stats.tiles_computed, 0u);
   EXPECT_GE(resumed_stats.tiles_reused, 2u);  // adopted pieces, not plans
-  ExpectMapsBitIdentical(reference, resumed);
+  ExpectMapsBitIdentical(reference, resumed.map());
 
   // Lose one checkpointed piece (the kill-mid-split shape): the next
   // resume adopts the surviving pieces and recomputes only the uncovered
@@ -517,13 +532,13 @@ TEST(RunShardedSweepTest, ResumeAdoptsSplitPiecesByCoverage) {
       break;
     }
   }
-  ShardedSweepStats healed_stats;
-  auto healed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                opts, &healed_stats)
-                    .ValueOrDie();
+  auto healed =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(space, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& healed_stats = healed.sharded_stats;
   EXPECT_GE(healed_stats.tiles_computed, 1u);
   EXPECT_GE(healed_stats.tiles_reused, 1u);
-  ExpectMapsBitIdentical(reference, healed);
+  ExpectMapsBitIdentical(reference, healed.map());
 }
 
 TEST(RunShardedSweepTest, ResumeRejectsTilesFromADifferentConfiguration) {
@@ -534,7 +549,8 @@ TEST(RunShardedSweepTest, ResumeRejectsTilesFromADifferentConfiguration) {
   opts.tile_dir = FreshTileDir("reconfig");
   opts.num_workers = 2;
   auto coarse =
-      RunShardedSweep(env.ctx(), executor, StudySubset(), space, opts)
+      SweepEngine::Run(env.ctx(), executor,
+                       ShardedRequest(space, opts))
           .ValueOrDie();
 
   // Same directory, finer grid: every stale tile describes the old grid
@@ -542,19 +558,18 @@ TEST(RunShardedSweepTest, ResumeRejectsTilesFromADifferentConfiguration) {
   ParameterSpace fine =
       ParameterSpace::TwoD(Axis::SelectivityFine("a", -5, 0, 2),
                            Axis::SelectivityFine("b", -5, 0, 2));
-  ShardedSweepStats stats;
-  auto fine_map = RunShardedSweep(env.ctx(), executor, StudySubset(), fine,
-                                  opts, &stats)
-                      .ValueOrDie();
+  auto fine_map =
+      SweepEngine::Run(env.ctx(), executor, ShardedRequest(fine, opts))
+          .ValueOrDie();
+  const ShardedSweepStats& stats = fine_map.sharded_stats;
   EXPECT_EQ(stats.tiles_computed, stats.tiles_total);
   EXPECT_EQ(stats.tiles_reused, 0u);
 
-  SweepOptions serial;
-  serial.num_threads = 1;
   auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), fine, serial)
-          .ValueOrDie();
-  ExpectMapsBitIdentical(reference, fine_map);
+      SweepEngine::Run(env.ctx(), executor, SerialRequest(fine))
+          .ValueOrDie()
+          .map();
+  ExpectMapsBitIdentical(reference, fine_map.map());
 }
 
 TEST(RunShardedSweepTest, WorkerFailurePropagatesItsStatusMessage) {
@@ -565,9 +580,9 @@ TEST(RunShardedSweepTest, WorkerFailurePropagatesItsStatusMessage) {
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("failure");
   opts.num_workers = 2;
-  auto result = RunShardedSweep(env.ctx(), executor,
-                                {PlanKind::kTableScan, PlanKind::kMdamAB},
-                                SmallGrid(), opts);
+  SweepRequest req = ShardedRequest(SmallGrid(), opts);
+  req.plans = {PlanKind::kTableScan, PlanKind::kMdamAB};
+  auto result = SweepEngine::Run(env.ctx(), executor, req);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
   // The child's own Status must cross the process boundary via the err
@@ -584,14 +599,14 @@ TEST(RunShardedSweepTest, RejectsOrderDependentWarmupAndMissingDir) {
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("warmup");
   env.ctx()->warmup = WarmupPolicy::PriorRun();
-  auto r = RunShardedSweep(env.ctx(), executor, StudySubset(), SmallGrid(),
-                           opts);
+  auto r = SweepEngine::Run(env.ctx(), executor,
+                            ShardedRequest(SmallGrid(), opts));
   EXPECT_TRUE(r.status().IsInvalidArgument());
   env.ctx()->warmup = WarmupPolicy::Cold();
 
   ShardedSweepOptions no_dir;
-  EXPECT_TRUE(RunShardedSweep(env.ctx(), executor, StudySubset(),
-                              SmallGrid(), no_dir)
+  EXPECT_TRUE(SweepEngine::Run(env.ctx(), executor,
+                               ShardedRequest(SmallGrid(), no_dir))
                   .status()
                   .IsInvalidArgument());
 }

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "io/shared_buffer_pool.h"
 #include "testing/map_expect.h"
 #include "testing/test_env.h"
@@ -38,10 +38,12 @@ RobustnessMap RunContention(ProcEnv* env, const Executor& executor,
   opts.num_threads = num_threads;
   opts.shared_pool = &shared;
   opts.deterministic_shared_schedule = deterministic;
+  SweepRequest req;
+  req.plans = ContendingPlans();
+  req.space = Line();
+  req.sweep = opts;
   env->ctx()->warmup = WarmupPolicy::PriorRun();
-  auto map = SweepStudyPlans(env->ctx(), executor, ContendingPlans(), Line(),
-                             opts)
-                 .ValueOrDie();
+  auto map = SweepEngine::Run(env->ctx(), executor, req).ValueOrDie().map();
   env->ctx()->warmup = WarmupPolicy::Cold();
   return map;
 }
@@ -95,20 +97,17 @@ TEST(DeterministicSharedScheduleTest, ColdCellsAreOrderIndependent) {
                                               Axis::Selectivity("b", -4, 0));
   std::vector<PlanKind> plans = {PlanKind::kTableScan,
                                  PlanKind::kIndexAImproved};
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, plans, space, serial)
-          .ValueOrDie();
+  SweepRequest req;
+  req.plans = plans;
+  req.space = space;
+  req.sweep.num_threads = 1;
+  auto reference = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie();
   // With the default cold warmup every cell starts from an empty cache, so
   // the reordered schedule must reproduce the classic map exactly — the
   // flag must not perturb studies it doesn't apply to.
-  SweepOptions opts;
-  opts.num_threads = 1;
-  opts.deterministic_shared_schedule = true;
-  auto reordered =
-      SweepStudyPlans(env.ctx(), executor, plans, space, opts).ValueOrDie();
-  ExpectMapsBitIdentical(reference, reordered);
+  req.sweep.deterministic_shared_schedule = true;
+  auto reordered = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie();
+  ExpectMapsBitIdentical(reference.map(), reordered.map());
 }
 
 }  // namespace

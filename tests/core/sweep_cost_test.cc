@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/map_io.h"
+#include "core/shard_planner.h"
 
 namespace robustmap {
 namespace {

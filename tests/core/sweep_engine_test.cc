@@ -112,13 +112,16 @@ TEST(SweepEngineTest, WarmColdStudyLayersConsistentAcrossBackends) {
     ExpectMapsBitIdentical(serial.layers[li], parallel.layers[li]);
   }
 
-  // And the legacy shim unpacks the same three maps.
-  auto shim = RunWarmColdSweep(env.ctx(), executor, StudySubset(),
-                               SmallGrid(), WarmupPolicy::FractionResident(0.5))
-                  .ValueOrDie();
-  ExpectMapsBitIdentical(serial.cold(), shim.cold);
-  ExpectMapsBitIdentical(serial.warm(), shim.warm);
-  ExpectMapsBitIdentical(serial.delta(), shim.delta);
+  // And at the default (hardware) thread count.
+  auto defaulted =
+      SweepEngine::Run(env.ctx(), executor,
+                       BaseRequest(StudyKind::kWarmColdDelta,
+                                   BackendKind::kThreaded))
+          .ValueOrDie();
+  for (size_t li = 0; li < 3; ++li) {
+    SCOPED_TRACE(li);
+    ExpectMapsBitIdentical(serial.layers[li], defaulted.layers[li]);
+  }
 }
 
 TEST(SweepEngineTest, ShardedWarmColdMatchesSerialReferencePerLayer) {
@@ -195,18 +198,18 @@ TEST(SweepEngineTest, RecycledMachinesBitIdenticalAcrossBackendsAndWarmups) {
       // And the warm-cold study — whose parallel cold half draws recycled
       // machines from the factory arena while the prior-run warm half is
       // serialized — reproduces layer for layer.
+      SweepRequest warmcold =
+          BaseRequest(StudyKind::kWarmColdDelta, BackendKind::kThreaded);
+      warmcold.warm_policy = WarmupPolicy::PriorRun();
       reset_pool();
-      auto wc_first = RunWarmColdSweep(env.ctx(), executor, StudySubset(),
-                                       SmallGrid(), WarmupPolicy::PriorRun())
-                          .ValueOrDie();
+      auto wc_first =
+          SweepEngine::Run(env.ctx(), executor, warmcold).ValueOrDie();
       reset_pool();
-      auto wc_second = RunWarmColdSweep(env.ctx(), executor, StudySubset(),
-                                        SmallGrid(),
-                                        WarmupPolicy::PriorRun())
-                           .ValueOrDie();
-      ExpectMapsBitIdentical(wc_first.cold, wc_second.cold);
-      ExpectMapsBitIdentical(wc_first.warm, wc_second.warm);
-      ExpectMapsBitIdentical(wc_first.delta, wc_second.delta);
+      auto wc_second =
+          SweepEngine::Run(env.ctx(), executor, warmcold).ValueOrDie();
+      for (size_t li = 0; li < 3; ++li) {
+        ExpectMapsBitIdentical(wc_first.layers[li], wc_second.layers[li]);
+      }
       continue;
     }
 
@@ -246,16 +249,19 @@ TEST(SweepEngineTest, RepeatedSweepsOverOneFactoryRecycleExactly) {
   std::vector<std::string> labels;
   for (PlanKind k : plans) labels.push_back(PlanKindLabel(k));
   const int64_t domain = executor.db().domain;
-  const auto runner = [&](RunContext* ctx, size_t plan, double sx,
-                          double sy) {
-    return executor.Run(ctx, plans[plan], MakeStudyQuery(sx, sy, domain));
+  const ParameterSpace space = SmallGrid();
+  const auto runner = [&](RunContext* ctx, size_t plan, size_t point) {
+    return executor.Run(ctx, plans[plan],
+                        MakeStudyQuery(space.x_value(point),
+                                       space.y_value(point), domain));
   };
   SweepOptions opts;
   opts.num_threads = 3;
-  auto fresh = ParallelRunSweep(SmallGrid(), labels, factory, runner, opts)
+  auto fresh = SweepEngine::RunCellsParallelIndexed(space, labels, factory,
+                                                    runner, opts)
                    .ValueOrDie();
-  auto recycled = ParallelRunSweep(SmallGrid(), labels, factory, runner,
-                                   opts)
+  auto recycled = SweepEngine::RunCellsParallelIndexed(space, labels, factory,
+                                                       runner, opts)
                       .ValueOrDie();
   ExpectMapsBitIdentical(fresh, recycled);
 }

@@ -1,4 +1,4 @@
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -13,13 +13,15 @@ TEST(RunSweepTest, FillsEveryCell) {
   ParameterSpace space = ParameterSpace::TwoD(Axis::Selectivity("a", -2, 0),
                                               Axis::Selectivity("b", -1, 0));
   int calls = 0;
-  auto map = RunSweep(space, {"p0", "p1"},
-                      [&](size_t plan, double x, double y) {
-                        ++calls;
-                        Measurement m;
-                        m.seconds = (plan + 1) * x * y;
-                        return Result<Measurement>(m);
-                      })
+  auto map = SweepEngine::RunCellsIndexed(
+                 space, {"p0", "p1"},
+                 [&](size_t plan, size_t point) {
+                   ++calls;
+                   Measurement m;
+                   m.seconds =
+                       (plan + 1) * space.x_value(point) * space.y_value(point);
+                   return Result<Measurement>(m);
+                 })
                  .ValueOrDie();
   EXPECT_EQ(calls, 12);
   EXPECT_DOUBLE_EQ(map.AtXY(1, 2, 1).seconds, 2.0 * 1.0 * 1.0);
@@ -32,12 +34,12 @@ TEST(SweepProgressTest, PercentOfEmptySweepIsDefinedNotDivisionByZero) {
 
 TEST(RunSweepTest, EmptyPlanListOrEmptyGridIsAnError) {
   ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -2, 0));
-  auto runner = [](size_t, double, double) {
+  auto runner = [](size_t, size_t) {
     Measurement m;
     m.seconds = 1;
     return Result<Measurement>(m);
   };
-  auto no_plans = RunSweep(space, {}, runner);
+  auto no_plans = SweepEngine::RunCellsIndexed(space, {}, runner);
   ASSERT_FALSE(no_plans.ok());
   EXPECT_TRUE(no_plans.status().IsInvalidArgument());
 
@@ -45,7 +47,7 @@ TEST(RunSweepTest, EmptyPlanListOrEmptyGridIsAnError) {
   // factories assert non-empty axes in Debug builds, so the Status-based
   // rejection must be reachable without them.
   ParameterSpace empty;
-  auto no_points = RunSweep(empty, {"p"}, runner);
+  auto no_points = SweepEngine::RunCellsIndexed(empty, {"p"}, runner);
   ASSERT_FALSE(no_points.ok());
   EXPECT_TRUE(no_points.status().IsInvalidArgument());
 }
@@ -53,13 +55,14 @@ TEST(RunSweepTest, EmptyPlanListOrEmptyGridIsAnError) {
 TEST(ParallelRunSweepTest, EmptyPlanListOrEmptyGridIsAnError) {
   ProcEnv env;
   RunContextFactory factory(*env.ctx());
-  auto runner = [](RunContext*, size_t, double, double) {
+  auto runner = [](RunContext*, size_t, size_t) {
     Measurement m;
     m.seconds = 1;
     return Result<Measurement>(m);
   };
   ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -2, 0));
-  auto no_plans = ParallelRunSweep(space, {}, factory, runner);
+  auto no_plans =
+      SweepEngine::RunCellsParallelIndexed(space, {}, factory, runner);
   ASSERT_FALSE(no_plans.ok());
   EXPECT_TRUE(no_plans.status().IsInvalidArgument());
 
@@ -67,45 +70,51 @@ TEST(ParallelRunSweepTest, EmptyPlanListOrEmptyGridIsAnError) {
   // factories assert non-empty axes in Debug builds, so the Status-based
   // rejection must be reachable without them.
   ParameterSpace empty;
-  auto no_points = ParallelRunSweep(empty, {"p"}, factory, runner);
+  auto no_points =
+      SweepEngine::RunCellsParallelIndexed(empty, {"p"}, factory, runner);
   ASSERT_FALSE(no_points.ok());
   EXPECT_TRUE(no_points.status().IsInvalidArgument());
 
   // The deterministic round-robin schedule takes the same front door.
   SweepOptions det;
   det.deterministic_shared_schedule = true;
-  EXPECT_TRUE(ParallelRunSweep(space, {}, factory, runner, det)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      SweepEngine::RunCellsParallelIndexed(space, {}, factory, runner, det)
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(SweepStudyPlansTest, EmptyPlanListIsAnError) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -2, 0));
-  auto r = SweepStudyPlans(env.ctx(), executor, {}, space);
+  SweepRequest req;
+  req.space = space;
+  auto r = SweepEngine::Run(env.ctx(), executor, req);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
 TEST(RunSweepTest, PropagatesErrors) {
   ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -1, 0));
-  auto result = RunSweep(space, {"p"}, [&](size_t, double, double) {
-    return Result<Measurement>(Status::Internal("boom"));
-  });
+  auto result =
+      SweepEngine::RunCellsIndexed(space, {"p"}, [&](size_t, size_t) {
+        return Result<Measurement>(Status::Internal("boom"));
+      });
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
 }
 
 TEST(RunSweepTest, OneDPassesNegativeY) {
   ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -1, 0));
-  auto map = RunSweep(space, {"p"},
-                      [&](size_t, double, double y) {
-                        EXPECT_LT(y, 0);
-                        Measurement m;
-                        m.seconds = 1;
-                        return Result<Measurement>(m);
-                      })
+  auto map = SweepEngine::RunCellsIndexed(
+                 space, {"p"},
+                 [&](size_t, size_t point) {
+                   EXPECT_LT(space.y_value(point), 0);
+                   Measurement m;
+                   m.seconds = 1;
+                   return Result<Measurement>(m);
+                 })
                  .ValueOrDie();
   EXPECT_EQ(map.space().num_points(), 2u);
 }
@@ -116,13 +125,14 @@ TEST(RunSweepTest, ProgressReportsEveryCellInOrder) {
   std::vector<SweepProgress> snapshots;
   SweepOptions opts;
   opts.progress = [&](const SweepProgress& p) { snapshots.push_back(p); };
-  RunSweep(space, {"p0", "p1"},
-           [&](size_t, double, double) {
-             Measurement m;
-             m.seconds = 1;
-             return Result<Measurement>(m);
-           },
-           opts)
+  SweepEngine::RunCellsIndexed(
+      space, {"p0", "p1"},
+      [&](size_t, size_t) {
+        Measurement m;
+        m.seconds = 1;
+        return Result<Measurement>(m);
+      },
+      opts)
       .ValueOrDie();
 
   ASSERT_EQ(snapshots.size(), 12u);  // one callback per cell
@@ -155,13 +165,14 @@ TEST(ParallelRunSweepTest, ProgressCallbackIsSerializedAndComplete) {
     seen.push_back(p.cells_done);
     final_plans_done = p.plans_done;
   };
-  ParallelRunSweep(space, {"p0", "p1", "p2"}, factory,
-                   [&](RunContext*, size_t plan, double, double) {
-                     Measurement m;
-                     m.seconds = static_cast<double>(plan + 1);
-                     return Result<Measurement>(m);
-                   },
-                   opts)
+  SweepEngine::RunCellsParallelIndexed(
+      space, {"p0", "p1", "p2"}, factory,
+      [&](RunContext*, size_t plan, size_t) {
+        Measurement m;
+        m.seconds = static_cast<double>(plan + 1);
+        return Result<Measurement>(m);
+      },
+      opts)
       .ValueOrDie();
 
   const size_t total = 3 * space.num_points();
@@ -174,10 +185,10 @@ TEST(SweepStudyPlansTest, MeasuresRealPlans) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -4, 0));
-  auto map = SweepStudyPlans(env.ctx(), executor,
-                             {PlanKind::kTableScan, PlanKind::kIndexAImproved},
-                             space)
-                 .ValueOrDie();
+  SweepRequest req;
+  req.plans = {PlanKind::kTableScan, PlanKind::kIndexAImproved};
+  req.space = space;
+  auto map = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie().map();
   EXPECT_EQ(map.num_plans(), 2u);
   EXPECT_EQ(map.plan_label(0), "A.tablescan");
   for (size_t pt = 0; pt < space.num_points(); ++pt) {

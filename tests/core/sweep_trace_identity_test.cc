@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/trace.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "core/sweep_telemetry.h"
 #include "testing/map_expect.h"
 #include "testing/test_env.h"
@@ -49,19 +49,17 @@ TEST_F(SweepTraceIdentityTest, TracingOnVsOffIsBitIdentical) {
 
   for (unsigned threads : {1u, 4u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    SweepOptions opts;
-    opts.num_threads = threads;
+    SweepRequest req;
+    req.plans = IdentityPlans();
+    req.space = space;
+    req.sweep.num_threads = threads;
 
     DisableAll();
-    auto untraced =
-        SweepStudyPlans(env.ctx(), executor, IdentityPlans(), space, opts)
-            .ValueOrDie();
+    auto untraced = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie();
 
     Tracer::Get().Enable();
     SweepTelemetry::Get().Enable();
-    auto traced =
-        SweepStudyPlans(env.ctx(), executor, IdentityPlans(), space, opts)
-            .ValueOrDie();
+    auto traced = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie();
 
     // The instrumented run must have actually observed something — a
     // trivially-green test with dead instrumentation proves nothing.
@@ -73,7 +71,7 @@ TEST_F(SweepTraceIdentityTest, TracingOnVsOffIsBitIdentical) {
     EXPECT_NE(SweepTelemetry::Get().Histograms().count("sweep.cell_seconds"),
               0u);
 
-    ExpectMapsBitIdentical(untraced, traced);
+    ExpectMapsBitIdentical(untraced.map(), traced.map());
   }
 }
 
@@ -83,11 +81,11 @@ TEST_F(SweepTraceIdentityTest, PoolViewCountersCoverEveryWorker) {
   ParameterSpace space = IdentitySpace();
 
   SweepTelemetry::Get().Enable();
-  SweepOptions opts;
-  opts.num_threads = 3;
-  ASSERT_TRUE(
-      SweepStudyPlans(env.ctx(), executor, IdentityPlans(), space, opts)
-          .ok());
+  SweepRequest req;
+  req.plans = IdentityPlans();
+  req.space = space;
+  req.sweep.num_threads = 3;
+  ASSERT_TRUE(SweepEngine::Run(env.ctx(), executor, req).ok());
   const auto counters = SweepTelemetry::Get().Counters();
   size_t views = 0;
   for (const auto& [name, value] : counters) {

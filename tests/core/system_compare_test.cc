@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "testing/test_env.h"
 
 namespace robustmap {
@@ -52,9 +52,11 @@ class SystemCompareTest : public ::testing::Test {
     ParameterSpace space =
         ParameterSpace::TwoD(Axis::Selectivity("a", -6, 0),
                              Axis::Selectivity("b", -6, 0));
+    SweepRequest req;
+    req.plans = AllStudyPlans();
+    req.space = space;
     map_ = new RobustnessMap(
-        SweepStudyPlans(env_->ctx(), executor, AllStudyPlans(), space)
-            .ValueOrDie());
+        SweepEngine::Run(env_->ctx(), executor, req).ValueOrDie().map());
   }
   static void TearDownTestSuite() {
     delete map_;

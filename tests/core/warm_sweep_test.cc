@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "testing/map_expect.h"
 #include "testing/test_env.h"
 
@@ -22,6 +22,19 @@ ParameterSpace SmallSpace() {
                               Axis::Selectivity("b", -4, 0));
 }
 
+/// The warm-cold study of `StudyPlans()` over `SmallSpace()` on the
+/// threaded backend.
+SweepRequest WarmColdRequest(const WarmupPolicy& warm_policy,
+                             const SweepOptions& opts) {
+  SweepRequest req;
+  req.plans = StudyPlans();
+  req.space = SmallSpace();
+  req.study = StudyKind::kWarmColdDelta;
+  req.warm_policy = warm_policy;
+  req.sweep = opts;
+  return req;
+}
+
 TEST(RunWarmColdSweepTest, ProducesConsistentDeltaAndRestoresPolicy) {
   ProcEnv env;
   Executor executor(env.db());
@@ -33,19 +46,20 @@ TEST(RunWarmColdSweepTest, ProducesConsistentDeltaAndRestoresPolicy) {
   }
   SweepOptions opts;
   opts.num_threads = 2;
-  auto maps = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                               WarmupPolicy::ExplicitPages(pages), opts)
+  auto maps = SweepEngine::Run(
+                  env.ctx(), executor,
+                  WarmColdRequest(WarmupPolicy::ExplicitPages(pages), opts))
                   .ValueOrDie();
 
   EXPECT_EQ(env.ctx()->warmup.mode, WarmupPolicy::Mode::kCold);  // restored
 
   // delta = warm - cold, cell by cell; cardinalities must agree.
   double min_delta = 0;
-  for (size_t plan = 0; plan < maps.delta.num_plans(); ++plan) {
+  for (size_t plan = 0; plan < maps.delta().num_plans(); ++plan) {
     for (size_t pt = 0; pt < space.num_points(); ++pt) {
-      const Measurement& d = maps.delta.At(plan, pt);
-      const Measurement& w = maps.warm.At(plan, pt);
-      const Measurement& c = maps.cold.At(plan, pt);
+      const Measurement& d = maps.delta().At(plan, pt);
+      const Measurement& w = maps.warm().At(plan, pt);
+      const Measurement& c = maps.cold().At(plan, pt);
       EXPECT_DOUBLE_EQ(d.seconds, w.seconds - c.seconds);
       EXPECT_EQ(w.output_rows, c.output_rows);
       if (d.seconds < min_delta) min_delta = d.seconds;
@@ -59,45 +73,39 @@ TEST(RunWarmColdSweepTest, ProducesConsistentDeltaAndRestoresPolicy) {
 TEST(RunWarmColdSweepTest, DeterministicWarmPolicyIsThreadCountInvariant) {
   ProcEnv env;
   Executor executor(env.db());
-  ParameterSpace space = SmallSpace();
   WarmupPolicy policy = WarmupPolicy::FractionResident(0.3);
 
   SweepOptions serial;
   serial.num_threads = 1;
   auto reference =
-      RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space, policy,
-                       serial)
+      SweepEngine::Run(env.ctx(), executor, WarmColdRequest(policy, serial))
           .ValueOrDie();
 
   for (unsigned threads : {2u, 8u}) {
     SweepOptions opts;
     opts.num_threads = threads;
-    auto maps = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                                 policy, opts)
-                    .ValueOrDie();
+    auto maps =
+        SweepEngine::Run(env.ctx(), executor, WarmColdRequest(policy, opts))
+            .ValueOrDie();
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    ExpectMapsBitIdentical(reference.cold, maps.cold);
-    ExpectMapsBitIdentical(reference.warm, maps.warm);
+    ExpectMapsBitIdentical(reference.cold(), maps.cold());
+    ExpectMapsBitIdentical(reference.warm(), maps.warm());
   }
 }
 
 TEST(RunWarmColdSweepTest, PriorRunWarmMapIsReproducible) {
   ProcEnv env;
   Executor executor(env.db());
-  ParameterSpace space = SmallSpace();
   // Prior-run warmth depends on execution history; the sweep pins it by
   // forcing serial order and a cleared pool at the start of the warm half,
   // so two invocations must agree bit for bit — even asked to parallelize.
   SweepOptions opts;
   opts.num_threads = 4;
-  auto first = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                                WarmupPolicy::PriorRun(), opts)
-                   .ValueOrDie();
-  auto second = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                                 WarmupPolicy::PriorRun(), opts)
-                    .ValueOrDie();
-  ExpectMapsBitIdentical(first.warm, second.warm);
-  ExpectMapsBitIdentical(first.cold, second.cold);
+  const SweepRequest req = WarmColdRequest(WarmupPolicy::PriorRun(), opts);
+  auto first = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie();
+  auto second = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie();
+  ExpectMapsBitIdentical(first.warm(), second.warm());
+  ExpectMapsBitIdentical(first.cold(), second.cold());
 }
 
 // A page-set policy over a shared pool: every cell's ColdStart clears and
@@ -106,7 +114,6 @@ TEST(RunWarmColdSweepTest, PriorRunWarmMapIsReproducible) {
 TEST(RunWarmColdSweepTest, SharedPoolPageSetPolicyIsReproducible) {
   ProcEnv env;
   Executor executor(env.db());
-  ParameterSpace space = SmallSpace();
   WarmupPolicy policy = WarmupPolicy::FractionResident(0.3);
 
   auto run_once = [&]() {
@@ -114,14 +121,14 @@ TEST(RunWarmColdSweepTest, SharedPoolPageSetPolicyIsReproducible) {
     SweepOptions opts;
     opts.num_threads = 4;
     opts.shared_pool = &shared;
-    return RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space, policy,
-                            opts)
+    return SweepEngine::Run(env.ctx(), executor,
+                            WarmColdRequest(policy, opts))
         .ValueOrDie();
   };
   auto first = run_once();
   auto second = run_once();
-  ExpectMapsBitIdentical(first.warm, second.warm);
-  ExpectMapsBitIdentical(first.cold, second.cold);
+  ExpectMapsBitIdentical(first.warm(), second.warm());
+  ExpectMapsBitIdentical(first.cold(), second.cold());
 }
 
 // The §3.2 cross-query reuse scenario: one shared cache carried across the
@@ -137,10 +144,13 @@ TEST(SweepStudyPlansTest, SharedPoolSerialSweepIsDeterministic) {
     SweepOptions opts;
     opts.num_threads = 1;
     opts.shared_pool = &shared;
+    SweepRequest req;
+    req.plans = StudyPlans();
+    req.space = space;
+    req.sweep = opts;
     env.ctx()->warmup = WarmupPolicy::PriorRun();
     auto map =
-        SweepStudyPlans(env.ctx(), executor, StudyPlans(), space, opts)
-            .ValueOrDie();
+        SweepEngine::Run(env.ctx(), executor, req).ValueOrDie().map();
     env.ctx()->warmup = WarmupPolicy::Cold();
     return map;
   };

@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "core/landmarks.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "workload/dataset.h"
 
 namespace robustmap {
@@ -22,12 +22,14 @@ class CalibrationTest : public ::testing::Test {
     env_ = StudyEnvironment::Create(opts).ValueOrDie().release();
     ParameterSpace space =
         ParameterSpace::OneD(Axis::Selectivity("sel(a)", -16, 0));
+    SweepRequest req;
+    req.plans = {PlanKind::kTableScan, PlanKind::kIndexANaive,
+                 PlanKind::kIndexAImproved};
+    req.space = space;
     map_ = new RobustnessMap(
-        SweepStudyPlans(env_->ctx(), env_->executor(),
-                        {PlanKind::kTableScan, PlanKind::kIndexANaive,
-                         PlanKind::kIndexAImproved},
-                        space)
-            .ValueOrDie());
+        SweepEngine::Run(env_->ctx(), env_->executor(), req)
+            .ValueOrDie()
+            .map());
   }
   static void TearDownTestSuite() {
     delete map_;

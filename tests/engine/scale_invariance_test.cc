@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "workload/dataset.h"
 
 namespace robustmap {
@@ -27,11 +27,12 @@ Landmarks MeasureAt(int row_bits) {
   auto env = StudyEnvironment::Create(opts).ValueOrDie();
   ParameterSpace space = ParameterSpace::OneD(
       Axis::Selectivity("s", -(row_bits - 4), 0));
-  auto map = SweepStudyPlans(env->ctx(), env->executor(),
-                             {PlanKind::kTableScan, PlanKind::kIndexANaive,
-                              PlanKind::kIndexAImproved},
-                             space)
-                 .ValueOrDie();
+  SweepRequest req;
+  req.plans = {PlanKind::kTableScan, PlanKind::kIndexANaive,
+               PlanKind::kIndexAImproved};
+  req.space = space;
+  auto map =
+      SweepEngine::Run(env->ctx(), env->executor(), req).ValueOrDie().map();
 
   auto crossover_log2 = [&](size_t plan) {
     auto a = map.SecondsOfPlan(plan);

@@ -9,7 +9,7 @@
 #include "core/optimality.h"
 #include "core/regions.h"
 #include "core/relative.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "engine/system.h"
 #include "workload/dataset.h"
 
@@ -26,9 +26,13 @@ class StudyIntegrationTest : public ::testing::Test {
     ParameterSpace space =
         ParameterSpace::TwoD(Axis::Selectivity("sel(a)", -12, 0),
                              Axis::Selectivity("sel(b)", -12, 0));
-    map_ = new RobustnessMap(SweepStudyPlans(env_->ctx(), env_->executor(),
-                                             AllStudyPlans(), space)
-                                 .ValueOrDie());
+    SweepRequest req;
+    req.plans = AllStudyPlans();
+    req.space = space;
+    map_ = new RobustnessMap(
+        SweepEngine::Run(env_->ctx(), env_->executor(), req)
+            .ValueOrDie()
+            .map());
   }
   static void TearDownTestSuite() {
     delete map_;
