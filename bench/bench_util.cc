@@ -56,18 +56,6 @@ std::string EnvString(const char* name) {
   return raw == nullptr ? std::string() : raw;
 }
 
-CostModelKind EnvCostModel(CostModelKind def) {
-  const std::string raw = EnvString("REPRO_COST_MODEL");
-  if (raw.empty()) return def;
-  auto kind = CostModelKindFromString(raw);
-  if (!kind.ok()) {
-    std::fprintf(stderr, "REPRO_COST_MODEL=%s ignored (%s)\n", raw.c_str(),
-                 kind.status().message().c_str());
-    return def;
-  }
-  return kind.value();
-}
-
 StudyKind EnvStudy(StudyKind def) {
   const std::string raw = EnvString("REPRO_STUDY");
   if (raw.empty()) return def;
@@ -98,7 +86,6 @@ BenchScale ResolveScale(int default_row_bits, int default_min_log2) {
   s.num_threads =
       static_cast<unsigned>(EnvInt("REPRO_THREADS", 0, 0, 256));
   s.num_shards = static_cast<unsigned>(EnvInt("REPRO_SHARDS", 0, 0, 256));
-  s.cost_model = EnvCostModel(s.cost_model);
   s.verbose = EnvFlag("REPRO_VERBOSE");
   return s;
 }
@@ -113,7 +100,6 @@ SweepRequest StudyRequest(const BenchScale& scale,
   req.backend = BackendKind::kThreaded;
   req.sweep = SweepOpts(scale);
   req.sharded.num_workers = scale.num_shards;
-  req.sharded.cost_model = scale.cost_model;
   req.sharded.verbose = scale.verbose;
   return req;
 }

@@ -8,7 +8,6 @@
 #include "common/trace.h"
 #include "core/robustness_map.h"
 #include "core/sweep.h"
-#include "core/sweep_cost.h"
 #include "core/sweep_engine.h"
 #include "workload/dataset.h"
 
@@ -26,13 +25,8 @@ bool EnvFlag(const char* name);
 /// String env knob: "" when unset or empty.
 std::string EnvString(const char* name);
 
-/// REPRO_COST_MODEL resolved through `CostModelKindFromString`, with the
-/// unparseable-value warning printed once here — the one resolver shared
-/// by `ResolveScale` and the `sweep_shard` flag default (the two used to
-/// parse the variable independently).
-CostModelKind EnvCostModel(CostModelKind def);
-
-/// REPRO_STUDY resolved through `StudyKindFromString`, same contract.
+/// REPRO_STUDY resolved through `StudyKindFromString`, with the
+/// unparseable-value warning printed once here.
 StudyKind EnvStudy(StudyKind def);
 
 /// Scale knobs shared by all figure benches.
@@ -45,10 +39,6 @@ StudyKind EnvStudy(StudyKind def);
 ///   REPRO_SHARDS    — worker *processes* for sharded sweeps (default 0 =
 ///                     driver-specific; maps are bit-identical at any
 ///                     setting).
-///   REPRO_COST_MODEL — sharded-sweep scheduling model: "uniform",
-///                     "analytic" (default), or "measured" (reschedule
-///                     from per-tile wall times found in the tile
-///                     directory); maps are bit-identical at any setting.
 ///   REPRO_STUDY     — sweep study for study-agnostic drivers
 ///                     (`sweep_shard`): "plain" (default) or "warmcold"
 ///                     (cold/warm/delta layers per tile).
@@ -64,7 +54,6 @@ struct BenchScale {
   int grid_min_log2;  ///< selectivity grid lower bound (e.g. -16)
   unsigned num_threads = 0;
   unsigned num_shards = 0;
-  CostModelKind cost_model = CostModelKind::kAnalytic;
   bool verbose = false;
 };
 
@@ -80,7 +69,7 @@ SweepOptions SweepOpts(const BenchScale& scale);
 
 /// A plain-map engine request at this scale: the threaded backend with
 /// the scale's thread/verbosity knobs, and the sharded backend knobs
-/// (shards, cost model) prefilled for callers that flip `req.backend`.
+/// (shards, verbosity) prefilled for callers that flip `req.backend`.
 SweepRequest StudyRequest(const BenchScale& scale,
                           std::vector<PlanKind> plans, ParameterSpace space);
 

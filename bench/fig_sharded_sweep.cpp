@@ -9,17 +9,13 @@
 //   * a resumed sweep recomputes nothing when all tiles are valid;
 //   * after deleting one tile and corrupting another, resume recomputes
 //     exactly those two and still merges the identical map;
-//   * uniform, analytic, and measured cost models all merge the identical
-//     map — scheduling is allowed to move tile boundaries, never values —
-//     and the measured model picks up the wall times the previous run
-//     stamped into its tiles.
+//   * every computed tile carries the wall time its sweep took;
+//   * the sharded warm/cold/delta study merges the serial study's layers.
 //
 // Exits non-zero on any failed check — ready for CI.
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +34,16 @@ void Check(bool ok, const char* name, double value, const char* detail) {
   std::printf("  [%s] %-52s %10.4g   %s\n", ok ? "PASS" : "FAIL", name, value,
               detail);
   if (!ok) ++g_failures;
+}
+
+/// Removes every tile file a previous run of this figure left in `dir`,
+/// so a fresh (resume = false) run starts from an empty directory: a
+/// later resume must find only this run's tiles, not an older run's
+/// straggler pieces to adopt.
+void ClearTileDir(const std::string& dir) {
+  for (const std::string& name : SortedTileFiles(dir)) {
+    std::remove((dir + "/" + name).c_str());
+  }
 }
 
 /// This figure's plain-map study on the sharded backend under `opts`.
@@ -98,6 +104,7 @@ int main() {
     opts.num_workers = workers;
     opts.resume = false;  // a fresh timing run, not a resume
     opts.verbose = scale.verbose;
+    ClearTileDir(opts.tile_dir);
     WallTimer timer;
     SweepOutcome merged =
         SweepEngine::Run(env->ctx(), env->executor(),
@@ -163,71 +170,23 @@ int main() {
           1, "checkpoint damage is fully healed");
   }
 
-  // Cost models: scheduling may reshape and reorder tiles, but never the
-  // map. Uniform tiles (the pre-cost-layer planner) and a measured-cost
-  // re-balance (fed by the wall times the analytic run above left in its
-  // tiles) must both merge the same bytes.
+  // Tile files are self-describing artifacts: every one a worker wrote
+  // carries the wall time its sweep took (v2 metadata, which map_cat
+  // prints). Scanned by directory, not by planned id: the heal above
+  // replaced two planned tiles with straggler pieces under fresh ids and
+  // left one corrupt (unreadable) file behind.
   {
-    ShardedSweepOptions uopts;
-    uopts.tile_dir = OutDir() + "/fig_sharded_uniform";
-    uopts.num_workers = 8;
-    uopts.resume = false;
-    uopts.verbose = scale.verbose;
-    uopts.cost_model = CostModelKind::kUniform;
-    SweepOutcome uniform =
-        SweepEngine::Run(env->ctx(), env->executor(),
-                         ShardedRequest(plans, space, uopts))
-            .ValueOrDie();
-    Check(MapsBitIdentical(serial, uniform.map()),
-          "uniform cost model merges == serial",
-          uniform.sharded_stats.busy_balance_ratio(),
-          "balance ratio (slowest/mean worker)");
-
-    // The measured-feedback contract, checked at its root: every readable
-    // tile the runs above left behind must carry a positive wall time (if
-    // stamping silently regressed, MeasuredCostModelFromDir would fall
-    // back to the analytic prior and a weaker check would still pass).
-    // Scanned by directory, not by planned id: the heal above replaced
-    // two planned tiles with straggler pieces under fresh ids and left
-    // one corrupt (unreadable, hence unusable) file behind.
-    std::map<std::string, MapTile> disk_tiles;
-    auto measured_model =
-        MeasuredCostModelFromDir(last_dir, space, &disk_tiles).ValueOrDie();
+    size_t read_tiles = 0;
     size_t timed_tiles = 0;
-    double wall_sum = 0;
-    for (const auto& entry : disk_tiles) {
-      if (entry.second.wall_seconds > 0) {
-        ++timed_tiles;
-        wall_sum += entry.second.wall_seconds;
-      }
+    for (const std::string& name : SortedTileFiles(last_dir)) {
+      auto tile = ReadMapTileFile(last_dir + "/" + name);
+      if (!tile.ok()) continue;
+      ++read_tiles;
+      if (tile.value().wall_seconds > 0) ++timed_tiles;
     }
-    Check(!disk_tiles.empty() && timed_tiles == disk_tiles.size(),
+    Check(read_tiles > 0 && timed_tiles == read_tiles,
           "every computed tile carries its wall time",
           static_cast<double>(timed_tiles), "timed tiles (v2 metadata)");
-    ShardedSweepOptions mopts;
-    mopts.tile_dir = last_dir;
-    mopts.num_workers = 8;
-    mopts.resume = false;  // measured boundaries differ; this is a re-balance
-    mopts.verbose = scale.verbose;
-    mopts.cost_model = CostModelKind::kMeasured;
-    SweepOutcome measured =
-        SweepEngine::Run(env->ctx(), env->executor(),
-                         ShardedRequest(plans, space, mopts))
-            .ValueOrDie();
-    Check(MapsBitIdentical(serial, measured.map()),
-          "measured cost model merges == serial",
-          measured.sharded_stats.busy_balance_ratio(),
-          "balance ratio (slowest/mean worker)");
-    // With every tile timed above, the measured model is genuinely built
-    // from observations: its total is the tiles' summed wall seconds (as
-    // counted before the rerun overwrote them), not the analytic prior's
-    // unit-scale weights — a silent fallback-to-prior cannot sneak
-    // through.
-    Check(wall_sum > 0 &&
-              std::abs(measured_model.TotalCost() - wall_sum) <
-                  1e-6 * wall_sum,
-          "measured model rebuilt from prior run's tile timings",
-          measured_model.TotalCost(), "summed measured seconds");
   }
 
   // Study × backend composition: the sharded warm/cold/delta study — the
@@ -253,6 +212,7 @@ int main() {
     req.sharded.num_tiles = 8;
     req.sharded.resume = false;
     req.sharded.verbose = scale.verbose;
+    ClearTileDir(req.sharded.tile_dir);
     auto sharded = SweepEngine::Run(env->ctx(), env->executor(), req)
                        .ValueOrDie();
     Check(MapsBitIdentical(reference.cold(), sharded.cold()) &&

@@ -11,13 +11,11 @@
 // Usage:
 //   sweep_shard [--row-bits=16] [--min-log2=-8] [--steps-per-octave=1]
 //               [--plans=all|smoke] [--workers=N] [--tiles=T]
-//               [--threads-per-worker=1] [--out-dir=shard_out]
-//               [--cost-model=uniform|analytic|measured]
+//               [--out-dir=shard_out]
 //               [--study=plain|warmcold] [--warmup=SPEC]
 //               [--worker=PATH]   # sweep_worker binary (default: next to me)
 //               [--fork]          # forked serving workers, no exec
 //               [--serial]        # single-process reference sweep
-//               [--no-split]      # disable straggler-tile splitting
 //               [--no-resume] [--verbose]
 //               [--cache-dir=DIR] [--progressive=K]
 //               [--trace=FILE] [--telemetry=FILE]
@@ -34,13 +32,12 @@
 // DIR/merged.{rmt,csv} for the plain study, DIR/merged_<layer>.{rmt,csv}
 // (cold/warm/delta) for --study=warmcold — each a single-layer full-grid
 // tile, so `cmp` against a --serial reference run checks bit-identity per
-// layer. The REPRO_SHARDS / REPRO_COST_MODEL / REPRO_STUDY env knobs
-// supply --workers / --cost-model / --study when the flags are absent.
-// --warmup (WarmupPolicy::FromSpec grammar, e.g. resident:0.5) is the warm
-// layer's policy for warmcold and the measurement policy for plain.
-// --cost-model=measured reschedules from the wall times stamped into the
-// tile files of a previous run against the same --out-dir (combine with
-// --no-resume: moving tile boundaries invalidates old checkpoints anyway).
+// layer. The REPRO_SHARDS / REPRO_STUDY env knobs supply --workers /
+// --study when the flags are absent. --warmup (WarmupPolicy::FromSpec
+// grammar, e.g. resident:0.5) is the warm layer's policy for warmcold and
+// the measurement policy for plain. Tiles are cut to equal cost under the
+// analytic prior and dispatched heaviest first; when fewer tiles are
+// pending than workers, the heavy ones are split (the "split=" count).
 //
 // --cache-dir attaches the content-addressed cell-result cache
 // (DIR/cells.rmc, see core/cell_cache.h): already-measured cells are
@@ -105,17 +102,13 @@ int main(int argc, char** argv) {
   ShardGrid grid;
   int workers = 0;
   int tiles = 0;
-  int threads_per_worker = 1;
   int progressive = EnvInt("REPRO_PROGRESSIVE", 0, 0, 1 << 20);
   bool use_fork = false;
   bool serial = false;
   bool resume = true;
-  bool split_stragglers = true;
   bool verbose = EnvFlag("REPRO_VERBOSE");
   std::string out_dir = "shard_out";
   std::string worker_path = DefaultWorkerPath(argv[0]);
-  std::string cost_model_name =
-      CostModelKindName(EnvCostModel(CostModelKind::kAnalytic));
   std::string study_name = StudyKindName(EnvStudy(StudyKind::kPlainMap));
   std::string warmup_spec = "cold";
   std::string cache_dir = EnvString("REPRO_CACHE");
@@ -125,11 +118,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "workers", &workers) ||
         ParseIntFlag(arg, "tiles", &tiles) ||
-        ParseIntFlag(arg, "threads-per-worker", &threads_per_worker) ||
         ParseIntFlag(arg, "progressive", &progressive) ||
         ParseFlag(arg, "out-dir", &out_dir) ||
         ParseFlag(arg, "cache-dir", &cache_dir) ||
-        ParseFlag(arg, "cost-model", &cost_model_name) ||
         ParseFlag(arg, "study", &study_name) ||
         ParseFlag(arg, "warmup", &warmup_spec) ||
         ParseFlag(arg, "worker", &worker_path) ||
@@ -143,8 +134,6 @@ int main(int argc, char** argv) {
       serial = true;
     } else if (arg == "--no-resume") {
       resume = false;
-    } else if (arg == "--no-split") {
-      split_stragglers = false;
     } else if (arg == "--verbose") {
       verbose = true;
     } else {
@@ -153,12 +142,6 @@ int main(int argc, char** argv) {
     }
   }
   if (workers == 0) workers = EnvInt("REPRO_SHARDS", 0, 0, 256);
-  auto cost_model = CostModelKindFromString(cost_model_name);
-  if (!cost_model.ok()) {
-    std::fprintf(stderr, "sweep_shard: %s\n",
-                 cost_model.status().message().c_str());
-    return 2;
-  }
   auto study = StudyKindFromString(study_name);
   if (!study.ok()) {
     std::fprintf(stderr, "sweep_shard: %s\n",
@@ -279,12 +262,8 @@ int main(int argc, char** argv) {
   req.sharded.tile_dir = out_dir;
   req.sharded.num_workers = static_cast<unsigned>(workers < 0 ? 0 : workers);
   req.sharded.num_tiles = tiles <= 0 ? 0 : static_cast<size_t>(tiles);
-  req.sharded.threads_per_worker =
-      static_cast<unsigned>(threads_per_worker < 1 ? 1 : threads_per_worker);
   req.sharded.resume = resume;
   req.sharded.verbose = verbose;
-  req.sharded.cost_model = cost_model.value();
-  req.sharded.split_stragglers = split_stragglers;
 
   // The cache outlives the request: the engine borrows it, main flushes
   // it after the merged artifacts are safely on disk.
@@ -338,8 +317,6 @@ int main(int argc, char** argv) {
     for (std::string& flag : GridArgs(grid)) {
       req.sharded.worker_command.push_back(std::move(flag));
     }
-    req.sharded.worker_command.push_back(
-        "--threads=" + std::to_string(req.sharded.threads_per_worker));
   }
 
   // Exec mode touches no cells in this process: a minimal simulated
@@ -385,12 +362,12 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "sharded sweep: tiles=%zu reused=%zu computed=%zu split=%zu workers=%u "
-      "mode=%s study=%s cost-model=%s balance=%.2f wall=%.2fs -> "
+      "mode=%s study=%s balance=%.2f wall=%.2fs -> "
       "%s/merged*.rmt\n",
       stats.tiles_total, stats.tiles_reused, stats.tiles_computed,
       stats.tiles_split, stats.workers_spawned, use_fork ? "fork" : "exec",
-      StudyKindName(study.value()), CostModelKindName(req.sharded.cost_model),
-      stats.busy_balance_ratio(), timer.Seconds(), out_dir.c_str());
+      StudyKindName(study.value()), stats.busy_balance_ratio(),
+      timer.Seconds(), out_dir.c_str());
   write_observability();
   return 0;
 }

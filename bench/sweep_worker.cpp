@@ -2,7 +2,7 @@
 // from its flags once, then computes grid tiles on request until its input
 // ends, each written as a checkpointed binary tile file (single-layer for
 // the plain study, one named layer per study output otherwise, stamped
-// with the wall time later coordinator runs reschedule from). Normally
+// with the wall time its sweep took). Normally
 // exec'd by `sweep_shard` once per lane (the engine appends --tile-dir,
 // --study and the other session flags to its grid flags), but equally
 // runnable by hand or from a cluster scheduler — a tile file is
@@ -13,7 +13,7 @@
 //   sweep_worker --tile-dir=DIR [--stride=K]
 //                [--study=plain|warmcold] [--warmup=SPEC]
 //                [--row-bits=16] [--min-log2=-8] [--steps-per-octave=1]
-//                [--plans=all|smoke] [--threads=1] [--cache-dir=DIR]
+//                [--plans=all|smoke] [--cache-dir=DIR]
 //                [--trace-epoch=NS] [--telemetry]
 //
 // The protocol is `ServeTiles` (core/sharded_sweep.h): each stdin line
@@ -42,7 +42,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -76,7 +75,6 @@ int main(int argc, char** argv) {
   ::dup2(STDERR_FILENO, STDOUT_FILENO);
 
   ShardGrid grid;
-  int threads = 1;
   int stride = 1;
   bool telemetry = false;
   std::string tile_dir;
@@ -86,8 +84,7 @@ int main(int argc, char** argv) {
   std::string trace_epoch;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "threads", &threads) ||
-        ParseIntFlag(arg, "stride", &stride) ||
+    if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "stride", &stride) ||
         ParseFlag(arg, "tile-dir", &tile_dir) ||
         ParseFlag(arg, "cache-dir", &cache_dir) ||
         ParseFlag(arg, "study", &study_name) ||
@@ -108,7 +105,7 @@ int main(int argc, char** argv) {
                  "[--study=plain|warmcold] [--warmup=SPEC] "
                  "[--row-bits=..] [--min-log2=..] "
                  "[--steps-per-octave=..] [--plans=all|smoke] "
-                 "[--threads=..] [--cache-dir=DIR] [--trace-epoch=NS] "
+                 "[--cache-dir=DIR] [--trace-epoch=NS] "
                  "[--telemetry]  (tile requests on stdin)\n");
     return 2;
   }
@@ -153,7 +150,6 @@ int main(int argc, char** argv) {
   req.study = study.value();
   req.warm_policy = warmup.value();
   req.sharded.tile_dir = tile_dir;
-  req.sharded.threads_per_worker = static_cast<unsigned>(std::max(threads, 1));
   std::unique_ptr<StudyEnvironment> env = MakeGridEnvironment(grid);
   // A plain study measures under the context's policy; a warm-cold study
   // keeps the context cold (its cold layer) and warms only the warm layer.

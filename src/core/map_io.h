@@ -21,8 +21,7 @@ namespace robustmap {
 /// misinterpretation is never an acceptable failure mode.
 ///
 /// v2: magic, version, `wall_seconds` (the tile sweep's measured wall
-///     time — the per-tile cost feedback `CostModelKind::kMeasured`
-///     reschedules from), spec, axes, labels, cells, checksum.
+///     time, which `map_cat` prints), spec, axes, labels, cells, checksum.
 /// v3: adds a layer count after `wall_seconds` and, after the plan labels,
 ///     one named cell block per layer — the serialized form of a
 ///     multi-output study (e.g. cold/warm/delta from a warm-cold sweep).
@@ -44,7 +43,7 @@ struct MapTile {
 
   /// Wall-clock seconds the sweep that produced this tile took; 0 when
   /// unknown (an artifact that was merged rather than measured).
-  /// Scheduling metadata only: it never participates in bit-identity
+  /// Observability metadata only: it never participates in bit-identity
   /// comparisons of the *map*, and merged/reference artifacts write 0 so
   /// equal maps still serialize to equal bytes.
   double wall_seconds = 0;
@@ -99,7 +98,7 @@ Result<MapTile> ReadMapTileFile(const std::string& path);
 /// The `.rmt` file names in `dir`, sorted (empty when `dir` cannot be
 /// read). readdir order is filesystem-dependent; every decision made from
 /// a directory scan must come from the sorted list, so a given directory
-/// state always yields the same cost model and the same shard plan.
+/// state always yields the same shard plan.
 std::vector<std::string> SortedTileFiles(const std::string& dir);
 
 /// Reassembles a full map per layer from tiles. Every tile must agree on

@@ -16,25 +16,6 @@ namespace robustmap {
 
 namespace {
 
-/// Band `b` of `count` even bands over `size` elements: [b*size/count,
-/// (b+1)*size/count). Consecutive bands tile [0, size) exactly and differ
-/// in length by at most one.
-std::pair<size_t, size_t> Band(size_t size, size_t count, size_t b) {
-  return {b * size / count, (b + 1) * size / count};
-}
-
-Status ValidatePartitionRequest(const ParameterSpace& space,
-                                size_t max_tiles) {
-  if (max_tiles == 0) {
-    return Status::InvalidArgument("cannot partition a sweep into 0 tiles");
-  }
-  if (space.num_points() == 0) {
-    return Status::InvalidArgument(
-        "cannot partition an empty grid (an axis has no values)");
-  }
-  return Status::OK();
-}
-
 /// Cuts [0, costs.size()) into `count` contiguous bands whose cumulative
 /// costs are as equal as a prefix walk can make them: boundary b lands at
 /// the first index whose prefix reaches b/count of the total, clamped so
@@ -75,39 +56,15 @@ std::vector<size_t> CostCuts(const std::vector<double>& costs, size_t count) {
 }  // namespace
 
 Result<std::vector<TileSpec>> ShardPlanner::Partition(
-    const ParameterSpace& space, size_t max_tiles) {
-  RM_RETURN_IF_ERROR(ValidatePartitionRequest(space, max_tiles));
-  const size_t x_size = space.x_size();
-  const size_t y_size = space.y_size();
-  // Rows first: a row band keeps cells that are adjacent in the row-major
-  // linearization together. Only when more tiles are wanted than there are
-  // rows does each row band also split along x. Both counts are capped by
-  // the axis length, so every tile is non-empty, and gx*gy <= max_tiles
-  // because gx <= max_tiles / gy.
-  const size_t gy = std::min(max_tiles, y_size);
-  const size_t gx = std::min(std::max<size_t>(1, max_tiles / gy), x_size);
-  std::vector<TileSpec> tiles;
-  tiles.reserve(gx * gy);
-  for (size_t by = 0; by < gy; ++by) {
-    const auto [y0, y1] = Band(y_size, gy, by);
-    for (size_t bx = 0; bx < gx; ++bx) {
-      const auto [x0, x1] = Band(x_size, gx, bx);
-      TileSpec t;
-      t.shard_id = by * gx + bx;
-      t.x_begin = x0;
-      t.x_end = x1;
-      t.y_begin = y0;
-      t.y_end = y1;
-      tiles.push_back(t);
-    }
-  }
-  return tiles;
-}
-
-Result<std::vector<TileSpec>> ShardPlanner::PartitionWeighted(
     const ParameterSpace& space, size_t max_tiles,
     const CellCostModel& model) {
-  RM_RETURN_IF_ERROR(ValidatePartitionRequest(space, max_tiles));
+  if (max_tiles == 0) {
+    return Status::InvalidArgument("cannot partition a sweep into 0 tiles");
+  }
+  if (space.num_points() == 0) {
+    return Status::InvalidArgument(
+        "cannot partition an empty grid (an axis has no values)");
+  }
   if (!(model.space() == space)) {
     return Status::InvalidArgument(
         "cost model was built over a different grid than the one being "
@@ -115,9 +72,13 @@ Result<std::vector<TileSpec>> ShardPlanner::PartitionWeighted(
   }
   const size_t x_size = space.x_size();
   const size_t y_size = space.y_size();
-  // Same tile-grid shape as the uniform partition — only the boundary
-  // placement changes — so a given (space, max_tiles) request yields the
-  // same tile count and the same dense row-major ids under either planner.
+  // Rows first: a row band keeps cells that are adjacent in the row-major
+  // linearization together. Only when more tiles are wanted than there are
+  // rows does each row band also split along x. Both counts are capped by
+  // the axis length, so every tile is non-empty, and gx*gy <= max_tiles
+  // because gx <= max_tiles / gy. The shape depends on the grid alone, so
+  // a (space, max_tiles) request yields the same tile count and the same
+  // dense row-major ids under any model.
   const size_t gy = std::min(max_tiles, y_size);
   const size_t gx = std::min(std::max<size_t>(1, max_tiles / gy), x_size);
 
@@ -165,23 +126,13 @@ namespace {
 /// describes exactly the tile the current plan expects — same rectangle,
 /// same parent grid, same plans, same study layers. Anything else (a tile
 /// from an older configuration, a plain tile in a warm-cold directory, a
-/// damaged file) must be recomputed. A tile the measured cost-model scan
-/// already read and validated is taken from `preloaded` instead of reading
-/// (and checksumming) the file a second time.
-Result<MapTile> LoadValidTile(std::map<std::string, MapTile>* preloaded,
-                              const std::string& path,
+/// damaged file) must be recomputed.
+Result<MapTile> LoadValidTile(const std::string& path,
                               const TileSpec& expected,
                               const ParameterSpace& space,
                               const std::vector<std::string>& labels,
                               StudyKind study) {
-  auto tile = [&]() -> Result<MapTile> {
-    if (auto it = preloaded->find(path); it != preloaded->end()) {
-      Result<MapTile> found(std::move(it->second));
-      preloaded->erase(it);
-      return found;
-    }
-    return ReadMapTileFile(path);
-  }();
+  auto tile = ReadMapTileFile(path);
   RM_RETURN_IF_ERROR(tile.status());
   const MapTile& t = tile.value();
   if (!(t.spec == expected) || !(t.parent_space == space) ||
@@ -370,43 +321,24 @@ uint64_t ShardCacheView::PublishLayers(
   return published;
 }
 
-Result<CellCostModel> ShardCostModel(
-    const SweepRequest& req, const ShardCacheView* cache_view,
-    std::map<std::string, MapTile>* preloaded) {
-  const ShardedSweepOptions& opts = req.sharded;
-  auto model = [&]() -> Result<CellCostModel> {
-    switch (opts.cost_model) {
-      case CostModelKind::kUniform:
-        return CellCostModel::Uniform(req.space);
-      case CostModelKind::kAnalytic:
-        return CellCostModel::Analytic(req.space);
-      case CostModelKind::kMeasured:
-        return MeasuredCostModelFromDir(opts.tile_dir, req.space,
-                                        opts.resume ? preloaded : nullptr);
-    }
-    return Status::InvalidArgument("unknown cost model kind");
-  }();
-  RM_RETURN_IF_ERROR(model.status());
-  // Cached cells are hits, not measurements: costed at a vanishing
-  // epsilon, the weighted partition cuts its tiles around the cells that
-  // still need measuring (uniform mode partitions by area regardless).
-  if (cache_view == nullptr) return model;
-  return model.value().WithDiscountedCells(cache_view->cached_flags());
-}
-
 Result<ShardPlan> PlanShards(const SweepRequest& req,
                              const std::vector<std::string>& labels,
-                             const CellCostModel& model,
-                             const ShardCacheView* cache_view,
-                             std::map<std::string, MapTile> preloaded) {
+                             const ShardCacheView* cache_view) {
   const ShardedSweepOptions& opts = req.sharded;
   const ParameterSpace& space = req.space;
+  auto prior = CellCostModel::Analytic(space);
+  RM_RETURN_IF_ERROR(prior.status());
+  // Cached cells are hits, not measurements: costed at a vanishing
+  // epsilon, the partition cuts its tiles around the cells that still
+  // need measuring.
+  const CellCostModel model =
+      cache_view == nullptr
+          ? std::move(prior).value()
+          : prior.value().WithDiscountedCells(cache_view->cached_flags());
   const unsigned num_workers = ResolveParallelism(opts.num_workers);
   const size_t num_tiles =
       opts.num_tiles == 0 ? num_workers : opts.num_tiles;
-  auto tiles = opts.cost_model == CostModelKind::kUniform
-                   ? ShardPlanner::Partition(space, num_tiles)
-                   : ShardPlanner::PartitionWeighted(space, num_tiles, model);
+  auto tiles = ShardPlanner::Partition(space, num_tiles, model);
   RM_RETURN_IF_ERROR(tiles.status());
   TraceSpan scan_span("shard.scan", "shard");
 
@@ -459,8 +391,7 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
   for (const TileSpec& t : tiles.value()) {
     const std::string path = opts.tile_dir + "/" + TileFileName(t.shard_id);
     auto tile = opts.resume
-                    ? LoadValidTile(&preloaded, path, t, space, labels,
-                                    req.study)
+                    ? LoadValidTile(path, t, space, labels, req.study)
                     : Result<MapTile>(Status::NotFound("resume disabled"));
     if (tile.ok()) {
       plan.loaded.push_back(std::move(tile).value());
@@ -555,8 +486,7 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
   // heaviest pending tile fits or is a single cell. Tiles are keyed by
   // cell ranges, so the merged bytes cannot change; only the checkpoint
   // granularity does.
-  if (opts.split_stragglers && num_workers > 1 && !todo.empty() &&
-      todo.size() < num_workers) {
+  if (num_workers > 1 && !todo.empty() && todo.size() < num_workers) {
     double pending_total = 0;
     for (const TileSpec& t : todo) pending_total += model.TileCost(t);
     const double threshold =
@@ -591,9 +521,8 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
       static_cast<unsigned>(std::min<size_t>(num_workers, todo.size()));
   if (opts.verbose && !todo.empty()) {
     std::fprintf(stderr,
-                 "  shard: %s cost model, %s study, %zu pending tiles "
+                 "  shard: %s study, %zu pending tiles "
                  "(heaviest %.3g, lightest %.3g relative cost)\n",
-                 CostModelKindName(opts.cost_model),
                  StudyKindName(req.study), todo.size(),
                  model.TileCost(todo.front()), model.TileCost(todo.back()));
   }

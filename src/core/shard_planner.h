@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -19,31 +18,22 @@ namespace robustmap {
 class ShardPlanner {
  public:
   /// Splits `space` into at most `max_tiles` rectangular tiles that cover
-  /// every grid point exactly once. The y axis is split first (rows are the
-  /// outer dimension of the row-major linearization), then x if more tiles
-  /// are wanted than there are rows; a 1-D space splits along x. Returns
-  /// fewer than `max_tiles` tiles when the grid is too small or the counts
-  /// do not divide evenly. Shard ids are assigned row-major over the tile
-  /// grid, so the same (space, max_tiles) request always yields the same
-  /// tiles with the same ids — the property checkpoint/resume relies on.
-  /// Rejects empty grids (either axis with no values).
+  /// every grid point exactly once, cut so the tiles carry about equal
+  /// cost under `model`. The tile grid is gy row bands (gy = min(max_tiles,
+  /// rows)) of gx tiles each (gx = min(max_tiles / gy, columns)); a 1-D
+  /// space splits along x. Fewer than `max_tiles` tiles come back when the
+  /// grid is too small or the counts do not divide evenly. Row bands each
+  /// carry ~1/gy of the total cost and each band's x cuts ~1/gx of that
+  /// band's, so where cost is skewed the expensive corner gets
+  /// geometrically finer tiles. Shard ids are row-major over the tile grid
+  /// and stable for a given (space, max_tiles, model) — the property
+  /// checkpoint/resume relies on — but tiles are *emitted* in snake order
+  /// (alternate bands reversed), so consecutive work units stay spatially
+  /// adjacent. Rejects 0 tiles, an empty grid, and a `model` built over
+  /// any grid but `space`.
   static Result<std::vector<TileSpec>> Partition(const ParameterSpace& space,
-                                                 size_t max_tiles);
-
-  /// Cost-balanced partition: the same tile-grid shape (and therefore the
-  /// same tile count) as `Partition`, but band boundaries are placed by
-  /// cumulative cost under `model` instead of by cell count — row bands
-  /// each carry ~1/gy of the total cost, and each band's x cuts carry
-  /// ~1/gx of that band's. Where cost is skewed the expensive corner gets
-  /// geometrically finer tiles, which is what lets equal-cost tiles exist
-  /// at all. Shard ids stay row-major over the tile grid (stable for a
-  /// given space, max_tiles, and model — checkpoint/resume still works),
-  /// but tiles are *emitted* in snake order (alternate bands reversed), so
-  /// consecutive work units stay spatially adjacent. `model` must be built
-  /// over exactly `space`.
-  static Result<std::vector<TileSpec>> PartitionWeighted(
-      const ParameterSpace& space, size_t max_tiles,
-      const CellCostModel& model);
+                                                 size_t max_tiles,
+                                                 const CellCostModel& model);
 };
 
 /// The sharded coordinator's planning-time view of the cell cache: the
@@ -86,17 +76,6 @@ class ShardCacheView {
   std::vector<uint8_t> cached_;  ///< [point]
 };
 
-/// The scheduling model of a sharded sweep under `req.sharded.cost_model`,
-/// with cached cells (when `cache_view` is set) discounted to a vanishing
-/// epsilon so weighted tiles are cut around the cells still to measure.
-/// Measured mode reads the tile directory's per-tile wall times (and
-/// degrades to the analytic prior when none are usable); when resuming,
-/// the tiles it read are handed back in `*preloaded`, keyed by path, so
-/// `PlanShards` need not read and checksum them a second time.
-Result<CellCostModel> ShardCostModel(const SweepRequest& req,
-                                     const ShardCacheView* cache_view,
-                                     std::map<std::string, MapTile>* preloaded);
-
 /// What a sharded sweep has to do, decided before any worker starts.
 struct ShardPlan {
   /// Tiles whose layers are already known: valid checkpoints, adopted
@@ -113,16 +92,18 @@ struct ShardPlan {
   ShardedSweepStats stats;
 };
 
-/// Plans a sharded sweep of `req` under `model` without starting a process
-/// or writing a file: reuses valid checkpoints (when resuming) and fully
-/// cached tiles, adopts on-disk pieces of planned tiles, and queues the
-/// rest heaviest first, straggler-split when workers would idle. The same
-/// directory and cache state always yields the same plan.
+/// Plans a sharded sweep of `req` without starting a process or writing a
+/// file. Tiles are cut and ordered by the analytic prior
+/// (`CellCostModel::Analytic`), with cached cells (when `cache_view` is
+/// set) discounted to a vanishing epsilon so tiles are cut around the
+/// cells still to measure. The plan reuses valid checkpoints (when
+/// resuming) and fully cached tiles, adopts on-disk pieces of planned
+/// tiles, and queues the rest heaviest first, straggler-split when workers
+/// would idle. The same directory and cache state always yields the same
+/// plan.
 Result<ShardPlan> PlanShards(const SweepRequest& req,
                              const std::vector<std::string>& labels,
-                             const CellCostModel& model,
-                             const ShardCacheView* cache_view,
-                             std::map<std::string, MapTile> preloaded = {});
+                             const ShardCacheView* cache_view);
 
 }  // namespace robustmap
 

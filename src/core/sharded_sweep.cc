@@ -7,7 +7,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -131,9 +130,8 @@ Status ServeTile(const std::string& line, RunContext* ctx,
   tile_req.plans = req.plans;
   tile_req.space = std::move(sub).value();
   tile_req.study = req.study;
-  tile_req.backend = BackendKind::kThreaded;
+  tile_req.backend = BackendKind::kSerial;
   tile_req.warm_policy = req.warm_policy;
-  tile_req.sweep.num_threads = std::max(1u, req.sharded.threads_per_worker);
   tile_req.cell_cache = req.cell_cache;
   const int64_t start_ns = MonotonicNowNs();
   Result<SweepOutcome> outcome = [&] {

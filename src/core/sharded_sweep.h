@@ -10,7 +10,6 @@
 #include "core/map_io.h"
 #include "core/shard_planner.h"
 #include "core/sweep.h"
-#include "core/sweep_cost.h"
 #include "core/sweep_engine.h"
 
 namespace robustmap {
@@ -60,17 +59,17 @@ std::string TileRequestLine(const TileSpec& tile);
 
 /// The serve loop every sharded worker runs, forked or exec'd. Reads tile
 /// requests from `in_fd` until EOF, one `TileRequestLine` each. Each tile
-/// of `req.space` is swept on the threaded backend (req's plans, study,
-/// warm policy and cell cache; `threads_per_worker` threads), written
-/// atomically to `req.sharded.tile_dir + "/" + TileFileName(shard_id)`
-/// with its sweep's wall-clock seconds as scheduling metadata, and
-/// answered with one byte on `out_fd`: '0' when the tile file was written,
-/// '1' when its Status is in `TileErrFileName(path)` instead. A request
-/// that does not parse or does not fit the grid is answered '1' as well;
-/// its reason goes to the .err file when the shard id is readable, to
-/// stderr when it is not. While the tracer or telemetry is enabled, each
-/// written tile also gets its observability sidecars, holding that tile's
-/// events only. Returns on EOF or when an answer cannot be written.
+/// of `req.space` is swept on the serial backend (req's plans, study,
+/// warm policy and cell cache), written atomically to
+/// `req.sharded.tile_dir + "/" + TileFileName(shard_id)` with its sweep's
+/// wall-clock seconds as metadata, and answered with one byte on
+/// `out_fd`: '0' when the tile file was written, '1' when its Status is in
+/// `TileErrFileName(path)` instead. A request that does not parse or does
+/// not fit the grid is answered '1' as well; its reason goes to the .err
+/// file when the shard id is readable, to stderr when it is not. While the
+/// tracer or telemetry is enabled, each written tile also gets its
+/// observability sidecars, holding that tile's events only. Returns on EOF
+/// or when an answer cannot be written.
 void ServeTiles(int in_fd, int out_fd, RunContext* ctx,
                 const Executor& executor, const SweepRequest& req);
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -16,6 +15,7 @@
 #include "core/map_io.h"
 #include "core/shard_planner.h"
 #include "core/sharded_sweep.h"
+#include "core/sweep_cost.h"
 #include "core/sweep_telemetry.h"
 #include "engine/query.h"
 
@@ -461,11 +461,8 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
                        labels);
   }
   const ShardCacheView* view = cache_view ? &*cache_view : nullptr;
-  std::map<std::string, MapTile> preloaded;
-  auto model = ShardCostModel(req, view, &preloaded);
-  RM_RETURN_IF_ERROR(model.status());
   RM_RETURN_IF_ERROR(EnsureDirectory(opts.tile_dir));
-  auto plan = PlanShards(req, labels, model.value(), view, std::move(preloaded));
+  auto plan = PlanShards(req, labels, view);
   RM_RETURN_IF_ERROR(plan.status());
   plan_span.reset();
   std::vector<TileSpec>& todo = plan.value().todo;

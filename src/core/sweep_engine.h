@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "core/robustness_map.h"
 #include "core/sweep.h"
-#include "core/sweep_cost.h"
 #include "engine/plan.h"
 #include "io/run_context.h"
 
@@ -63,12 +62,10 @@ struct ShardedSweepOptions {
 
   /// Tiles to split the grid into (work units; a worker processes several).
   /// 0 = one per worker. More tiles than workers smooths load imbalance and
-  /// makes checkpoints finer-grained.
+  /// makes checkpoints finer-grained. Tiles are cut to equal cost under the
+  /// analytic prior and dispatched heaviest first; when fewer are pending
+  /// than workers, heavy ones are split further (`PlanShards`).
   size_t num_tiles = 0;
-
-  /// Sweep threads inside each worker process (multiplies with
-  /// `num_workers`; keep at 1 unless workers are spread across machines).
-  unsigned threads_per_worker = 1;
 
   /// When true (the default), tiles already present and valid in `tile_dir`
   /// are trusted and only missing or invalid ones are recomputed — the
@@ -90,34 +87,6 @@ struct ShardedSweepOptions {
   /// apply "--warmup=<spec>", "--stride=<k>", "--cache-dir=<dir>",
   /// "--trace-epoch=<ns>" and "--telemetry".
   std::vector<std::string> worker_command;
-
-  /// How tiles are sized and dispatched. `kUniform` reproduces the
-  /// pre-cost-layer equal-area tiles in shard-id order. `kAnalytic` (the
-  /// default) cuts cost-balanced tiles from the selectivity prior and
-  /// dispatches the heaviest pending tile first, so the sweep no longer
-  /// finishes at the speed of its unluckiest tile. `kMeasured`
-  /// additionally rebuilds the model from per-tile wall times found in
-  /// `tile_dir` before partitioning — a repeated sweep reschedules from
-  /// what cells actually cost here, not from the prior. (Changing the
-  /// model between runs usually moves tile boundaries, which resume then
-  /// treats as a reconfiguration and recomputes; measured mode is a
-  /// re-balancing run, not a resume accelerator.) The merged map is
-  /// bit-identical under every setting — scheduling never touches values.
-  CostModelKind cost_model = CostModelKind::kAnalytic;
-
-  /// Straggler-tile splitting. When fewer tiles are pending than workers —
-  /// a resume recomputing two damaged tiles on an eight-worker box, or a
-  /// coarse partition — a pending tile whose modeled cost exceeds 1.25×
-  /// the pending average per worker is cut at its cost midpoint, repeatedly,
-  /// until the head of the queue fits; the pieces (fresh synthetic shard
-  /// ids, exact sub-rectangles) dispatch like any other tile. Splitting is
-  /// decided from the cost model *before* dispatch, never from wall-clock
-  /// observations mid-run, so a given directory state always produces the
-  /// same tiles, the same stats, and — tiles being keyed by cell ranges —
-  /// the same merged bytes. A later resume adopts any completed pieces it
-  /// finds covering a planned tile and recomputes only the uncovered
-  /// remainder.
-  bool split_stragglers = true;
 };
 
 /// Coarse-to-fine refinement for a sweep: measure the stride-k sublattice

@@ -337,7 +337,9 @@ TEST(MergeTilesTest, MergesEveryLayerAndChecksLayerAgreement) {
   MapTile full = MultiLayerTile(space, labels);
   // Slice the three full-grid layers into per-tile pieces, then merge the
   // pieces back: every layer must reassemble bit-identically.
-  auto tiles = ShardPlanner::Partition(space, 4).ValueOrDie();
+  auto tiles = ShardPlanner::Partition(
+                   space, 4, CellCostModel::Analytic(space).ValueOrDie())
+                   .ValueOrDie();
   std::vector<MapTile> pieces;
   for (const TileSpec& t : tiles) {
     ParameterSpace sub = SliceSpace(space, t).ValueOrDie();
@@ -390,7 +392,9 @@ TEST(MergeTilesTest, ReassemblesPartitionedMap) {
   ParameterSpace space = SmallSpace();
   std::vector<std::string> labels = {"scan", "idx.a", "idx.b"};
   RobustnessMap full = FillMap(space, labels);
-  auto tiles = ShardPlanner::Partition(space, 4).ValueOrDie();
+  auto tiles = ShardPlanner::Partition(
+                   space, 4, CellCostModel::Analytic(space).ValueOrDie())
+                   .ValueOrDie();
   std::vector<MapTile> pieces;
   for (const TileSpec& t : tiles) {
     ParameterSpace sub = SliceSpace(space, t).ValueOrDie();

@@ -23,6 +23,33 @@ ParameterSpace Grid(int x_min_log2, int y_min_log2) {
                               Axis::Selectivity("b", y_min_log2, 0));
 }
 
+CellCostModel Analytic(const ParameterSpace& space) {
+  return CellCostModel::Analytic(space).ValueOrDie();
+}
+
+/// The equal-area reference partition: the same tile-grid shape as
+/// `ShardPlanner::Partition`, with bands cut by cell count instead of by
+/// cost (band b of n over s cells is [b*s/n, (b+1)*s/n)).
+std::vector<TileSpec> EqualAreaTiles(const ParameterSpace& space,
+                                     size_t max_tiles) {
+  const size_t gy = std::min(max_tiles, space.y_size());
+  const size_t gx =
+      std::min(std::max<size_t>(1, max_tiles / gy), space.x_size());
+  std::vector<TileSpec> tiles;
+  for (size_t by = 0; by < gy; ++by) {
+    for (size_t bx = 0; bx < gx; ++bx) {
+      TileSpec t;
+      t.shard_id = by * gx + bx;
+      t.x_begin = bx * space.x_size() / gx;
+      t.x_end = (bx + 1) * space.x_size() / gx;
+      t.y_begin = by * space.y_size() / gy;
+      t.y_end = (by + 1) * space.y_size() / gy;
+      tiles.push_back(t);
+    }
+  }
+  return tiles;
+}
+
 /// Every grid point must be covered by exactly one tile.
 void ExpectExactCover(const ParameterSpace& space,
                       const std::vector<TileSpec>& tiles) {
@@ -46,7 +73,8 @@ void ExpectExactCover(const ParameterSpace& space,
 TEST(ShardPlannerTest, CoversGridExactlyAtManyTileCounts) {
   ParameterSpace space = Grid(-8, -6);  // 9 x 7
   for (size_t tiles : {1u, 2u, 3u, 7u, 8u, 13u, 63u, 1000u}) {
-    auto plan = ShardPlanner::Partition(space, tiles).ValueOrDie();
+    auto plan =
+        ShardPlanner::Partition(space, tiles, Analytic(space)).ValueOrDie();
     SCOPED_TRACE(tiles);
     EXPECT_LE(plan.size(), tiles);
     EXPECT_FALSE(plan.empty());
@@ -56,7 +84,7 @@ TEST(ShardPlannerTest, CoversGridExactlyAtManyTileCounts) {
 
 TEST(ShardPlannerTest, OneDSpaceSplitsAlongX) {
   ParameterSpace line = ParameterSpace::OneD(Axis::Selectivity("a", -10, 0));
-  auto plan = ShardPlanner::Partition(line, 4).ValueOrDie();
+  auto plan = ShardPlanner::Partition(line, 4, Analytic(line)).ValueOrDie();
   EXPECT_EQ(plan.size(), 4u);
   ExpectExactCover(line, plan);
   for (const TileSpec& t : plan) {
@@ -67,24 +95,28 @@ TEST(ShardPlannerTest, OneDSpaceSplitsAlongX) {
 
 TEST(ShardPlannerTest, MoreTilesThanPointsIsCappedByTheGrid) {
   ParameterSpace space = Grid(-2, -2);  // 3 x 3 = 9 points
-  auto plan = ShardPlanner::Partition(space, 1000).ValueOrDie();
+  auto plan =
+      ShardPlanner::Partition(space, 1000, Analytic(space)).ValueOrDie();
   EXPECT_EQ(plan.size(), 9u);  // one tile per point, never an empty tile
   ExpectExactCover(space, plan);
 }
 
 TEST(ShardPlannerTest, StableIdsAcrossInvocations) {
   ParameterSpace space = Grid(-8, -8);
-  auto a = ShardPlanner::Partition(space, 8).ValueOrDie();
-  auto b = ShardPlanner::Partition(space, 8).ValueOrDie();
+  auto a = ShardPlanner::Partition(space, 8, Analytic(space)).ValueOrDie();
+  auto b = ShardPlanner::Partition(space, 8, Analytic(space)).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]);
-    EXPECT_EQ(a[i].shard_id, i);  // ids are dense and ordered
+    // One tile per row band (8 tiles, 9 rows), so the snake never turns:
+    // emission order is id order, and ids are dense.
+    EXPECT_EQ(a[i].shard_id, i);
   }
 }
 
 TEST(ShardPlannerTest, ZeroTilesIsAnError) {
-  auto plan = ShardPlanner::Partition(Grid(-4, -4), 0);
+  const ParameterSpace space = Grid(-4, -4);
+  auto plan = ShardPlanner::Partition(space, 0, Analytic(space));
   EXPECT_FALSE(plan.ok());
   EXPECT_TRUE(plan.status().IsInvalidArgument());
 }
@@ -94,7 +126,7 @@ TEST(ShardPlannerTest, EmptyGridIsAnError) {
   // factories assert non-empty axes in Debug builds, so the Status-based
   // rejection must be reachable without them.
   ParameterSpace empty;
-  auto plan = ShardPlanner::Partition(empty, 4);
+  auto plan = ShardPlanner::Partition(empty, 4, Analytic(Grid(-4, -4)));
   EXPECT_FALSE(plan.ok());
   EXPECT_TRUE(plan.status().IsInvalidArgument());
 }
@@ -104,8 +136,7 @@ TEST(ShardPlannerWeightedTest, CoversGridExactlyAndKeepsDenseIds) {
   auto model = CellCostModel::Analytic(space).ValueOrDie();
   for (size_t tiles : {1u, 2u, 3u, 7u, 13u, 63u, 1000u}) {
     SCOPED_TRACE(tiles);
-    auto plan =
-        ShardPlanner::PartitionWeighted(space, tiles, model).ValueOrDie();
+    auto plan = ShardPlanner::Partition(space, tiles, model).ValueOrDie();
     EXPECT_LE(plan.size(), tiles);
     EXPECT_FALSE(plan.empty());
     ExpectExactCover(space, plan);
@@ -118,16 +149,21 @@ TEST(ShardPlannerWeightedTest, CoversGridExactlyAndKeepsDenseIds) {
 }
 
 TEST(ShardPlannerWeightedTest, SameTileCountAsUniformPartition) {
-  // Resume directories key tiles by (id, rectangle); the weighted planner
-  // keeps the uniform planner's tile-grid shape, so switching models never
+  // Resume directories key tiles by (id, rectangle); the partition keeps
+  // the equal-area tile-grid shape, so discounting cached cells never
   // changes how many tiles a (space, max_tiles) request produces.
   ParameterSpace space = Grid(-8, -8);
   auto model = CellCostModel::Analytic(space).ValueOrDie();
+  std::vector<uint8_t> half_cached(space.num_points(), 0);
+  for (size_t pt = 0; pt < half_cached.size(); pt += 2) half_cached[pt] = 1;
+  auto discounted = model.WithDiscountedCells(half_cached);
   for (size_t tiles : {1u, 4u, 8u, 12u, 64u}) {
-    auto uniform = ShardPlanner::Partition(space, tiles).ValueOrDie();
-    auto weighted =
-        ShardPlanner::PartitionWeighted(space, tiles, model).ValueOrDie();
-    EXPECT_EQ(uniform.size(), weighted.size()) << tiles << " tiles";
+    const size_t uniform = EqualAreaTiles(space, tiles).size();
+    auto weighted = ShardPlanner::Partition(space, tiles, model).ValueOrDie();
+    auto cached =
+        ShardPlanner::Partition(space, tiles, discounted).ValueOrDie();
+    EXPECT_EQ(uniform, weighted.size()) << tiles << " tiles";
+    EXPECT_EQ(uniform, cached.size()) << tiles << " tiles";
   }
 }
 
@@ -136,9 +172,8 @@ TEST(ShardPlannerWeightedTest, BalancesCostBetterThanUniform) {
   // sel=1, so uniform row bands leave one tile holding most of the work.
   ParameterSpace space = Grid(-12, -12);  // 13 x 13
   auto model = CellCostModel::Analytic(space).ValueOrDie();
-  auto uniform = ShardPlanner::Partition(space, 4).ValueOrDie();
-  auto weighted =
-      ShardPlanner::PartitionWeighted(space, 4, model).ValueOrDie();
+  auto uniform = EqualAreaTiles(space, 4);
+  auto weighted = ShardPlanner::Partition(space, 4, model).ValueOrDie();
   auto max_cost = [&](const std::vector<TileSpec>& tiles) {
     double m = 0;
     for (const TileSpec& t : tiles) m = std::max(m, model.TileCost(t));
@@ -160,13 +195,14 @@ TEST(ShardPlannerWeightedTest, BalancesCostBetterThanUniform) {
 }
 
 TEST(ShardPlannerWeightedTest, UniformModelReproducesUniformRectangles) {
-  // Under a flat model the cost cuts and the count cuts agree, so the two
-  // planners emit the same rectangles (order aside).
+  // A fully cached grid discounts every cell to the same epsilon. Under
+  // that flat model the cost cuts and the count cuts agree, so a warm
+  // rerun's tiles are the equal-area rectangles (order aside).
   ParameterSpace space = Grid(-7, -7);
-  auto flat = CellCostModel::Uniform(space).ValueOrDie();
-  auto uniform = ShardPlanner::Partition(space, 8).ValueOrDie();
-  auto weighted =
-      ShardPlanner::PartitionWeighted(space, 8, flat).ValueOrDie();
+  auto flat = CellCostModel::Analytic(space).ValueOrDie().WithDiscountedCells(
+      std::vector<uint8_t>(space.num_points(), 1));
+  auto uniform = EqualAreaTiles(space, 8);
+  auto weighted = ShardPlanner::Partition(space, 8, flat).ValueOrDie();
   ASSERT_EQ(uniform.size(), weighted.size());
   auto by_id = [](const TileSpec& a, const TileSpec& b) {
     return a.shard_id < b.shard_id;
@@ -183,7 +219,7 @@ TEST(ShardPlannerWeightedTest, SnakeOrderKeepsBandsAdjacent) {
   auto model = CellCostModel::Analytic(space).ValueOrDie();
   // 16 tiles over 8 rows: a 2-wide tile grid, so snake order alternates
   // x-direction per band.
-  auto plan = ShardPlanner::PartitionWeighted(space, 16, model).ValueOrDie();
+  auto plan = ShardPlanner::Partition(space, 16, model).ValueOrDie();
   ASSERT_EQ(plan.size(), 16u);
   for (size_t i = 0; i + 1 < plan.size(); ++i) {
     const TileSpec& a = plan[i];
@@ -202,14 +238,14 @@ TEST(ShardPlannerWeightedTest, SnakeOrderKeepsBandsAdjacent) {
 TEST(ShardPlannerWeightedTest, StableAcrossInvocationsAndValidatesModel) {
   ParameterSpace space = Grid(-8, -8);
   auto model = CellCostModel::Analytic(space).ValueOrDie();
-  auto a = ShardPlanner::PartitionWeighted(space, 8, model).ValueOrDie();
-  auto b = ShardPlanner::PartitionWeighted(space, 8, model).ValueOrDie();
+  auto a = ShardPlanner::Partition(space, 8, model).ValueOrDie();
+  auto b = ShardPlanner::Partition(space, 8, model).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 
   ParameterSpace other = Grid(-4, -4);
-  auto mismatch = ShardPlanner::PartitionWeighted(
-      other, 4, model);  // model built over `space`
+  auto mismatch =
+      ShardPlanner::Partition(other, 4, model);  // model built over `space`
   EXPECT_FALSE(mismatch.ok());
   EXPECT_TRUE(mismatch.status().IsInvalidArgument());
 }
@@ -288,7 +324,6 @@ SweepRequest PlanRequest(const ParameterSpace& space, const std::string& dir,
   req.sharded.tile_dir = dir;
   req.sharded.num_workers = workers;
   req.sharded.num_tiles = tiles;
-  req.sharded.cost_model = CostModelKind::kUniform;
   return req;
 }
 
@@ -322,26 +357,21 @@ TileSpec Rect(size_t x0, size_t x1, size_t y0, size_t y1) {
 
 ShardPlan Plan(const SweepRequest& req,
                const ShardCacheView* cache_view = nullptr) {
-  const CellCostModel model = CellCostModel::Uniform(req.space).ValueOrDie();
-  return PlanShards(req, PlanLabels(), model, cache_view).ValueOrDie();
+  return PlanShards(req, PlanLabels(), cache_view).ValueOrDie();
 }
 
 TEST(PlanShardsTest, SameDirectoryStateYieldsTheSameTodoList) {
   const ParameterSpace space = Grid(-8, -6);  // 9 x 7
-  SweepRequest req = PlanRequest(space, FreshPlanDir("same"), 8, 4);
-  req.sharded.cost_model = CostModelKind::kAnalytic;
-  const CellCostModel model = CellCostModel::Analytic(space).ValueOrDie();
+  const SweepRequest req = PlanRequest(space, FreshPlanDir("same"), 8, 4);
   const auto planned =
-      ShardPlanner::PartitionWeighted(space, 4, model).ValueOrDie();
+      ShardPlanner::Partition(space, 4, Analytic(space)).ValueOrDie();
   // Two planned tiles valid on disk, two missing: the two pending tiles
   // leave idle workers, so the plan also splits stragglers.
   WritePlanTile(req, planned[0], planned[0].shard_id);
   WritePlanTile(req, planned[2], planned[2].shard_id);
 
-  const ShardPlan first =
-      PlanShards(req, PlanLabels(), model, nullptr).ValueOrDie();
-  const ShardPlan second =
-      PlanShards(req, PlanLabels(), model, nullptr).ValueOrDie();
+  const ShardPlan first = Plan(req);
+  const ShardPlan second = Plan(req);
   EXPECT_GT(first.stats.tiles_split, 0u);
   EXPECT_EQ(first.stats.tiles_reused, 2u);
   EXPECT_EQ(first.todo, second.todo);  // ids, rectangles and order
@@ -395,37 +425,46 @@ TEST(PlanShardsTest, AdoptsSplitPiecesAndQueuesOnlyTheRemainder) {
 
 TEST(PlanShardsTest, FullyCachedTilesAreNeverQueued) {
   ProcEnv env;
-  const ParameterSpace space = Grid(-8, -6);
+  const ParameterSpace space = Grid(-8, -6);  // 9 x 7: four row bands
   SweepRequest req = PlanRequest(space, FreshPlanDir("cached"), 1, 4);
-  const auto planned = ShardPlanner::Partition(space, 4).ValueOrDie();
-  // Cache every cell of planned tile 1.
+  // Cache every cell below the top row.
   CellResultCache cache;
   req.cell_cache = &cache;
   const ShardCacheView keys(&cache, *env.ctx(), env.domain(), req,
                             PlanLabels());
-  const TileSpec& cached = planned[1];
-  for (size_t yi = cached.y_begin; yi < cached.y_end; ++yi) {
-    for (size_t xi = cached.x_begin; xi < cached.x_end; ++xi) {
+  const size_t top = space.y_size() - 1;
+  for (size_t yi = 0; yi < top; ++yi) {
+    for (size_t xi = 0; xi < space.x_size(); ++xi) {
       Measurement m;
       m.seconds = 1.5;
       cache.Publish(keys.fp(0, 0, space.IndexOf(xi, yi)), "plain", m);
     }
   }
 
+  // Cached cells cost a vanishing epsilon, so the bands are cut around
+  // the one row still to measure: three fully cached bands are
+  // materialized from the cache, and only the top row is queued.
   const ShardCacheView view(&cache, *env.ctx(), env.domain(), req,
                             PlanLabels());
   const ShardPlan plan = Plan(req, &view);
-  ASSERT_EQ(plan.loaded.size(), 1u);
-  EXPECT_EQ(plan.loaded[0].spec, cached);
-  EXPECT_DOUBLE_EQ(plan.loaded[0].map.At(0, 0).seconds, 1.5);
-  EXPECT_EQ(plan.todo.size(), planned.size() - 1);
-  for (const TileSpec& t : plan.todo) EXPECT_NE(t, cached);
+  ASSERT_EQ(plan.loaded.size(), 3u);
+  std::vector<TileSpec> cover = plan.todo;
+  for (const MapTile& t : plan.loaded) {
+    EXPECT_LE(t.spec.y_end, top);
+    EXPECT_DOUBLE_EQ(t.map.At(0, 0).seconds, 1.5);
+    cover.push_back(t.spec);
+  }
+  ASSERT_EQ(plan.todo.size(), 1u);
+  EXPECT_EQ(plan.todo[0].y_begin, top);
+  EXPECT_EQ(plan.todo[0].y_end, space.y_size());
+  ExpectExactCover(space, cover);
 }
 
 TEST(PlanShardsTest, ResumeOffIgnoresValidTilesOnDisk) {
   const ParameterSpace space = Grid(-8, -6);
   SweepRequest req = PlanRequest(space, FreshPlanDir("no_resume"), 1, 4);
-  const auto planned = ShardPlanner::Partition(space, 4).ValueOrDie();
+  const auto planned =
+      ShardPlanner::Partition(space, 4, Analytic(space)).ValueOrDie();
   for (const TileSpec& t : planned) WritePlanTile(req, t, t.shard_id);
 
   const ShardPlan resumed = Plan(req);
