@@ -100,7 +100,6 @@ SweepRequest StudyRequest(const BenchScale& scale,
   req.backend = BackendKind::kThreaded;
   req.sweep = SweepOpts(scale);
   req.sharded.num_workers = scale.num_shards;
-  req.sharded.verbose = scale.verbose;
   return req;
 }
 

@@ -46,15 +46,18 @@ void ClearTileDir(const std::string& dir) {
   }
 }
 
-/// This figure's plain-map study on the sharded backend under `opts`.
+/// This figure's plain-map study on the sharded backend under `opts`,
+/// printing per-tile progress lines when `verbose`.
 SweepRequest ShardedRequest(const std::vector<PlanKind>& plans,
                             const ParameterSpace& space,
-                            const ShardedSweepOptions& opts) {
+                            const ShardedSweepOptions& opts,
+                            bool verbose) {
   SweepRequest req;
   req.plans = plans;
   req.space = space;
   req.backend = BackendKind::kShardedProcess;
   req.sharded = opts;
+  req.sweep.verbose = verbose;
   return req;
 }
 
@@ -103,12 +106,11 @@ int main() {
     opts.tile_dir = OutDir() + "/fig_sharded_w" + std::to_string(workers);
     opts.num_workers = workers;
     opts.resume = false;  // a fresh timing run, not a resume
-    opts.verbose = scale.verbose;
     ClearTileDir(opts.tile_dir);
     WallTimer timer;
     SweepOutcome merged =
         SweepEngine::Run(env->ctx(), env->executor(),
-                         ShardedRequest(plans, space, opts))
+                         ShardedRequest(plans, space, opts, scale.verbose))
             .ValueOrDie();
     double wall = timer.Seconds();
     const ShardedSweepStats& stats = merged.sharded_stats;
@@ -135,10 +137,9 @@ int main() {
     opts.num_workers =
         scale.num_shards != 0 ? scale.num_shards : 8;  // REPRO_SHARDS
     opts.num_tiles = last_tiles;
-    opts.verbose = scale.verbose;
     const ShardedSweepStats reused =
         SweepEngine::Run(env->ctx(), env->executor(),
-                         ShardedRequest(plans, space, opts))
+                         ShardedRequest(plans, space, opts, scale.verbose))
             .ValueOrDie()
             .sharded_stats;
     Check(reused.tiles_reused == reused.tiles_total &&
@@ -155,7 +156,7 @@ int main() {
     }
     SweepOutcome resumed =
         SweepEngine::Run(env->ctx(), env->executor(),
-                         ShardedRequest(plans, space, opts))
+                         ShardedRequest(plans, space, opts, scale.verbose))
             .ValueOrDie();
     const ShardedSweepStats& stats = resumed.sharded_stats;
     // Two pending tiles on an 8-worker box is exactly the straggler shape:
@@ -211,7 +212,7 @@ int main() {
     req.sharded.num_workers = scale.num_shards != 0 ? scale.num_shards : 4;
     req.sharded.num_tiles = 8;
     req.sharded.resume = false;
-    req.sharded.verbose = scale.verbose;
+    req.sweep.verbose = scale.verbose;
     ClearTileDir(req.sharded.tile_dir);
     auto sharded = SweepEngine::Run(env->ctx(), env->executor(), req)
                        .ValueOrDie();

@@ -14,8 +14,8 @@
 //
 // Self-checks (exit non-zero on failure): cold maps stay bit-identical
 // across 1/4/8 sweep threads with warmup disabled; the warm map for the
-// fixed warmup policy is reproducible run-to-run; a serial shared-pool
-// prior-run sweep is deterministic.
+// fixed warmup policy is reproducible run-to-run; a prior-run sweep from an
+// emptied pool is deterministic and reuses pages across queries.
 
 #include <algorithm>
 #include <cstdio>
@@ -189,32 +189,31 @@ int main() {
           lo, "min over all cells of warm - cold seconds");
   }
 
-  // Shared pool + prior-run warmth, serial fallback: one cache carried
-  // across the whole sweep must be deterministic run-to-run.
+  // Prior-run warmth: the machine's one pool carried across the whole
+  // sweep, from empty, must be deterministic run-to-run and reuse pages.
   {
     ParameterSpace line = ParameterSpace::OneD(
         Axis::Selectivity("selectivity(a)", scale.grid_min_log2, 0));
-    auto run_shared = [&]() {
-      SharedBufferPool shared(sopts.pool_pages);
+    auto run_prior = [&]() {
       SweepRequest req;
       req.plans = {PlanKind::kIndexAImproved};
       req.space = line;
       req.backend = BackendKind::kSerial;
-      req.sweep.shared_pool = &shared;
       env->ctx()->warmup = WarmupPolicy::PriorRun();
+      env->ctx()->pool->Clear();
       auto out = SweepEngine::Run(env->ctx(), env->executor(), req)
                      .ValueOrDie();
       env->ctx()->warmup = WarmupPolicy::Cold();
       return std::move(out.layers.front());
     };
-    auto first = run_shared();
-    auto second = run_shared();
+    auto first = run_prior();
+    auto second = run_prior();
     uint64_t hits = 0;
     for (size_t pt = 0; pt < line.num_points(); ++pt) {
       hits += first.At(0, pt).io.buffer_hits;
     }
-    Check(MapsBitIdentical(first, second),
-          "shared-pool prior-run sweep deterministic (serial)",
+    Check(MapsBitIdentical(first, second) && hits > 0,
+          "prior-run sweep deterministic, reuses pages",
           static_cast<double>(hits), "cross-query buffer hits over the line");
   }
 

@@ -84,7 +84,7 @@ void BM_BTreeSeek(benchmark::State& state) {
   }
   VirtualClock clock;
   SimDevice device(DiskParameters{}, &clock);
-  LruBufferPool pool(&device, 4096);
+  BufferPool pool(&device, 4096);
   RunContext ctx;
   ctx.clock = &clock;
   ctx.device = &device;
@@ -127,7 +127,7 @@ void ProceduralCursorScan(benchmark::State& state,
                           std::vector<uint32_t> key_columns) {
   VirtualClock clock;
   SimDevice device(DiskParameters{}, &clock);
-  LruBufferPool pool(&device, 4096);
+  BufferPool pool(&device, 4096);
   RunContext ctx;
   ctx.clock = &clock;
   ctx.device = &device;
@@ -169,7 +169,7 @@ void BM_BufferPoolAccess(benchmark::State& state) {
   VirtualClock clock;
   SimDevice device(DiskParameters{}, &clock);
   device.AllocateExtent(1 << 20);
-  LruBufferPool pool(&device, 8192);
+  BufferPool pool(&device, 8192);
   Rng rng(11);
   for (auto _ : state) {
     benchmark::DoNotOptimize(pool.Access(rng.NextBounded(16384)));

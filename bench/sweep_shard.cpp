@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
   req.sharded.num_workers = static_cast<unsigned>(workers < 0 ? 0 : workers);
   req.sharded.num_tiles = tiles <= 0 ? 0 : static_cast<size_t>(tiles);
   req.sharded.resume = resume;
-  req.sharded.verbose = verbose;
+  req.sweep.verbose = verbose;
 
   // The cache outlives the request: the engine borrows it, main flushes
   // it after the merged artifacts are safely on disk.
@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
   // building the study database.
   VirtualClock stub_clock;
   SimDevice stub_device(DiskParameters{}, &stub_clock);
-  LruBufferPool stub_pool(&stub_device, 16);
+  BufferPool stub_pool(&stub_device, 16);
   RunContext stub_ctx;
   stub_ctx.clock = &stub_clock;
   stub_ctx.device = &stub_device;

@@ -19,7 +19,7 @@ int main() {
   // estimation hazard), loaded into slotted pages and bulk-loaded B-trees.
   VirtualClock clock;
   SimDevice device(DiskParameters{}, &clock);
-  LruBufferPool pool(&device, 1024);
+  BufferPool pool(&device, 1024);
   RunContext ctx;
   ctx.clock = &clock;
   ctx.device = &device;

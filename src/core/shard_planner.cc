@@ -396,7 +396,7 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
     if (tile.ok()) {
       plan.loaded.push_back(std::move(tile).value());
       SweepTelemetry::Get().AddCounter("shard.tiles_resumed", 1);
-      if (opts.verbose) {
+      if (req.sweep.verbose) {
         std::fprintf(stderr, "  shard: tile %zu valid on disk, reused\n",
                      t.shard_id);
       }
@@ -417,7 +417,7 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
           cache_view->num_layers() * labels.size() * t.num_points();
       SweepTelemetry::Get().AddCounter("cache.hits", tile_cells);
       SweepTelemetry::Get().AddCounter("sweep.cells_reused", tile_cells);
-      if (opts.verbose) {
+      if (req.sweep.verbose) {
         std::fprintf(stderr,
                      "  shard: tile %zu fully cached, not dispatched\n",
                      t.shard_id);
@@ -448,7 +448,7 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
         adopted_any = true;
         plan.loaded.push_back(std::move(cand));
         SweepTelemetry::Get().AddCounter("shard.tiles_adopted", 1);
-        if (opts.verbose) {
+        if (req.sweep.verbose) {
           std::fprintf(stderr,
                        "  shard: tile %zu partially covered by %s, "
                        "adopted\n",
@@ -508,7 +508,7 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
       }
       ++plan.stats.tiles_split;
       SweepTelemetry::Get().AddCounter("shard.tiles_split", 1);
-      if (opts.verbose) {
+      if (req.sweep.verbose) {
         std::fprintf(stderr,
                      "  shard: straggler tile %zu split into %zu + %zu\n",
                      head.shard_id, a.shard_id, b.shard_id);
@@ -519,7 +519,7 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
   plan.stats.tiles_computed = todo.size();
   plan.stats.workers_spawned =
       static_cast<unsigned>(std::min<size_t>(num_workers, todo.size()));
-  if (opts.verbose && !todo.empty()) {
+  if (req.sweep.verbose && !todo.empty()) {
     std::fprintf(stderr,
                  "  shard: %s study, %zu pending tiles "
                  "(heaviest %.3g, lightest %.3g relative cost)\n",

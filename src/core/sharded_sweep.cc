@@ -467,7 +467,7 @@ Status DispatchTiles(RunContext* ctx, const Executor& executor,
     merge(Tracer::Get(), TileTraceFileName(tile_path(idx)), "trace");
     merge(SweepTelemetry::Get(), TileTelemetryFileName(tile_path(idx)),
           "telemetry");
-    if (opts.verbose) {
+    if (req.sweep.verbose) {
       std::fprintf(stderr, "  shard: tile %zu computed (%zu/%zu done)\n",
                    shard_id, stats->tiles_reused + computed_done,
                    stats->tiles_total);

@@ -42,14 +42,17 @@ unsigned ResolveParallelism(unsigned requested);
 /// Progress/parallelism options for sweeps.
 struct SweepOptions {
   /// Prints per-plan / percent progress to stderr (via the default
-  /// `progress` callback when none is given).
+  /// `progress` callback when none is given); the sharded backend prints
+  /// its per-tile planning and dispatch lines under the same flag.
   bool verbose = false;
 
   /// Worker threads for parallel sweeps: 0 = one per hardware thread,
   /// 1 = serial in the caller's thread. Any setting produces bit-identical
-  /// maps: every cell is a cold measurement on an isolated simulated
-  /// machine, so only wall-clock time changes. (`RunCellsIndexed` is
-  /// inherently serial and ignores this field.)
+  /// maps: every cell is measured on an isolated simulated machine, so only
+  /// wall-clock time changes. An order-dependent sweep — one under
+  /// `WarmupPolicy::PriorRun()`, whose cells inherit the pool their
+  /// predecessor left — runs serially on the caller's context whatever this
+  /// says. (`RunCellsIndexed` is serial by construction and ignores it.)
   unsigned num_threads = 0;
 
   /// Called after every measured cell, from both the serial and the
@@ -57,27 +60,6 @@ struct SweepOptions {
   /// one per call), so the callback needs no locking of its own — but it
   /// runs under the sweep's progress lock, so keep it cheap.
   SweepProgressFn progress;
-
-  /// When set, sweep workers attach to this cache instead of private
-  /// per-worker pools, modeling concurrent queries sharing one server's
-  /// memory. Results are deterministic only with `num_threads == 1` (the
-  /// serial fallback); a parallel schedule makes residency — intentionally —
-  /// scheduling-dependent. Honored by `SweepEngine::Run`'s in-process
-  /// backends; combine with `WarmupPolicy::PriorRun()` on the prototype
-  /// context for cross-query reuse, since the default cold policy clears
-  /// the shared cache at every measurement.
-  SharedBufferPool* shared_pool = nullptr;
-
-  /// Replaces the scheduling-dependent parallel order with a fixed
-  /// round-robin interleaving *across plans*: cells execute serially in
-  /// point-major order — every plan's cell at point k, then every plan's at
-  /// point k+1 — modeling one concurrent query stream per plan taking turns
-  /// against the shared cache. The schedule is identical on every run, so
-  /// with `shared_pool` + `WarmupPolicy::PriorRun()` concurrent-contention
-  /// maps become regression-testable. (Without a shared pool or an
-  /// order-dependent warmup the reordering is unobservable: cold cells are
-  /// independent, and the map is the same bit-identical one as ever.)
-  bool deterministic_shared_schedule = false;
 };
 
 /// The cell runner of `SweepEngine::RunCellsIndexed`: measures `plan` at

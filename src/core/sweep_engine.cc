@@ -185,10 +185,11 @@ class ProgressTracker {
 
 /// The paper's standard study sweep under one in-process backend choice:
 /// axes are predicate selectivities, plans are `PlanKind`s executed under
-/// `ctx`'s warmup policy. The serial path measures on `ctx` itself; a
-/// shared pool needs the factory to attach worker views, and the
-/// round-robin schedule reorders cells, so both always take the parallel
-/// path (which degrades to in-caller-thread execution at one worker).
+/// `ctx`'s warmup policy. The serial path measures on `ctx` itself, and
+/// an order-dependent sweep (prior-run warmth: each cell inherits the pool
+/// its predecessor left) always takes it, whatever `opts.num_threads` says
+/// — serial order on the one machine is the only history that is the same
+/// on every invocation.
 ///
 /// Everything a cell does not depend on is paid once per sweep, not once
 /// per cell: plans are validated and their labels materialized through
@@ -197,9 +198,7 @@ class ProgressTracker {
 /// lookup plus the measurement itself. A caller running several sweeps
 /// against the same prototype (the warm-cold study) may pass
 /// `shared_factory` so the parallel loop recycles its simulated machines
-/// across sweeps; the factory must have been built from `ctx` and is only
-/// used when the sweep does not need a differently-configured (shared-pool)
-/// one.
+/// across sweeps; the factory must have been built from `ctx`.
 ///
 /// With a `cache`, each cell consults it first — a hit returns the stored
 /// measurement without touching the executor, a miss measures and
@@ -209,8 +208,8 @@ class ProgressTracker {
 /// published after it ends (a failing sweep publishes none). Workers then
 /// never take a cache lock or write a cache line, so a parallel sweep's
 /// cost does not hinge on how its threads meet there. Order-dependent
-/// configurations bypass the cache: their cell values depend on execution
-/// history, which a content fingerprint cannot capture.
+/// sweeps bypass the cache: their cell values depend on execution history,
+/// which a content fingerprint cannot capture.
 Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
                                  const std::vector<PlanKind>& plans,
                                  const ParameterSpace& space,
@@ -236,11 +235,8 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
     queries.push_back(
         MakeStudyQuery(space.x_value(pt), space.y_value(pt), domain));
   }
-  if (cache != nullptr &&
-      (ctx->warmup.is_order_dependent() || opts.shared_pool != nullptr ||
-       opts.deterministic_shared_schedule)) {
-    cache = nullptr;
-  }
+  const bool order_dependent = ctx->warmup.is_order_dependent();
+  if (order_dependent) cache = nullptr;
   std::vector<uint64_t> fps;  // [plan * points + point]
   if (cache != nullptr) {
     const uint64_t env = EnvironmentFingerprint(*ctx, domain);
@@ -293,8 +289,7 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
     }
     return map;
   };
-  if (ResolveParallelism(opts.num_threads) <= 1 &&
-      opts.shared_pool == nullptr && !opts.deterministic_shared_schedule) {
+  if (order_dependent || ResolveParallelism(opts.num_threads) <= 1) {
     PoolViewObserver pool_view(ctx->pool, 0);
     return publish(SweepEngine::RunCellsIndexed(
         space, labels,
@@ -309,12 +304,7 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
   }
   RunContextFactory local_factory(*ctx);
   RunContextFactory* factory =
-      (shared_factory != nullptr && opts.shared_pool == nullptr)
-          ? shared_factory
-          : &local_factory;
-  if (opts.shared_pool != nullptr) {
-    local_factory.ShareBufferPool(opts.shared_pool);
-  }
+      shared_factory != nullptr ? shared_factory : &local_factory;
   // The prototype's warmup may have changed since the factory was built
   // (the warm-cold study flips it between halves); machines must start
   // under the policy of *this* sweep.
@@ -331,13 +321,10 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
 }
 
 /// The warm-cold study: the same plans measured twice — once cold, once
-/// under `warm_policy` — plus their per-cell delta. The cold sweep always
-/// uses private per-worker pools (cold cells must be independent); the
-/// warm sweep honors `opts.shared_pool`. The warm half is forced serial
-/// when cache state is execution-order-dependent — a `kPriorRun` policy,
-/// or any policy over a shared pool (each cell's ColdStart mutates the one
-/// shared cache) — so the warm map is reproducible run-to-run for every
-/// policy. `ctx->warmup` is restored on return.
+/// under `warm_policy` — plus their per-cell delta. A `kPriorRun` warm half
+/// runs serially on `ctx` (StudySweep's rule for order-dependent sweeps)
+/// from a cleared pool, so the warm map is reproducible run-to-run for
+/// every policy. `ctx->warmup` is restored on return.
 Result<std::vector<RobustnessMap>> WarmColdLayers(
     RunContext* ctx, const Executor& executor,
     const std::vector<PlanKind>& plans, const ParameterSpace& space,
@@ -348,21 +335,17 @@ Result<std::vector<RobustnessMap>> WarmColdLayers(
   // One machine factory for both halves: the warm half's parallel workers
   // recycle the cold half's simulated machines from the factory arena
   // instead of rebuilding them (recycled machines measure bit-identically
-  // to fresh ones — see OwnedRunContext::Recycle). A shared-pool warm half
-  // builds its own differently-wired factory inside StudySweep and simply
-  // ignores this one.
+  // to fresh ones — see OwnedRunContext::Recycle).
   RunContextFactory factory(*ctx);
 
-  // Cold half: warmup off, private per-worker pools — the classic map,
-  // bit-identical at any thread count.
+  // Cold half: warmup off — the classic map, bit-identical at any thread
+  // count.
   ctx->warmup = WarmupPolicy::Cold();
-  SweepOptions cold_opts = opts;
-  cold_opts.shared_pool = nullptr;
   // Both halves fingerprint under the study's name; the halves stay
   // distinct because each sweeps under its own warmup spec (and when the
   // warm policy *is* cold, the halves are genuinely the same cells — the
   // warm half then rides entirely on the cold half's published entries).
-  auto cold = StudySweep(ctx, executor, plans, space, cold_opts,
+  auto cold = StudySweep(ctx, executor, plans, space, opts,
                          StudyKindName(StudyKind::kWarmColdDelta), cache,
                          &factory);
   if (!cold.ok()) {
@@ -370,27 +353,14 @@ Result<std::vector<RobustnessMap>> WarmColdLayers(
     return cold.status();
   }
 
-  // Warm half under the requested policy. Two situations make warmth a
-  // product of execution order, and both run serially so that order — and
-  // with it the warm map — is the same on every invocation: prior-run
-  // cells inherit their predecessor's cache, and a shared pool is mutated
-  // by every cell's ColdStart (parallel workers would clear and re-warm
-  // the one cache out from under each other's in-flight measurements).
-  // Page-set policies on private per-worker pools are order-independent
-  // and stay parallel.
+  // Warm half under the requested policy. Page-set policies are
+  // order-independent and stay parallel; a prior-run half runs serially
+  // on `ctx`, and its starting state is pinned here: the first cell runs
+  // cold, every later cell inherits from its predecessor — the same
+  // history on every invocation.
   ctx->warmup = warm_policy;
-  SweepOptions warm_opts = opts;
-  if (warm_policy.is_order_dependent() || warm_opts.shared_pool != nullptr) {
-    warm_opts.num_threads = 1;
-  }
-  if (warm_policy.is_order_dependent()) {
-    // Prior-run cells inherit pool state, so pin the sweep's starting
-    // state: the first cell runs cold, every later cell inherits from its
-    // predecessor — the same history on every invocation.
-    ctx->pool->Clear();
-    if (warm_opts.shared_pool != nullptr) warm_opts.shared_pool->Clear();
-  }
-  auto warm = StudySweep(ctx, executor, plans, space, warm_opts,
+  if (warm_policy.is_order_dependent()) ctx->pool->Clear();
+  auto warm = StudySweep(ctx, executor, plans, space, opts,
                          StudyKindName(StudyKind::kWarmColdDelta), cache,
                          &factory);
   ctx->warmup = saved;
@@ -408,8 +378,7 @@ Result<std::vector<RobustnessMap>> WarmColdLayers(
 
 /// Sharded and progressive sweeps run cells out of sweep order — in other
 /// processes, or reused from a coarser level — so every cell must be a
-/// pure function of its coordinates: no prior-run warmth, no shared pool,
-/// no deterministic shared schedule.
+/// pure function of its coordinates: no prior-run warmth.
 Status RequireOrderIndependent(const RunContext& ctx, const SweepRequest& req,
                                const std::string& what) {
   if (ctx.warmup.is_order_dependent() ||
@@ -418,12 +387,6 @@ Status RequireOrderIndependent(const RunContext& ctx, const SweepRequest& req,
     return Status::InvalidArgument(
         what + " require an order-independent warmup policy; kPriorRun "
                "cells inherit the cache state of the cells run before them");
-  }
-  if (req.sweep.shared_pool != nullptr ||
-      req.sweep.deterministic_shared_schedule) {
-    return Status::InvalidArgument(
-        what + " cannot run under a shared pool or a deterministic shared "
-               "schedule, whose cell values depend on execution order");
   }
   return Status::OK();
 }
@@ -697,48 +660,6 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
   const size_t cells = plan_labels.size() * points;
   RobustnessMap map(space, plan_labels);
   ProgressTracker tracker(opts, plan_labels.size(), points);
-
-  // The deterministic concurrent-contention schedule: serial execution in
-  // point-major round-robin across plans, as if one query stream per plan
-  // took turns on the machine. Shared-pool residency then evolves the same
-  // way on every run — unlike the true-parallel schedule below, whose
-  // interleaving (intentionally) depends on thread timing.
-  if (opts.deterministic_shared_schedule) {
-    if (opts.verbose) {
-      std::fprintf(stderr,
-                   "  sweep: %zu cells (%zu plans), fixed round-robin "
-                   "schedule\n",
-                   cells, plan_labels.size());
-    }
-    TraceSpan schedule_span("sweep.round_robin");
-    const bool observing = Observing();
-    std::unique_ptr<OwnedRunContext> machine = factory.Acquire();
-    Status loop_status = Status::OK();
-    {
-      // The observer publishes from the machine's pool at scope exit, so
-      // it must close before the machine is parked back in the arena.
-      PoolViewObserver pool_view(machine->ctx()->pool, 0);
-      for (size_t point = 0; point < points && loop_status.ok(); ++point) {
-        for (size_t plan = 0; plan < plan_labels.size(); ++plan) {
-          CellTimer timer(observing);
-          auto m = runner(machine->ctx(), plan, point);
-          if (!m.ok()) {
-            loop_status = m.status();
-            break;
-          }
-          if (!std::exchange(tl_cell_from_cache, false)) {
-            timer.Observe(m.value());
-            if (observing) pool_view.CellDone();
-          }
-          map.Set(plan, point, std::move(m).value());
-          tracker.CellDone(plan);
-        }
-      }
-    }
-    factory.Release(std::move(machine));
-    RM_RETURN_IF_ERROR(loop_status);
-    return map;
-  }
 
   // Work units are *cost-weighted cell blocks*: contiguous runs of the
   // serial (plan-major) cell order, cut so each block carries roughly equal

@@ -73,9 +73,6 @@ struct ShardedSweepOptions {
   /// existing files are overwritten.
   bool resume = true;
 
-  /// Per-tile progress lines on stderr.
-  bool verbose = false;
-
   /// How workers start; every worker runs `ServeTiles`, one per lane for
   /// the whole sweep. Empty (the default): forked children of this
   /// process, computing with the already-built executor — the mode benches
@@ -96,8 +93,8 @@ struct ShardedSweepOptions {
 /// per-run in-memory one), so a progressive sweep measures each grid cell
 /// exactly once and its final layers are byte-identical to a direct
 /// sweep's. Requires an order-independent configuration (no prior-run
-/// warmth, no shared pool): reuse makes cell order unobservable only when
-/// cells are independent.
+/// warmth): reuse makes cell order unobservable only when cells are
+/// independent.
 struct ProgressiveOptions {
   /// Lattice stride of the first (coarsest) level; successive levels halve
   /// it until 1, the full grid. 0 or 1 = not a progressive sweep.
@@ -152,8 +149,7 @@ struct ShardedSweepStats {
 /// and *how* to execute it (backend + its configuration). Every sweep in
 /// the repo — every fig bench, the scorecard, the shard coordinator, each
 /// worker's single tile — is one of these, so cost models, warmup
-/// policies, shared pools, deterministic schedules, and progress callbacks
-/// are applied by exactly one code path.
+/// policies, and progress callbacks are applied by exactly one code path.
 struct SweepRequest {
   std::vector<PlanKind> plans;
   ParameterSpace space;
@@ -166,10 +162,9 @@ struct SweepRequest {
   /// sharded backend.
   WarmupPolicy warm_policy;
 
-  /// Thread count, shared pool, deterministic schedule, verbosity, and the
-  /// progress callback. The sharded backend takes its parallelism from
-  /// `sharded` instead and rejects shared pools (one process cannot share
-  /// cache residency with another).
+  /// Thread count, verbosity, and the progress callback. The sharded
+  /// backend takes its parallelism from `sharded` instead; `verbose` also
+  /// turns on its per-tile progress lines.
   SweepOptions sweep;
 
   /// Sharded-process backend configuration (ignored by the in-process
@@ -182,8 +177,8 @@ struct SweepRequest {
   /// telemetry (`sweep.cells_measured` counts real measurements only);
   /// missed cells are measured and published back. Ignored — the sweep
   /// measures everything, as without a cache — for order-dependent
-  /// configurations (prior-run warmth, shared pool, deterministic shared
-  /// schedule), whose cell values are not a pure function of the cell.
+  /// configurations (prior-run warmth), whose cell values are not a pure
+  /// function of the cell.
   /// The caller owns the cache and decides when to flush it.
   CellResultCache* cell_cache = nullptr;
 
@@ -207,12 +202,14 @@ struct SweepOutcome {
 
 /// The composable sweep engine: any study × any backend, one entry point.
 ///
-/// Guarantees, for order-independent configurations (no prior-run warmth,
-/// no shared pool): every (study, backend) pair produces layers
-/// bit-identical to the serial reference of the same study — the backend
-/// axis only ever changes wall-clock time. Order-dependent configurations
-/// are confined to the in-process backends (serialized) and rejected with
-/// `InvalidArgument` by the sharded backend.
+/// Guarantees, for order-independent configurations (no prior-run
+/// warmth): every (study, backend) pair produces layers bit-identical to
+/// the serial reference of the same study — the backend axis only ever
+/// changes wall-clock time. A prior-run sweep is confined to the in-process
+/// backends, where it runs serially on `ctx` at any thread count (so the
+/// serial and threaded backends agree bit for bit from the same starting
+/// pool), and is rejected with `InvalidArgument` by the sharded and
+/// progressive paths.
 class SweepEngine {
  public:
   /// Executes `req`.

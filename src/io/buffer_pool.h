@@ -10,14 +10,78 @@
 
 namespace robustmap {
 
-/// The unsynchronized LRU residency core shared by `LruBufferPool` (used
-/// directly) and `SharedBufferPool` (behind its mutex): which pages are
-/// resident and in what recency order — no cost model, no statistics, no
-/// opinion on who pays for a miss.
-class LruPageSet {
+/// A simulated machine's private LRU page cache in front of its
+/// `SimDevice` — the buffer pool a `RunContext` executes against.
+///
+/// The pool tracks *residency* rather than bytes: a hit avoids charging the
+/// device; a miss charges one device read and caches the page. Scans can
+/// pass `cacheable = false` to model ring-buffer scan reads that do not
+/// flood the pool (all major systems do this for large scans).
+class BufferPool {
  public:
-  explicit LruPageSet(uint64_t capacity_pages) : capacity_(capacity_pages) {}
+  BufferPool(SimDevice* device, uint64_t capacity_pages)
+      : device_(device), capacity_(capacity_pages) {}
 
+  BufferPool(const BufferPool&) = delete;
+  BufferPool& operator=(const BufferPool&) = delete;
+
+  /// Logical page read. Returns true if the page was resident (no device
+  /// charge). On a miss, charges the device and, if `cacheable`, admits the
+  /// page (evicting the LRU page when full).
+  bool Access(uint64_t page, bool cacheable = true) {
+    if (Touch(page)) {
+      ++hits_;
+      device_->NoteBufferHit();
+      return true;
+    }
+    ++misses_;
+    device_->ReadPage(page);
+    if (cacheable) Admit(page);
+    return false;
+  }
+
+  /// True if `page` is currently resident (no cost, no LRU effect).
+  bool Contains(uint64_t page) const { return map_.count(page) > 0; }
+
+  /// Admits `page` as resident — most recently used — without charging the
+  /// device or touching the hit/miss counters. Warm-start preloading (see
+  /// `WarmupPolicy`); a no-op pool-state edit, never a measured access.
+  void Warm(uint64_t page) {
+    if (!Touch(page)) Admit(page);
+  }
+
+  /// Drops all cached pages (no cost). The hit/miss counters survive so a
+  /// caller can clear residency mid-measurement; per-measurement statistics
+  /// are zeroed separately by `ResetStats()` (ColdStart does both). Nodes
+  /// are parked on the free list (one splice, no deallocation) so the next
+  /// measurement's admissions recycle them.
+  void Clear() {
+    free_.splice(free_.begin(), lru_);
+    map_.clear();
+  }
+
+  uint64_t capacity_pages() const { return capacity_; }
+  uint64_t resident_pages() const { return map_.size(); }
+
+  /// Zeroes the hit/miss counters. Kept separate from `Clear()` so a warm
+  /// start can leave pages resident while still measuring each run's hit
+  /// rate from zero.
+  void ResetStats() {
+    hits_ = 0;
+    misses_ = 0;
+  }
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+  /// Test-only efficiency counter: LRU list nodes ever taken from the
+  /// heap. Recycled admissions (evictions, post-Clear reuse) do not count,
+  /// so a pool that keeps being recycled plateaus while a rebuilt-per-cell
+  /// pool grows linearly — the deterministic metric the arena-reuse tests
+  /// and the cold-start-vs-recycle microbench assert on.
+  uint64_t node_allocations() const { return node_allocations_; }
+
+ private:
   /// Marks `page` most recently used if resident; returns whether it was.
   bool Touch(uint64_t page) {
     auto it = map_.find(page);
@@ -51,121 +115,14 @@ class LruPageSet {
     map_[page] = lru_.begin();
   }
 
-  /// Touch-or-admit: the warm-preload primitive.
-  void Warm(uint64_t page) {
-    if (!Touch(page)) Admit(page);
-  }
-
-  bool Contains(uint64_t page) const { return map_.count(page) > 0; }
-
-  /// Drops all residency. Nodes are parked on the free list (one splice,
-  /// no deallocation) so the next measurement's admissions recycle them.
-  void Clear() {
-    free_.splice(free_.begin(), lru_);
-    map_.clear();
-  }
-
-  uint64_t size() const { return map_.size(); }
-  uint64_t capacity() const { return capacity_; }
-
-  /// Test-only efficiency counter: LRU list nodes ever taken from the
-  /// heap. Recycled admissions (evictions, post-Clear reuse) do not count,
-  /// so a pool that keeps being recycled plateaus while a rebuilt-per-cell
-  /// pool grows linearly — the deterministic metric the arena-reuse tests
-  /// and the cold-start-vs-recycle microbench assert on.
-  uint64_t node_allocations() const { return node_allocations_; }
-
- private:
+  SimDevice* device_;
   uint64_t capacity_;
   std::list<uint64_t> lru_;   ///< front = most recent
   std::list<uint64_t> free_;  ///< nodes parked by Clear(), awaiting reuse
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> map_;
-  uint64_t node_allocations_ = 0;
-};
-
-/// The buffer-pool interface a `RunContext` executes against.
-///
-/// The pool tracks *residency* rather than bytes: a hit avoids charging the
-/// device; a miss charges one device read and caches the page. Scans can
-/// pass `cacheable = false` to model ring-buffer scan reads that do not
-/// flood the pool (all major systems do this for large scans).
-///
-/// Implementations: `LruBufferPool` (a machine's private cache) and
-/// `SharedBufferPoolView` (a per-machine facade over one cache shared by
-/// several machines, see io/shared_buffer_pool.h). Only the hit/miss
-/// counters live in the base — they are per-machine in both cases.
-class BufferPool {
- public:
-  virtual ~BufferPool() = default;
-
-  BufferPool(const BufferPool&) = delete;
-  BufferPool& operator=(const BufferPool&) = delete;
-
-  /// Logical page read. Returns true if the page was resident (no device
-  /// charge). On a miss, charges the device and, if `cacheable`, admits the
-  /// page (evicting the LRU page when full).
-  virtual bool Access(uint64_t page, bool cacheable = true) = 0;
-
-  /// True if `page` is currently resident (no cost, no LRU effect).
-  virtual bool Contains(uint64_t page) const = 0;
-
-  /// Admits `page` as resident — most recently used — without charging the
-  /// device or touching the hit/miss counters. Warm-start preloading (see
-  /// `WarmupPolicy`); a no-op pool-state edit, never a measured access.
-  virtual void Warm(uint64_t page) = 0;
-
-  /// Drops all cached pages (no cost). The hit/miss counters survive so a
-  /// caller can clear residency mid-measurement; per-measurement statistics
-  /// are zeroed separately by `ResetStats()` (ColdStart does both).
-  virtual void Clear() = 0;
-
-  virtual uint64_t capacity_pages() const = 0;
-  virtual uint64_t resident_pages() const = 0;
-
-  /// Zeroes the hit/miss counters. Kept separate from `Clear()` so a warm
-  /// start can leave pages resident while still measuring each run's hit
-  /// rate from zero.
-  void ResetStats() {
-    hits_ = 0;
-    misses_ = 0;
-  }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
-  /// Test-only: heap allocations this pool's residency structure has ever
-  /// made (see `LruPageSet::node_allocations`). 0 for pools that do not
-  /// track — shared views report 0 because the nodes belong to the one
-  /// shared cache, not to any view.
-  virtual uint64_t node_allocations() const { return 0; }
-
- protected:
-  BufferPool() = default;
-
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-};
-
-/// A simulated machine's private LRU page cache in front of its
-/// `SimDevice`.
-class LruBufferPool : public BufferPool {
- public:
-  LruBufferPool(SimDevice* device, uint64_t capacity_pages)
-      : device_(device), pages_(capacity_pages) {}
-
-  bool Access(uint64_t page, bool cacheable = true) override;
-  bool Contains(uint64_t page) const override { return pages_.Contains(page); }
-  void Warm(uint64_t page) override { pages_.Warm(page); }
-  void Clear() override { pages_.Clear(); }
-  uint64_t capacity_pages() const override { return pages_.capacity(); }
-  uint64_t resident_pages() const override { return pages_.size(); }
-  uint64_t node_allocations() const override {
-    return pages_.node_allocations();
-  }
-
- private:
-  SimDevice* device_;
-  LruPageSet pages_;
+  uint64_t node_allocations_ = 0;
 };
 
 }  // namespace robustmap

@@ -10,7 +10,6 @@
 #include "common/mutex.h"
 #include "io/buffer_pool.h"
 #include "io/disk_model.h"
-#include "io/shared_buffer_pool.h"
 #include "io/sim_device.h"
 #include "io/warmup_policy.h"
 
@@ -75,31 +74,22 @@ struct RunContext {
 
 /// A self-contained simulated machine — clock, device, buffer pool — with a
 /// `RunContext` wired to them. Produced by `RunContextFactory` so parallel
-/// sweep workers each measure on a private machine. When `shared_pool` is
-/// given, the machine attaches a `SharedBufferPoolView` instead of a
-/// private pool: time stays private, cache residency is shared.
+/// sweep workers each measure on a private machine.
 class OwnedRunContext {
  public:
   OwnedRunContext(const DiskParameters& disk, const CpuParameters& cpu,
                   uint64_t pool_pages, uint64_t data_pages,
                   uint64_t sort_memory_bytes, uint64_t hash_memory_bytes,
-                  const WarmupPolicy& warmup = {},
-                  SharedBufferPool* shared_pool = nullptr)
-      : device_(disk, &clock_) {
+                  const WarmupPolicy& warmup = {})
+      : device_(disk, &clock_), pool_(&device_, pool_pages) {
     // Mirror the prototype device's data extents so shared storage objects
     // (tables, indexes) keep their page addresses on this machine, and
     // spill extents land at the same pages as on the prototype.
     device_.AllocateExtent(data_pages);
     device_.SealDataExtents();
-    if (shared_pool != nullptr) {
-      shared_view_ = true;
-      pool_ = std::make_unique<SharedBufferPoolView>(&device_, shared_pool);
-    } else {
-      pool_ = std::make_unique<LruBufferPool>(&device_, pool_pages);
-    }
     ctx_.clock = &clock_;
     ctx_.device = &device_;
-    ctx_.pool = pool_.get();
+    ctx_.pool = &pool_;
     ctx_.cpu = cpu;
     ctx_.sort_memory_bytes = sort_memory_bytes;
     ctx_.hash_memory_bytes = hash_memory_bytes;
@@ -112,19 +102,17 @@ class OwnedRunContext {
   RunContext* ctx() { return &ctx_; }
 
   /// Resets this machine in place to the state a freshly constructed one
-  /// would have — clock zeroed, CPU carry cleared, private pool emptied
+  /// would have — clock zeroed, CPU carry cleared, pool emptied
   /// (page nodes recycled, never freed), pool statistics zeroed, head
   /// forgotten, temp extents released, `warmup` stamped — without
   /// reallocating the device mirror, the pool, or any page nodes. Cold
   /// measurements on a recycled machine are bit-identical to measurements
-  /// on a fresh `Create()`. A machine attached to a shared pool skips the
-  /// residency clear: constructing a fresh view leaves the shared cache
-  /// untouched, and recycling must be indistinguishable from that. Only
-  /// call between measurements, never during one.
+  /// on a fresh `Create()`. Only call between measurements, never during
+  /// one.
   void Recycle(const WarmupPolicy& warmup) {
     clock_.Reset();
-    if (!shared_view_) pool_->Clear();
-    pool_->ResetStats();
+    pool_.Clear();
+    pool_.ResetStats();
     device_.ResetHead();
     device_.ReleaseTempExtents();
     ctx_.warmup = warmup;
@@ -134,9 +122,8 @@ class OwnedRunContext {
  private:
   VirtualClock clock_;
   SimDevice device_;
-  std::unique_ptr<BufferPool> pool_;
+  BufferPool pool_;
   RunContext ctx_;
-  bool shared_view_ = false;
 };
 
 /// Builds independent, identically-configured simulated machines from a
@@ -156,16 +143,6 @@ class RunContextFactory {
         hash_memory_bytes_(prototype.hash_memory_bytes),
         warmup_(prototype.warmup) {}
 
-  /// Every machine from `Create()` attaches to `pool` — one cache shared
-  /// across workers — instead of receiving a private pool. See
-  /// `SharedBufferPool` for the determinism contract. Machines parked in
-  /// the arena were built under the old pool topology, so they are dropped.
-  void ShareBufferPool(SharedBufferPool* pool) {
-    shared_pool_ = pool;
-    MutexLock lock(&arena_mu_);
-    arena_.clear();
-  }
-
   /// Overrides the warmup policy the machines start with.
   void set_warmup(const WarmupPolicy& warmup) { warmup_ = warmup; }
   const WarmupPolicy& warmup() const { return warmup_; }
@@ -173,7 +150,7 @@ class RunContextFactory {
   std::unique_ptr<OwnedRunContext> Create() const {
     return std::make_unique<OwnedRunContext>(
         disk_, cpu_, pool_pages_, data_pages_, sort_memory_bytes_,
-        hash_memory_bytes_, warmup_, shared_pool_);
+        hash_memory_bytes_, warmup_);
   }
 
   /// Like `Create()`, but recycles a machine parked by `Release()` when one
@@ -196,8 +173,8 @@ class RunContextFactory {
   }
 
   /// Parks `machine` for reuse by a later `Acquire()`. Null-tolerant.
-  /// The machine must have been produced by this factory after its last
-  /// `ShareBufferPool()` call, and must not be mid-measurement.
+  /// The machine must have been produced by this factory and must not be
+  /// mid-measurement.
   void Release(std::unique_ptr<OwnedRunContext> machine) const {
     if (machine == nullptr) return;
     MutexLock lock(&arena_mu_);
@@ -212,7 +189,6 @@ class RunContextFactory {
   uint64_t sort_memory_bytes_;
   uint64_t hash_memory_bytes_;
   WarmupPolicy warmup_;
-  SharedBufferPool* shared_pool_ = nullptr;
 
   /// Machines parked between measurements, awaiting `Acquire()`.
   mutable Mutex arena_mu_;

@@ -25,7 +25,7 @@ Result<std::unique_ptr<StudyEnvironment>> StudyEnvironment::Create(
   if (pool_pages == 0) {
     pool_pages = std::max<uint64_t>(256, env->table_->num_pages() / 64);
   }
-  env->pool_ = std::make_unique<LruBufferPool>(env->device_.get(), pool_pages);
+  env->pool_.emplace(env->device_.get(), pool_pages);
 
   auto make_index = [&](std::vector<uint32_t> cols)
       -> Result<std::shared_ptr<ProceduralIndex>> {
@@ -71,7 +71,7 @@ Result<std::unique_ptr<StudyEnvironment>> StudyEnvironment::Create(
 
   env->ctx_.clock = env->clock_.get();
   env->ctx_.device = env->device_.get();
-  env->ctx_.pool = env->pool_.get();
+  env->ctx_.pool = &*env->pool_;
   env->ctx_.cpu = opts.cpu;
   // Auto memory budgets scale with the data (the paper holds the
   // memory-to-data ratio roughly fixed across its systems): sorts get a

@@ -2,6 +2,7 @@
 #define ROBUSTMAP_WORKLOAD_DATASET_H_
 
 #include <memory>
+#include <optional>
 
 #include "catalog/catalog.h"
 #include "common/status.h"
@@ -74,7 +75,7 @@ class StudyEnvironment {
   StudyOptions opts_;
   std::unique_ptr<VirtualClock> clock_;
   std::unique_ptr<SimDevice> device_;
-  std::unique_ptr<BufferPool> pool_;
+  std::optional<BufferPool> pool_;
   RunContext ctx_;
   std::shared_ptr<ProceduralTable> table_;
   std::shared_ptr<ProceduralIndex> idx_a_, idx_b_, idx_ab_, idx_ba_;

@@ -227,15 +227,6 @@ TEST(ProgressiveSweepTest, RejectsOrderDependentConfigurations) {
   EXPECT_TRUE(SweepEngine::Run(env.ctx(), executor, warm)
                   .status()
                   .IsInvalidArgument());
-
-  SweepRequest shared =
-      BaseRequest(StudyKind::kPlainMap, BackendKind::kThreaded);
-  shared.progressive.initial_stride = 2;
-  SharedBufferPool pool(64);
-  shared.sweep.shared_pool = &pool;
-  EXPECT_TRUE(SweepEngine::Run(env.ctx(), executor, shared)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 }  // namespace

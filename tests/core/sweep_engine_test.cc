@@ -184,17 +184,28 @@ TEST(SweepEngineTest, RecycledMachinesBitIdenticalAcrossBackendsAndWarmups) {
                       .ValueOrDie();
 
     if (warmup.is_order_dependent()) {
-      // Order-dependent cells sit outside the backend bit-identity
-      // contract (residency carries from cell to cell, so any schedule
-      // change is observable). What must still hold: the same serialized
-      // sweep from the same starting pool state reproduces exactly —
-      // plan batching must not perturb it.
+      // Residency carries from cell to cell, so any schedule change would
+      // be observable. What must hold: the same serialized sweep from the
+      // same starting pool state reproduces exactly — plan batching must
+      // not perturb it.
       reset_pool();
       auto again = SweepEngine::Run(env.ctx(), executor,
                                     BaseRequest(StudyKind::kPlainMap,
                                                 BackendKind::kSerial))
                        .ValueOrDie();
       ExpectMapsBitIdentical(serial.map(), again.map());
+      // Asked for threads, an order-dependent sweep still runs serially on
+      // the caller's machine, so it reproduces the serial map bit for bit.
+      SweepRequest threaded =
+          BaseRequest(StudyKind::kPlainMap, BackendKind::kThreaded);
+      threaded.sweep.num_threads = 4;
+      for (int run = 0; run < 2; ++run) {
+        SCOPED_TRACE("threaded run " + std::to_string(run));
+        reset_pool();
+        auto out = SweepEngine::Run(env.ctx(), executor, threaded)
+                       .ValueOrDie();
+        ExpectMapsBitIdentical(serial.map(), out.map());
+      }
       // And the warm-cold study — whose parallel cold half draws recycled
       // machines from the factory arena while the prior-run warm half is
       // serialized — reproduces layer for layer.
@@ -307,23 +318,6 @@ TEST(SweepEngineTest, ShardedBackendRejectsOrderDependentConfigurations) {
   prior.sharded.tile_dir = FreshTileDir("reject");
   prior.warm_policy = WarmupPolicy::PriorRun();
   EXPECT_TRUE(SweepEngine::Run(env.ctx(), executor, prior)
-                  .status()
-                  .IsInvalidArgument());
-
-  SweepRequest shared =
-      BaseRequest(StudyKind::kPlainMap, BackendKind::kShardedProcess);
-  shared.sharded.tile_dir = FreshTileDir("reject_pool");
-  SharedBufferPool pool(64);
-  shared.sweep.shared_pool = &pool;
-  EXPECT_TRUE(SweepEngine::Run(env.ctx(), executor, shared)
-                  .status()
-                  .IsInvalidArgument());
-
-  SweepRequest schedule =
-      BaseRequest(StudyKind::kPlainMap, BackendKind::kShardedProcess);
-  schedule.sharded.tile_dir = FreshTileDir("reject_sched");
-  schedule.sweep.deterministic_shared_schedule = true;
-  EXPECT_TRUE(SweepEngine::Run(env.ctx(), executor, schedule)
                   .status()
                   .IsInvalidArgument());
 }

@@ -74,14 +74,6 @@ TEST(ParallelRunSweepTest, EmptyPlanListOrEmptyGridIsAnError) {
       SweepEngine::RunCellsParallelIndexed(empty, {"p"}, factory, runner);
   ASSERT_FALSE(no_points.ok());
   EXPECT_TRUE(no_points.status().IsInvalidArgument());
-
-  // The deterministic round-robin schedule takes the same front door.
-  SweepOptions det;
-  det.deterministic_shared_schedule = true;
-  EXPECT_TRUE(
-      SweepEngine::RunCellsParallelIndexed(space, {}, factory, runner, det)
-          .status()
-          .IsInvalidArgument());
 }
 
 TEST(SweepStudyPlansTest, EmptyPlanListIsAnError) {

@@ -108,47 +108,23 @@ TEST(RunWarmColdSweepTest, PriorRunWarmMapIsReproducible) {
   ExpectMapsBitIdentical(first.cold(), second.cold());
 }
 
-// A page-set policy over a shared pool: every cell's ColdStart clears and
-// re-warms the one shared cache, so the warm half must be forced serial —
-// asked to parallelize, the maps must still reproduce bit for bit.
-TEST(RunWarmColdSweepTest, SharedPoolPageSetPolicyIsReproducible) {
-  ProcEnv env;
-  Executor executor(env.db());
-  WarmupPolicy policy = WarmupPolicy::FractionResident(0.3);
-
-  auto run_once = [&]() {
-    SharedBufferPool shared(env.ctx()->pool->capacity_pages());
-    SweepOptions opts;
-    opts.num_threads = 4;
-    opts.shared_pool = &shared;
-    return SweepEngine::Run(env.ctx(), executor,
-                            WarmColdRequest(policy, opts))
-        .ValueOrDie();
-  };
-  auto first = run_once();
-  auto second = run_once();
-  ExpectMapsBitIdentical(first.warm(), second.warm());
-  ExpectMapsBitIdentical(first.cold(), second.cold());
-}
-
-// The §3.2 cross-query reuse scenario: one shared cache carried across the
-// whole sweep. Under the serial fallback the access order is fixed, so the
-// map must be deterministic run-to-run.
+// The §3.2 cross-query reuse scenario: the machine's one pool carried
+// across the whole sweep. Serial from an emptied pool, the access order is
+// fixed, so the map must be deterministic run-to-run.
 TEST(SweepStudyPlansTest, SharedPoolSerialSweepIsDeterministic) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = SmallSpace();
 
   auto run_once = [&]() {
-    SharedBufferPool shared(env.ctx()->pool->capacity_pages());
     SweepOptions opts;
     opts.num_threads = 1;
-    opts.shared_pool = &shared;
     SweepRequest req;
     req.plans = StudyPlans();
     req.space = space;
     req.sweep = opts;
     env.ctx()->warmup = WarmupPolicy::PriorRun();
+    env.ctx()->pool->Clear();
     auto map =
         SweepEngine::Run(env.ctx(), executor, req).ValueOrDie().map();
     env.ctx()->warmup = WarmupPolicy::Cold();

@@ -60,7 +60,7 @@ TEST(ExecutorTest, HeapAndProceduralStorageAgree) {
   // brute force — proving the operators are storage-agnostic.
   VirtualClock clock;
   SimDevice device(DiskParameters{}, &clock);
-  LruBufferPool pool(&device, 4096);
+  BufferPool pool(&device, 4096);
   RunContext ctx;
   ctx.clock = &clock;
   ctx.device = &device;

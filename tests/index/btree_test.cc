@@ -22,7 +22,7 @@ class BTreeEnv {
  private:
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
 };
 

@@ -50,7 +50,7 @@ class MdamTest : public ::testing::Test {
 
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
   std::unique_ptr<ProceduralTable> table_;
   std::unique_ptr<ProceduralIndex> index_;

@@ -31,7 +31,7 @@ class ProceduralIndexTest : public ::testing::Test {
 
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
   std::unique_ptr<ProceduralTable> table_;
 };

@@ -15,7 +15,7 @@ class BufferPoolTest : public ::testing::Test {
 };
 
 TEST_F(BufferPoolTest, MissThenHit) {
-  LruBufferPool pool(&device_, 10);
+  BufferPool pool(&device_, 10);
   EXPECT_FALSE(pool.Access(5));
   EXPECT_TRUE(pool.Access(5));
   EXPECT_EQ(pool.hits(), 1u);
@@ -24,7 +24,7 @@ TEST_F(BufferPoolTest, MissThenHit) {
 }
 
 TEST_F(BufferPoolTest, HitChargesNoDeviceTime) {
-  LruBufferPool pool(&device_, 10);
+  BufferPool pool(&device_, 10);
   pool.Access(5);
   int64_t t = clock_.now_ns();
   pool.Access(5);
@@ -32,7 +32,7 @@ TEST_F(BufferPoolTest, HitChargesNoDeviceTime) {
 }
 
 TEST_F(BufferPoolTest, EvictsLeastRecentlyUsed) {
-  LruBufferPool pool(&device_, 3);
+  BufferPool pool(&device_, 3);
   pool.Access(1);
   pool.Access(2);
   pool.Access(3);
@@ -45,7 +45,7 @@ TEST_F(BufferPoolTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST_F(BufferPoolTest, NonCacheableDoesNotPollute) {
-  LruBufferPool pool(&device_, 3);
+  BufferPool pool(&device_, 3);
   pool.Access(1);
   pool.Access(2, /*cacheable=*/false);
   EXPECT_TRUE(pool.Contains(1));
@@ -54,7 +54,7 @@ TEST_F(BufferPoolTest, NonCacheableDoesNotPollute) {
 }
 
 TEST_F(BufferPoolTest, ClearDropsEverything) {
-  LruBufferPool pool(&device_, 5);
+  BufferPool pool(&device_, 5);
   pool.Access(1);
   pool.Access(2);
   pool.Clear();
@@ -66,7 +66,7 @@ TEST_F(BufferPoolTest, ClearDropsEverything) {
 // closed by ResetStats(). (ColdStart calls both — before the split, stats
 // bled across sweep cells and per-measurement hit rates were cumulative.)
 TEST_F(BufferPoolTest, ClearKeepsStatsResetStatsZeroesThem) {
-  LruBufferPool pool(&device_, 5);
+  BufferPool pool(&device_, 5);
   pool.Access(1);
   pool.Access(1);
   pool.Clear();
@@ -82,7 +82,7 @@ TEST_F(BufferPoolTest, ClearKeepsStatsResetStatsZeroesThem) {
 }
 
 TEST_F(BufferPoolTest, ZeroCapacityNeverCaches) {
-  LruBufferPool pool(&device_, 0);
+  BufferPool pool(&device_, 0);
   EXPECT_FALSE(pool.Access(1));
   EXPECT_FALSE(pool.Access(1));
   EXPECT_EQ(pool.hits(), 0u);
@@ -93,7 +93,7 @@ TEST_F(BufferPoolTest, ZeroCapacityNeverCaches) {
 }
 
 TEST_F(BufferPoolTest, CapacityOneKeepsOnlyTheLastPage) {
-  LruBufferPool pool(&device_, 1);
+  BufferPool pool(&device_, 1);
   EXPECT_FALSE(pool.Access(1));
   EXPECT_TRUE(pool.Access(1));    // smallest possible pool still caches
   EXPECT_FALSE(pool.Access(2));   // evicts 1
@@ -106,13 +106,13 @@ TEST_F(BufferPoolTest, CapacityOneKeepsOnlyTheLastPage) {
 }
 
 TEST_F(BufferPoolTest, CapacityRespected) {
-  LruBufferPool pool(&device_, 4);
+  BufferPool pool(&device_, 4);
   for (uint64_t p = 0; p < 100; ++p) pool.Access(p);
   EXPECT_EQ(pool.resident_pages(), 4u);
 }
 
 TEST_F(BufferPoolTest, WarmAdmitsWithoutChargeOrStats) {
-  LruBufferPool pool(&device_, 4);
+  BufferPool pool(&device_, 4);
   int64_t t = clock_.now_ns();
   pool.Warm(7);
   EXPECT_EQ(clock_.now_ns(), t);  // no device charge
@@ -124,7 +124,7 @@ TEST_F(BufferPoolTest, WarmAdmitsWithoutChargeOrStats) {
 }
 
 TEST_F(BufferPoolTest, WarmRefreshesLruPosition) {
-  LruBufferPool pool(&device_, 2);
+  BufferPool pool(&device_, 2);
   pool.Access(1);
   pool.Access(2);
   pool.Warm(1);      // 1 becomes MRU; LRU order now 2,1
@@ -135,7 +135,7 @@ TEST_F(BufferPoolTest, WarmRefreshesLruPosition) {
 }
 
 TEST_F(BufferPoolTest, EvictionRecyclesNodesInPlace) {
-  LruBufferPool pool(&device_, 4);
+  BufferPool pool(&device_, 4);
   for (uint64_t p = 0; p < 4; ++p) pool.Access(p);
   EXPECT_EQ(pool.node_allocations(), 4u);
   // At capacity, every further admission reuses the eviction victim's
@@ -146,7 +146,7 @@ TEST_F(BufferPoolTest, EvictionRecyclesNodesInPlace) {
 }
 
 TEST_F(BufferPoolTest, ClearFreesNodesToTheRecycleList) {
-  LruBufferPool pool(&device_, 8);
+  BufferPool pool(&device_, 8);
   for (uint64_t p = 0; p < 8; ++p) pool.Access(p);
   EXPECT_EQ(pool.node_allocations(), 8u);
   pool.Clear();

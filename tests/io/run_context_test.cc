@@ -15,7 +15,7 @@ class RunContextTest : public ::testing::Test {
 
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
 };
 
@@ -262,46 +262,6 @@ TEST_F(RunContextTest, AcquireRecyclesParkedMachines) {
   factory.Release(nullptr);  // null-tolerant (skipped cells release null)
   auto fresh = factory.Acquire();
   EXPECT_NE(fresh.get(), raw);
-}
-
-TEST_F(RunContextTest, ShareBufferPoolDropsParkedMachines) {
-  device_.AllocateExtent(100);
-  device_.SealDataExtents();
-  SharedBufferPool shared(64);
-  RunContextFactory factory(ctx_);
-  factory.Release(factory.Create());  // parked under the private topology
-
-  factory.ShareBufferPool(&shared);
-  auto machine = factory.Acquire();  // must NOT be the parked private one
-  EXPECT_FALSE(machine->ctx()->ReadPage(5));  // miss admits into `shared`
-  EXPECT_TRUE(shared.Contains(5));
-
-  // Recycling a shared-view machine leaves the shared cache untouched —
-  // exactly what constructing a fresh view would do.
-  machine->Recycle(WarmupPolicy::Cold());
-  EXPECT_TRUE(shared.Contains(5));
-  EXPECT_EQ(machine->ctx()->pool->hits(), 0u);
-}
-
-TEST_F(RunContextTest, FactorySharedPoolAttachesAllMachinesToOneCache) {
-  device_.AllocateExtent(100);
-  device_.SealDataExtents();
-  SharedBufferPool shared(64);
-  RunContextFactory factory(ctx_);
-  factory.ShareBufferPool(&shared);
-  auto a = factory.Create();
-  auto b = factory.Create();
-
-  EXPECT_FALSE(a->ctx()->ReadPage(5));  // A misses and admits
-  EXPECT_TRUE(b->ctx()->ReadPage(5));   // B hits A's page
-  EXPECT_GT(a->ctx()->clock->now_ns(), 0);
-  EXPECT_EQ(b->ctx()->clock->now_ns(), 0);  // hit costs B nothing
-
-  // A cold start on one machine clears the cache for everyone — that is
-  // what an empty pool means when the pool is shared.
-  a->ctx()->ColdStart();
-  EXPECT_FALSE(shared.Contains(5));
-  EXPECT_EQ(b->ctx()->pool->resident_pages(), 0u);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ class HeapTableTest : public ::testing::Test {
   }
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
 };
 

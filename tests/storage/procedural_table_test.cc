@@ -17,7 +17,7 @@ class ProceduralTableTest : public ::testing::Test {
   }
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
 };
 

@@ -80,7 +80,7 @@ class ProcEnv {
 
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
   std::unique_ptr<ProceduralTable> table_;
   std::unique_ptr<ProceduralIndex> idx_a_, idx_b_, idx_ab_, idx_ba_;

@@ -48,7 +48,7 @@ class HeapDatasetTest : public ::testing::Test {
   }
   VirtualClock clock_;
   SimDevice device_;
-  LruBufferPool pool_;
+  BufferPool pool_;
   RunContext ctx_;
 };
 
