@@ -1,6 +1,5 @@
 #include "common/math_util.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -25,31 +24,6 @@ std::vector<double> Log2GridFine(int min_log2, int max_log2,
   return grid;
 }
 
-int FloorLog2(uint64_t x) {
-  assert(x >= 1);
-  return 63 - __builtin_clzll(x);
-}
-
-double ExpectedDistinctPages(double rows, double pages, double rows_per_page) {
-  (void)rows_per_page;
-  if (pages <= 0) return 0;
-  // Each of `rows` fetches hits a uniformly random page; expected distinct
-  // pages = P * (1 - (1 - 1/P)^rows).
-  double p = pages;
-  return p * (1.0 - std::exp(rows * std::log1p(-1.0 / p)));
-}
-
-double Lerp(double a, double b, double t) { return a + (b - a) * t; }
-
-double Clamp(double x, double lo, double hi) {
-  return std::min(std::max(x, lo), hi);
-}
-
-bool ApproxEqual(double a, double b, double tol) {
-  double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-  return std::fabs(a - b) <= tol * scale;
-}
-
 double GeometricMean(const std::vector<double>& values) {
   assert(!values.empty());
   double log_sum = 0;
@@ -58,16 +32,6 @@ double GeometricMean(const std::vector<double>& values) {
     log_sum += std::log(v);
   }
   return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double Percentile(std::vector<double> values, double p) {
-  assert(!values.empty());
-  std::sort(values.begin(), values.end());
-  double rank =
-      Clamp(p, 0, 100) / 100.0 * static_cast<double>(values.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, values.size() - 1);
-  return Lerp(values[lo], values[hi], rank - static_cast<double>(lo));
 }
 
 }  // namespace robustmap

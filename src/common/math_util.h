@@ -1,7 +1,6 @@
 #ifndef ROBUSTMAP_COMMON_MATH_UTIL_H_
 #define ROBUSTMAP_COMMON_MATH_UTIL_H_
 
-#include <cstdint>
 #include <vector>
 
 namespace robustmap {
@@ -16,29 +15,8 @@ std::vector<double> Log2Grid(int min_log2, int max_log2);
 std::vector<double> Log2GridFine(int min_log2, int max_log2,
                                  int steps_per_octave);
 
-/// floor(log2(x)) for x >= 1.
-int FloorLog2(uint64_t x);
-
-/// Expected number of distinct pages touched when fetching `rows` uniformly
-/// random rows from a table of `pages` pages with `rows_per_page` rows each
-/// (Yao's formula approximation, exact in expectation for sampling with
-/// replacement).
-double ExpectedDistinctPages(double rows, double pages, double rows_per_page);
-
-/// Linear interpolation helper.
-double Lerp(double a, double b, double t);
-
-/// Clamps x into [lo, hi].
-double Clamp(double x, double lo, double hi);
-
-/// True if |a - b| <= tol * max(|a|, |b|, 1).
-bool ApproxEqual(double a, double b, double tol);
-
 /// Geometric mean of a non-empty vector of positive values.
 double GeometricMean(const std::vector<double>& values);
-
-/// p-th percentile (0..100) of values (copies and sorts internally).
-double Percentile(std::vector<double> values, double p);
 
 }  // namespace robustmap
 

@@ -31,18 +31,10 @@ void AppendEventJson(const TraceEvent& e, uint32_t default_pid,
   *out += "\",\"cat\":\"";
   *out += JsonEscape(e.category);
   *out += "\",";
-  if (e.phase == 'i') {
-    std::snprintf(buf, sizeof(buf),
-                  "\"ph\":\"i\",\"s\":\"g\",\"pid\":%u,\"tid\":%u,"
-                  "\"ts\":%.3f}",
-                  pid, e.tid, ts_us);
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "\"ph\":\"X\",\"pid\":%u,\"tid\":%u,\"ts\":%.3f,"
-                  "\"dur\":%.3f}",
-                  pid, e.tid, ts_us,
-                  static_cast<double>(e.dur_ns) / 1000.0);
-  }
+  std::snprintf(buf, sizeof(buf),
+                "\"ph\":\"X\",\"pid\":%u,\"tid\":%u,\"ts\":%.3f,"
+                "\"dur\":%.3f}",
+                pid, e.tid, ts_us, static_cast<double>(e.dur_ns) / 1000.0);
   *out += buf;
 }
 
@@ -109,23 +101,9 @@ void Tracer::AddComplete(std::string name, std::string category,
   TraceEvent e;
   e.name = std::move(name);
   e.category = std::move(category);
-  e.phase = 'X';
   e.tid = buffer->tid;
   e.ts_ns = start_ns;
   e.dur_ns = dur_ns;
-  MutexLock lock(&buffer->mu);
-  buffer->events.push_back(std::move(e));
-}
-
-void Tracer::AddInstant(std::string name, std::string category) {
-  if (!enabled()) return;
-  ThreadBuffer* buffer = ThisThreadBuffer();
-  TraceEvent e;
-  e.name = std::move(name);
-  e.category = std::move(category);
-  e.phase = 'i';
-  e.tid = buffer->tid;
-  e.ts_ns = MonotonicNowNs();
   MutexLock lock(&buffer->mu);
   buffer->events.push_back(std::move(e));
 }
@@ -195,10 +173,6 @@ Status Tracer::MergeFromFile(const std::string& path) {
     e.name = name->string_value();
     if (const JsonValue* cat = ev.Find("cat"); cat && cat->is_string()) {
       e.category = cat->string_value();
-    }
-    if (const JsonValue* ph = ev.Find("ph");
-        ph && ph->is_string() && !ph->string_value().empty()) {
-      e.phase = ph->string_value()[0];
     }
     e.pid = static_cast<uint32_t>(pid->number_value());
     if (const JsonValue* tid = ev.Find("tid"); tid && tid->is_number()) {

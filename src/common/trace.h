@@ -25,7 +25,7 @@ namespace robustmap {
 /// depend on a value derived from this function.
 int64_t MonotonicNowNs();
 
-/// One Chrome-trace event: a complete span ("X") or an instant ("i").
+/// One Chrome-trace event: a complete span ("X").
 /// Timestamps are raw `MonotonicNowNs` readings; the tracer subtracts its
 /// epoch when serializing. `pid` is 0 for events recorded in this process
 /// (stamped with the real pid at write time) and the originating pid for
@@ -33,14 +33,13 @@ int64_t MonotonicNowNs();
 struct TraceEvent {
   std::string name;
   std::string category;
-  char phase = 'X';
   uint32_t pid = 0;
   uint32_t tid = 0;
   int64_t ts_ns = 0;
   int64_t dur_ns = 0;
 };
 
-/// Process-wide span/instant tracer emitting Chrome-trace-event JSON
+/// Process-wide span tracer emitting Chrome-trace-event JSON
 /// (loadable in Perfetto / chrome://tracing). Disabled by default: the
 /// fast path of every record call is a single relaxed atomic load, so an
 /// untraced sweep pays nothing. Threads record into per-thread buffers
@@ -75,9 +74,6 @@ class Tracer {
   /// Records a complete span ("X"). No-op while disabled.
   void AddComplete(std::string name, std::string category, int64_t start_ns,
                    int64_t dur_ns);
-
-  /// Records an instant event ("i") at now. No-op while disabled.
-  void AddInstant(std::string name, std::string category);
 
   /// Serializes every buffered event (live threads' and retired) as
   /// `{"traceEvents":[...]}`, one event object per line, timestamps in

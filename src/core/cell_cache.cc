@@ -5,11 +5,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <istream>
 #include <iterator>
 #include <ostream>
-#include <queue>
 #include <utility>
 
 #include "core/sharded_sweep.h"
@@ -325,76 +323,78 @@ Status GetEntryBody(Cursor* c, CellCacheEntry* e) {
   return GetMeasurement(c, &e->m);
 }
 
-Cursor EntriesOf(const std::string& buf, const Run& run) {
-  return Cursor(buf.data() + run.entries, buf.size() - run.entries, kWhat);
+/// The bytes of a scanned file that `kept` of its runs cover.
+size_t KeptBytes(const Layout& l, size_t kept) {
+  return kept < l.runs.size() ? l.runs[kept].start : l.kept_bytes;
 }
 
-/// K-way merges the first `n` runs (each ascending) into `*order`.
-/// Returns `n`, or the first run that repeats a key of an earlier one, in
-/// which case `*order` is not the merge of anything.
-size_t MergeRuns(std::vector<std::vector<CellCacheEntry>>* runs, size_t n,
-                 std::vector<CellCacheEntry*>* order) {
-  // (fingerprint, run): on equal keys the earlier run pops first.
-  using Head = std::pair<uint64_t, size_t>;
-  std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
-  std::vector<size_t> next(n, 0);
-  size_t total = 0;
-  for (size_t r = 0; r < n; ++r) {
-    total += (*runs)[r].size();
-    if (!(*runs)[r].empty()) heads.push({(*runs)[r][0].fingerprint, r});
+uint64_t TotalEntries(const Layout& l) {
+  uint64_t total = 0;
+  for (const Run& run : l.runs) total += run.count;
+  return total;
+}
+
+using EntryMap = std::unordered_map<uint64_t, CellCacheEntry>;
+
+/// Decodes one run's entries straight into their map nodes, noting each new
+/// key in `*added`. False at the first key already in the map (or at an
+/// entry that does not decode, which a successful scan rules out).
+bool DecodeRun(const std::string& buf, const Run& run, EntryMap* entries,
+               std::vector<uint64_t>* added) {
+  Cursor c(buf.data() + run.entries, buf.size() - run.entries, kWhat);
+  for (uint64_t i = 0; i < run.count; ++i) {
+    uint64_t fp = 0;
+    if (!c.GetU64(&fp).ok()) return false;
+    const auto [it, inserted] = entries->try_emplace(fp);
+    if (!inserted) return false;
+    added->push_back(fp);
+    it->second.fingerprint = fp;
+    if (!GetEntryBody(&c, &it->second).ok()) return false;
   }
-  order->clear();
-  order->reserve(total);
-  size_t repeats = n;
-  while (!heads.empty()) {
-    const auto [fp, r] = heads.top();
-    heads.pop();
-    std::vector<CellCacheEntry>& run = (*runs)[r];
-    if (!order->empty() && order->back()->fingerprint == fp) {
-      repeats = std::min(repeats, r);
-    } else {
-      order->push_back(&run[next[r]]);
+  return true;
+}
+
+/// The one decoder behind both readers and `CellResultCache::Open`: every
+/// kept run of a scanned file, in file order, into `*entries`. A failed
+/// `try_emplace` is the duplicate check. Only a segment can repeat a key
+/// (the scan checked that keys ascend within a run); the first that does
+/// has its entries taken back out and is dropped with every later one.
+/// Returns the number of runs kept.
+size_t DecodeRuns(const std::string& buf, const Layout& l,
+                  EntryMap* entries) {
+  std::vector<uint64_t> added;
+  for (size_t r = 0; r < l.runs.size(); ++r) {
+    added.clear();
+    if (!DecodeRun(buf, l.runs[r], entries, &added)) {
+      for (const uint64_t fp : added) entries->erase(fp);
+      return r;
     }
-    if (++next[r] < run.size()) heads.push({run[next[r]].fingerprint, r});
   }
-  return repeats;
+  return l.runs.size();
 }
 
-/// Decodes a whole cache file's bytes: every kept run, k-way merged into
-/// one ascending list. A segment that repeats a key of an earlier run is
-/// dropped with every later one.
+/// Decodes a whole cache file's bytes into entries sorted by fingerprint.
 Result<CellCacheData> ParseCellCache(const std::string& buf) {
   auto scanned = ScanCellCache(buf);
   RM_RETURN_IF_ERROR(scanned.status());
   const Layout& l = scanned.value();
-  std::vector<std::vector<CellCacheEntry>> runs(l.runs.size());
-  for (size_t r = 0; r < runs.size(); ++r) {
-    Cursor c = EntriesOf(buf, l.runs[r]);
-    runs[r].resize(l.runs[r].count);
-    for (CellCacheEntry& e : runs[r]) {
-      RM_RETURN_IF_ERROR(c.GetU64(&e.fingerprint));
-      RM_RETURN_IF_ERROR(GetEntryBody(&c, &e));
-    }
-  }
+  EntryMap entries;
+  entries.reserve(TotalEntries(l));
+  const size_t kept = DecodeRuns(buf, l, &entries);
   CellCacheData data;
   data.fingerprint_schema = l.fingerprint_schema;
-  size_t kept = runs.size();
-  if (kept == 1) {  // a compacted file is already in order
-    data.entries = std::move(runs[0]);
-  } else {
-    std::vector<CellCacheEntry*> order;
-    for (size_t repeats; (repeats = MergeRuns(&runs, kept, &order)) < kept;) {
-      kept = repeats;
-    }
-    data.entries.reserve(order.size());
-    for (CellCacheEntry* e : order) data.entries.push_back(std::move(*e));
-  }
+  data.entries.reserve(entries.size());
+  // determinism-lint: allow(unordered-iteration) sorted right below
+  for (auto& [fp, e] : entries) data.entries.push_back(std::move(e));
+  std::sort(data.entries.begin(), data.entries.end(),
+            [](const CellCacheEntry& a, const CellCacheEntry& b) {
+              return a.fingerprint < b.fingerprint;
+            });
   data.base_entries = l.runs[0].count;
   for (size_t r = 1; r < kept; ++r) {
     data.segment_entries.push_back(l.runs[r].count);
   }
-  data.dropped_bytes =
-      buf.size() - (kept < l.runs.size() ? l.runs[kept].start : l.kept_bytes);
+  data.dropped_bytes = buf.size() - KeptBytes(l, kept);
   return data;
 }
 
@@ -506,69 +506,21 @@ void CellResultCache::Open(const std::string& dir) {
                  kCellCacheFingerprintSchemaVersion);
     return;
   }
-  uint64_t total = 0;
-  for (const Run& run : l.runs) total += run.count;
-  for (Stripe& stripe : stripes_) {
-    MutexLock lock(&stripe.mu);
-    stripe.entries.reserve(total / kStripes + 1);
-  }
-  // Each entry is decoded straight into its stripe, and a failed emplace
-  // is the duplicate check. A stripe is a range of keys and a run's keys
-  // ascend, so each run's share of a stripe is contiguous: loading stripe
-  // by stripe gives a journaled file the locality of a compacted one. Only
-  // a segment can repeat a key (the scan checked that keys ascend within a
-  // run). The first that does is dropped with every later one, after
-  // taking back out the entries they had added.
-  struct Pending {
-    Cursor c;
-    uint64_t left;
-    uint64_t fp;  ///< the next entry's key, already read when left > 0
-  };
-  std::vector<Pending> runs;
-  for (const Run& run : l.runs) runs.push_back({EntriesOf(buf, run), 0, 0});
-  std::vector<std::vector<uint64_t>> added(runs.size());
-  size_t kept = runs.size();
-  for (size_t r = 0; r < kept; ++r) {
-    runs[r].left = l.runs[r].count;
-    if (runs[r].left > 0 && !runs[r].c.GetU64(&runs[r].fp).ok()) kept = r;
-  }
-  for (size_t i = 0; i < kStripes; ++i) {
-    Stripe& stripe = stripes_[i];
-    MutexLock lock(&stripe.mu);
-    for (size_t r = 0; r < kept; ++r) {
-      Pending& p = runs[r];
-      while (p.left > 0 && &StripeOf(p.fp) == &stripe) {
-        const auto [it, inserted] = stripe.entries.try_emplace(p.fp);
-        if (!inserted) {
-          kept = r;
-          break;
-        }
-        added[r].push_back(p.fp);
-        it->second.fingerprint = p.fp;
-        if (!GetEntryBody(&p.c, &it->second).ok() ||
-            (--p.left > 0 && !p.c.GetU64(&p.fp).ok())) {
-          kept = r;
-          break;
-        }
-      }
-    }
-  }
-  for (size_t r = kept; r < runs.size(); ++r) {
-    for (const uint64_t fp : added[r]) {
-      Stripe& stripe = StripeOf(fp);
-      MutexLock lock(&stripe.mu);
-      stripe.entries.erase(fp);
-    }
+  size_t kept = 0;
+  {
+    MutexLock lock(&mu_);
+    entries_.reserve(TotalEntries(l));
+    kept = DecodeRuns(buf, l, &entries_);
   }
   MutexLock flush_lock(&flush_mu_);
   base_bytes_ = l.base_bytes;
   file_bytes_ = l.kept_bytes;
   file_checksum_ = l.checksum;
-  const size_t kept_bytes =
-      kept < l.runs.size() ? l.runs[kept].start : l.kept_bytes;
+  const size_t kept_bytes = KeptBytes(l, kept);
   if (kept_bytes < buf.size()) {
-    // Never partly trusted. The file is longer than `file_bytes_`, so the
-    // next flush compacts the tail away rather than appending after it.
+    // Never partly trusted, and never appended after: a segment behind a
+    // dropped one would be dropped with it, so the next flush compacts.
+    base_bytes_ = 0;
     std::fprintf(stderr,
                  "  cell cache: dropped the last %zu bytes of %s (a torn, "
                  "damaged or repeating journal segment)\n",
@@ -577,14 +529,13 @@ void CellResultCache::Open(const std::string& dir) {
 }
 
 const CellCacheEntry* CellResultCache::Find(uint64_t fingerprint) const {
-  const Stripe& stripe = StripeOf(fingerprint);
-  MutexLock lock(&stripe.mu);
-  const auto it = stripe.entries.find(fingerprint);
-  return it == stripe.entries.end() ? nullptr : &it->second;
+  MutexLock lock(&mu_);
+  const auto it = entries_.find(fingerprint);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 bool CellResultCache::Lookup(uint64_t fingerprint, Measurement* out) const {
-  // The copy happens outside the stripe lock: a found entry never changes.
+  // The copy happens outside the lock: a found entry never changes.
   const CellCacheEntry* e = Find(fingerprint);
   if (e == nullptr) return false;
   *out = e->m;
@@ -600,36 +551,37 @@ bool CellResultCache::Publish(uint64_t fingerprint, std::string_view study,
   // The copy is made before taking the lock; the critical section only
   // links the node in.
   CellCacheEntry entry{fingerprint, std::string(study), m};
-  Stripe& stripe = StripeOf(fingerprint);
-  MutexLock lock(&stripe.mu);
+  MutexLock lock(&mu_);
   const auto [it, inserted] =
-      stripe.entries.try_emplace(fingerprint, std::move(entry));
+      entries_.try_emplace(fingerprint, std::move(entry));
   if (!inserted) return false;
-  stripe.fresh.push_back(&it->second);
+  fresh_.push_back(&it->second);
   return true;
 }
 
 Status CellResultCache::WriteCellCacheFile() {
   if (path_.empty()) return Status::OK();
   MutexLock flush_lock(&flush_mu_);
-  // Take every stripe's fresh entries; a publish landing after its stripe
-  // is taken stays fresh for the next flush.
-  StripeEntries taken;
-  std::vector<EntryRef> fresh;
-  for (size_t i = 0; i < kStripes; ++i) {
-    Stripe& stripe = stripes_[i];
-    MutexLock lock(&stripe.mu);
-    taken[i].swap(stripe.fresh);
-    for (const CellCacheEntry* e : taken[i]) {
-      fresh.push_back({e->fingerprint, e});
-    }
+  // Take the fresh entries; a publish landing after this stays fresh for
+  // the next flush, and a failed write puts them back.
+  std::vector<const CellCacheEntry*> taken;
+  {
+    MutexLock lock(&mu_);
+    taken.swap(fresh_);
   }
-  if (fresh.empty()) return Status::OK();
+  if (taken.empty()) return Status::OK();
+  const auto restore = [this, &taken] {
+    MutexLock lock(&mu_);
+    fresh_.insert(fresh_.end(), taken.begin(), taken.end());
+  };
+  std::vector<EntryRef> fresh;
+  fresh.reserve(taken.size());
+  for (const CellCacheEntry* e : taken) fresh.push_back({e->fingerprint, e});
   // Append while the segments stay no bigger than the base.
   const uint64_t segment_bytes = kSegmentOverhead + EntriesBytes(fresh);
   if (file_bytes_ - base_bytes_ + segment_bytes <= base_bytes_) {
     if (Status s = SortEntries(&fresh); !s.ok()) {
-      Restore(taken);
+      restore();
       return s;
     }
     const std::string segment = EncodeSegment(file_checksum_, fresh);
@@ -638,7 +590,7 @@ Status CellResultCache::WriteCellCacheFile() {
       // The file may now end in part of this segment: keep the entries
       // fresh, and compact next time.
       base_bytes_ = 0;
-      Restore(taken);
+      restore();
       return appended.status();
     }
     if (appended.value()) {
@@ -649,24 +601,23 @@ Status CellResultCache::WriteCellCacheFile() {
     // The file is no longer the one this cache left (replaced or extended
     // behind its back): compact over it.
   }
-  // Compact. Each stripe's snapshot and its fresh list are taken in one
-  // critical section, so everything published so far is in the file.
+  // Compact. The snapshot and the fresh list are taken in one critical
+  // section, so everything published so far is in the file.
   std::vector<EntryRef> entries;
-  entries.reserve(size());
-  for (size_t i = 0; i < kStripes; ++i) {
-    Stripe& stripe = stripes_[i];
-    MutexLock lock(&stripe.mu);
+  {
+    MutexLock lock(&mu_);
+    entries.reserve(entries_.size());
     // determinism-lint: allow(unordered-iteration) sorted by EncodeCellCache
-    for (const auto& [fp, e] : stripe.entries) entries.push_back({fp, &e});
-    taken[i].insert(taken[i].end(), stripe.fresh.begin(), stripe.fresh.end());
-    stripe.fresh.clear();
+    for (const auto& [fp, e] : entries_) entries.push_back({fp, &e});
+    taken.insert(taken.end(), fresh_.begin(), fresh_.end());
+    fresh_.clear();
   }
   const uint32_t schema = kCellCacheFingerprintSchemaVersion;
   auto buf = EncodeCellCache(schema, std::move(entries));
   Status s = buf.ok() ? wire::WriteFileAtomically(path_, buf.value(), kWhat)
                       : buf.status();
   if (!s.ok()) {
-    Restore(taken);
+    restore();
     return s;
   }
   base_bytes_ = file_bytes_ = buf.value().size();
@@ -674,22 +625,9 @@ Status CellResultCache::WriteCellCacheFile() {
   return Status::OK();
 }
 
-void CellResultCache::Restore(const StripeEntries& taken) {
-  for (size_t i = 0; i < kStripes; ++i) {
-    if (taken[i].empty()) continue;
-    Stripe& stripe = stripes_[i];
-    MutexLock lock(&stripe.mu);
-    stripe.fresh.insert(stripe.fresh.end(), taken[i].begin(), taken[i].end());
-  }
-}
-
 size_t CellResultCache::size() const {
-  size_t n = 0;
-  for (const Stripe& stripe : stripes_) {
-    MutexLock lock(&stripe.mu);
-    n += stripe.entries.size();
-  }
-  return n;
+  MutexLock lock(&mu_);
+  return entries_.size();
 }
 
 }  // namespace robustmap

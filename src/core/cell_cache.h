@@ -1,7 +1,6 @@
 #ifndef ROBUSTMAP_CORE_CELL_CACHE_H_
 #define ROBUSTMAP_CORE_CELL_CACHE_H_
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -145,15 +144,15 @@ uint64_t CellFingerprint(uint64_t env_fingerprint, const char* study,
 /// produced, so maps built from hits are byte-identical to maps built
 /// from measurements (and CI proves it).
 ///
-/// Thread-safe: sweep workers publish and look up concurrently. Entries
-/// live in a fixed number of stripes, each a hash map under its own lock
-/// and chosen by the fingerprint's top bits, so workers on different
-/// cells rarely meet on a lock. Entries are never erased or changed once
-/// inserted, and hash-map nodes keep their addresses, so readers copy a
-/// found entry and the flush serializes the live entries after the locks
-/// are released. The cache never poisons a map — `Open` tolerates a
-/// damaged, truncated, wrong-version, or wrong-schema file by warning on
-/// stderr and starting empty (the next flush repopulates it).
+/// Thread-safe: one hash map and its fresh list under one lock. A sweep
+/// touches the cache from its calling thread only — every hit is looked up
+/// before the cell loop and every new measurement published after it — so
+/// the lock is rarely contended. Entries are never erased or changed once
+/// inserted, and hash-map nodes keep their addresses, so `Lookup` copies a
+/// found entry and the flush serializes the live entries after the lock is
+/// released. The cache never poisons a map — `Open` tolerates a damaged,
+/// truncated, wrong-version, or wrong-schema file by warning on stderr and
+/// starting empty (the next flush repopulates it).
 ///
 /// A flush costs its new entries, not the whole cache: it appends them to
 /// `cells.rmc` as one journal segment, unless the segments would then
@@ -178,7 +177,7 @@ class CellResultCache {
   /// never an error and never a partially trusted one. A damaged journal
   /// tail is a warning too: the base and the segments before it load,
   /// and the next flush compacts. Call once, before sharing the cache
-  /// with sweep workers.
+  /// with other threads.
   void Open(const std::string& dir);
 
   /// True with the stored measurement in `*out` when `fingerprint` is
@@ -209,46 +208,26 @@ class CellResultCache {
   const std::string& path() const { return path_; }
 
  private:
-  /// A power of two, so the stripe is a shift of the fingerprint.
-  static constexpr size_t kStripeBits = 4;
-  static constexpr size_t kStripes = size_t{1} << kStripeBits;
-
-  // Cache-line aligned so workers on neighbouring stripes do not share a
-  // line through the locks.
-  struct alignas(64) Stripe {
-    mutable Mutex mu;
-    std::unordered_map<uint64_t, CellCacheEntry> entries GUARDED_BY(mu);
-    /// The nodes published here since the last flush took this stripe.
-    std::vector<const CellCacheEntry*> fresh GUARDED_BY(mu);
-  };
-  using StripeEntries = std::array<std::vector<const CellCacheEntry*>,
-                                   kStripes>;
-
-  Stripe& StripeOf(uint64_t fingerprint) {
-    return stripes_[fingerprint >> (64 - kStripeBits)];
-  }
-  const Stripe& StripeOf(uint64_t fingerprint) const {
-    return stripes_[fingerprint >> (64 - kStripeBits)];
-  }
   /// The stored entry, or nullptr. The pointer stays valid and the entry
   /// unchanged for the cache's lifetime.
   const CellCacheEntry* Find(uint64_t fingerprint) const;
 
-  /// Puts entries a failed flush took back on their stripes' fresh lists.
-  void Restore(const StripeEntries& taken);
-
   std::string path_;  ///< "" = in-memory only
-  std::array<Stripe, kStripes> stripes_;
 
-  /// Serializes flushes (taken before any stripe lock), so a slower flush
-  /// can never rename an older snapshot over a newer one.
+  mutable Mutex mu_;
+  std::unordered_map<uint64_t, CellCacheEntry> entries_ GUARDED_BY(mu_);
+  /// The entries published since the last flush took them.
+  std::vector<const CellCacheEntry*> fresh_ GUARDED_BY(mu_);
+
+  /// Serializes flushes (taken before `mu_`), so a slower flush can never
+  /// rename an older snapshot over a newer one.
   Mutex flush_mu_;
   /// The file as this cache last read or wrote it: the base's bytes, the
   /// trusted file's bytes, and the checksum they end with. A base of 0
   /// bytes takes no segment, so the next flush compacts: that is the state
-  /// with no usable file and after a failed append. A file that is not
-  /// `file_bytes_` long (a dropped tail, a replaced file) is compacted over
-  /// too.
+  /// with no usable file, after a dropped tail and after a failed append.
+  /// A file that is not `file_bytes_` long (a replaced file) is compacted
+  /// over too.
   uint64_t base_bytes_ GUARDED_BY(flush_mu_) = 0;
   uint64_t file_bytes_ GUARDED_BY(flush_mu_) = 0;
   uint64_t file_checksum_ GUARDED_BY(flush_mu_) = 0;

@@ -17,10 +17,6 @@ struct RelativeMap {
   std::vector<double> best_seconds;               ///< per point
   std::vector<size_t> best_plan;                  ///< argmin per point
   std::vector<std::vector<double>> quotient;      ///< [plan][point], >= 1
-
-  const std::vector<double>& QuotientsOf(size_t plan) const {
-    return quotient[plan];
-  }
 };
 
 /// Computes per-point best plans and cost quotients.

@@ -12,26 +12,6 @@
 
 namespace robustmap {
 
-/// Cumulative progress of a running sweep, passed to
-/// `SweepOptions::progress` after every measured cell.
-struct SweepProgress {
-  size_t cells_done = 0;
-  size_t cells_total = 0;
-  size_t plans_done = 0;  ///< plans whose every cell has been measured
-  size_t num_plans = 0;
-
-  /// 100 when cells_total is 0 — an empty sweep is vacuously complete, and
-  /// progress reporting must never be the thing that divides by zero.
-  double percent() const {
-    return cells_total == 0
-               ? 100.0
-               : 100.0 * static_cast<double>(cells_done) /
-                     static_cast<double>(cells_total);
-  }
-};
-
-using SweepProgressFn = std::function<void(const SweepProgress&)>;
-
 /// The "0 = one per hardware thread" convention shared by
 /// `SweepOptions::num_threads` and `ShardedSweepOptions::num_workers`:
 /// returns `requested` unless it is 0, then the hardware concurrency
@@ -41,9 +21,8 @@ unsigned ResolveParallelism(unsigned requested);
 
 /// Progress/parallelism options for sweeps.
 struct SweepOptions {
-  /// Prints per-plan / percent progress to stderr (via the default
-  /// `progress` callback when none is given); the sharded backend prints
-  /// its per-tile planning and dispatch lines under the same flag.
+  /// Prints per-plan / percent progress to stderr; the sharded backend
+  /// prints its per-tile planning and dispatch lines under the same flag.
   bool verbose = false;
 
   /// Worker threads for parallel sweeps: 0 = one per hardware thread,
@@ -54,12 +33,6 @@ struct SweepOptions {
   /// predecessor left — runs serially on the caller's context whatever this
   /// says. (`RunCellsIndexed` is serial by construction and ignores it.)
   unsigned num_threads = 0;
-
-  /// Called after every measured cell, from both the serial and the
-  /// parallel cell loop. Invocations are serialized (cells_done increases by
-  /// one per call), so the callback needs no locking of its own — but it
-  /// runs under the sweep's progress lock, so keep it cheap.
-  SweepProgressFn progress;
 };
 
 /// The cell runner of `SweepEngine::RunCellsIndexed`: measures `plan` at

@@ -47,10 +47,10 @@ bool Observing() {
   return SweepTelemetry::Get().enabled() || Tracer::Get().enabled();
 }
 
-/// Sidecar-only per-cell accounting shared by every in-process cell loop:
-/// the cell latency histogram plus the simulated-I/O counters of the
-/// measurement. Reads the Measurement, never writes it — no map byte may
-/// depend on anything recorded here.
+/// Sidecar-only accounting of one measured cell: the cell latency
+/// histogram plus the simulated-I/O counters of the measurement. Reads the
+/// Measurement, never writes it — no map byte may depend on anything
+/// recorded here.
 void ObserveCell(const Measurement& m, double cell_seconds) {
   SweepTelemetry& t = SweepTelemetry::Get();
   if (!t.enabled()) return;
@@ -65,21 +65,11 @@ void ObserveCell(const Measurement& m, double cell_seconds) {
   t.AddCounter("io.bytes_written", m.io.bytes_written);
 }
 
-/// Set by a cache-consulting runner when the cell it just returned came
-/// from the cell-result cache rather than a measurement; consumed (and
-/// reset) by the cell loop that invoked it. A reused cell must leave every
-/// measurement-side observability untouched — `sweep.cells_measured`, the
-/// cell-latency histogram, the io.* counters, the pool-view tallies — or a
-/// warm rerun could not prove "zero cells measured" from telemetry.
-/// thread_local because parallel workers run interleaved.
-thread_local bool tl_cell_from_cache = false;
-
-/// RAII cell stopwatch shared by every cell loop: reads the wall clock at
+/// RAII stopwatch around one measured cell: reads the wall clock at
 /// construction only when some sink is observing (an uninstrumented sweep
 /// never touches it), and `Observe` folds the finished cell into the
-/// telemetry. One helper instead of a timing boilerplate copy per loop;
-/// like everything observability, it reads the Measurement and never
-/// writes it.
+/// telemetry. Like everything observability, it reads the Measurement and
+/// never writes it.
 class CellTimer {
  public:
   explicit CellTimer(bool observing)
@@ -98,88 +88,49 @@ class CellTimer {
   const int64_t start_ns_;
 };
 
-/// Per-view buffer-pool tallies for one sweep worker. `ColdStart` zeroes
-/// the pool statistics before each measurement, so reading them right
-/// after a cell yields that cell's counts; the worker accumulates across
-/// its cells and publishes once at exit under its view's name.
-class PoolViewObserver {
- public:
-  PoolViewObserver(const BufferPool* pool, unsigned view_index)
-      : pool_(pool), view_index_(view_index) {}
-
-  ~PoolViewObserver() {
-    SweepTelemetry& t = SweepTelemetry::Get();
-    if (!t.enabled() || pool_ == nullptr) return;
-    char view[32];
-    std::snprintf(view, sizeof(view), "pool.view_%03u", view_index_);
-    t.AddCounter(std::string(view) + ".hits", hits_);
-    t.AddCounter(std::string(view) + ".misses", misses_);
-  }
-
-  void CellDone() {
-    if (pool_ == nullptr) return;
-    hits_ += pool_->hits();
-    misses_ += pool_->misses();
-  }
-
- private:
-  const BufferPool* pool_;
-  const unsigned view_index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
-
-/// The verbose-mode progress printer: one stderr line per completed plan
-/// and per 10% step — readable for both quick smokes and hour-long studies.
-SweepProgressFn MakeDefaultPrinter() {
-  auto last_decile = std::make_shared<int>(-1);
-  auto last_plans = std::make_shared<size_t>(0);
-  return [last_decile, last_plans](const SweepProgress& p) {
-    const int decile = static_cast<int>(p.percent() / 10.0);
-    const bool plan_step = p.plans_done != *last_plans;
-    if (decile == *last_decile && !plan_step && p.cells_done != p.cells_total) {
-      return;
-    }
-    *last_decile = decile;
-    *last_plans = p.plans_done;
-    std::fprintf(stderr, "  sweep: %5.1f%% (%zu/%zu cells, %zu/%zu plans)\n",
-                 p.percent(), p.cells_done, p.cells_total, p.plans_done,
-                 p.num_plans);
-  };
-}
-
-/// Serializes progress callbacks and maintains the cumulative counts for
-/// both the serial and the parallel cell loop. All updates happen under one
-/// mutex, so the callback observes cells_done = 1, 2, ..., total in order.
+/// The verbose-mode progress printer, shared by the serial and the parallel
+/// cell loop: one stderr line per completed plan and per 10% step —
+/// readable for both quick smokes and hour-long studies. The counts live
+/// under one mutex, so lines come out in cell-completion order.
 class ProgressTracker {
  public:
-  ProgressTracker(const SweepOptions& opts, size_t num_plans, size_t points)
-      : points_(points), per_plan_done_(num_plans, 0) {
-    progress_.num_plans = num_plans;
-    progress_.cells_total = num_plans * points;
-    if (opts.progress) {
-      fn_ = opts.progress;
-    } else if (opts.verbose) {
-      fn_ = MakeDefaultPrinter();
-    }
-  }
+  ProgressTracker(bool verbose, size_t num_plans, size_t points)
+      : verbose_(verbose),
+        points_(points),
+        num_plans_(num_plans),
+        cells_total_(num_plans * points),
+        per_plan_done_(verbose ? num_plans : 0, 0) {}
 
   void CellDone(size_t plan) {
-    if (!fn_) return;
+    if (!verbose_) return;
     MutexLock lock(&mu_);
-    ++progress_.cells_done;
-    if (++per_plan_done_[plan] == points_) ++progress_.plans_done;
-    fn_(progress_);
+    ++cells_done_;
+    const bool plan_step = ++per_plan_done_[plan] == points_;
+    if (plan_step) ++plans_done_;
+    // cells_total_ > 0: every cell loop rejects an empty sweep up front.
+    const double percent = 100.0 * static_cast<double>(cells_done_) /
+                           static_cast<double>(cells_total_);
+    const int decile = static_cast<int>(percent / 10.0);
+    if (decile == last_decile_ && !plan_step && cells_done_ != cells_total_) {
+      return;
+    }
+    last_decile_ = decile;
+    std::fprintf(stderr, "  sweep: %5.1f%% (%zu/%zu cells, %zu/%zu plans)\n",
+                 percent, cells_done_, cells_total_, plans_done_, num_plans_);
   }
 
  private:
-  // points_ and fn_ are immutable after construction, so workers may read
-  // them without the capability; the cumulative counts are the shared
-  // mutable state and live under mu_.
+  // The sizes are immutable after construction, so workers may read them
+  // without the capability; the cumulative counts are the shared mutable
+  // state and live under mu_.
+  const bool verbose_;
   const size_t points_;
-  SweepProgressFn fn_;
+  const size_t num_plans_;
+  const size_t cells_total_;
   Mutex mu_;
-  SweepProgress progress_ GUARDED_BY(mu_);
+  size_t cells_done_ GUARDED_BY(mu_) = 0;
+  size_t plans_done_ GUARDED_BY(mu_) = 0;
+  int last_decile_ GUARDED_BY(mu_) = -1;
   std::vector<size_t> per_plan_done_ GUARDED_BY(mu_);
 };
 
@@ -261,21 +212,26 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
       is_hit[cell] = cache->Lookup(fps[cell], &hits[cell]) ? 1 : 0;
     }
   }
-  // A hit marks the cell reused (the loops keep it out of every
-  // measurement-side sink) and counts under the cache.* namespace.
-  const auto lookup = [&](size_t plan, size_t point,
-                          Measurement* out) -> bool {
-    if (cache == nullptr) return false;
-    const size_t cell = plan * points + point;
-    if (!is_hit[cell]) {
+  // Every cell is reused or measured, and only a measured one reaches the
+  // measurement-side sinks (`sweep.cells_measured`, the latency histogram,
+  // the io.* counters) — so a warm rerun proves "zero cells measured" from
+  // telemetry. A reused cell counts under the cache.* namespace.
+  const bool observing = Observing();
+  const auto run_cell = [&](RunContext* run_ctx, size_t plan,
+                            size_t point) -> Result<Measurement> {
+    if (cache != nullptr) {
+      const size_t i = plan * points + point;
+      if (is_hit[i]) {
+        SweepTelemetry::Get().AddCounter("cache.hits", 1);
+        SweepTelemetry::Get().AddCounter("sweep.cells_reused", 1);
+        return std::move(hits[i]);
+      }
       SweepTelemetry::Get().AddCounter("cache.misses", 1);
-      return false;
     }
-    *out = std::move(hits[cell]);
-    SweepTelemetry::Get().AddCounter("cache.hits", 1);
-    SweepTelemetry::Get().AddCounter("sweep.cells_reused", 1);
-    tl_cell_from_cache = true;
-    return true;
+    const CellTimer timer(observing);
+    auto m = executor.Run(run_ctx, prepared[plan], queries[point]);
+    if (m.ok()) timer.Observe(m.value());
+    return m;
   };
   // Publishes the measured cells of a finished sweep, in cell order.
   const auto publish = [&](Result<RobustnessMap> map) -> Result<RobustnessMap> {
@@ -290,15 +246,10 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
     return map;
   };
   if (order_dependent || ResolveParallelism(opts.num_threads) <= 1) {
-    PoolViewObserver pool_view(ctx->pool, 0);
     return publish(SweepEngine::RunCellsIndexed(
         space, labels,
-        [&](size_t plan, size_t point) -> Result<Measurement> {
-          Measurement hit;
-          if (lookup(plan, point, &hit)) return hit;
-          auto m = executor.Run(ctx, prepared[plan], queries[point]);
-          if (m.ok()) pool_view.CellDone();
-          return m;
+        [&](size_t plan, size_t point) {
+          return run_cell(ctx, plan, point);
         },
         opts));
   }
@@ -309,15 +260,8 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
   // (the warm-cold study flips it between halves); machines must start
   // under the policy of *this* sweep.
   factory->set_warmup(ctx->warmup);
-  return publish(SweepEngine::RunCellsParallelIndexed(
-      space, labels, *factory,
-      [&](RunContext* worker_ctx, size_t plan,
-          size_t point) -> Result<Measurement> {
-        Measurement hit;
-        if (lookup(plan, point, &hit)) return hit;
-        return executor.Run(worker_ctx, prepared[plan], queries[point]);
-      },
-      opts));
+  return publish(SweepEngine::RunCellsParallelIndexed(space, labels, *factory,
+                                                      run_cell, opts));
 }
 
 /// The warm-cold study: the same plans measured twice — once cold, once
@@ -607,42 +551,18 @@ std::vector<std::string> StudyLayerNames(StudyKind kind) {
   return {};
 }
 
-Result<BackendKind> BackendKindFromString(const std::string& name) {
-  if (name == "serial") return BackendKind::kSerial;
-  if (name == "threaded") return BackendKind::kThreaded;
-  if (name == "sharded") return BackendKind::kShardedProcess;
-  return Status::InvalidArgument("unknown backend '" + name +
-                                 "' (want serial, threaded, or sharded)");
-}
-
-const char* BackendKindName(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kSerial:
-      return "serial";
-    case BackendKind::kThreaded:
-      return "threaded";
-    case BackendKind::kShardedProcess:
-      return "sharded";
-  }
-  return "?";
-}
-
 Result<RobustnessMap> SweepEngine::RunCellsIndexed(
     const ParameterSpace& space, const std::vector<std::string>& plan_labels,
     const IndexedPointRunner& runner, const SweepOptions& opts) {
   RM_RETURN_IF_ERROR(ValidateSweepInputs(space, plan_labels));
   TraceSpan sweep_span("sweep.run_cells");
-  const bool observing = Observing();
   RobustnessMap map(space, plan_labels);
-  ProgressTracker tracker(opts, plan_labels.size(), space.num_points());
+  ProgressTracker tracker(opts.verbose, plan_labels.size(),
+                          space.num_points());
   for (size_t plan = 0; plan < plan_labels.size(); ++plan) {
     for (size_t point = 0; point < space.num_points(); ++point) {
-      CellTimer timer(observing);
       auto m = runner(plan, point);
       RM_RETURN_IF_ERROR(m.status());
-      if (!std::exchange(tl_cell_from_cache, false)) {
-        timer.Observe(m.value());
-      }
       map.Set(plan, point, std::move(m).value());
       tracker.CellDone(plan);
     }
@@ -659,7 +579,7 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
   const size_t points = space.num_points();
   const size_t cells = plan_labels.size() * points;
   RobustnessMap map(space, plan_labels);
-  ProgressTracker tracker(opts, plan_labels.size(), points);
+  ProgressTracker tracker(opts.verbose, plan_labels.size(), points);
 
   // Work units are *cost-weighted cell blocks*: contiguous runs of the
   // serial (plan-major) cell order, cut so each block carries roughly equal
@@ -726,52 +646,38 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
     }
   };
 
-  auto work = [&](unsigned worker_index) {
+  auto work = [&] {
     TraceSpan worker_span("sweep.worker");
-    const bool observing = Observing();
     std::unique_ptr<OwnedRunContext> machine = factory.Acquire();
-    {
-      // Closed before the machine is parked back in the arena: the
-      // observer publishes from the machine's pool at scope exit.
-      PoolViewObserver pool_view(machine->ctx()->pool, worker_index);
-      for (;;) {
-        const size_t block =
-            next_block.fetch_add(1, std::memory_order_relaxed);
-        if (block >= num_blocks) break;
-        SweepTelemetry::Get().AddCounter("sweep.blocks_claimed", 1);
-        for (size_t cell = block_begin[block]; cell < block_begin[block + 1];
-             ++cell) {
-          if (cell > first_failed_cell.load(std::memory_order_relaxed)) {
-            continue;
-          }
-          const size_t plan = cell / points;
-          const size_t point = cell % points;
-          CellTimer timer(observing);
-          auto m = runner(machine->ctx(), plan, point);
-          if (!m.ok()) {
-            record_error(cell, m.status());
-            continue;
-          }
-          if (!std::exchange(tl_cell_from_cache, false)) {
-            timer.Observe(m.value());
-            if (observing) pool_view.CellDone();
-          }
-          map.Set(plan, point, std::move(m).value());
-          tracker.CellDone(plan);
+    for (;;) {
+      const size_t block = next_block.fetch_add(1, std::memory_order_relaxed);
+      if (block >= num_blocks) break;
+      SweepTelemetry::Get().AddCounter("sweep.blocks_claimed", 1);
+      for (size_t cell = block_begin[block]; cell < block_begin[block + 1];
+           ++cell) {
+        if (cell > first_failed_cell.load(std::memory_order_relaxed)) {
+          continue;
         }
+        const size_t plan = cell / points;
+        const size_t point = cell % points;
+        auto m = runner(machine->ctx(), plan, point);
+        if (!m.ok()) {
+          record_error(cell, m.status());
+          continue;
+        }
+        map.Set(plan, point, std::move(m).value());
+        tracker.CellDone(plan);
       }
     }
     factory.Release(std::move(machine));
   };
 
   if (num_threads <= 1) {
-    work(0);
+    work();
   } else {
     std::vector<std::thread> workers;
     workers.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t) {
-      workers.emplace_back(work, t);
-    }
+    for (unsigned t = 0; t < num_threads; ++t) workers.emplace_back(work);
     for (std::thread& t : workers) t.join();
   }
 

@@ -47,10 +47,6 @@ enum class BackendKind {
   kShardedProcess,  ///< checkpointed worker processes merging tile files
 };
 
-/// "serial" / "threaded" / "sharded" — the string spelling of a backend.
-Result<BackendKind> BackendKindFromString(const std::string& name);
-const char* BackendKindName(BackendKind kind);
-
 /// Options for the sharded-process backend.
 struct ShardedSweepOptions {
   /// Directory the per-tile checkpoint files live in; created if missing.
@@ -222,7 +218,9 @@ class SweepEngine {
   /// per-point state precomputed once per sweep (bound queries, prepared
   /// plans) is a table lookup per cell, not a rebuild. An empty plan list
   /// or an empty grid is an `InvalidArgument`, here and in the parallel
-  /// loop: a sweep over nothing is a caller bug, not a map.
+  /// loop: a sweep over nothing is a caller bug, not a map. Neither loop
+  /// records per-cell telemetry; a study sweep's runner does, for the
+  /// cells it measures rather than reuses.
   static Result<RobustnessMap> RunCellsIndexed(
       const ParameterSpace& space, const std::vector<std::string>& plan_labels,
       const IndexedPointRunner& runner, const SweepOptions& opts = {});

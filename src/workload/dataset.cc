@@ -19,7 +19,7 @@ Result<std::unique_ptr<StudyEnvironment>> StudyEnvironment::Create(
   topts.seed = opts.seed;
   auto table = ProceduralTable::Create(env->device_.get(), topts);
   RM_RETURN_IF_ERROR(table.status());
-  env->table_ = std::shared_ptr<ProceduralTable>(std::move(table).value());
+  env->table_ = std::move(table).value();
 
   uint64_t pool_pages = opts.pool_pages;
   if (pool_pages == 0) {
@@ -27,46 +27,25 @@ Result<std::unique_ptr<StudyEnvironment>> StudyEnvironment::Create(
   }
   env->pool_.emplace(env->device_.get(), pool_pages);
 
-  auto make_index = [&](std::vector<uint32_t> cols)
-      -> Result<std::shared_ptr<ProceduralIndex>> {
+  auto make_index = [&](std::vector<uint32_t> cols) {
     ProceduralIndexOptions io;
     io.key_columns = std::move(cols);
-    auto idx =
-        ProceduralIndex::Create(env->device_.get(), env->table_.get(), io);
-    RM_RETURN_IF_ERROR(idx.status());
-    return std::shared_ptr<ProceduralIndex>(std::move(idx).value());
+    return ProceduralIndex::Create(env->device_.get(), env->table_.get(), io);
   };
 
   auto a = make_index({0});
   RM_RETURN_IF_ERROR(a.status());
-  env->idx_a_ = a.value();
+  env->idx_a_ = std::move(a).value();
   auto b = make_index({1});
   RM_RETURN_IF_ERROR(b.status());
-  env->idx_b_ = b.value();
+  env->idx_b_ = std::move(b).value();
   if (opts.build_composite_indexes) {
     auto ab = make_index({0, 1});
     RM_RETURN_IF_ERROR(ab.status());
-    env->idx_ab_ = ab.value();
+    env->idx_ab_ = std::move(ab).value();
     auto ba = make_index({1, 0});
     RM_RETURN_IF_ERROR(ba.status());
-    env->idx_ba_ = ba.value();
-  }
-
-  int64_t domain = env->table_->value_domain();
-  RM_RETURN_IF_ERROR(env->catalog_.AddTable(TableInfo{
-      "lineitem",
-      env->table_,
-      Schema({{"a", domain}, {"b", domain}}),
-  }));
-  RM_RETURN_IF_ERROR(env->catalog_.AddIndex(IndexInfo{"idx_a", "lineitem",
-                                                      env->idx_a_}));
-  RM_RETURN_IF_ERROR(env->catalog_.AddIndex(IndexInfo{"idx_b", "lineitem",
-                                                      env->idx_b_}));
-  if (env->idx_ab_ != nullptr) {
-    RM_RETURN_IF_ERROR(env->catalog_.AddIndex(IndexInfo{"idx_ab", "lineitem",
-                                                        env->idx_ab_}));
-    RM_RETURN_IF_ERROR(env->catalog_.AddIndex(IndexInfo{"idx_ba", "lineitem",
-                                                        env->idx_ba_}));
+    env->idx_ba_ = std::move(ba).value();
   }
 
   env->ctx_.clock = env->clock_.get();
@@ -89,7 +68,7 @@ Result<std::unique_ptr<StudyEnvironment>> StudyEnvironment::Create(
   env->db_.idx_b = env->idx_b_.get();
   env->db_.idx_ab = env->idx_ab_.get();
   env->db_.idx_ba = env->idx_ba_.get();
-  env->db_.domain = domain;
+  env->db_.domain = env->table_->value_domain();
   env->executor_ = std::make_unique<Executor>(env->db_);
   return env;
 }

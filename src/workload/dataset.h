@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 
-#include "catalog/catalog.h"
 #include "common/status.h"
 #include "engine/executor.h"
 #include "engine/query.h"
@@ -45,8 +44,7 @@ struct StudyOptions {
 };
 
 /// Owns the simulated machine (clock, device, buffer pool), the procedural
-/// database (table + four indexes), the catalog, and an `Executor` bound to
-/// them. One `StudyEnvironment` serves a whole sweep; `Executor::Run` resets
+/// database (table + four indexes), and an `Executor` bound to them. One `StudyEnvironment` serves a whole sweep; `Executor::Run` resets
 /// clock/pool per measurement.
 class StudyEnvironment {
  public:
@@ -60,7 +58,6 @@ class StudyEnvironment {
   Executor& executor() { return *executor_; }
   const StudyDb& db() const { return db_; }
   const ProceduralTable& table() const { return *table_; }
-  const Catalog& catalog() const { return catalog_; }
   int64_t domain() const { return table_->value_domain(); }
   const StudyOptions& options() const { return opts_; }
 
@@ -77,9 +74,8 @@ class StudyEnvironment {
   std::unique_ptr<SimDevice> device_;
   std::optional<BufferPool> pool_;
   RunContext ctx_;
-  std::shared_ptr<ProceduralTable> table_;
-  std::shared_ptr<ProceduralIndex> idx_a_, idx_b_, idx_ab_, idx_ba_;
-  Catalog catalog_;
+  std::unique_ptr<ProceduralTable> table_;
+  std::unique_ptr<ProceduralIndex> idx_a_, idx_b_, idx_ab_, idx_ba_;
   StudyDb db_;
   std::unique_ptr<Executor> executor_;
 };

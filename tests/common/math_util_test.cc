@@ -23,50 +23,9 @@ TEST(Log2GridTest, FineGrid) {
   EXPECT_NEAR(grid[1] / grid[0], std::sqrt(2.0), 1e-12);
 }
 
-TEST(FloorLog2Test, Values) {
-  EXPECT_EQ(FloorLog2(1), 0);
-  EXPECT_EQ(FloorLog2(2), 1);
-  EXPECT_EQ(FloorLog2(3), 1);
-  EXPECT_EQ(FloorLog2(1024), 10);
-  EXPECT_EQ(FloorLog2((uint64_t{1} << 40) + 5), 40);
-}
-
-TEST(ExpectedDistinctPagesTest, Limits) {
-  // Fetching 0 rows touches 0 pages.
-  EXPECT_DOUBLE_EQ(ExpectedDistinctPages(0, 1000, 64), 0);
-  // Fetching vastly more rows than pages touches ~all pages.
-  EXPECT_NEAR(ExpectedDistinctPages(1e7, 1000, 64), 1000, 1e-6);
-  // One row touches one page.
-  EXPECT_NEAR(ExpectedDistinctPages(1, 1000, 64), 1.0, 1e-3);
-  // Monotone in rows.
-  EXPECT_LT(ExpectedDistinctPages(100, 1000, 64),
-            ExpectedDistinctPages(200, 1000, 64));
-}
-
-TEST(ClampLerpTest, Basics) {
-  EXPECT_DOUBLE_EQ(Clamp(5, 0, 3), 3);
-  EXPECT_DOUBLE_EQ(Clamp(-1, 0, 3), 0);
-  EXPECT_DOUBLE_EQ(Clamp(2, 0, 3), 2);
-  EXPECT_DOUBLE_EQ(Lerp(10, 20, 0.5), 15);
-}
-
-TEST(ApproxEqualTest, RelativeTolerance) {
-  EXPECT_TRUE(ApproxEqual(100.0, 101.0, 0.02));
-  EXPECT_FALSE(ApproxEqual(100.0, 110.0, 0.02));
-  EXPECT_TRUE(ApproxEqual(0.0, 0.005, 0.01));  // small numbers: abs scale 1
-}
-
 TEST(GeometricMeanTest, Values) {
   EXPECT_DOUBLE_EQ(GeometricMean({4, 4, 4}), 4);
   EXPECT_NEAR(GeometricMean({1, 100}), 10, 1e-9);
-}
-
-TEST(PercentileTest, Values) {
-  std::vector<double> v = {5, 1, 3, 2, 4};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 1);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 5);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50), 3);
-  EXPECT_DOUBLE_EQ(Percentile(v, 25), 2);
 }
 
 }  // namespace

@@ -325,6 +325,42 @@ TEST(CellResultCacheTest, PublishDuringFlushIsNeverLost) {
   }
 }
 
+TEST(CellResultCacheTest, ConcurrentLookupAndPublish) {
+  // Two threads look a key up and publish it on a miss, as a traced replay
+  // does, over overlapping key ranges walked in opposite directions. Each
+  // key's measurement is a function of the key, like a deterministic cell.
+  constexpr uint64_t kKeys = 2000;
+  const auto expected = [](uint64_t i) {
+    return SampleMeasurement(0.5 * static_cast<double>(i),
+                             "plan" + std::to_string(i % 7));
+  };
+  CellResultCache cache;
+  std::atomic<uint64_t> inserted{0};
+  const auto worker = [&](uint64_t begin, uint64_t end, bool forward) {
+    for (uint64_t n = begin; n < end; ++n) {
+      const uint64_t i = forward ? n : begin + end - 1 - n;
+      Measurement hit;
+      if (cache.Lookup(Mix64(i), &hit)) {
+        ExpectMeasurementsEqual(hit, expected(i));
+      } else if (cache.Publish(Mix64(i), "plain", expected(i))) {
+        inserted.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(worker, 0, kKeys * 3 / 4, true);
+  std::thread b(worker, kKeys / 4, kKeys, false);
+  a.join();
+  b.join();
+
+  EXPECT_EQ(inserted.load(), kKeys) << "each key is new exactly once";
+  EXPECT_EQ(cache.size(), kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    Measurement out;
+    ASSERT_TRUE(cache.Lookup(Mix64(i), &out)) << "entry " << i << " lost";
+    ExpectMeasurementsEqual(out, expected(i));
+  }
+}
+
 CellCacheEntry JournalEntry(uint64_t i) {
   CellCacheEntry e;
   e.fingerprint = Mix64(i);
@@ -534,6 +570,36 @@ TEST(CellCacheJournalTest, SegmentRepeatingOrMisorderingKeysIsDropped) {
   Measurement out;
   ASSERT_TRUE(cache.Lookup(JournalEntry(5).fingerprint, &out));
   ExpectMeasurementsEqual(out, JournalEntry(5).m);
+}
+
+TEST(CellCacheJournalTest, FlushAfterADroppedRepeatingSegmentCompacts) {
+  // A segment that repeats a key is dropped on open even though the file
+  // ends there. Appending behind it would hide the new segment from every
+  // later open, so the next flush must compact instead.
+  const std::string dir = FreshCacheDir("journal_repeat_flush");
+  {
+    CellResultCache writer;
+    BuildJournal(dir, &writer);
+  }
+  const std::string path = CellCacheFileName(dir);
+  const std::string journal = FileBytes(path);
+  const std::string repeating =
+      HandMadeSegment(LastChecksum(journal), {JournalEntry(5)});
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.write(repeating.data(), static_cast<std::streamsize>(repeating.size()));
+  }
+  {
+    CellResultCache cache;
+    cache.Open(dir);
+    EXPECT_EQ(cache.size(), 56u);
+    PublishAndFlush(&cache, 56, 1);
+  }
+  EXPECT_EQ(FileBytes(path), Serialize(JournalEntries(57)));
+  CellResultCache reopened;
+  reopened.Open(dir);
+  EXPECT_EQ(reopened.size(), 57u);
+  EXPECT_TRUE(reopened.Contains(JournalEntry(56).fingerprint));
 }
 
 TEST(CellCacheJournalTest, CopyingABaseOverAJournalLeavesOnlyThatBase) {

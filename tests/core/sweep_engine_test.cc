@@ -61,16 +61,6 @@ TEST(StudyKindTest, NamesRoundTripAndRejectUnknown) {
             (std::vector<std::string>{"cold", "warm", "delta"}));
 }
 
-TEST(BackendKindTest, NamesRoundTripAndRejectUnknown) {
-  for (BackendKind kind : {BackendKind::kSerial, BackendKind::kThreaded,
-                           BackendKind::kShardedProcess}) {
-    auto back = BackendKindFromString(BackendKindName(kind));
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value(), kind);
-  }
-  EXPECT_TRUE(BackendKindFromString("gpu").status().IsInvalidArgument());
-}
-
 TEST(SweepEngineTest, PlainStudyIdenticalAcrossInProcessBackends) {
   ProcEnv env;
   Executor executor(env.db());

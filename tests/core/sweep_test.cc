@@ -27,11 +27,6 @@ TEST(RunSweepTest, FillsEveryCell) {
   EXPECT_DOUBLE_EQ(map.AtXY(1, 2, 1).seconds, 2.0 * 1.0 * 1.0);
 }
 
-TEST(SweepProgressTest, PercentOfEmptySweepIsDefinedNotDivisionByZero) {
-  SweepProgress p;  // cells_total == 0
-  EXPECT_DOUBLE_EQ(p.percent(), 100.0);
-}
-
 TEST(RunSweepTest, EmptyPlanListOrEmptyGridIsAnError) {
   ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -2, 0));
   auto runner = [](size_t, size_t) {
@@ -109,68 +104,6 @@ TEST(RunSweepTest, OneDPassesNegativeY) {
                  })
                  .ValueOrDie();
   EXPECT_EQ(map.space().num_points(), 2u);
-}
-
-TEST(RunSweepTest, ProgressReportsEveryCellInOrder) {
-  ParameterSpace space = ParameterSpace::TwoD(Axis::Selectivity("a", -2, 0),
-                                              Axis::Selectivity("b", -1, 0));
-  std::vector<SweepProgress> snapshots;
-  SweepOptions opts;
-  opts.progress = [&](const SweepProgress& p) { snapshots.push_back(p); };
-  SweepEngine::RunCellsIndexed(
-      space, {"p0", "p1"},
-      [&](size_t, size_t) {
-        Measurement m;
-        m.seconds = 1;
-        return Result<Measurement>(m);
-      },
-      opts)
-      .ValueOrDie();
-
-  ASSERT_EQ(snapshots.size(), 12u);  // one callback per cell
-  for (size_t i = 0; i < snapshots.size(); ++i) {
-    EXPECT_EQ(snapshots[i].cells_done, i + 1);
-    EXPECT_EQ(snapshots[i].cells_total, 12u);
-    EXPECT_EQ(snapshots[i].num_plans, 2u);
-  }
-  // Plan completions are reported as they happen: after cell 6 the first
-  // plan is done, after cell 12 both are.
-  EXPECT_EQ(snapshots[4].plans_done, 0u);
-  EXPECT_EQ(snapshots[5].plans_done, 1u);
-  EXPECT_EQ(snapshots[11].plans_done, 2u);
-  EXPECT_DOUBLE_EQ(snapshots[11].percent(), 100.0);
-}
-
-TEST(ParallelRunSweepTest, ProgressCallbackIsSerializedAndComplete) {
-  ProcEnv env;
-  ParameterSpace space = ParameterSpace::TwoD(Axis::Selectivity("a", -3, 0),
-                                              Axis::Selectivity("b", -3, 0));
-  RunContextFactory factory(*env.ctx());
-
-  // The tracker serializes callbacks, so cells_done must arrive as exactly
-  // 1, 2, ..., total with no gaps or repeats even on many threads.
-  std::vector<size_t> seen;
-  size_t final_plans_done = 0;
-  SweepOptions opts;
-  opts.num_threads = 8;
-  opts.progress = [&](const SweepProgress& p) {
-    seen.push_back(p.cells_done);
-    final_plans_done = p.plans_done;
-  };
-  SweepEngine::RunCellsParallelIndexed(
-      space, {"p0", "p1", "p2"}, factory,
-      [&](RunContext*, size_t plan, size_t) {
-        Measurement m;
-        m.seconds = static_cast<double>(plan + 1);
-        return Result<Measurement>(m);
-      },
-      opts)
-      .ValueOrDie();
-
-  const size_t total = 3 * space.num_points();
-  ASSERT_EQ(seen.size(), total);
-  for (size_t i = 0; i < total; ++i) EXPECT_EQ(seen[i], i + 1);
-  EXPECT_EQ(final_plans_done, 3u);
 }
 
 TEST(SweepStudyPlansTest, MeasuresRealPlans) {

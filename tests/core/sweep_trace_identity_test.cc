@@ -75,27 +75,5 @@ TEST_F(SweepTraceIdentityTest, TracingOnVsOffIsBitIdentical) {
   }
 }
 
-TEST_F(SweepTraceIdentityTest, PoolViewCountersCoverEveryWorker) {
-  ProcEnv env;
-  Executor executor(env.db());
-  ParameterSpace space = IdentitySpace();
-
-  SweepTelemetry::Get().Enable();
-  SweepRequest req;
-  req.plans = IdentityPlans();
-  req.space = space;
-  req.sweep.num_threads = 3;
-  ASSERT_TRUE(SweepEngine::Run(env.ctx(), executor, req).ok());
-  const auto counters = SweepTelemetry::Get().Counters();
-  size_t views = 0;
-  for (const auto& [name, value] : counters) {
-    if (name.rfind("pool.view_", 0) == 0 &&
-        name.find(".hits") != std::string::npos) {
-      ++views;
-    }
-  }
-  EXPECT_EQ(views, 3u) << "one pool.view_NNN.hits counter per worker";
-}
-
 }  // namespace
 }  // namespace robustmap

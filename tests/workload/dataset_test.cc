@@ -20,16 +20,16 @@ TEST(StudyEnvironmentTest, CreatesAllStorageObjects) {
   EXPECT_NE(env->db().idx_ab, nullptr);
   EXPECT_NE(env->db().idx_ba, nullptr);
   EXPECT_EQ(env->domain(), 64);
-  EXPECT_EQ(env->catalog().num_tables(), 1u);
-  EXPECT_EQ(env->catalog().num_indexes(), 4u);
 }
 
 TEST(StudyEnvironmentTest, CompositeIndexesOptional) {
   StudyOptions opts = SmallOptions();
   opts.build_composite_indexes = false;
   auto env = StudyEnvironment::Create(opts).ValueOrDie();
+  EXPECT_NE(env->db().idx_a, nullptr);
+  EXPECT_NE(env->db().idx_b, nullptr);
   EXPECT_EQ(env->db().idx_ab, nullptr);
-  EXPECT_EQ(env->catalog().num_indexes(), 2u);
+  EXPECT_EQ(env->db().idx_ba, nullptr);
 }
 
 TEST(StudyEnvironmentTest, AutoMemoryDefaults) {
