@@ -258,6 +258,14 @@ void BM_FetchBitmapLowBand(benchmark::State& state) {
 }
 BENCHMARK(BM_FetchBitmapLowBand);
 
+// MDAM over the composite index in the low band: every range starts at
+// key 0, so each cell re-reads the index's first composite groups, which
+// the per-thread group cache keeps resident across cells.
+void BM_MdamLowBandCell(benchmark::State& state) {
+  RunPlanCell(state, PlanKind::kMdamAB, 0x1p-10);
+}
+BENCHMARK(BM_MdamLowBandCell);
+
 // Bitmap AND of both single-column indexes, then the bitmap-ordered fetch.
 void BM_BitmapAndFetchCell(benchmark::State& state) {
   RunPlanCell(state, PlanKind::kBitmapAndFetch);

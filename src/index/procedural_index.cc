@@ -10,19 +10,27 @@ namespace robustmap {
 
 namespace {
 
-// Composite-group materializations are cached per (thread, index) so that
-// concurrent sweep workers sharing one index never contend or race. Slots
-// are found by linear scan: a thread touches few distinct indexes at a
-// time, and the unique id guards against a destroyed index's slot being
-// picked up by a new instance at the same address. A deque keeps slot
-// addresses stable while new slots are added (Group() hands out references
-// into a slot), and the slot count is bounded: once full, the oldest slot
-// is recycled round-robin — an eviction only costs re-materializing one
-// group, never correctness (and no simulated cost either way).
-struct GroupCacheSlot {
-  uint64_t index_id = 0;
+// Composite groups are cached per (thread, index) so that concurrent sweep
+// workers sharing one index never contend or race. A slot holds one
+// index's groups direct-mapped: group g lives in way g & group_way_mask_,
+// and a way's entries are allocated when it is first filled, so memory
+// tracks the groups a thread actually touches. A slot's way vector only
+// grows (a cursor keeps a way number across calls), up to the index's way
+// count. Slots are found by linear scan: a thread touches few distinct
+// indexes at a time, and the unique id guards against a destroyed index's
+// slot being picked up by a new instance at the same address. A deque keeps
+// slot addresses stable while new slots are added (cursors keep a slot
+// pointer), and the slot count is bounded: once full, the oldest slot is
+// recycled round-robin — an eviction only costs re-materializing groups,
+// never correctness (and no simulated cost either way).
+struct GroupCacheWay {
   uint64_t group = ~uint64_t{0};
   std::vector<IndexEntry> entries;
+};
+
+struct GroupCacheSlot {
+  uint64_t index_id = 0;
+  std::vector<GroupCacheWay> ways;
 };
 
 constexpr size_t kMaxGroupCacheSlots = 16;
@@ -43,7 +51,7 @@ GroupCacheSlot& GroupCacheFor(uint64_t index_id) {
   GroupCacheSlot& slot = t_group_cache[t_group_cache_evict];
   t_group_cache_evict = (t_group_cache_evict + 1) % kMaxGroupCacheSlots;
   slot.index_id = index_id;
-  slot.group = ~uint64_t{0};
+  slot.ways.assign(slot.ways.size(), GroupCacheWay{});
   return slot;
 }
 
@@ -53,11 +61,12 @@ GroupCacheSlot& GroupCacheFor(uint64_t index_id) {
 // the next leaf, so it charges a leaf read at exactly the ordinals a
 // per-entry `ordinal % entries_per_leaf == 0` test would, without the
 // division. Single-column entries are synthesized inline; a composite
-// cursor reads its next entry straight from this thread's group slot while
-// the slot still holds (this index, this group), and falls back to
-// `EntryAt` — which re-materializes the group — on a group boundary or
-// after another cursor or index took the slot. Like the group cache, a
-// cursor belongs to the thread that advances it.
+// cursor reads its next entry straight from its group's way in this
+// thread's cache while the slot still belongs to this index and the way
+// still holds this group, and falls back to `Group` — which finds the group
+// cached or re-materializes it — on a group boundary or after another
+// group or index took the way. Like the group cache, a cursor belongs to
+// the thread that advances it.
 class ProceduralIndex::Cursor final : public IndexCursor {
  public:
   Cursor(const ProceduralIndex* index, uint64_t ordinal)
@@ -83,8 +92,9 @@ class ProceduralIndex::Cursor final : public IndexCursor {
       next_leaf_ += index_->opts_.entries_per_leaf;
     }
     if (perm_ == nullptr && ordinal_ < group_end_ &&
-        slot_->index_id == index_->cache_id_ && slot_->group == group_) {
-      entry_ = slot_->entries[ordinal_ - group_begin_];
+        slot_->index_id == index_->cache_id_ &&
+        slot_->ways[way_].group == group_) {
+      entry_ = slot_->ways[way_].entries[ordinal_ - group_begin_];
       return;
     }
     Load();
@@ -94,7 +104,7 @@ class ProceduralIndex::Cursor final : public IndexCursor {
 
  private:
   /// Synthesizes the entry at `ordinal_`; for a composite index, also
-  /// (re)binds the group slot that `EntryAt` just filled.
+  /// (re)binds the way that `Group` just filled or found.
   void Load() {
     if (perm_ != nullptr) {
       entry_.key0 = static_cast<int64_t>(ordinal_ >> value_shift_);
@@ -102,12 +112,13 @@ class ProceduralIndex::Cursor final : public IndexCursor {
       entry_.rid = perm_->Inverse(ordinal_);
       return;
     }
-    entry_ = index_->EntryAt(ordinal_);
     const uint64_t rpv = index_->table_->rows_per_value();
     group_ = ordinal_ / rpv;
     group_begin_ = group_ * rpv;
     group_end_ = group_begin_ + rpv;
+    entry_ = index_->Group(group_)[ordinal_ - group_begin_];
     slot_ = &GroupCacheFor(index_->cache_id_);
+    way_ = group_ & index_->group_way_mask_;
   }
 
   const ProceduralIndex* index_;
@@ -120,8 +131,10 @@ class ProceduralIndex::Cursor final : public IndexCursor {
   const FeistelPermutation* perm_ = nullptr;
   int value_shift_ = 0;
 
-  // Composite: the group holding ordinal_ and the slot it was read into.
+  // Composite: the group holding ordinal_ and the slot and way it was read
+  // into.
   const GroupCacheSlot* slot_ = nullptr;
+  uint64_t way_ = 0;
   uint64_t group_ = 0;
   uint64_t group_begin_ = 0;
   uint64_t group_end_ = 0;
@@ -156,6 +169,9 @@ ProceduralIndex::ProceduralIndex(SimDevice* device,
       table_(table),
       opts_(opts),
       base_page_(base_page),
+      group_way_mask_(std::max<uint64_t>(1, kGroupCacheEntries /
+                                                table->rows_per_value()) -
+                      1),
       cache_id_(g_next_index_id.fetch_add(1, std::memory_order_relaxed)) {
   (void)device_;
   num_leaf_pages_ =
@@ -166,28 +182,28 @@ ProceduralIndex::ProceduralIndex(SimDevice* device,
                           std::log(n) / std::log(opts_.internal_fanout))));
 }
 
-const std::vector<IndexEntry>& ProceduralIndex::Group(uint64_t g) const {
-  GroupCacheSlot& cache = GroupCacheFor(cache_id_);
-  if (cache.group == g) return cache.entries;
+const IndexEntry* ProceduralIndex::Group(uint64_t g) const {
+  GroupCacheSlot& slot = GroupCacheFor(cache_id_);
+  const uint64_t w = g & group_way_mask_;
+  if (w >= slot.ways.size()) slot.ways.resize(w + 1);
+  GroupCacheWay& way = slot.ways[w];
+  if (way.group == g) return way.entries.data();
   const auto& perm0 = table_->column_permutation(opts_.key_columns[0]);
-  uint64_t rpv = table_->rows_per_value();
-  cache.entries.clear();
-  cache.entries.reserve(rpv);
+  const uint64_t rpv = table_->rows_per_value();
+  way.entries.resize(rpv);
   for (uint64_t j = 0; j < rpv; ++j) {
-    Rid rid = perm0.Inverse(g * rpv + j);
-    IndexEntry e;
+    IndexEntry& e = way.entries[j];
+    e.rid = perm0.Inverse(g * rpv + j);
     e.key0 = static_cast<int64_t>(g);
-    e.key1 = table_->ValueAt(rid, opts_.key_columns[1]);
-    e.rid = rid;
-    cache.entries.push_back(e);
+    e.key1 = table_->ValueAt(e.rid, opts_.key_columns[1]);
   }
-  std::sort(cache.entries.begin(), cache.entries.end(),
+  std::sort(way.entries.begin(), way.entries.end(),
             [](const IndexEntry& a, const IndexEntry& b) {
               if (a.key1 != b.key1) return a.key1 < b.key1;
               return a.rid < b.rid;
             });
-  cache.group = g;
-  return cache.entries;
+  way.group = g;
+  return way.entries.data();
 }
 
 IndexEntry ProceduralIndex::EntryAt(uint64_t k) const {
@@ -216,13 +232,11 @@ uint64_t ProceduralIndex::OrdinalLowerBound(int64_t k0, int64_t k1) const {
   }
   if (k1 <= 0) return static_cast<uint64_t>(k0) * rpv;
   if (k1 >= domain) return (static_cast<uint64_t>(k0) + 1) * rpv;
-  const auto& group = Group(static_cast<uint64_t>(k0));
-  auto it = std::lower_bound(group.begin(), group.end(), k1,
-                             [](const IndexEntry& e, int64_t key) {
-                               return e.key1 < key;
-                             });
-  return static_cast<uint64_t>(k0) * rpv +
-         static_cast<uint64_t>(it - group.begin());
+  const IndexEntry* group = Group(static_cast<uint64_t>(k0));
+  const IndexEntry* it = std::lower_bound(
+      group, group + rpv, k1,
+      [](const IndexEntry& e, int64_t key) { return e.key1 < key; });
+  return static_cast<uint64_t>(k0) * rpv + static_cast<uint64_t>(it - group);
 }
 
 std::unique_ptr<IndexCursor> ProceduralIndex::Seek(RunContext* ctx, int64_t k0,

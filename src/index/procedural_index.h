@@ -27,12 +27,20 @@ struct ProceduralIndexOptions {
 ///     tie order, so the k-th entry is computable in O(1));
 ///   * composite (c0,c1): ordinal k lies in group g = k / rows_per_value;
 ///     the group's rows are perm_c0^{-1}(g*rpv .. (g+1)*rpv) sorted by
-///     (key1, rid); groups are materialized lazily and cached.
+///     (key1, rid). Groups are materialized lazily into a per-thread cache
+///     that holds up to kGroupCacheEntries entries of each index, so the
+///     first groups that every low-band cell reads are derived once per
+///     thread, not once per cell.
 ///
 /// Leaf-page I/O is charged exactly like a real B-tree with the same
 /// fan-out: ordinal / entries_per_leaf maps to a physical leaf page.
 class ProceduralIndex : public Index {
  public:
+  /// Entry budget of one thread's composite-group cache for one index:
+  /// it keeps max(1, kGroupCacheEntries / rows_per_value) groups, group g
+  /// in way g % that count.
+  static constexpr uint64_t kGroupCacheEntries = 4096;
+
   static Result<std::unique_ptr<ProceduralIndex>> Create(
       SimDevice* device, const ProceduralTable* table,
       const ProceduralIndexOptions& opts);
@@ -70,8 +78,9 @@ class ProceduralIndex : public Index {
   ProceduralIndex(SimDevice* device, const ProceduralTable* table,
                   const ProceduralIndexOptions& opts, uint64_t base_page);
 
-  /// Materializes (and caches) composite group `g` sorted by (key1, rid).
-  const std::vector<IndexEntry>& Group(uint64_t g) const;
+  /// Materializes (and caches) composite group `g` sorted by (key1, rid);
+  /// returns its rows_per_value entries.
+  const IndexEntry* Group(uint64_t g) const;
 
   SimDevice* device_;
   const ProceduralTable* table_;
@@ -79,6 +88,7 @@ class ProceduralIndex : public Index {
   uint64_t base_page_;
   uint64_t num_leaf_pages_;
   int height_;
+  uint64_t group_way_mask_;  ///< group cache ways - 1 (a power of two)
 
   /// Key for this instance's per-thread group cache (see Group): parallel
   /// sweep workers share the index object, so an instance-level mutable

@@ -4,8 +4,8 @@ namespace robustmap {
 
 Result<std::unique_ptr<ProceduralTable>> ProceduralTable::Create(
     SimDevice* device, const ProceduralTableOptions& opts) {
-  if (opts.row_bits < 2 || opts.row_bits > 40 || opts.row_bits % 2 != 0) {
-    return Status::InvalidArgument("row_bits must be even and in [2, 40]");
+  if (opts.row_bits < 2 || opts.row_bits > 32 || opts.row_bits % 2 != 0) {
+    return Status::InvalidArgument("row_bits must be even and in [2, 32]");
   }
   if (opts.value_bits < 1 || opts.value_bits > opts.row_bits) {
     return Status::InvalidArgument("value_bits must be in [1, row_bits]");

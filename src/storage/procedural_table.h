@@ -13,8 +13,8 @@ namespace robustmap {
 
 /// Options for a procedural (synthetic) table.
 struct ProceduralTableOptions {
-  /// Table has 2^row_bits rows (row_bits must be even for the Feistel
-  /// permutation; 20 => 1M rows, 26 => 67M rows ~ paper scale).
+  /// Table has 2^row_bits rows (row_bits must be even and in [2, 32] for
+  /// the Feistel permutation; 20 => 1M rows, 26 => 67M rows ~ paper scale).
   int row_bits = 20;
 
   /// Column values are uniform over [0, 2^value_bits); each value occurs

@@ -5,8 +5,75 @@
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace robustmap {
 namespace {
+
+/// The Feistel network written out from its definition: round r maps half
+/// h to Mix64(h ^ key_r) & half_mask, computed on every call. The class
+/// tabulates the rounds instead and must agree everywhere.
+class ReferenceFeistel {
+ public:
+  ReferenceFeistel(int bits, uint64_t seed)
+      : half_bits_(bits / 2), mask_((uint64_t{1} << half_bits_) - 1) {
+    Rng rng(seed ^ 0x5ca1ab1e5ca1ab1eULL);
+    for (uint64_t& k : keys_) k = rng.Next();
+  }
+
+  uint64_t Permute(uint64_t x) const {
+    uint64_t left = x >> half_bits_, right = x & mask_;
+    for (int r = 0; r < 4; ++r) {
+      const uint64_t next_right = left ^ (Mix64(right ^ keys_[r]) & mask_);
+      left = right;
+      right = next_right;
+    }
+    return (left << half_bits_) | right;
+  }
+
+  uint64_t Inverse(uint64_t y) const {
+    uint64_t left = y >> half_bits_, right = y & mask_;
+    for (int r = 3; r >= 0; --r) {
+      const uint64_t prev_left = right ^ (Mix64(left ^ keys_[r]) & mask_);
+      right = left;
+      left = prev_left;
+    }
+    return (left << half_bits_) | right;
+  }
+
+ private:
+  int half_bits_;
+  uint64_t mask_;
+  uint64_t keys_[4];
+};
+
+TEST(PermutationTest, MatchesReferenceOverFullSmallDomains) {
+  for (int bits = 2; bits <= 16; bits += 2) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    const uint64_t seed = 1000 + static_cast<uint64_t>(bits);
+    const FeistelPermutation perm(bits, seed);
+    const ReferenceFeistel ref(bits, seed);
+    for (uint64_t x = 0; x < perm.size(); ++x) {
+      ASSERT_EQ(perm.Permute(x), ref.Permute(x)) << "x = " << x;
+      ASSERT_EQ(perm.Inverse(x), ref.Inverse(x)) << "x = " << x;
+    }
+  }
+}
+
+TEST(PermutationTest, MatchesReferenceAtSeededPointsOfLargeDomains) {
+  for (int bits = 18; bits <= 32; bits += 2) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    const uint64_t seed = 2000 + static_cast<uint64_t>(bits);
+    const FeistelPermutation perm(bits, seed);
+    const ReferenceFeistel ref(bits, seed);
+    Rng points(static_cast<uint64_t>(bits));
+    for (int i = 0; i < 100000; ++i) {
+      const uint64_t x = points.NextBounded(perm.size());
+      ASSERT_EQ(perm.Permute(x), ref.Permute(x)) << "x = " << x;
+      ASSERT_EQ(perm.Inverse(x), ref.Inverse(x)) << "x = " << x;
+    }
+  }
+}
 
 // Property sweep: bijectivity over the full domain for several sizes.
 class PermutationBijectionTest : public ::testing::TestWithParam<int> {};

@@ -256,9 +256,9 @@ std::string FileBytes(const std::string& path) {
 }
 
 TEST(CellResultCacheTest, FlushedBytesEqualWriteCellCache) {
-  // Entries scattered over every stripe: the flush serializes the live
-  // store, and must give exactly the bytes the free writer gives for the
-  // same entries.
+  // 500 entries in two studies, published in an order unrelated to their
+  // fingerprints: the flush serializes the live store, and must give
+  // exactly the bytes the free writer gives for the same entries.
   const std::string dir = FreshCacheDir("flush_bytes");
   CellResultCache cache;
   cache.Open(dir);

@@ -47,6 +47,34 @@ TEST(GoldenBytesTest, FeistelPermutation) {
     EXPECT_EQ(perm.Permute(xs[i]), permuted[i]);
     EXPECT_EQ(perm.Inverse(xs[i]), inverted[i]);
   }
+  // The smallest and largest domains and two in between, seed 7 each:
+  // x = 0, 1, size / 3 and size - 1 (bits 2 happens to be the identity).
+  struct Pin {
+    int bits;
+    uint64_t permuted[4];
+    uint64_t inverted[4];
+  };
+  const Pin pins[] = {
+      {2, {0, 1, 1, 3}, {0, 1, 1, 3}},
+      {12, {969, 2807, 730, 486}, {2027, 3578, 2629, 3663}},
+      {26,
+       {2777337, 32997238, 24367654, 8740361},
+       {11961744, 11254381, 1090188, 692009}},
+      {32,
+       {80295702, 1483692511, 3856086919, 3092268869},
+       {906655191, 4278308713, 2139551079, 1403357474}},
+  };
+  for (const Pin& pin : pins) {
+    const FeistelPermutation sized(pin.bits, 7);
+    const uint64_t n = sized.size();
+    const uint64_t at[] = {0, 1, n / 3, n - 1};
+    for (size_t i = 0; i < std::size(at); ++i) {
+      SCOPED_TRACE("bits " + std::to_string(pin.bits) + ", x = " +
+                   std::to_string(at[i]));
+      EXPECT_EQ(sized.Permute(at[i]), pin.permuted[i]);
+      EXPECT_EQ(sized.Inverse(at[i]), pin.inverted[i]);
+    }
+  }
 }
 
 /// FNV-1a over the `WriteMapTile` bytes of the serial 13-plan map of

@@ -185,6 +185,43 @@ TEST_F(ProceduralIndexTest, CompositeCursorSurvivesSlotEviction) {
   EXPECT_EQ(got, want);
 }
 
+TEST_F(ProceduralIndexTest, CompositeCursorsOnConflictingWaysMatchEntryAt) {
+  // The group cache is direct-mapped: groups g and g + ways share a way.
+  // 2^14 rows over 2^8 values gives 64 entries per group, 64 ways and 256
+  // groups, so two cursors started in groups 5 and 5 + 64 evict each other
+  // at every step, and again after both cross into the next group.
+  ProceduralTableOptions topts;
+  topts.row_bits = 14;
+  topts.value_bits = 8;
+  auto table = ProceduralTable::Create(&device_, topts).ValueOrDie();
+  ProceduralIndexOptions opts;
+  opts.key_columns = {0, 1};
+  opts.entries_per_leaf = 64;
+  auto idx = ProceduralIndex::Create(&device_, table.get(), opts).ValueOrDie();
+  const uint64_t rpv = table->rows_per_value();
+  const int64_t ways =
+      static_cast<int64_t>(ProceduralIndex::kGroupCacheEntries / rpv);
+  const int64_t g = 5;
+  ASSERT_LT(g + ways + 2, table->value_domain());
+
+  const uint64_t a0 = idx->OrdinalLowerBound(g, 30);
+  const uint64_t b0 = idx->OrdinalLowerBound(g + ways, 30);
+  const std::vector<IndexEntry> want_a = EntriesFrom(*idx, a0, 2 * rpv);
+  const std::vector<IndexEntry> want_b = EntriesFrom(*idx, b0, 2 * rpv);
+
+  auto a = idx->Seek(&ctx_, g, 30);
+  auto b = idx->Seek(&ctx_, g + ways, 30);
+  for (size_t i = 0; i < want_a.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    ASSERT_TRUE(a->Valid());
+    ASSERT_TRUE(b->Valid());
+    EXPECT_EQ(a->entry(), want_a[i]);
+    EXPECT_EQ(b->entry(), want_b[i]);
+    a->Next(&ctx_);
+    b->Next(&ctx_);
+  }
+}
+
 /// Page accesses so far: reads that missed the pool plus pool hits.
 uint64_t PageAccesses(const SimDevice& device) {
   return device.stats().total_reads() + device.stats().buffer_hits;

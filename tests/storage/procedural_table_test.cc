@@ -118,6 +118,19 @@ TEST_F(ProceduralTableTest, RejectsBadOptions) {
   EXPECT_FALSE(ProceduralTable::Create(&device_, opts).ok());
 }
 
+TEST_F(ProceduralTableTest, RowBitsRangeEndsAt32) {
+  // Each column's Feistel round tables hold 4 x 2^(row_bits/2) entries, so
+  // the domain stops at 2^32 rows (512 KiB of tables per column there).
+  ProceduralTableOptions opts = SmallOptions();
+  opts.row_bits = 32;
+  auto table = ProceduralTable::Create(&device_, opts).ValueOrDie();
+  EXPECT_EQ(table->num_rows(), uint64_t{1} << 32);
+  EXPECT_LT(table->ValueAt(table->num_rows() - 1, 1), table->value_domain());
+  opts.row_bits = 34;
+  const Status status = ProceduralTable::Create(&device_, opts).status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
 TEST_F(ProceduralTableTest, OutOfRangeErrors) {
   auto table = ProceduralTable::Create(&device_, SmallOptions()).ValueOrDie();
   Row r;
