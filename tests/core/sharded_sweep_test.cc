@@ -268,6 +268,80 @@ TEST(RunShardedSweepTest, UnexecutableWorkerCommandFailsWithCannotExec) {
   EXPECT_EQ(result.status().message().find("killed?"), std::string::npos);
 }
 
+/// The tile a sweep of `req` dispatches first (the heaviest pending one):
+/// when several answered tiles cannot be read, its error is the one
+/// reported, whatever order the workers answered in.
+TileSpec FirstPendingTile(const SweepRequest& req) {
+  std::vector<std::string> labels;
+  for (PlanKind k : req.plans) labels.push_back(PlanKindLabel(k));
+  return PlanShards(req, labels, nullptr).ValueOrDie().todo.front();
+}
+
+TEST(RunShardedSweepTest, AnsweredTileThatWasNeverWrittenIsNotFound) {
+  ProcEnv env;
+  Executor executor(env.db());
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("answered_unwritten");
+  opts.num_workers = 2;
+  opts.num_tiles = 4;
+  opts.worker_command = {"/bin/sh", "-c",
+                         "while read id rect; do printf 0; done"};
+  const SweepRequest req = ShardedRequest(SmallGrid(), opts);
+  const std::string first =
+      opts.tile_dir + "/" + TileFileName(FirstPendingTile(req).shard_id);
+  auto result = SweepEngine::Run(env.ctx(), executor, req);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+  EXPECT_EQ(result.status().message(), "cannot open map tile " + first);
+}
+
+TEST(RunShardedSweepTest, AnsweredTileHoldingGarbageIsCorruption) {
+  ProcEnv env;
+  Executor executor(env.db());
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("answered_garbage");
+  opts.num_workers = 2;
+  opts.num_tiles = 4;
+  // The tile directory is the script's $0.
+  opts.worker_command = {"/bin/sh", "-c",
+                         "while read id rect; do printf garbage "
+                         "> \"$0/$(printf tile_%04d.rmt \"$id\")\"; "
+                         "printf 0; done",
+                         opts.tile_dir};
+  const SweepRequest req = ShardedRequest(SmallGrid(), opts);
+  const std::string first =
+      opts.tile_dir + "/" + TileFileName(FirstPendingTile(req).shard_id);
+  auto result = SweepEngine::Run(env.ctx(), executor, req);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+  EXPECT_EQ(result.status().message().rfind(first + ": ", 0), 0u)
+      << result.status().ToString();
+}
+
+TEST(RunShardedSweepTest, KilledWorkerOutranksAnEarlierUnreadableTile) {
+  // Each worker answers its first tile with garbage on disk, then dies
+  // holding its second: the worker failure is the sweep's error, not the
+  // read failure of a tile answered before it.
+  ProcEnv env;
+  Executor executor(env.db());
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("killed_after_garbage");
+  opts.num_workers = 1;
+  opts.num_tiles = 4;
+  // The tile directory is the script's $0.
+  opts.worker_command = {"/bin/sh", "-c",
+                         "read id rect; printf garbage "
+                         "> \"$0/$(printf tile_%04d.rmt \"$id\")\"; "
+                         "printf 0; read id rect; kill -9 $$",
+                         opts.tile_dir};
+  auto result = SweepEngine::Run(env.ctx(), executor,
+                                 ShardedRequest(SmallGrid(), opts));
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInternal()) << result.status().ToString();
+  EXPECT_NE(result.status().message().find("killed?"), std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(ServeTilesTest, AnswersEachRequestLineAndReturnsOnEof) {
   ProcEnv env;
   Executor executor(env.db());
