@@ -314,99 +314,106 @@ std::vector<std::string> SortedTileFiles(const std::string& dir) {
   return names;
 }
 
-Result<std::vector<RobustnessMap>> MergeTileLayers(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const std::vector<MapTile>& tiles) {
-  const size_t num_layers = tiles.empty() ? 1 : tiles.front().num_layers();
-  std::vector<RobustnessMap> merged;
-  merged.reserve(num_layers);
-  for (size_t li = 0; li < num_layers; ++li) {
-    merged.emplace_back(space, plan_labels);
+TileStitcher::TileStitcher(ParameterSpace space,
+                           std::vector<std::string> plan_labels,
+                           std::vector<std::string> layer_names)
+    : space_(std::move(space)),
+      plan_labels_(std::move(plan_labels)),
+      layer_names_(std::move(layer_names)),
+      num_layers_(std::max<size_t>(1, layer_names_.size())) {}
+
+void TileStitcher::Allocate() {
+  merged_.reserve(num_layers_);
+  for (size_t li = 0; li < num_layers_; ++li) {
+    merged_.emplace_back(space_, plan_labels_);
   }
-  std::vector<uint8_t> covered(space.num_points(), 0);
-  for (const MapTile& tile : tiles) {
-    if (!(tile.parent_space == space)) {
+  covered_.assign(space_.num_points(), 0);
+}
+
+Status TileStitcher::Add(MapTile&& tile) {
+  const std::string name = "tile " + std::to_string(tile.spec.shard_id);
+  if (!(tile.parent_space == space_)) {
+    return Status::InvalidArgument(
+        name + " was swept over a different grid (axis names or values "
+               "disagree); refusing to merge");
+  }
+  if (tile.map.plan_labels() != plan_labels_) {
+    return Status::InvalidArgument(
+        name + " covers a different plan set; refusing to merge");
+  }
+  // Layers are merged positionally, so tiles must agree on the study
+  // shape exactly — a plain tile in a warm-cold merge (or layers in a
+  // different order) is a configuration mix-up, not mergeable data.
+  if (tile.num_layers() != num_layers_ || tile.layer_names != layer_names_) {
+    return Status::InvalidArgument(
+        name + " carries different layers than its siblings; refusing to "
+               "merge");
+  }
+  // ReadMapTile-produced tiles satisfy this by construction, but the
+  // stitcher must not trust its caller: an out-of-grid rectangle or a map
+  // smaller than its claimed rectangle would index out of bounds below.
+  auto sub = SliceSpace(space_, tile.spec);
+  if (!sub.ok()) {
+    return Status::InvalidArgument(name + ": " + sub.status().message());
+  }
+  for (size_t li = 0; li < num_layers_; ++li) {
+    if (!(tile.layer(li).space() == sub.value()) ||
+        tile.layer(li).plan_labels() != plan_labels_) {
       return Status::InvalidArgument(
-          "tile " + std::to_string(tile.spec.shard_id) +
-          " was swept over a different grid (axis names or values "
-          "disagree); refusing to merge");
+          name + "'s map does not cover the rectangle its spec names");
     }
-    if (tile.map.plan_labels() != plan_labels) {
-      return Status::InvalidArgument(
-          "tile " + std::to_string(tile.spec.shard_id) +
-          " covers a different plan set; refusing to merge");
-    }
-    // Layers are merged positionally, so tiles must agree on the study
-    // shape exactly — a plain tile in a warm-cold merge (or layers in a
-    // different order) is a configuration mix-up, not mergeable data.
-    if (tile.num_layers() != num_layers ||
-        tile.layer_names != tiles.front().layer_names) {
-      return Status::InvalidArgument(
-          "tile " + std::to_string(tile.spec.shard_id) +
-          " carries different layers than its siblings; refusing to merge");
-    }
-    // ReadMapTile-produced tiles satisfy this by construction, but merge
-    // must not trust its caller: an out-of-grid rectangle or a map smaller
-    // than its claimed rectangle would index out of bounds below.
-    auto sub = SliceSpace(space, tile.spec);
-    if (!sub.ok()) {
-      return Status::InvalidArgument(
-          "tile " + std::to_string(tile.spec.shard_id) + ": " +
-          sub.status().message());
-    }
-    for (size_t li = 0; li < num_layers; ++li) {
-      if (!(tile.layer(li).space() == sub.value()) ||
-          tile.layer(li).plan_labels() != plan_labels) {
+  }
+  if (merged_.empty()) Allocate();
+  const TileSpec& spec = tile.spec;
+  for (size_t yi = spec.y_begin; yi < spec.y_end; ++yi) {
+    for (size_t xi = spec.x_begin; xi < spec.x_end; ++xi) {
+      if (covered_[space_.IndexOf(xi, yi)] != 0) {
         return Status::InvalidArgument(
-            "tile " + std::to_string(tile.spec.shard_id) +
-            "'s map does not cover the rectangle its spec names");
+            "tiles overlap at grid point (" + std::to_string(xi) + "," +
+            std::to_string(yi) + ")");
       }
     }
-    for (size_t yi = tile.spec.y_begin; yi < tile.spec.y_end; ++yi) {
-      for (size_t xi = tile.spec.x_begin; xi < tile.spec.x_end; ++xi) {
-        const size_t parent_pt = space.IndexOf(xi, yi);
-        if (covered[parent_pt] != 0) {
-          return Status::InvalidArgument(
-              "tiles overlap at grid point (" + std::to_string(xi) + "," +
-              std::to_string(yi) + ")");
-        }
-        covered[parent_pt] = 1;
-        const size_t tile_pt =
-            (yi - tile.spec.y_begin) * tile.spec.x_size() +
-            (xi - tile.spec.x_begin);
-        for (size_t li = 0; li < num_layers; ++li) {
-          for (size_t plan = 0; plan < plan_labels.size(); ++plan) {
-            merged[li].Set(plan, parent_pt, tile.layer(li).At(plan, tile_pt));
-          }
+  }
+  for (size_t yi = spec.y_begin; yi < spec.y_end; ++yi) {
+    const size_t row = space_.IndexOf(spec.x_begin, yi);
+    std::fill_n(covered_.begin() + row, spec.x_size(), 1);
+  }
+  for (size_t li = 0; li < num_layers_; ++li) {
+    RobustnessMap& layer = tile.layer(li);
+    for (size_t plan = 0; plan < plan_labels_.size(); ++plan) {
+      size_t tile_pt = 0;
+      for (size_t yi = spec.y_begin; yi < spec.y_end; ++yi) {
+        const size_t row = space_.IndexOf(spec.x_begin, yi);
+        for (size_t dx = 0; dx < spec.x_size(); ++dx) {
+          merged_[li].Set(plan, row + dx, layer.Take(plan, tile_pt++));
         }
       }
     }
   }
-  for (size_t pt = 0; pt < covered.size(); ++pt) {
-    if (covered[pt] == 0) {
-      const auto [xi, yi] = space.CoordsOf(pt);
+  return Status::OK();
+}
+
+Result<std::vector<RobustnessMap>> TileStitcher::Finish() && {
+  if (merged_.empty()) Allocate();
+  for (size_t pt = 0; pt < covered_.size(); ++pt) {
+    if (covered_[pt] == 0) {
+      const auto [xi, yi] = space_.CoordsOf(pt);
       return Status::InvalidArgument("no tile covers grid point (" +
                                      std::to_string(xi) + "," +
                                      std::to_string(yi) + ")");
     }
   }
-  return merged;
+  return std::move(merged_);
 }
 
-Result<RobustnessMap> MergeTiles(const ParameterSpace& space,
-                                 const std::vector<std::string>& plan_labels,
-                                 const std::vector<MapTile>& tiles) {
-  for (const MapTile& tile : tiles) {
-    if (tile.num_layers() != 1) {
-      return Status::InvalidArgument(
-          "tile " + std::to_string(tile.spec.shard_id) + " carries " +
-          std::to_string(tile.num_layers()) +
-          " layers; use MergeTileLayers for multi-layer tiles");
-    }
-  }
-  auto merged = MergeTileLayers(space, plan_labels, tiles);
-  RM_RETURN_IF_ERROR(merged.status());
-  return std::move(merged.value().front());
+Result<std::vector<RobustnessMap>> MergeTileLayers(
+    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
+    std::vector<MapTile> tiles) {
+  TileStitcher stitcher(space, plan_labels,
+                        tiles.empty() ? std::vector<std::string>{}
+                                      : tiles.front().layer_names);
+  for (MapTile& tile : tiles) RM_RETURN_IF_ERROR(stitcher.Add(std::move(tile)));
+  return std::move(stitcher).Finish();
 }
 
 }  // namespace robustmap

@@ -1,6 +1,7 @@
 #ifndef ROBUSTMAP_CORE_MAP_IO_H_
 #define ROBUSTMAP_CORE_MAP_IO_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -61,6 +62,9 @@ struct MapTile {
   const RobustnessMap& layer(size_t i) const {
     return i == 0 ? map : extra_layers[i - 1];
   }
+  RobustnessMap& layer(size_t i) {
+    return i == 0 ? map : extra_layers[i - 1];
+  }
   /// The name of layer `i`; "" when this tile carries no names.
   std::string layer_name(size_t i) const {
     return i < layer_names.size() ? layer_names[i] : std::string();
@@ -101,22 +105,44 @@ Result<MapTile> ReadMapTileFile(const std::string& path);
 /// state always yields the same shard plan.
 std::vector<std::string> SortedTileFiles(const std::string& dir);
 
-/// Reassembles a full map per layer from tiles. Every tile must agree on
-/// the parent space, plan labels, layer count, and layer names, lie inside
-/// the grid, and together the rectangles must cover every point exactly
-/// once — any gap, overlap, or axis/layer disagreement is an
-/// `InvalidArgument`. Each merged layer is a pure cell copy, so it is
-/// bit-identical to the map a single sweep of the parent grid would have
-/// produced for that layer.
+/// Reassembles a full map per layer from tiles added one at a time, in
+/// any order — the one merge implementation. Every tile must sweep the
+/// stitcher's grid, carry its plan labels and its layers (one per name in
+/// `layer_names`, or a single unnamed one when it is empty), lie inside
+/// the grid, and cover no point another tile already covered; once every
+/// tile is in, the rectangles must cover every point. Any gap, overlap,
+/// or axis/layer disagreement is an `InvalidArgument`. Each merged layer
+/// is a pure cell copy, so it is bit-identical to the map a single sweep
+/// of the parent grid would have produced for that layer.
+class TileStitcher {
+ public:
+  TileStitcher(ParameterSpace space, std::vector<std::string> plan_labels,
+               std::vector<std::string> layer_names);
+
+  /// Checks `tile` and moves its cells into the output maps; a rejected
+  /// tile changes nothing. The output maps are allocated by the first
+  /// call, so a caller that forks can create them after its children.
+  Status Add(MapTile&& tile);
+
+  /// The merged layers, or the first uncovered grid point (row-major).
+  Result<std::vector<RobustnessMap>> Finish() &&;
+
+ private:
+  void Allocate();
+
+  const ParameterSpace space_;
+  const std::vector<std::string> plan_labels_;
+  const std::vector<std::string> layer_names_;
+  const size_t num_layers_;
+  std::vector<RobustnessMap> merged_;  ///< empty until the first tile
+  std::vector<uint8_t> covered_;       ///< [point], 1 once stitched
+};
+
+/// `TileStitcher` over `tiles` in order, with the first tile's layer
+/// names as the study shape.
 Result<std::vector<RobustnessMap>> MergeTileLayers(
     const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const std::vector<MapTile>& tiles);
-
-/// Single-layer convenience over `MergeTileLayers`: rejects multi-layer
-/// tiles (use the layer-aware form) and returns the one merged map.
-Result<RobustnessMap> MergeTiles(const ParameterSpace& space,
-                                 const std::vector<std::string>& plan_labels,
-                                 const std::vector<MapTile>& tiles);
+    std::vector<MapTile> tiles);
 
 }  // namespace robustmap
 

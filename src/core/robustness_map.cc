@@ -21,6 +21,11 @@ const Measurement& RobustnessMap::At(size_t plan, size_t point) const {
   return data_[plan][point];
 }
 
+Measurement RobustnessMap::Take(size_t plan, size_t point) {
+  assert(plan < data_.size() && point < data_[plan].size());
+  return std::move(data_[plan][point]);
+}
+
 std::vector<double> RobustnessMap::SecondsOfPlan(size_t plan) const {
   std::vector<double> out;
   out.reserve(space_.num_points());

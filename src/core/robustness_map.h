@@ -25,6 +25,8 @@ class RobustnessMap {
 
   void Set(size_t plan, size_t point, Measurement m);
   const Measurement& At(size_t plan, size_t point) const;
+  /// Moves the measurement out, leaving a moved-from one in its place.
+  Measurement Take(size_t plan, size_t point);
   const Measurement& AtXY(size_t plan, size_t xi, size_t yi) const {
     return At(plan, space_.IndexOf(xi, yi));
   }

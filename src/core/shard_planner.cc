@@ -434,7 +434,8 @@ Result<ShardPlan> PlanShards(const SweepRequest& req,
         auto& [name, cand] = (*candidates)[ci];
         // Adopt only a candidate nesting inside one current remainder
         // piece; anything straddling a cut is simply recomputed — the
-        // exact-cover check in MergeTileLayers stays the safety net.
+        // coordinator's TileStitcher, which rejects overlaps and gaps,
+        // stays the safety net.
         const auto host =
             std::find_if(remainders.begin(), remainders.end(),
                          [&](const TileSpec& r) {

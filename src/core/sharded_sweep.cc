@@ -326,7 +326,8 @@ Result<std::string> ReadErrFile(const std::string& tile_path) {
 Status DispatchTiles(RunContext* ctx, const Executor& executor,
                      const SweepRequest& req,
                      const std::vector<TileSpec>& todo, size_t stride,
-                     ShardedSweepStats* stats) {
+                     ShardedSweepStats* stats,
+                     const std::function<Status(size_t todo_idx)>& ingest) {
   const ShardedSweepOptions& opts = req.sharded;
   const auto tile_path = [&](size_t idx) {
     return opts.tile_dir + "/" + TileFileName(todo[idx].shard_id);
@@ -424,8 +425,9 @@ Status DispatchTiles(RunContext* ctx, const Executor& executor,
   };
 
   // Accounts a lane's tile as finished: busy time, its span, and either
-  // the worker's sidecars or a failure.
+  // the worker's sidecars and a place in the ingest queue, or a failure.
   std::vector<size_t> failed;
+  std::vector<size_t> answered;
   size_t computed_done = 0;
   const auto finish = [&](size_t lane, bool ok) {
     const size_t idx = lanes[lane].tile;
@@ -451,6 +453,7 @@ Status DispatchTiles(RunContext* ctx, const Executor& executor,
       return;
     }
     ++computed_done;
+    answered.push_back(idx);
     SweepTelemetry::Get().AddCounter("shard.tiles_computed", 1);
     // Fold the worker's sidecars in and drop them; a missing or unreadable
     // sidecar degrades the trace, never the sweep.
@@ -481,9 +484,12 @@ Status DispatchTiles(RunContext* ctx, const Executor& executor,
   // Block until some lane reports. An answer byte finishes the lane's
   // tile; EOF means the lane's worker is gone — told to stop, or dead
   // while holding a tile, which then fails. A lane whose worker is gone
-  // gets a new one while tiles remain pending.
+  // gets a new one while tiles remain pending. Answered tiles are
+  // ingested only once every woken lane is busy again.
   std::vector<pollfd> fds;
   std::vector<size_t> fd_lane;
+  size_t ingest_failed = todo.size();
+  Status ingest_status;
   for (;;) {
     fds.clear();
     fd_lane.clear();
@@ -519,8 +525,17 @@ Status DispatchTiles(RunContext* ctx, const Executor& executor,
         dispatch(lane);
       }
     }
+    for (size_t idx : answered) {
+      TraceSpan ingest_span("shard.ingest", "shard");
+      Status s = ingest(idx);
+      if (!s.ok() && idx < ingest_failed) {
+        ingest_failed = idx;
+        ingest_status = std::move(s);
+      }
+    }
+    answered.clear();
   }
-  if (failed.empty()) return Status::OK();
+  if (failed.empty()) return ingest_status;
 
   // Report the failure of the lowest shard id — stable whatever dispatch
   // order the cost model produced — with the worker's own Status when it

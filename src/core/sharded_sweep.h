@@ -3,6 +3,7 @@
 
 #include <sys/types.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,10 +82,18 @@ void ServeTiles(int in_fd, int out_fd, RunContext* ctx,
 /// soon as it answers. A worker that dies is replaced while tiles remain;
 /// a failed tile fails the sweep once every worker has finished. Records
 /// lane busy times and replacement workers in `*stats`.
+///
+/// `ingest(todo_idx)` runs for each tile whose worker answered '0', while
+/// the other lanes compute: after the answering lane — and every other
+/// lane the same poll() woke — holds its next request. An ingest error
+/// stops nothing; every worker still finishes. The result is the failure
+/// of the lowest failed shard id when any worker failed, else the ingest
+/// error of the lowest `todo` index, else OK.
 Status DispatchTiles(RunContext* ctx, const Executor& executor,
                      const SweepRequest& req,
                      const std::vector<TileSpec>& todo, size_t stride,
-                     ShardedSweepStats* stats);
+                     ShardedSweepStats* stats,
+                     const std::function<Status(size_t todo_idx)>& ingest);
 
 }  // namespace robustmap
 

@@ -338,12 +338,16 @@ Status RequireOrderIndependent(const RunContext& ctx, const SweepRequest& req,
 /// The sharded-process backend: plans the tiles (`PlanShards` — reused
 /// checkpoints, adopted pieces, cache-materialized tiles, and the
 /// heaviest-first queue with its straggler pieces), computes the queue on
-/// worker processes (`DispatchTiles`), and merges all tiles layer by layer
-/// into maps bit-identical to an in-process sweep of the same study (every
-/// cell is an order-independent measurement, so its value cannot depend
-/// on which process ran it). `stride` > 1 marks a progressive sweep's
-/// coarse level, whose `req.space` is that sublattice of the grid exec'd
-/// workers reconstruct from their flags.
+/// worker processes (`DispatchTiles`), and stitches every tile, layer by
+/// layer, into maps bit-identical to an in-process sweep of the same
+/// study (every cell is an order-independent measurement, so its value
+/// cannot depend on which process ran it). Each fresh tile is read back
+/// from disk — the same validated path a resumed coordinator takes — and
+/// stitched as soon as its worker answers, while the other workers
+/// compute; after the last answer only the coverage check remains.
+/// `stride` > 1 marks a progressive sweep's coarse level, whose
+/// `req.space` is that sublattice of the grid exec'd workers reconstruct
+/// from their flags.
 Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
                                      const Executor& executor,
                                      const SweepRequest& req,
@@ -386,28 +390,48 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
                    s.ToString().c_str());
     }
   }
-  RM_RETURN_IF_ERROR(
-      DispatchTiles(ctx, executor, req, todo, stride, &stats));
-
-  // Merge: freshly computed tiles are read back from disk — the same
-  // validated path a resumed coordinator takes — then stitched with the
-  // reused ones, layer by layer.
-  TraceSpan merge_span("shard.merge", "shard");
+  // The stitcher allocates the output maps at its first tile. Reused tiles
+  // therefore wait for the first fresh one: by then every worker has
+  // forked, so none shares (or counts in its RSS) the output's pages.
+  TileStitcher stitcher(req.space, labels, StudyLayerNames(req.study));
+  const auto stitch = [&](MapTile&& tile) {
+    Status s = stitcher.Add(std::move(tile));
+    if (s.ok()) SweepTelemetry::Get().AddCounter("shard.tiles_merged", 1);
+    return s;
+  };
   std::vector<MapTile>& loaded = plan.value().loaded;
-  for (const TileSpec& t : todo) {
-    auto tile = ReadMapTileFile(opts.tile_dir + "/" + TileFileName(t.shard_id));
+  Status loaded_status;
+  const auto stitch_loaded = [&] {
+    for (MapTile& tile : loaded) {
+      if (loaded_status.ok()) loaded_status = stitch(std::move(tile));
+    }
+    loaded.clear();
+  };
+  const auto ingest = [&](size_t idx) -> Status {
+    stitch_loaded();
+    const TileSpec& want = todo[idx];
+    auto tile = ReadMapTileFile(opts.tile_dir + "/" +
+                                TileFileName(want.shard_id));
     RM_RETURN_IF_ERROR(tile.status());
-    loaded.push_back(std::move(tile).value());
-  }
-  SweepTelemetry::Get().AddCounter("shard.tiles_merged", loaded.size());
-  auto merged = MergeTileLayers(req.space, labels, loaded);
+    // Shard ids and rectangles come from the plan, so a tile over any
+    // other rectangle is a worker's mistake, named here rather than as an
+    // overlap or gap whose grid point would depend on arrival order.
+    const TileSpec& got = tile.value().spec;
+    if (!(got == want)) {
+      return Status::InvalidArgument(
+          "tile " + std::to_string(want.shard_id) + " came back as tile " +
+          std::to_string(got.shard_id) + " over " + RectSpecString(got) +
+          ", not the dispatched " + RectSpecString(want));
+    }
+    return stitch(std::move(tile).value());
+  };
+  RM_RETURN_IF_ERROR(
+      DispatchTiles(ctx, executor, req, todo, stride, &stats, ingest));
+  stitch_loaded();
+  RM_RETURN_IF_ERROR(loaded_status);
+  TraceSpan merge_span("shard.merge", "shard");
+  auto merged = std::move(stitcher).Finish();
   RM_RETURN_IF_ERROR(merged.status());
-  if (merged.value().size() != StudyLayerCount(req.study)) {
-    return Status::Internal("merged " + std::to_string(merged.value().size()) +
-                            " layers for a " +
-                            std::to_string(StudyLayerCount(req.study)) +
-                            "-layer study");
-  }
   // Every merged cell goes back into the cache — whatever process measured
   // it (workers publish into their own address spaces, which the parent
   // never sees). Insert-if-absent: re-publishing cells the cache already

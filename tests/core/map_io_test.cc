@@ -369,12 +369,6 @@ TEST(MergeTilesTest, MergesEveryLayerAndChecksLayerAgreement) {
     ExpectMapsBitIdentical(merged[li], full.layer(li));
   }
 
-  // The single-layer entry point must refuse multi-layer tiles rather
-  // than silently merging layer 0.
-  auto single = MergeTiles(space, labels, {full});
-  ASSERT_FALSE(single.ok());
-  EXPECT_TRUE(single.status().IsInvalidArgument());
-
   // Tiles disagreeing on the study shape never merge.
   std::vector<MapTile> mixed;
   mixed.push_back(std::move(pieces[0]));
@@ -410,8 +404,9 @@ TEST(MergeTilesTest, ReassemblesPartitionedMap) {
     }
     pieces.push_back(MapTile{t, space, std::move(piece)});
   }
-  auto merged = MergeTiles(space, labels, pieces).ValueOrDie();
-  ExpectMapsBitIdentical(merged, full);
+  auto merged = MergeTileLayers(space, labels, pieces).ValueOrDie();
+  ASSERT_EQ(merged.size(), 1u);
+  ExpectMapsBitIdentical(merged.front(), full);
 }
 
 TEST(MergeTilesTest, RejectsMismatchedAxes) {
@@ -421,7 +416,7 @@ TEST(MergeTilesTest, RejectsMismatchedAxes) {
       Axis::Selectivity("sel(b)", -2, 0));
   std::vector<std::string> labels = {"scan"};
   MapTile tile = FullTile(other, labels);
-  auto merged = MergeTiles(space, labels, {tile});
+  auto merged = MergeTileLayers(space, labels, {tile});
   ASSERT_FALSE(merged.ok());
   EXPECT_TRUE(merged.status().IsInvalidArgument());
   EXPECT_NE(merged.status().message().find("different grid"),
@@ -431,7 +426,7 @@ TEST(MergeTilesTest, RejectsMismatchedAxes) {
 TEST(MergeTilesTest, RejectsMismatchedPlans) {
   ParameterSpace space = SmallSpace();
   MapTile tile = FullTile(space, {"scan"});
-  auto merged = MergeTiles(space, {"scan", "idx.a"}, {tile});
+  auto merged = MergeTileLayers(space, {"scan", "idx.a"}, {tile});
   ASSERT_FALSE(merged.ok());
   EXPECT_TRUE(merged.status().IsInvalidArgument());
 }
@@ -440,14 +435,48 @@ TEST(MergeTilesTest, RejectsOverlapAndGaps) {
   ParameterSpace space = SmallSpace();
   std::vector<std::string> labels = {"scan"};
   MapTile full = FullTile(space, labels);
-  auto overlap = MergeTiles(space, labels, {full, full});
+  auto overlap = MergeTileLayers(space, labels, {full, full});
   ASSERT_FALSE(overlap.ok());
   EXPECT_NE(overlap.status().message().find("overlap"), std::string::npos);
 
-  auto gap = MergeTiles(space, labels, {});
+  auto gap = MergeTileLayers(space, labels, {});
   ASSERT_FALSE(gap.ok());
   EXPECT_NE(gap.status().message().find("no tile covers"),
             std::string::npos);
+}
+
+TEST(TileStitcherTest, RejectedTileChangesNothing) {
+  // A tile that overlaps a stitched one only in its last row is refused
+  // whole: none of its earlier rows count as covered, so the tile that
+  // does fit the gap still completes the map.
+  ParameterSpace space = SmallSpace();
+  std::vector<std::string> labels = {"scan"};
+  RobustnessMap full = FillMap(space, labels);
+  const auto rows = [&](size_t shard_id, size_t y_begin, size_t y_end) {
+    TileSpec t;
+    t.shard_id = shard_id;
+    t.x_end = space.x_size();
+    t.y_begin = y_begin;
+    t.y_end = y_end;
+    ParameterSpace sub = SliceSpace(space, t).ValueOrDie();
+    RobustnessMap map(sub, labels);
+    for (size_t pt = 0; pt < sub.num_points(); ++pt) {
+      map.Set(0, pt, full.At(0, space.IndexOf(0, y_begin) + pt));
+    }
+    return MapTile{t, space, std::move(map)};
+  };
+  const size_t last = space.y_size() - 1;
+  ASSERT_GE(last, 1u);
+  TileStitcher stitcher(space, labels, {});
+  ASSERT_TRUE(stitcher.Add(rows(0, last, last + 1)).ok());
+  Status overlap = stitcher.Add(rows(1, 0, last + 1));
+  EXPECT_TRUE(overlap.IsInvalidArgument());
+  EXPECT_NE(overlap.message().find("overlap"), std::string::npos);
+  ASSERT_TRUE(stitcher.Add(rows(2, 0, last)).ok());
+  auto merged = std::move(stitcher).Finish();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_EQ(merged.value().size(), 1u);
+  ExpectMapsBitIdentical(merged.value().front(), full);
 }
 
 }  // namespace

@@ -318,6 +318,52 @@ TEST(RunShardedSweepTest, AnsweredTileHoldingGarbageIsCorruption) {
       << result.status().ToString();
 }
 
+TEST(RunShardedSweepTest, AnsweredTileOverTheWrongRectangleIsRejected) {
+  // Every worker copies one checksum-valid tile — named for the first
+  // pending shard but over the second one's rectangle — to the path it was
+  // asked for. The first pending tile's mismatch is the error, not an
+  // overlap whose grid point would depend on which tile arrived first.
+  ProcEnv env;
+  Executor executor(env.db());
+  ParameterSpace space = SmallGrid();
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("wrong_rect");
+  opts.num_workers = 2;
+  opts.num_tiles = 4;
+  ASSERT_TRUE(EnsureDirectory(opts.tile_dir).ok());
+  // The tile directory is the script's $0.
+  opts.worker_command = {"/bin/sh", "-c",
+                         "while read id rect; do cp \"$0/wrong.tile\" "
+                         "\"$0/$(printf tile_%04d.rmt \"$id\")\"; "
+                         "printf 0; done",
+                         opts.tile_dir};
+  const SweepRequest req = ShardedRequest(space, opts);
+  std::vector<std::string> labels;
+  for (PlanKind k : req.plans) labels.push_back(PlanKindLabel(k));
+  const std::vector<TileSpec> todo =
+      PlanShards(req, labels, nullptr).ValueOrDie().todo;
+  ASSERT_GE(todo.size(), 2u);
+  TileSpec wrong = todo[1];
+  wrong.shard_id = todo[0].shard_id;
+  auto slice =
+      SweepEngine::Run(env.ctx(), executor,
+                       SerialRequest(SliceSpace(space, wrong).ValueOrDie()));
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  ASSERT_TRUE(WriteMapTileFile(opts.tile_dir + "/wrong.tile",
+                               MapTile{wrong, space, slice.value().map()})
+                  .ok());
+
+  auto result = SweepEngine::Run(env.ctx(), executor, req);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  EXPECT_EQ(result.status().message(),
+            "tile " + std::to_string(todo[0].shard_id) + " came back as tile " +
+                std::to_string(todo[0].shard_id) + " over " +
+                RectSpecString(todo[1]) + ", not the dispatched " +
+                RectSpecString(todo[0]));
+}
+
 TEST(RunShardedSweepTest, KilledWorkerOutranksAnEarlierUnreadableTile) {
   // Each worker answers its first tile with garbage on disk, then dies
   // holding its second: the worker failure is the sweep's error, not the
