@@ -22,9 +22,6 @@ class VirtualClock {
   /// Current virtual time since construction, nanoseconds.
   int64_t now_ns() const { return now_ns_; }
 
-  /// Current virtual time, seconds.
-  double now_seconds() const { return static_cast<double>(now_ns_) * 1e-9; }
-
   /// Resets to zero (a fresh experiment run).
   void Reset() { now_ns_ = 0; }
 

@@ -3,19 +3,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 namespace robustmap {
 
 namespace {
 // strerror_r comes in two flavors: XSI returns int and fills the buffer,
 // GNU returns the message pointer directly (which may ignore the buffer).
-// Overloading on the actual return type accepts whichever libc provides.
-[[maybe_unused]] const char* AdaptStrerror(int rc, const char* buf) {
-  return rc == 0 ? buf : "Unknown error";
-}
-[[maybe_unused]] const char* AdaptStrerror(const char* msg,
-                                           const char* /*buf*/) {
-  return msg;
+// Deducing the actual return type accepts whichever libc provides.
+template <typename R>
+const char* AdaptStrerror(R rc_or_msg, const char* buf) {
+  if constexpr (std::is_integral_v<R>) {
+    return rc_or_msg == 0 ? buf : "Unknown error";
+  } else {
+    return rc_or_msg;
+  }
 }
 }  // namespace
 

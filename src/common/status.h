@@ -68,7 +68,6 @@ class [[nodiscard]] Status {
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsInternal() const { return code_ == Code::kInternal; }
 
-  Code code() const { return code_; }
   const std::string& message() const { return message_; }
 
   /// Human-readable rendering, e.g. "InvalidArgument: bad page id".

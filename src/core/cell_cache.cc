@@ -5,9 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <istream>
-#include <iterator>
-#include <ostream>
 #include <utility>
 
 #include "core/sharded_sweep.h"
@@ -118,8 +115,8 @@ void PutEntries(std::string* buf, const std::vector<EntryRef>& entries) {
 
 /// The one base encoder: sorted entries, encoded straight from the entries
 /// into a buffer sized up front.
-Result<std::string> EncodeCellCache(uint32_t fingerprint_schema,
-                                    std::vector<EntryRef> entries) {
+Result<std::string> EncodeBase(uint32_t fingerprint_schema,
+                               std::vector<EntryRef> entries) {
   RM_RETURN_IF_ERROR(SortEntries(&entries));
   std::string buf;
   buf.reserve(kMinFileSize + EntriesBytes(entries));
@@ -171,18 +168,13 @@ std::string CellCacheFileName(const std::string& dir) {
   return dir + "/cells.rmc";
 }
 
-Status WriteCellCache(std::ostream& os, const CellCacheData& data) {
-  auto buf = EncodeCellCache(data.fingerprint_schema, EntryRefs(data));
-  RM_RETURN_IF_ERROR(buf.status());
-  os.write(buf.value().data(),
-           static_cast<std::streamsize>(buf.value().size()));
-  if (!os.good()) return Status::Internal("cell cache write failed");
-  return Status::OK();
+Result<std::string> EncodeCellCache(const CellCacheData& data) {
+  return EncodeBase(data.fingerprint_schema, EntryRefs(data));
 }
 
 Status WriteCellCacheFile(const std::string& path,
                           const CellCacheData& data) {
-  auto buf = EncodeCellCache(data.fingerprint_schema, EntryRefs(data));
+  auto buf = EncodeCellCache(data);
   RM_RETURN_IF_ERROR(buf.status());
   return wire::WriteFileAtomically(path, buf.value(), kWhat);
 }
@@ -247,7 +239,7 @@ Status SkipEntries(Cursor* c, uint64_t count) {
 
 /// Scans the journal segment at `c`'s position, which must chain from
 /// `*checksum`; on success advances `*checksum` to the segment's own.
-Status ScanSegment(const std::string& buf, Cursor* c, uint64_t* checksum,
+Status ScanSegment(std::string_view buf, Cursor* c, uint64_t* checksum,
                    Run* seg) {
   seg->start = c->position();
   if (c->remaining() < kSegmentOverhead ||
@@ -272,7 +264,7 @@ Status ScanSegment(const std::string& buf, Cursor* c, uint64_t* checksum,
 /// Scans a whole cache file's bytes; the one parser behind both readers
 /// and `CellResultCache::Open`. The base must be whole; segments are kept
 /// up to the first one that is not.
-Result<Layout> ScanCellCache(const std::string& buf) {
+Result<Layout> ScanCellCache(std::string_view buf) {
   if (buf.size() < kMinFileSize) {
     return Status::Corruption("truncated cell cache: " +
                               std::to_string(buf.size()) +
@@ -339,7 +331,7 @@ using EntryMap = std::unordered_map<uint64_t, CellCacheEntry>;
 /// Decodes one run's entries straight into their map nodes, noting each new
 /// key in `*added`. False at the first key already in the map (or at an
 /// entry that does not decode, which a successful scan rules out).
-bool DecodeRun(const std::string& buf, const Run& run, EntryMap* entries,
+bool DecodeRun(std::string_view buf, const Run& run, EntryMap* entries,
                std::vector<uint64_t>* added) {
   Cursor c(buf.data() + run.entries, buf.size() - run.entries, kWhat);
   for (uint64_t i = 0; i < run.count; ++i) {
@@ -360,7 +352,7 @@ bool DecodeRun(const std::string& buf, const Run& run, EntryMap* entries,
 /// (the scan checked that keys ascend within a run); the first that does
 /// has its entries taken back out and is dropped with every later one.
 /// Returns the number of runs kept.
-size_t DecodeRuns(const std::string& buf, const Layout& l,
+size_t DecodeRuns(std::string_view buf, const Layout& l,
                   EntryMap* entries) {
   std::vector<uint64_t> added;
   for (size_t r = 0; r < l.runs.size(); ++r) {
@@ -373,8 +365,16 @@ size_t DecodeRuns(const std::string& buf, const Layout& l,
   return l.runs.size();
 }
 
-/// Decodes a whole cache file's bytes into entries sorted by fingerprint.
-Result<CellCacheData> ParseCellCache(const std::string& buf) {
+/// Prefixes a reader error with the file it came from, keeping its kind.
+Status AtPath(const std::string& path, const Status& s) {
+  const std::string msg = path + ": " + s.message();
+  return s.IsNotSupported() ? Status::NotSupported(msg)
+                            : Status::Corruption(msg);
+}
+
+}  // namespace
+
+Result<CellCacheData> ParseCellCache(std::string_view buf) {
   auto scanned = ScanCellCache(buf);
   RM_RETURN_IF_ERROR(scanned.status());
   const Layout& l = scanned.value();
@@ -396,20 +396,6 @@ Result<CellCacheData> ParseCellCache(const std::string& buf) {
   }
   data.dropped_bytes = buf.size() - KeptBytes(l, kept);
   return data;
-}
-
-/// Prefixes a reader error with the file it came from, keeping its kind.
-Status AtPath(const std::string& path, const Status& s) {
-  const std::string msg = path + ": " + s.message();
-  return s.IsNotSupported() ? Status::NotSupported(msg)
-                            : Status::Corruption(msg);
-}
-
-}  // namespace
-
-Result<CellCacheData> ReadCellCache(std::istream& is) {
-  return ParseCellCache(std::string((std::istreambuf_iterator<char>(is)),
-                                    std::istreambuf_iterator<char>()));
 }
 
 Result<CellCacheData> ReadCellCacheFile(const std::string& path) {
@@ -607,13 +593,13 @@ Status CellResultCache::WriteCellCacheFile() {
   {
     MutexLock lock(&mu_);
     entries.reserve(entries_.size());
-    // determinism-lint: allow(unordered-iteration) sorted by EncodeCellCache
+    // determinism-lint: allow(unordered-iteration) sorted by EncodeBase
     for (const auto& [fp, e] : entries_) entries.push_back({fp, &e});
     taken.insert(taken.end(), fresh_.begin(), fresh_.end());
     fresh_.clear();
   }
   const uint32_t schema = kCellCacheFingerprintSchemaVersion;
-  auto buf = EncodeCellCache(schema, std::move(entries));
+  auto buf = EncodeBase(schema, std::move(entries));
   Status s = buf.ok() ? wire::WriteFileAtomically(path_, buf.value(), kWhat)
                       : buf.status();
   if (!s.ok()) {

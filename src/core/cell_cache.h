@@ -2,7 +2,6 @@
 #define ROBUSTMAP_CORE_CELL_CACHE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -45,7 +44,7 @@ struct CellCacheEntry {
 };
 
 /// A decoded cache file: its fingerprint schema plus the entries, sorted
-/// ascending by fingerprint (the deterministic-bytes order `WriteCellCache`
+/// ascending by fingerprint (the deterministic-bytes order `EncodeCellCache`
 /// enforces). The readers also report the file's layout; the writers
 /// ignore it.
 struct CellCacheData {
@@ -81,23 +80,24 @@ struct CellCacheData {
 /// file with no segments is byte for byte a compacted base. Builds that
 /// predate segments read a journaled file as checksum-damaged, warn, and
 /// start empty.
-Status WriteCellCache(std::ostream& os, const CellCacheData& data);
+Result<std::string> EncodeCellCache(const CellCacheData& data);
 
 /// Writes atomically: to `path` + a ".tmp" suffix, then rename(2), so a
 /// crash mid-write never leaves a plausible-looking partial cache behind.
 Status WriteCellCacheFile(const std::string& path, const CellCacheData& data);
 
-/// Deserializes a cache. The base must be whole, with distinct errors for
-/// the failure modes: not-a-cache / truncated file and checksum mismatch
-/// are `Corruption` (saying which), an unknown format version is
-/// `NotSupported`. Segments are kept up to the first one that is torn,
-/// fails its checksum or repeats a key; that one and everything after it
-/// are dropped and counted in `dropped_bytes`, never partly trusted. A
-/// mismatched *fingerprint* schema parses fine and is surfaced in the
-/// result — whether stale-schema entries are usable is the caller's
-/// policy call (`CellResultCache::Open` drops them; `map_cat
-/// --cache-info` prints them).
-Result<CellCacheData> ReadCellCache(std::istream& is);
+/// Deserializes a cache from the whole of its bytes. The base must be
+/// whole, with distinct errors for the failure modes: not-a-cache /
+/// truncated file and checksum mismatch are `Corruption` (saying which),
+/// an unknown format version is `NotSupported`. Segments are kept up to
+/// the first one that is torn, fails its checksum or repeats a key; that
+/// one and everything after it are dropped and counted in
+/// `dropped_bytes`, never partly trusted. A mismatched *fingerprint*
+/// schema parses fine and is surfaced in the result — whether stale-schema
+/// entries are usable is the caller's policy call (`CellResultCache::Open`
+/// drops them; `map_cat --cache-info` prints them). The one decoder;
+/// `ReadCellCacheFile` prefixes its errors with the path.
+Result<CellCacheData> ParseCellCache(std::string_view bytes);
 Result<CellCacheData> ReadCellCacheFile(const std::string& path);
 
 /// Fingerprint of everything about the simulated machine that a measured
@@ -197,7 +197,7 @@ class CellResultCache {
   /// Flushes to the attached directory when entries were added since the
   /// last flush; a no-op for clean or unattached caches. Appends the new
   /// entries as one segment, or compacts: atomic temp+rename of
-  /// deterministic bytes — the same bytes `WriteCellCache` gives for the
+  /// deterministic bytes — the same bytes `EncodeCellCache` gives for the
   /// same entries. An entry published while the flush runs is either in
   /// the file or left for the next flush; a failed write leaves it for the
   /// next flush too, and a failed append makes that flush compact.

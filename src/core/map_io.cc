@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
 #include <iterator>
 #include <ostream>
 #include <utility>
@@ -138,10 +137,7 @@ Status WriteMapTileFile(const std::string& path, const MapTile& tile) {
   return wire::WriteFileAtomically(path, buf.value(), kWhat);
 }
 
-namespace {
-
-/// Decodes a whole tile file's bytes; the one parser behind both readers.
-Result<MapTile> ParseMapTile(const std::string& buf) {
+Result<MapTile> ParseMapTile(std::string_view buf) {
   if (buf.size() < kMinFileSize) {
     return Status::Corruption("truncated map tile: " +
                               std::to_string(buf.size()) +
@@ -279,13 +275,6 @@ Result<MapTile> ParseMapTile(const std::string& buf) {
   return tile;
 }
 
-}  // namespace
-
-Result<MapTile> ReadMapTile(std::istream& is) {
-  return ParseMapTile(std::string((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>()));
-}
-
 Result<MapTile> ReadMapTileFile(const std::string& path) {
   std::string buf;
   RM_RETURN_IF_ERROR(wire::ReadFileBytes(path, kWhat, &buf));
@@ -349,7 +338,7 @@ Status TileStitcher::Add(MapTile&& tile) {
         name + " carries different layers than its siblings; refusing to "
                "merge");
   }
-  // ReadMapTile-produced tiles satisfy this by construction, but the
+  // ParseMapTile-produced tiles satisfy this by construction, but the
   // stitcher must not trust its caller: an out-of-grid rectangle or a map
   // smaller than its claimed rectangle would index out of bounds below.
   auto sub = SliceSpace(space_, tile.spec);
@@ -404,16 +393,6 @@ Result<std::vector<RobustnessMap>> TileStitcher::Finish() && {
     }
   }
   return std::move(merged_);
-}
-
-Result<std::vector<RobustnessMap>> MergeTileLayers(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    std::vector<MapTile> tiles) {
-  TileStitcher stitcher(space, plan_labels,
-                        tiles.empty() ? std::vector<std::string>{}
-                                      : tiles.front().layer_names);
-  for (MapTile& tile : tiles) RM_RETURN_IF_ERROR(stitcher.Add(std::move(tile)));
-  return std::move(stitcher).Finish();
 }
 
 }  // namespace robustmap

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -93,10 +94,12 @@ Status WriteMapTile(std::ostream& os, const MapTile& tile);
 /// crash mid-write never leaves a plausible-looking partial tile behind.
 Status WriteMapTileFile(const std::string& path, const MapTile& tile);
 
-/// Deserializes a tile, with distinct errors for the three failure modes:
-/// not-a-tile / truncated file and checksum mismatch are `Corruption`
-/// (saying which), an unknown format version is `NotSupported`.
-Result<MapTile> ReadMapTile(std::istream& is);
+/// Deserializes a tile from the whole of its bytes, with distinct errors
+/// for the three failure modes: not-a-tile / truncated file and checksum
+/// mismatch are `Corruption` (saying which), an unknown format version is
+/// `NotSupported`. The one decoder; `ReadMapTileFile` prefixes its errors
+/// with the path.
+Result<MapTile> ParseMapTile(std::string_view bytes);
 Result<MapTile> ReadMapTileFile(const std::string& path);
 
 /// The `.rmt` file names in `dir`, sorted (empty when `dir` cannot be
@@ -137,12 +140,6 @@ class TileStitcher {
   std::vector<RobustnessMap> merged_;  ///< empty until the first tile
   std::vector<uint8_t> covered_;       ///< [point], 1 once stitched
 };
-
-/// `TileStitcher` over `tiles` in order, with the first tile's layer
-/// names as the study shape.
-Result<std::vector<RobustnessMap>> MergeTileLayers(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    std::vector<MapTile> tiles);
 
 }  // namespace robustmap
 

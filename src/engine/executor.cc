@@ -2,7 +2,6 @@
 
 #include "exec/bitmap_ops.h"
 #include "exec/fetch.h"
-#include "exec/filter.h"
 #include "exec/hash_join.h"
 #include "exec/index_scan.h"
 #include "exec/merge_join.h"

@@ -38,61 +38,6 @@ std::string PlanKindLabel(PlanKind kind) {
   return "unknown";
 }
 
-std::string PlanKindDescription(PlanKind kind) {
-  switch (kind) {
-    case PlanKind::kTableScan:
-      return "full table scan, predicates evaluated per row";
-    case PlanKind::kIndexAImproved:
-      return "idx(a) range scan; rids sorted; skip-sequential fetch; "
-             "residual predicate on b";
-    case PlanKind::kIndexBImproved:
-      return "idx(b) range scan; rids sorted; skip-sequential fetch; "
-             "residual predicate on a";
-    case PlanKind::kMergeJoinAB:
-      return "covering rid intersection: idx(a) merge-join idx(b)";
-    case PlanKind::kMergeJoinBA:
-      return "covering rid intersection: idx(b) merge-join idx(a)";
-    case PlanKind::kHashJoinAB:
-      return "covering rid intersection: build hash on idx(a), probe idx(b)";
-    case PlanKind::kHashJoinBA:
-      return "covering rid intersection: build hash on idx(b), probe idx(a)";
-    case PlanKind::kCoverABBitmapFetch:
-      return "idx(a,b) scan with in-index b filter; MVCC forces row fetch, "
-             "bitmap-sorted";
-    case PlanKind::kCoverBABitmapFetch:
-      return "idx(b,a) scan with in-index a filter; MVCC forces row fetch, "
-             "bitmap-sorted";
-    case PlanKind::kBitmapAndFetch:
-      return "idx(a) AND idx(b) via bitmaps; bitmap-sorted row fetch";
-    case PlanKind::kMdamAB:
-      return "MDAM skip-scan over idx(a,b); covering, no fetch";
-    case PlanKind::kMdamBA:
-      return "MDAM skip-scan over idx(b,a); covering, no fetch";
-    case PlanKind::kCoverABScan:
-      return "idx(a,b) plain range scan with in-index b filter; covering";
-    case PlanKind::kIndexANaive:
-      return "traditional index scan on idx(a): fetch each rid in key order";
-    case PlanKind::kIndexBNaive:
-      return "traditional index scan on idx(b): fetch each rid in key order";
-  }
-  return "unknown";
-}
-
-char PlanKindSystem(PlanKind kind) {
-  switch (kind) {
-    case PlanKind::kCoverABBitmapFetch:
-    case PlanKind::kCoverBABitmapFetch:
-    case PlanKind::kBitmapAndFetch:
-      return 'B';
-    case PlanKind::kMdamAB:
-    case PlanKind::kMdamBA:
-    case PlanKind::kCoverABScan:
-      return 'C';
-    default:
-      return 'A';
-  }
-}
-
 std::vector<PlanKind> AllStudyPlans() {
   return {
       PlanKind::kTableScan,          PlanKind::kIndexAImproved,

@@ -44,13 +44,6 @@ inline constexpr int kNumStudyPlans = 13;
 /// Stable short label, e.g. "A.idx_a.improved".
 std::string PlanKindLabel(PlanKind kind);
 
-/// One-line description for documentation output.
-std::string PlanKindDescription(PlanKind kind);
-
-/// Which system introduces the plan ('A', 'B' or 'C'; figure-1 extras
-/// report 'A').
-char PlanKindSystem(PlanKind kind);
-
 /// A named plan choice (the unit robustness maps are drawn for).
 struct PlanSpec {
   PlanKind kind;

@@ -1,7 +1,5 @@
 #include "engine/plan_enumerator.h"
 
-#include <unordered_set>
-
 namespace robustmap {
 
 std::vector<PlanSpec> EnumeratePlans(const SystemConfig& system,
@@ -11,17 +9,6 @@ std::vector<PlanSpec> EnumeratePlans(const SystemConfig& system,
   out.reserve(system.plans.size());
   for (PlanKind kind : system.plans) {
     out.push_back(PlanSpec{kind, PlanKindLabel(kind)});
-  }
-  return out;
-}
-
-std::vector<PlanSpec> EnumerateAllPlans(const QuerySpec& query) {
-  std::vector<PlanSpec> out;
-  std::unordered_set<int> seen;
-  for (const SystemConfig& sys : SystemConfig::AllSystems()) {
-    for (const PlanSpec& p : EnumeratePlans(sys, query)) {
-      if (seen.insert(static_cast<int>(p.kind)).second) out.push_back(p);
-    }
   }
   return out;
 }

@@ -20,9 +20,6 @@ namespace robustmap {
 std::vector<PlanSpec> EnumeratePlans(const SystemConfig& system,
                                      const QuerySpec& query);
 
-/// Union of all systems' plans for the query, deduplicated, canonical order.
-std::vector<PlanSpec> EnumerateAllPlans(const QuerySpec& query);
-
 }  // namespace robustmap
 
 #endif  // ROBUSTMAP_ENGINE_PLAN_ENUMERATOR_H_

@@ -7,6 +7,12 @@
 namespace robustmap {
 
 namespace {
+// Free pages reserved behind the leaves, as a freshly loaded index file
+// keeps for growth. Nothing uses them, but they are part of the device
+// layout: later extents' page ids, and so every charged seek distance,
+// depend on them.
+constexpr uint64_t kReservedPages = 64;
+
 // First position in [begin, end) whose entry is >= (k0, k1, 0).
 size_t LowerBound(const std::vector<IndexEntry>& entries, int64_t k0,
                   int64_t k1) {
@@ -18,37 +24,34 @@ size_t LowerBound(const std::vector<IndexEntry>& entries, int64_t k0,
 
 class BTree::Cursor : public IndexCursor {
  public:
-  Cursor(const BTree* tree, int32_t leaf, size_t pos)
+  Cursor(const BTree* tree, size_t leaf, size_t pos)
       : tree_(tree), leaf_(leaf), pos_(pos) {}
 
-  bool Valid() const override { return leaf_ >= 0; }
+  bool Valid() const override { return leaf_ < tree_->leaves_.size(); }
 
   void Next(RunContext* ctx) override {
     assert(Valid());
     ++pos_;
-    while (leaf_ >= 0 && pos_ >= tree_->leaves_[leaf_].entries.size()) {
-      leaf_ = tree_->leaves_[leaf_].next;
+    while (Valid() && pos_ >= tree_->leaves_[leaf_].size()) {
+      ++leaf_;
       pos_ = 0;
-      if (leaf_ >= 0) {
-        ctx->ReadPage(tree_->leaves_[leaf_].page, /*cacheable=*/true);
-      }
+      if (Valid()) ctx->ReadPage(tree_->page(leaf_), /*cacheable=*/true);
     }
   }
 
   const IndexEntry& entry() const override {
-    return tree_->leaves_[leaf_].entries[pos_];
+    return tree_->leaves_[leaf_][pos_];
   }
 
  private:
   const BTree* tree_;
-  int32_t leaf_;
+  size_t leaf_;
   size_t pos_;
 };
 
 Result<std::unique_ptr<BTree>> BTree::BulkLoad(SimDevice* device,
                                                std::vector<IndexEntry> entries,
-                                               const BTreeOptions& opts,
-                                               uint64_t extra_capacity_pages) {
+                                               const BTreeOptions& opts) {
   if (opts.key_columns.empty() || opts.key_columns.size() > 2) {
     return Status::InvalidArgument("B-tree supports 1 or 2 key columns");
   }
@@ -61,138 +64,66 @@ Result<std::unique_ptr<BTree>> BTree::BulkLoad(SimDevice* device,
   uint64_t num_leaves =
       std::max<uint64_t>(1, (entries.size() + opts.leaf_capacity - 1) /
                                 opts.leaf_capacity);
-  uint64_t capacity = num_leaves + extra_capacity_pages;
-  uint64_t base = device->AllocateExtent(capacity);
-  auto tree = std::unique_ptr<BTree>(new BTree(device, opts, base, capacity));
+  uint64_t base = device->AllocateExtent(num_leaves + kReservedPages);
+  auto tree = std::unique_ptr<BTree>(new BTree(opts, base));
 
-  // Fill leaves ~90% to leave room for inserts without immediate splits.
+  // Leaves are filled to ~90%, a bulk load's usual fill factor.
   size_t fill = std::max<size_t>(2, opts.leaf_capacity * 9 / 10);
   if (entries.size() <= opts.leaf_capacity) fill = opts.leaf_capacity;
   size_t i = 0;
   while (i < entries.size() || tree->leaves_.empty()) {
-    Leaf leaf;
-    leaf.page = tree->next_free_page_++;
     size_t take = std::min(fill, entries.size() - i);
-    leaf.entries.assign(entries.begin() + static_cast<ptrdiff_t>(i),
-                        entries.begin() + static_cast<ptrdiff_t>(i + take));
+    tree->leaves_.emplace_back(
+        entries.begin() + static_cast<ptrdiff_t>(i),
+        entries.begin() + static_cast<ptrdiff_t>(i + take));
+    if (take > 0) tree->separators_.push_back(entries[i]);
     i += take;
-    if (!tree->leaves_.empty()) {
-      tree->leaves_.back().next = static_cast<int32_t>(tree->leaves_.size());
-    }
-    tree->leaves_.push_back(std::move(leaf));
   }
-  tree->first_leaf_ = 0;
   tree->num_entries_ = entries.size();
-  tree->RebuildSeparators();
+  // Equivalent height: leaves + ceil(log_fanout(num_leaves)) internal levels.
+  double n = static_cast<double>(std::max<size_t>(1, tree->separators_.size()));
+  tree->height_ =
+      1 + std::max(1, static_cast<int>(std::ceil(
+                          std::log(n) / std::log(opts.internal_fanout))));
   return tree;
 }
 
-BTree::BTree(SimDevice* device, BTreeOptions opts, uint64_t base_page,
-             uint64_t capacity_pages)
-    : device_(device),
-      opts_(std::move(opts)),
-      base_page_(base_page),
-      capacity_pages_(capacity_pages),
-      next_free_page_(base_page) {}
-
-void BTree::RebuildSeparators() {
-  separators_.clear();
-  separator_leaf_.clear();
-  for (int32_t l = first_leaf_; l >= 0; l = leaves_[l].next) {
-    if (leaves_[l].entries.empty()) continue;
-    separators_.push_back(leaves_[l].entries.front());
-    separator_leaf_.push_back(l);
-  }
-  // Equivalent height: leaves + ceil(log_fanout(num_leaves)) internal levels.
-  double n = static_cast<double>(std::max<size_t>(1, separators_.size()));
-  height_ =
-      1 + std::max(1, static_cast<int>(std::ceil(
-                          std::log(n) / std::log(opts_.internal_fanout))));
-}
-
-int32_t BTree::FindLeaf(RunContext* ctx, const IndexEntry& probe) const {
+size_t BTree::FindLeaf(RunContext* ctx, const IndexEntry& probe) const {
   // Internal levels: cached; charge comparison CPU per level.
   ctx->ChargeCpuOps(static_cast<uint64_t>(height_) * 8,
                     ctx->cpu.compare_seconds);
-  if (separators_.empty()) return first_leaf_;
   // Last separator <= probe.
   auto it = std::upper_bound(separators_.begin(), separators_.end(), probe,
                              EntryLess);
-  size_t idx = (it == separators_.begin())
-                   ? 0
-                   : static_cast<size_t>(it - separators_.begin()) - 1;
-  return separator_leaf_[idx];
+  return it == separators_.begin()
+             ? 0
+             : static_cast<size_t>(it - separators_.begin()) - 1;
 }
 
 std::unique_ptr<IndexCursor> BTree::Seek(RunContext* ctx, int64_t k0,
                                          int64_t k1) {
-  int32_t leaf = FindLeaf(ctx, IndexEntry{k0, k1, 0});
-  if (leaf < 0) return std::make_unique<Cursor>(this, -1, 0);
-  ctx->ReadPage(leaves_[leaf].page, /*cacheable=*/true);
-  size_t pos = LowerBound(leaves_[leaf].entries, k0, k1);
+  size_t leaf = FindLeaf(ctx, IndexEntry{k0, k1, 0});
+  ctx->ReadPage(page(leaf), /*cacheable=*/true);
+  size_t pos = LowerBound(leaves_[leaf], k0, k1);
   // Normalize: the target may fall past the end of this leaf.
-  while (leaf >= 0 && pos >= leaves_[leaf].entries.size()) {
-    leaf = leaves_[leaf].next;
+  while (leaf < leaves_.size() && pos >= leaves_[leaf].size()) {
+    ++leaf;
     pos = 0;
-    if (leaf >= 0) ctx->ReadPage(leaves_[leaf].page, /*cacheable=*/true);
+    if (leaf < leaves_.size()) ctx->ReadPage(page(leaf), /*cacheable=*/true);
   }
   return std::make_unique<Cursor>(this, leaf, pos);
-}
-
-Status BTree::Insert(RunContext* ctx, const IndexEntry& entry) {
-  if (first_leaf_ < 0) return Status::Internal("uninitialized tree");
-  int32_t l = FindLeaf(ctx, entry);
-  ctx->ReadPage(leaves_[l].page, /*cacheable=*/true);
-  auto& leaf = leaves_[l];
-  auto it = std::lower_bound(leaf.entries.begin(), leaf.entries.end(), entry,
-                             EntryLess);
-  if (it != leaf.entries.end() && *it == entry) {
-    return Status::InvalidArgument("duplicate (key, rid) entry");
-  }
-  leaf.entries.insert(it, entry);
-  ++num_entries_;
-  ctx->device->WritePage(leaf.page);
-
-  if (leaf.entries.size() > opts_.leaf_capacity) {
-    // Split: move upper half into a fresh leaf appended to the extent. The
-    // new page is physically out of key order — exactly the scan-locality
-    // degradation real B-trees suffer after splits.
-    if (next_free_page_ >= base_page_ + capacity_pages_) {
-      // Extent full: grow by another chunk (page ids jump, further
-      // degrading physical clustering, as in a fragmented file system).
-      uint64_t grow = std::max<uint64_t>(64, capacity_pages_ / 2);
-      uint64_t new_base = ctx->device->AllocateExtent(grow);
-      base_page_ = new_base;
-      capacity_pages_ = grow;
-      next_free_page_ = new_base;
-    }
-    Leaf right;
-    right.page = next_free_page_++;
-    size_t half = leaf.entries.size() / 2;
-    right.entries.assign(leaf.entries.begin() + static_cast<ptrdiff_t>(half),
-                         leaf.entries.end());
-    leaf.entries.resize(half);
-    right.next = leaf.next;
-    leaves_.push_back(std::move(right));
-    leaves_[l].next = static_cast<int32_t>(leaves_.size()) - 1;
-    ctx->device->WritePage(leaves_.back().page);
-    ctx->device->WritePage(leaves_[l].page);
-    RebuildSeparators();
-  }
-  return Status::OK();
 }
 
 Status BTree::CheckInvariants() const {
   uint64_t seen = 0;
   const IndexEntry* prev = nullptr;
-  for (int32_t l = first_leaf_; l >= 0; l = leaves_[l].next) {
-    const auto& leaf = leaves_[l];
-    if (leaf.entries.size() > opts_.leaf_capacity + 1) {
+  for (const std::vector<IndexEntry>& leaf : leaves_) {
+    if (leaf.size() > opts_.leaf_capacity) {
       return Status::Corruption("overfull leaf");
     }
-    for (const auto& e : leaf.entries) {
+    for (const auto& e : leaf) {
       if (prev != nullptr && EntryLess(e, *prev)) {
-        return Status::Corruption("entries out of order across chain");
+        return Status::Corruption("entries out of order across leaves");
       }
       prev = &e;
       ++seen;

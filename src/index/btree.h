@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -18,23 +19,16 @@ struct BTreeOptions {
   std::vector<uint32_t> key_columns; ///< base-table column ordinals
 };
 
-/// A real B-tree: bulk load from sorted entries, point inserts with node
-/// splits, ordered range scans. Leaf pages live on the simulated device
-/// (bulk-loaded leaves are physically contiguous; split leaves are appended
-/// at the end of the extent, degrading scan locality exactly as in a real
-/// system). Internal nodes are modeled as resident (CPU charge per level).
+/// A B-tree bulk-loaded from sorted entries, with ordered range scans.
+/// Leaf pages live on the simulated device, physically contiguous in key
+/// order. Internal nodes are modeled as resident (CPU charge per level).
 class BTree : public Index {
  public:
-  /// Builds from entries that must already be sorted by `EntryLess`.
-  /// `extra_capacity_pages` reserves device pages for future splits.
+  /// Builds from entries that must already be sorted by `EntryLess`. The
+  /// tree's extent is its leaves plus a fixed reserve of free pages.
   static Result<std::unique_ptr<BTree>> BulkLoad(
       SimDevice* device, std::vector<IndexEntry> entries,
-      const BTreeOptions& opts, uint64_t extra_capacity_pages = 64);
-
-  /// Inserts one entry (duplicates of (key0,key1) allowed; exact duplicate
-  /// (key0,key1,rid) rejected). Charges a probe plus a leaf write; splits
-  /// charge an extra page write.
-  Status Insert(RunContext* ctx, const IndexEntry& entry);
+      const BTreeOptions& opts);
 
   // Index interface.
   uint32_t num_key_columns() const override {
@@ -51,42 +45,33 @@ class BTree : public Index {
                                     int64_t k1) override;
 
   /// Structural invariant check, used by property tests: keys sorted within
-  /// and across leaves, separator keys consistent, sibling links intact.
+  /// and across leaves, no leaf over capacity, separator keys consistent.
   Status CheckInvariants() const;
 
  private:
-  struct Leaf {
-    std::vector<IndexEntry> entries;
-    uint64_t page = 0;     ///< global device page id
-    int32_t next = -1;     ///< index into leaves_, -1 at end
-  };
-
   class Cursor;
 
-  BTree(SimDevice* device, BTreeOptions opts, uint64_t base_page,
-        uint64_t capacity_pages);
+  BTree(BTreeOptions opts, uint64_t base_page)
+      : opts_(std::move(opts)), base_page_(base_page) {}
 
-  /// Index into leaves_ of the leaf that may contain the first entry
-  /// >= probe (full (key0, key1, rid) comparison); charges the probe cost.
-  int32_t FindLeaf(RunContext* ctx, const IndexEntry& probe) const;
+  /// The leaf that may contain the first entry >= probe (full (key0, key1,
+  /// rid) comparison); charges the probe cost.
+  size_t FindLeaf(RunContext* ctx, const IndexEntry& probe) const;
 
-  void RebuildSeparators();
+  /// Device page id of leaf `leaf`.
+  uint64_t page(size_t leaf) const { return base_page_ + leaf; }
 
-  SimDevice* device_;
   BTreeOptions opts_;
   uint64_t base_page_;
-  uint64_t capacity_pages_;
-  uint64_t next_free_page_;
   uint64_t num_entries_ = 0;
   int height_ = 1;
 
-  std::vector<Leaf> leaves_;          ///< storage order (not key order)
-  int32_t first_leaf_ = -1;           ///< head of the key-ordered chain
-  /// Key-ordered directory over leaves: lowest entry of each leaf. Models
-  /// the internal levels (kept flat; height_ reports the equivalent B-tree
-  /// depth for cost purposes).
+  /// Leaves in key order; the empty tree has one empty leaf.
+  std::vector<std::vector<IndexEntry>> leaves_;
+  /// Key-ordered directory over leaves: lowest entry of each non-empty
+  /// leaf. Models the internal levels (kept flat; height_ reports the
+  /// equivalent B-tree depth for cost purposes).
   std::vector<IndexEntry> separators_;
-  std::vector<int32_t> separator_leaf_;
 };
 
 }  // namespace robustmap

@@ -9,19 +9,19 @@
 #include "io/run_context.h"
 #include "storage/row.h"
 
-// The defaulted friend operator== on IndexEntry below is a C++20 feature;
-// under -std=c++17 it fails with a confusing cascade of template errors
-// far from the cause. Fail fast with a readable message instead. (MSVC
-// keeps __cplusplus at 199711L unless /Zc:__cplusplus is passed, so check
-// its _MSVC_LANG too.)
+// The tree uses C++20 (defaulted operator== in core/parameter_space.h,
+// std::bit_cast in core/wire_format.h); under -std=c++17 those fail with a
+// confusing cascade of errors far from the cause. Fail fast with a
+// readable message instead. (MSVC keeps __cplusplus at 199711L unless
+// /Zc:__cplusplus is passed, so check its _MSVC_LANG too.)
 #if defined(_MSVC_LANG)
 static_assert(_MSVC_LANG >= 202002L,
-              "robustmap requires C++20: build with /std:c++20 (IndexEntry "
-              "uses a defaulted friend operator==)");
+              "robustmap requires C++20: build with /std:c++20 (defaulted "
+              "comparisons, std::bit_cast)");
 #else
 static_assert(__cplusplus >= 202002L,
-              "robustmap requires C++20: build with -std=c++20 (IndexEntry "
-              "uses a defaulted friend operator==)");
+              "robustmap requires C++20: build with -std=c++20 (defaulted "
+              "comparisons, std::bit_cast)");
 #endif
 
 namespace robustmap {
@@ -32,8 +32,6 @@ struct IndexEntry {
   int64_t key0 = 0;
   int64_t key1 = 0;  ///< 0 / ignored for single-column indexes
   Rid rid = kInvalidRid;
-
-  friend bool operator==(const IndexEntry&, const IndexEntry&) = default;
 };
 
 /// Lexicographic comparison on (key0, key1, rid).
@@ -58,7 +56,7 @@ class IndexCursor {
 
 /// Abstract ordered secondary index (non-clustered B-tree).
 ///
-/// Implementations: `BTree` (real nodes, supports inserts; used by tests and
+/// Implementations: `BTree` (bulk-loaded leaves in memory; used by tests and
 /// examples) and `ProceduralIndex` (synthesized leaves over a
 /// `ProceduralTable`; used at paper scale). Both charge identical leaf and
 /// probe I/O.
@@ -82,11 +80,6 @@ class Index {
   /// the leaf read goes through the buffer pool).
   virtual std::unique_ptr<IndexCursor> Seek(RunContext* ctx, int64_t k0,
                                             int64_t k1) = 0;
-
-  /// Cursor over the whole index from the smallest entry.
-  std::unique_ptr<IndexCursor> SeekFirst(RunContext* ctx) {
-    return Seek(ctx, INT64_MIN, INT64_MIN);
-  }
 };
 
 }  // namespace robustmap

@@ -70,8 +70,6 @@ class ProceduralIndex : public Index {
     return base_page_ + k / opts_.entries_per_leaf;
   }
 
-  const ProceduralTable* table() const { return table_; }
-
  private:
   class Cursor;
 

@@ -20,17 +20,6 @@ struct IoStats {
     return sequential_reads + skip_reads + random_reads;
   }
 
-  IoStats& operator+=(const IoStats& other) {
-    sequential_reads += other.sequential_reads;
-    skip_reads += other.skip_reads;
-    random_reads += other.random_reads;
-    writes += other.writes;
-    buffer_hits += other.buffer_hits;
-    bytes_read += other.bytes_read;
-    bytes_written += other.bytes_written;
-    return *this;
-  }
-
   IoStats Delta(const IoStats& earlier) const {
     IoStats d;
     d.sequential_reads = sequential_reads - earlier.sequential_reads;

@@ -145,7 +145,6 @@ class RunContextFactory {
 
   /// Overrides the warmup policy the machines start with.
   void set_warmup(const WarmupPolicy& warmup) { warmup_ = warmup; }
-  const WarmupPolicy& warmup() const { return warmup_; }
 
   std::unique_ptr<OwnedRunContext> Create() const {
     return std::make_unique<OwnedRunContext>(

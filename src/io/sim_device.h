@@ -45,7 +45,6 @@ class SimDevice {
 
   const IoStats& stats() const { return stats_; }
   const DiskModel& model() const { return model_; }
-  VirtualClock* clock() { return clock_; }
   uint64_t allocated_pages() const { return next_free_page_; }
 
   /// Forgets head position (e.g., after a long pause); next access is random.

@@ -60,8 +60,6 @@ class ProceduralTable : public Table {
     return perms_[col];
   }
 
-  int row_bits() const { return opts_.row_bits; }
-  int value_bits() const { return opts_.value_bits; }
   /// Right-shift turning a raw permuted row id into a column value.
   int value_shift() const { return opts_.row_bits - opts_.value_bits; }
   /// Number of rows sharing each column value: 2^(row_bits - value_bits).

@@ -2,8 +2,6 @@
 
 #include <fstream>
 
-#include "core/sweep.h"
-
 namespace robustmap {
 
 namespace {
@@ -47,31 +45,6 @@ Status WriteMapCsvFile(const std::string& path, const RobustnessMap& map) {
     return Status::Internal("cannot open " + path + " for writing");
   }
   WriteMapCsv(f, map);
-  return Status::OK();
-}
-
-Status WriteWarmColdCsv(std::ostream& os, const RobustnessMap& cold,
-                        const RobustnessMap& warm) {
-  // DiffMaps owns the compatibility contract (same space, same plan
-  // labels, equal cardinalities) and the delta arithmetic; reuse it rather
-  // than maintaining a second copy of either.
-  auto delta = DiffMaps(warm, cold);
-  RM_RETURN_IF_ERROR(delta.status());
-  os << "plan,x,y,cold_seconds,warm_seconds,delta_seconds,cold_reads,"
-        "warm_reads,cold_buffer_hits,warm_buffer_hits\n";
-  const ParameterSpace& space = cold.space();
-  for (size_t pl = 0; pl < cold.num_plans(); ++pl) {
-    for (size_t pt = 0; pt < space.num_points(); ++pt) {
-      const Measurement& c = cold.At(pl, pt);
-      const Measurement& w = warm.At(pl, pt);
-      os << CsvField(cold.plan_label(pl)) << ',' << space.x_value(pt) << ',';
-      if (space.is_2d()) os << space.y_value(pt);
-      os << ',' << c.seconds << ',' << w.seconds << ','
-         << delta.value().At(pl, pt).seconds << ',' << c.io.total_reads()
-         << ',' << w.io.total_reads() << ',' << c.io.buffer_hits << ','
-         << w.io.buffer_hits << '\n';
-    }
-  }
   return Status::OK();
 }
 

@@ -76,13 +76,4 @@ Status WriteGnuplotPlt(const std::string& basename, const RobustnessMap& map,
   return Status::OK();
 }
 
-Status WriteGnuplot(const std::string& basename, const RobustnessMap& map) {
-  std::ofstream dat(basename + ".dat");
-  if (!dat.is_open()) {
-    return Status::Internal("cannot open " + basename + ".dat");
-  }
-  WriteGnuplotDat(dat, map);
-  return WriteGnuplotPlt(basename, map, basename + ".dat");
-}
-
 }  // namespace robustmap

@@ -29,11 +29,6 @@ void WriteGnuplotDat(std::ostream& os, const RobustnessMap& map);
 Status WriteGnuplotPlt(const std::string& basename, const RobustnessMap& map,
                        const std::string& data_source);
 
-/// Convenience: writes `<basename>.dat` plus a `<basename>.plt` that reads
-/// it — for maps that only exist in memory (no `.rmt` on disk to pipe
-/// from).
-Status WriteGnuplot(const std::string& basename, const RobustnessMap& map);
-
 }  // namespace robustmap
 
 #endif  // ROBUSTMAP_VIZ_GNUPLOT_EXPORT_H_

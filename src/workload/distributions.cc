@@ -5,7 +5,7 @@
 
 namespace robustmap {
 
-ZipfDistribution::ZipfDistribution(uint64_t n, double theta) : theta_(theta) {
+ZipfDistribution::ZipfDistribution(uint64_t n, double theta) {
   cdf_.resize(n);
   double sum = 0;
   for (uint64_t i = 0; i < n; ++i) {

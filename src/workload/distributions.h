@@ -26,11 +26,7 @@ class ZipfDistribution {
   /// Probability mass of value `v`.
   double Pmf(uint64_t v) const;
 
-  uint64_t n() const { return cdf_.size(); }
-  double theta() const { return theta_; }
-
  private:
-  double theta_;
   std::vector<double> cdf_;
 };
 

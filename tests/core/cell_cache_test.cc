@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -69,14 +68,13 @@ CellCacheData SampleData() {
 }
 
 std::string Serialize(const CellCacheData& data) {
-  std::ostringstream os;
-  EXPECT_TRUE(WriteCellCache(os, data).ok());
-  return os.str();
+  auto bytes = EncodeCellCache(data);
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? bytes.value() : std::string();
 }
 
 Result<CellCacheData> Parse(const std::string& bytes) {
-  std::istringstream is(bytes);
-  return ReadCellCache(is);
+  return ParseCellCache(bytes);
 }
 
 /// A fresh directory per test case, so attached-cache state never bleeds
@@ -119,8 +117,7 @@ TEST(CellCacheIoTest, EqualContentsSerializeToEqualBytes) {
 TEST(CellCacheIoTest, DuplicateFingerprintsAreRejectedAtWriteTime) {
   CellCacheData data = SampleData();
   data.entries.push_back(data.entries.front());
-  std::ostringstream os;
-  Status s = WriteCellCache(os, data);
+  Status s = EncodeCellCache(data).status();
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
 }
 
@@ -405,7 +402,7 @@ std::vector<size_t> BuildJournal(const std::string& dir,
   return ends;
 }
 
-/// The entries and layout `ReadCellCache` reports, checked against the
+/// The entries and layout `ParseCellCache` reports, checked against the
 /// first `n` journal entries in ascending order.
 void ExpectJournalRead(const CellCacheData& got, uint64_t n,
                        size_t segments, size_t dropped_bytes) {
@@ -666,7 +663,7 @@ TEST(CellCacheJournalTest, CompactionEqualsWriteCellCacheOfTheSameEntries) {
   }
 
   // More 8-entry flushes append until the segments would outgrow the
-  // base; that flush compacts to exactly WriteCellCache's bytes, into a
+  // base; that flush compacts to exactly EncodeCellCache's bytes, into a
   // base at least twice the old one.
   uint64_t published = 56;
   bool compacted_once = false;
@@ -724,18 +721,14 @@ TEST(CellResultCacheTest, OpenToleratesDamageAndRepopulates) {
          e.study = "plain";
          e.m.seconds = 1.0;
          data.entries.push_back(std::move(e));
-         std::ostringstream os;
-         ASSERT_TRUE(WriteCellCache(os, data).ok());
-         const std::string bytes = os.str();
+         auto bytes = EncodeCellCache(data).ValueOrDie();
          std::ofstream f(path, std::ios::binary | std::ios::trunc);
          f.write(bytes.data(),
                  static_cast<std::streamsize>(bytes.size() - 6));
        }},
       {"wrong_version",
        [](const std::string& path) {
-         std::ostringstream os;
-         ASSERT_TRUE(WriteCellCache(os, CellCacheData{}).ok());
-         std::string bytes = os.str();
+         std::string bytes = EncodeCellCache(CellCacheData{}).ValueOrDie();
          bytes[8] = 77;
          std::ofstream f(path, std::ios::binary | std::ios::trunc);
          f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

@@ -63,8 +63,7 @@ std::string Serialize(const MapTile& tile) {
 }
 
 Result<MapTile> Deserialize(const std::string& bytes) {
-  std::istringstream is(bytes);
-  return ReadMapTile(is);
+  return ParseMapTile(bytes);
 }
 
 /// Independent FNV-1a 64 implementation (cross-checks the library's
@@ -362,7 +361,11 @@ TEST(MergeTilesTest, MergesEveryLayerAndChecksLayerAgreement) {
     }
     pieces.push_back(std::move(piece));
   }
-  auto merged = MergeTileLayers(space, labels, pieces).ValueOrDie();
+  TileStitcher stitcher(space, labels, full.layer_names);
+  for (const MapTile& piece : pieces) {
+    ASSERT_TRUE(stitcher.Add(MapTile(piece)).ok());
+  }
+  auto merged = std::move(stitcher).Finish().ValueOrDie();
   ASSERT_EQ(merged.size(), 3u);
   for (size_t li = 0; li < 3; ++li) {
     SCOPED_TRACE(li);
@@ -370,16 +373,12 @@ TEST(MergeTilesTest, MergesEveryLayerAndChecksLayerAgreement) {
   }
 
   // Tiles disagreeing on the study shape never merge.
-  std::vector<MapTile> mixed;
-  mixed.push_back(std::move(pieces[0]));
-  for (size_t i = 1; i < pieces.size(); ++i) {
-    MapTile plain{pieces[i].spec, space, std::move(pieces[i].map)};
-    mixed.push_back(std::move(plain));
-  }
-  auto bad = MergeTileLayers(space, labels, mixed);
+  TileStitcher mixed(space, labels, full.layer_names);
+  ASSERT_TRUE(mixed.Add(std::move(pieces[0])).ok());
+  Status bad = mixed.Add(MapTile{pieces[1].spec, space,
+                                 std::move(pieces[1].map)});
   ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("different layers"),
-            std::string::npos);
+  EXPECT_NE(bad.message().find("different layers"), std::string::npos);
 }
 
 TEST(MergeTilesTest, ReassemblesPartitionedMap) {
@@ -404,7 +403,11 @@ TEST(MergeTilesTest, ReassemblesPartitionedMap) {
     }
     pieces.push_back(MapTile{t, space, std::move(piece)});
   }
-  auto merged = MergeTileLayers(space, labels, pieces).ValueOrDie();
+  TileStitcher stitcher(space, labels, {});
+  for (MapTile& piece : pieces) {
+    ASSERT_TRUE(stitcher.Add(std::move(piece)).ok());
+  }
+  auto merged = std::move(stitcher).Finish().ValueOrDie();
   ASSERT_EQ(merged.size(), 1u);
   ExpectMapsBitIdentical(merged.front(), full);
 }
@@ -415,31 +418,32 @@ TEST(MergeTilesTest, RejectsMismatchedAxes) {
       Axis::Selectivity("sel(a)", -4, 0),  // one octave more than space
       Axis::Selectivity("sel(b)", -2, 0));
   std::vector<std::string> labels = {"scan"};
-  MapTile tile = FullTile(other, labels);
-  auto merged = MergeTileLayers(space, labels, {tile});
-  ASSERT_FALSE(merged.ok());
-  EXPECT_TRUE(merged.status().IsInvalidArgument());
-  EXPECT_NE(merged.status().message().find("different grid"),
-            std::string::npos);
+  TileStitcher stitcher(space, labels, {});
+  Status s = stitcher.Add(FullTile(other, labels));
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.message().find("different grid"), std::string::npos);
 }
 
 TEST(MergeTilesTest, RejectsMismatchedPlans) {
   ParameterSpace space = SmallSpace();
-  MapTile tile = FullTile(space, {"scan"});
-  auto merged = MergeTileLayers(space, {"scan", "idx.a"}, {tile});
-  ASSERT_FALSE(merged.ok());
-  EXPECT_TRUE(merged.status().IsInvalidArgument());
+  TileStitcher stitcher(space, {"scan", "idx.a"}, {});
+  Status s = stitcher.Add(FullTile(space, {"scan"}));
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsInvalidArgument());
 }
 
 TEST(MergeTilesTest, RejectsOverlapAndGaps) {
   ParameterSpace space = SmallSpace();
   std::vector<std::string> labels = {"scan"};
   MapTile full = FullTile(space, labels);
-  auto overlap = MergeTileLayers(space, labels, {full, full});
+  TileStitcher twice(space, labels, {});
+  ASSERT_TRUE(twice.Add(MapTile(full)).ok());
+  Status overlap = twice.Add(std::move(full));
   ASSERT_FALSE(overlap.ok());
-  EXPECT_NE(overlap.status().message().find("overlap"), std::string::npos);
+  EXPECT_NE(overlap.message().find("overlap"), std::string::npos);
 
-  auto gap = MergeTileLayers(space, labels, {});
+  auto gap = TileStitcher(space, labels, {}).Finish();
   ASSERT_FALSE(gap.ok());
   EXPECT_NE(gap.status().message().find("no tile covers"),
             std::string::npos);

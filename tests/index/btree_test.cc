@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "common/rng.h"
+#include <cstdint>
 
 namespace robustmap {
 namespace {
@@ -48,7 +46,7 @@ TEST_P(BTreeParamTest, BulkLoadScanReturnsAllInOrder) {
   ASSERT_TRUE(tree->CheckInvariants().ok());
   EXPECT_EQ(tree->num_entries(), 1000u);
 
-  auto cursor = tree->SeekFirst(env.ctx());
+  auto cursor = tree->Seek(env.ctx(), INT64_MIN, INT64_MIN);
   int64_t expected = 0;
   while (cursor->Valid()) {
     ASSERT_EQ(cursor->entry().key0, expected);
@@ -91,34 +89,6 @@ TEST_P(BTreeParamTest, SeekPastEndIsInvalid) {
   EXPECT_FALSE(tree->Seek(env.ctx(), 1000, 0)->Valid());
 }
 
-TEST_P(BTreeParamTest, InsertsMaintainOrderThroughSplits) {
-  BTreeEnv env;
-  BTreeOptions opts;
-  opts.leaf_capacity = GetParam();
-  opts.key_columns = {0};
-  auto tree = BTree::BulkLoad(env.device(), MakeEntries(50), opts).ValueOrDie();
-
-  Rng rng(42);
-  for (int i = 0; i < 500; ++i) {
-    IndexEntry e{static_cast<int64_t>(rng.NextBounded(10000)), 0,
-                 static_cast<Rid>(1000 + i)};
-    ASSERT_TRUE(tree->Insert(env.ctx(), e).ok());
-  }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  EXPECT_EQ(tree->num_entries(), 550u);
-
-  auto cursor = tree->SeekFirst(env.ctx());
-  IndexEntry prev{INT64_MIN, INT64_MIN, 0};
-  size_t seen = 0;
-  while (cursor->Valid()) {
-    ASSERT_FALSE(EntryLess(cursor->entry(), prev));
-    prev = cursor->entry();
-    ++seen;
-    cursor->Next(env.ctx());
-  }
-  EXPECT_EQ(seen, 550u);
-}
-
 INSTANTIATE_TEST_SUITE_P(LeafCapacities, BTreeParamTest,
                          ::testing::Values(4, 16, 64, 512));
 
@@ -130,16 +100,6 @@ TEST(BTreeTest, RejectsUnsortedBulkLoad) {
   EXPECT_TRUE(BTree::BulkLoad(env.device(), entries, opts)
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(BTreeTest, RejectsExactDuplicate) {
-  BTreeEnv env;
-  BTreeOptions opts;
-  opts.key_columns = {0};
-  auto tree = BTree::BulkLoad(env.device(), MakeEntries(10), opts).ValueOrDie();
-  EXPECT_TRUE(tree->Insert(env.ctx(), {5, 0, 5}).IsInvalidArgument());
-  // Same key, different rid is fine (non-unique index).
-  EXPECT_TRUE(tree->Insert(env.ctx(), {5, 0, 999}).ok());
 }
 
 TEST(BTreeTest, CompositeKeyOrderAndSeek) {
@@ -170,9 +130,7 @@ TEST(BTreeTest, EmptyTreeBehaves) {
   opts.key_columns = {0};
   auto tree = BTree::BulkLoad(env.device(), {}, opts).ValueOrDie();
   EXPECT_EQ(tree->num_entries(), 0u);
-  EXPECT_FALSE(tree->SeekFirst(env.ctx())->Valid());
-  ASSERT_TRUE(tree->Insert(env.ctx(), {1, 0, 1}).ok());
-  EXPECT_TRUE(tree->SeekFirst(env.ctx())->Valid());
+  EXPECT_FALSE(tree->Seek(env.ctx(), INT64_MIN, INT64_MIN)->Valid());
 }
 
 TEST(BTreeTest, HeightGrowsWithSize) {

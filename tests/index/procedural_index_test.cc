@@ -4,6 +4,7 @@
 
 #include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 namespace robustmap {
@@ -117,14 +118,18 @@ TEST_F(ProceduralIndexTest, SeekMidGroupOnComposite) {
   EXPECT_TRUE(e.key0 > 3 || (e.key0 == 3 && e.key1 >= 50));
 }
 
+/// An entry's (key0, key1, rid), comparable and printable.
+using EntryKey = std::tuple<int64_t, int64_t, Rid>;
+EntryKey Key(const IndexEntry& e) { return {e.key0, e.key1, e.rid}; }
+
 /// The entries `EntryAt` gives for ordinals [first, first + n), computed
 /// before any cursor runs so the expectation shares no cache state with
 /// the cursors under test.
-std::vector<IndexEntry> EntriesFrom(const ProceduralIndex& idx, uint64_t first,
-                                    uint64_t n) {
-  std::vector<IndexEntry> out;
+std::vector<EntryKey> EntriesFrom(const ProceduralIndex& idx, uint64_t first,
+                                  uint64_t n) {
+  std::vector<EntryKey> out;
   for (uint64_t k = first; k < first + n && k < idx.num_entries(); ++k) {
-    out.push_back(idx.EntryAt(k));
+    out.push_back(Key(idx.EntryAt(k)));
   }
   return out;
 }
@@ -137,8 +142,8 @@ TEST_F(ProceduralIndexTest, InterleavedCompositeCursorsMatchEntryAt) {
   auto idx = MakeIndex({0, 1});
   const uint64_t a0 = idx->OrdinalLowerBound(3, 10);
   const uint64_t b0 = idx->OrdinalLowerBound(20, 30);
-  const std::vector<IndexEntry> want_a = EntriesFrom(*idx, a0, 300);
-  const std::vector<IndexEntry> want_b = EntriesFrom(*idx, b0, 300);
+  const std::vector<EntryKey> want_a = EntriesFrom(*idx, a0, 300);
+  const std::vector<EntryKey> want_b = EntriesFrom(*idx, b0, 300);
 
   auto a = idx->Seek(&ctx_, 3, 10);
   auto b = idx->Seek(&ctx_, 20, 30);
@@ -146,8 +151,8 @@ TEST_F(ProceduralIndexTest, InterleavedCompositeCursorsMatchEntryAt) {
     SCOPED_TRACE("step " + std::to_string(i));
     ASSERT_TRUE(a->Valid());
     ASSERT_TRUE(b->Valid());
-    EXPECT_EQ(a->entry(), want_a[i]);
-    EXPECT_EQ(b->entry(), want_b[i]);
+    EXPECT_EQ(Key(a->entry()), want_a[i]);
+    EXPECT_EQ(Key(b->entry()), want_b[i]);
     if (i % 17 == 0) {
       auto reseek = idx->Seek(&ctx_, 40 + static_cast<int64_t>(i % 9), 7);
       reseek->Next(&ctx_);
@@ -166,13 +171,13 @@ TEST_F(ProceduralIndexTest, CompositeCursorSurvivesSlotEviction) {
   std::vector<std::unique_ptr<ProceduralIndex>> others;
   for (int i = 0; i < 20; ++i) others.push_back(MakeIndex({1, 0}));
   const uint64_t first = idx->OrdinalLowerBound(5, 20);
-  const std::vector<IndexEntry> want = EntriesFrom(*idx, first, 200);
+  const std::vector<EntryKey> want = EntriesFrom(*idx, first, 200);
 
-  std::vector<IndexEntry> got;
+  std::vector<EntryKey> got;
   std::thread worker([&] {
     auto cursor = idx->Seek(&ctx_, 5, 20);
     for (size_t i = 0; i < want.size() && cursor->Valid(); ++i) {
-      got.push_back(cursor->entry());
+      got.push_back(Key(cursor->entry()));
       if (i % 10 == 3) {
         for (const auto& other : others) {
           (void)other->EntryAt(static_cast<uint64_t>(i) * 37 % 4096);
@@ -206,8 +211,8 @@ TEST_F(ProceduralIndexTest, CompositeCursorsOnConflictingWaysMatchEntryAt) {
 
   const uint64_t a0 = idx->OrdinalLowerBound(g, 30);
   const uint64_t b0 = idx->OrdinalLowerBound(g + ways, 30);
-  const std::vector<IndexEntry> want_a = EntriesFrom(*idx, a0, 2 * rpv);
-  const std::vector<IndexEntry> want_b = EntriesFrom(*idx, b0, 2 * rpv);
+  const std::vector<EntryKey> want_a = EntriesFrom(*idx, a0, 2 * rpv);
+  const std::vector<EntryKey> want_b = EntriesFrom(*idx, b0, 2 * rpv);
 
   auto a = idx->Seek(&ctx_, g, 30);
   auto b = idx->Seek(&ctx_, g + ways, 30);
@@ -215,8 +220,8 @@ TEST_F(ProceduralIndexTest, CompositeCursorsOnConflictingWaysMatchEntryAt) {
     SCOPED_TRACE("step " + std::to_string(i));
     ASSERT_TRUE(a->Valid());
     ASSERT_TRUE(b->Valid());
-    EXPECT_EQ(a->entry(), want_a[i]);
-    EXPECT_EQ(b->entry(), want_b[i]);
+    EXPECT_EQ(Key(a->entry()), want_a[i]);
+    EXPECT_EQ(Key(b->entry()), want_b[i]);
     a->Next(&ctx_);
     b->Next(&ctx_);
   }
@@ -255,7 +260,7 @@ TEST_F(ProceduralIndexTest, MidLeafCursorChargesOneReadPerBoundary) {
     }
     for (uint64_t i = 0; i < steps; ++i) cursor->Next(&ctx_);
     EXPECT_EQ(PageAccesses(device_) - before, boundaries);
-    EXPECT_EQ(cursor->entry(), idx->EntryAt(start + steps));
+    EXPECT_EQ(Key(cursor->entry()), Key(idx->EntryAt(start + steps)));
   }
 }
 
@@ -265,8 +270,8 @@ TEST_F(ProceduralIndexTest, CursorStopsAtLastEntry) {
     auto cursor = idx->Seek(&ctx_, 63, INT64_MIN);
     uint64_t count = 0;
     while (cursor->Valid()) {
-      EXPECT_EQ(cursor->entry(),
-                idx->EntryAt(idx->num_entries() - 64 + count));
+      EXPECT_EQ(Key(cursor->entry()),
+                Key(idx->EntryAt(idx->num_entries() - 64 + count)));
       ++count;
       cursor->Next(&ctx_);
     }

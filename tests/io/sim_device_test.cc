@@ -81,15 +81,5 @@ TEST(IoStatsTest, DeltaSubtracts) {
   EXPECT_EQ(d.writes, 5u);
 }
 
-TEST(IoStatsTest, PlusEqualsAccumulates) {
-  IoStats a, b;
-  a.random_reads = 3;
-  b.random_reads = 4;
-  b.buffer_hits = 7;
-  a += b;
-  EXPECT_EQ(a.random_reads, 7u);
-  EXPECT_EQ(a.buffer_hits, 7u);
-}
-
 }  // namespace
 }  // namespace robustmap

@@ -136,25 +136,16 @@ TEST(CsvExportTest, QuotesPlanLabelsContainingCommas) {
   std::ostringstream os;
   WriteMapCsv(os, map);
   EXPECT_NE(os.str().find("\"A.mj(a,b)\","), std::string::npos);
-
-  std::ostringstream wc;
-  ASSERT_TRUE(WriteWarmColdCsv(wc, map, map).ok());
-  EXPECT_NE(wc.str().find("\"A.mj(a,b)\","), std::string::npos);
-}
-
-TEST(CsvExportTest, WarmColdRejectsMismatchedMaps) {
-  ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -1, 0));
-  ParameterSpace other = ParameterSpace::OneD(Axis::Selectivity("a", -2, -1));
-  RobustnessMap cold(space, {"p"});
-  RobustnessMap warm(other, {"p"});  // same point count, different grid
-  std::ostringstream os;
-  EXPECT_FALSE(WriteWarmColdCsv(os, cold, warm).ok());
 }
 
 TEST(GnuplotExportTest, WritesDatAndPlt) {
   RobustnessMap map = SmallMap(true);
   std::string base = TempPath("fig");
-  ASSERT_TRUE(WriteGnuplot(base, map).ok());
+  {
+    std::ofstream out(base + ".dat");
+    WriteGnuplotDat(out, map);
+  }
+  ASSERT_TRUE(WriteGnuplotPlt(base, map, base + ".dat").ok());
   std::ifstream dat(base + ".dat");
   std::ifstream plt(base + ".plt");
   ASSERT_TRUE(dat.is_open());
@@ -179,8 +170,8 @@ TEST(GnuplotExportTest, PltCanPipeFromMapCat) {
   pltc << plt.rdbuf();
   EXPECT_NE(pltc.str().find("'" + pipe + "'"), std::string::npos);
 
-  // The piped data is the same bytes WriteGnuplot would have put in the
-  // .dat file.
+  // The piped data is the same bytes WriteGnuplotDat puts in a .dat
+  // file.
   std::ostringstream direct;
   WriteGnuplotDat(direct, map);
   EXPECT_FALSE(direct.str().empty());
@@ -189,7 +180,7 @@ TEST(GnuplotExportTest, PltCanPipeFromMapCat) {
 TEST(GnuplotExportTest, OneDUsesLinespoints) {
   RobustnessMap map = SmallMap(false);
   std::string base = TempPath("fig1d");
-  ASSERT_TRUE(WriteGnuplot(base, map).ok());
+  ASSERT_TRUE(WriteGnuplotPlt(base, map, base + ".dat").ok());
   std::ifstream plt(base + ".plt");
   std::stringstream pltc;
   pltc << plt.rdbuf();

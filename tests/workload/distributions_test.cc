@@ -64,7 +64,7 @@ TEST_F(HeapDatasetTest, BuildsConsistentIndexes) {
   EXPECT_TRUE(ds.idx_ab->CheckInvariants().ok());
 
   // Index entries agree with table contents.
-  auto cursor = ds.idx_a->SeekFirst(&ctx_);
+  auto cursor = ds.idx_a->Seek(&ctx_, INT64_MIN, INT64_MIN);
   size_t checked = 0;
   while (cursor->Valid() && checked < 200) {
     const IndexEntry& e = cursor->entry();
