@@ -3,8 +3,9 @@
 // plus the executor hot paths a sweep spends its cells in — B-tree
 // descent, procedural cursor scans, the three fetch policies, the bitmap
 // AND, hash-join build/probe, the cold-start-vs-recycle cost of a
-// simulated machine — and the cell-cache layer of the engine loop:
-// keying, concurrent lookup, appending, compacting and opening.
+// simulated machine — the cell-cache layer of the engine loop (keying,
+// concurrent lookup, appending, compacting and opening) and the map-tile
+// codec every sharded worker and coordinator runs.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "common/permutation.h"
 #include "common/rng.h"
 #include "core/cell_cache.h"
+#include "core/map_io.h"
 #include "engine/executor.h"
 #include "exec/hash_join.h"
 #include "index/btree.h"
@@ -177,6 +179,25 @@ void BM_BufferPoolAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolAccess);
 
+// The pool's share of one cheap cell at a 256-page pool: the cold start's
+// Clear, ~10 misses and one hit. Each cell reads a different run of pages,
+// so the slot table sees fresh keys every iteration.
+void BM_BufferPoolColdCell(benchmark::State& state) {
+  VirtualClock clock;
+  SimDevice device(DiskParameters{}, &clock);
+  device.AllocateExtent(1 << 20);
+  BufferPool pool(&device, 256);
+  uint64_t base = 0;
+  for (auto _ : state) {
+    pool.Clear();
+    for (uint64_t p = 0; p < 10; ++p) pool.Access(base + 3 * p);
+    benchmark::DoNotOptimize(pool.Access(base));
+    benchmark::ClobberMemory();
+    base = (base + 4099) & ((1 << 20) - 64);
+  }
+}
+BENCHMARK(BM_BufferPoolColdCell);
+
 void BM_RidMapInsertFind(benchmark::State& state) {
   int64_t n = state.range(0);
   for (auto _ : state) {
@@ -285,10 +306,13 @@ void BM_MergeJoinCell(benchmark::State& state) {
 BENCHMARK(BM_MergeJoinCell);
 
 // Cold start vs. arena recycle of a simulated machine, measured around the
-// same cell. `page_node_allocs` counts fresh LRU node heap allocations per
-// iteration: a recycled machine re-reads its pages into recycled nodes, so
-// the counter must sit well below the cold-start figure — the deterministic
-// form of the speedup, independent of the host's allocator and load.
+// same cell. `page_node_allocs` counts the page nodes each iteration adds
+// to its machine's pool (`BufferPool::node_allocations()`): a fresh
+// machine grows its node array for every page the cell keeps resident,
+// while a recycled one re-admits into the nodes it already has, so its
+// counter sits near 0 (only its first cell grows the array) — the
+// deterministic form of the speedup, independent of the host's allocator
+// and load.
 void MachineCell(benchmark::State& state, bool recycle) {
   StudyEnvironment& env = MicroEnv();
   RunContextFactory factory(*env.ctx());
@@ -374,6 +398,58 @@ void BM_CellCacheLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellCacheLookup)->Threads(1)->Threads(2);
+
+// The tile codec on a whole sharded_tiles map as one tile: the 12 index
+// plans over the 65x65 low band, 50,700 cells with real plan labels.
+const MapTile& LowBandTile() {
+  static const MapTile* tile = [] {
+    const ParameterSpace space = ParameterSpace::TwoD(
+        Axis::SelectivityFine("selectivity(a)", -16, -8, 8),
+        Axis::SelectivityFine("selectivity(b)", -16, -8, 8));
+    std::vector<std::string> labels;
+    for (PlanKind kind : AllStudyPlans()) {
+      if (kind != PlanKind::kTableScan) labels.push_back(PlanKindLabel(kind));
+    }
+    RobustnessMap map(space, labels);
+    for (size_t plan = 0; plan < labels.size(); ++plan) {
+      for (size_t pt = 0; pt < space.num_points(); ++pt) {
+        Measurement m = CacheMeasurement(plan * space.num_points() + pt);
+        m.plan_label = labels[plan];
+        map.Set(plan, pt, std::move(m));
+      }
+    }
+    const TileSpec spec{0, 0, space.x_size(), 0, space.y_size()};
+    return new MapTile{spec, space, std::move(map)};
+  }();
+  return *tile;
+}
+
+void BM_MapTileEncode(benchmark::State& state) {
+  const MapTile& tile = LowBandTile();
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    Result<std::string> buf = EncodeMapTile(tile);
+    bytes = static_cast<int64_t>(buf.value().size());
+    benchmark::DoNotOptimize(buf);
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_MapTileEncode)->Unit(benchmark::kMillisecond);
+
+void BM_MapTileParse(benchmark::State& state) {
+  const std::string bytes = EncodeMapTile(LowBandTile()).ValueOrDie();
+  for (auto _ : state) {
+    Result<MapTile> tile = ParseMapTile(bytes);
+    if (!tile.ok()) {
+      state.SkipWithError(tile.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(tile);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_MapTileParse)->Unit(benchmark::kMillisecond);
 
 // The flush layer, at the explore workload's sizes: a ~50k-entry cache
 // gaining ~7,600 entries a flush. A flush appends the new entries as one

@@ -38,8 +38,7 @@ constexpr size_t kSegmentOverhead =
 // A fingerprint, a study length, and the measurement's fixed fields: the
 // least any entry occupies.
 constexpr size_t kMinEntryBytes =
-    sizeof(uint64_t) + sizeof(uint32_t) + 9 * sizeof(uint64_t) +
-    sizeof(uint32_t);
+    sizeof(uint64_t) + sizeof(uint32_t) + wire::kMeasurementFixedBytes;
 
 // The artifact name Cursor errors lead with ("truncated cell cache: ...").
 constexpr char kWhat[] = "cell cache";
@@ -69,7 +68,8 @@ uint64_t ExtendHex64(uint64_t h, uint64_t v) {
 
 /// Serialized size of one entry: fingerprint, study, measurement.
 size_t EntryBytes(const CellCacheEntry& e) {
-  return kMinEntryBytes + e.study.size() + e.m.plan_label.size();
+  return sizeof(uint64_t) + wire::StringBytes(e.study) +
+         wire::MeasurementBytes(e.m);
 }
 
 /// An entry with its sort key alongside, so sorting never chases the
@@ -229,8 +229,10 @@ Status SkipEntries(Cursor* c, uint64_t count) {
           "files are sorted)");
     }
     prev = fp;
-    RM_RETURN_IF_ERROR(c->GetU32(&len));  // study, then the fixed fields
-    RM_RETURN_IF_ERROR(c->Skip(size_t{len} + 9 * sizeof(uint64_t)));
+    // The study, then the measurement's fixed part up to its label length.
+    RM_RETURN_IF_ERROR(c->GetU32(&len));
+    RM_RETURN_IF_ERROR(c->Skip(size_t{len} + wire::kMeasurementFixedBytes -
+                               sizeof(uint32_t)));
     RM_RETURN_IF_ERROR(c->GetU32(&len));  // plan label
     RM_RETURN_IF_ERROR(c->Skip(len));
   }

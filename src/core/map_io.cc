@@ -17,11 +17,15 @@ namespace {
 using wire::Cursor;
 using wire::Fnv1a64;
 using wire::GetMeasurement;
+using wire::kMeasurementFixedBytes;
+using wire::MeasurementBytes;
 using wire::PutDouble;
-using wire::PutMeasurement;
 using wire::PutString;
 using wire::PutU32;
 using wire::PutU64;
+using wire::StoreMeasurement;
+using wire::StoreString;
+using wire::StringBytes;
 
 constexpr char kMagic[8] = {'R', 'M', 'A', 'P', 'T', 'I', 'L', 'E'};
 constexpr size_t kMagicSize = sizeof(kMagic);
@@ -32,6 +36,11 @@ constexpr size_t kMinFileSize = kMagicSize + sizeof(uint32_t) + kChecksumSize;
 
 // The artifact name Cursor errors lead with ("truncated map tile: ...").
 constexpr char kWhat[] = "map tile";
+
+size_t AxisBytes(const Axis& axis) {
+  return StringBytes(axis.name) + sizeof(uint64_t) +
+         axis.values.size() * sizeof(double);
+}
 
 void PutAxis(std::string* out, const Axis& axis) {
   PutString(out, axis.name);
@@ -58,6 +67,8 @@ Status GetAxis(Cursor* c, Axis* axis) {
   }
   return Status::OK();
 }
+
+}  // namespace
 
 /// The one tile encoder: validates the tile and returns its bytes.
 Result<std::string> EncodeMapTile(const MapTile& tile) {
@@ -88,7 +99,30 @@ Result<std::string> EncodeMapTile(const MapTile& tile) {
         std::to_string(num_layers) + " layers)");
   }
 
+  // Sized once: the header is appended into the reserved buffer, then the
+  // cells are stored straight into the rest of it.
+  size_t header_bytes = kMagicSize + sizeof(uint32_t) + sizeof(double) +
+                        (v3 ? sizeof(uint64_t) : 0) + 7 * sizeof(uint64_t) +
+                        AxisBytes(tile.parent_space.x());
+  if (tile.parent_space.is_2d()) {
+    header_bytes += AxisBytes(tile.parent_space.y());
+  }
+  for (const std::string& label : tile.map.plan_labels()) {
+    header_bytes += StringBytes(label);
+  }
+  size_t body_bytes = 0;
+  for (size_t li = 0; li < num_layers; ++li) {
+    if (v3) body_bytes += StringBytes(tile.layer_names[li]);
+    const RobustnessMap& layer = tile.layer(li);
+    for (size_t plan = 0; plan < layer.num_plans(); ++plan) {
+      for (size_t pt = 0; pt < layer.space().num_points(); ++pt) {
+        body_bytes += MeasurementBytes(layer.At(plan, pt));
+      }
+    }
+  }
+
   std::string buf;
+  buf.reserve(header_bytes + body_bytes + kChecksumSize);
   buf.append(kMagic, kMagicSize);
   PutU32(&buf, v3 ? 3 : 2);
   PutDouble(&buf, tile.wall_seconds);
@@ -105,20 +139,20 @@ Result<std::string> EncodeMapTile(const MapTile& tile) {
   for (const std::string& label : tile.map.plan_labels()) {
     PutString(&buf, label);
   }
+  buf.resize(header_bytes + body_bytes);
+  char* p = buf.data() + header_bytes;
   for (size_t li = 0; li < num_layers; ++li) {
-    if (v3) PutString(&buf, tile.layer_names[li]);
+    if (v3) p = StoreString(p, tile.layer_names[li]);
     const RobustnessMap& layer = tile.layer(li);
     for (size_t plan = 0; plan < layer.num_plans(); ++plan) {
       for (size_t pt = 0; pt < layer.space().num_points(); ++pt) {
-        PutMeasurement(&buf, layer.At(plan, pt));
+        p = StoreMeasurement(p, layer.At(plan, pt));
       }
     }
   }
   PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
   return buf;
 }
-
-}  // namespace
 
 Status WriteMapTile(std::ostream& os, const MapTile& tile) {
   auto buf = EncodeMapTile(tile);
@@ -232,14 +266,12 @@ Result<MapTile> ParseMapTile(std::string_view buf) {
   for (uint64_t i = 0; i < num_plans; ++i) {
     RM_RETURN_IF_ERROR(c.GetString(&labels[i]));
   }
-  // Every cell occupies at least 9 u64-sized fields plus a label length;
-  // reject plan x point x layer products the remaining bytes cannot
-  // possibly back before sizing the maps (divisions, so the product cannot
-  // overflow).
-  constexpr size_t kMinCellBytes = 9 * sizeof(uint64_t) + sizeof(uint32_t);
+  // Every cell occupies at least its measurement's fixed part; reject
+  // plan x point x layer products the remaining bytes cannot possibly back
+  // before sizing the maps (divisions, so the product cannot overflow).
   const size_t points = sub.value().num_points();
-  if (num_plans != 0 &&
-      c.remaining() / kMinCellBytes / num_plans / num_layers < points) {
+  const size_t max_cells = c.remaining() / kMeasurementFixedBytes;
+  if (num_plans != 0 && max_cells / num_plans / num_layers < points) {
     return Status::Corruption(
         "map tile claims more cells than its bytes can hold");
   }

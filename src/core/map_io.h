@@ -88,6 +88,9 @@ struct MapTile {
 /// whose layers disagree with each other or whose map space is not the
 /// slice of `parent_space` at `spec`, and multi-layer tiles without one
 /// name per layer.
+Result<std::string> EncodeMapTile(const MapTile& tile);
+
+/// `EncodeMapTile`, written to `os`.
 Status WriteMapTile(std::ostream& os, const MapTile& tile);
 
 /// Writes atomically: to `path` + a ".tmp" suffix, then rename(2), so a

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdint>
@@ -44,22 +45,45 @@ inline uint64_t Fnv1a64(const char* data, size_t n) {
   return Fnv1a64Extend(kFnv1a64Offset, std::string_view(data, n));
 }
 
-// ---- little-endian encoding into a growing buffer ----
+// ---- little-endian encoding ----
 //
-// Each integer is assembled in a stack chunk and appended whole: compilers
-// fold the shift loop into one little-endian store, and the buffer grows
-// once per field rather than once per byte.
+// `Store*` write a fixed-width field at `p` in a buffer already sized for
+// it and return the byte after it; compilers fold the shift loop into one
+// little-endian store. `Put*` append one field to a growing buffer, whole,
+// so the buffer grows once per field rather than once per byte.
+
+inline char* StoreU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
+  return p + 4;
+}
+
+inline char* StoreU64(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
+  return p + 8;
+}
+
+inline char* StoreDouble(char* p, double v) {
+  return StoreU64(p, std::bit_cast<uint64_t>(v));
+}
+
+/// The bytes `s` serializes to: its u32 length, then its bytes.
+inline size_t StringBytes(const std::string& s) {
+  return sizeof(uint32_t) + s.size();
+}
+
+inline char* StoreString(char* p, const std::string& s) {
+  p = StoreU32(p, static_cast<uint32_t>(s.size()));
+  return std::copy(s.begin(), s.end(), p);
+}
 
 inline void PutU32(std::string* out, uint32_t v) {
   char chunk[4];
-  for (int i = 0; i < 4; ++i) chunk[i] = static_cast<char>(v >> (8 * i));
-  out->append(chunk, sizeof(chunk));
+  out->append(chunk, StoreU32(chunk, v));
 }
 
 inline void PutU64(std::string* out, uint64_t v) {
   char chunk[8];
-  for (int i = 0; i < 8; ++i) chunk[i] = static_cast<char>(v >> (8 * i));
-  out->append(chunk, sizeof(chunk));
+  out->append(chunk, StoreU64(chunk, v));
 }
 
 inline void PutDouble(std::string* out, double v) {
@@ -69,6 +93,24 @@ inline void PutDouble(std::string* out, double v) {
 inline void PutString(std::string* out, const std::string& s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
+}
+
+// ---- little-endian decoding of bytes already bounds-checked ----
+
+inline uint32_t LoadU32(const char* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+inline uint64_t LoadU64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
 }
 
 /// Reads the whole file at `path` into `*out` with one sized read. A file
@@ -174,25 +216,25 @@ class Cursor {
   Cursor(const char* data, size_t size, const char* what)
       : data_(data), size_(size), what_(what) {}
 
+  /// Claims the next `n` bytes: points `*p` at them and moves past them.
+  Status Take(size_t n, const char** p) {
+    RM_RETURN_IF_ERROR(Need(n));
+    *p = data_ + pos_;
+    pos_ += n;
+    return Status::OK();
+  }
+
   Status GetU32(uint32_t* v) {
-    RM_RETURN_IF_ERROR(Need(4));
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
+    const char* p = nullptr;
+    RM_RETURN_IF_ERROR(Take(sizeof(uint32_t), &p));
+    *v = LoadU32(p);
     return Status::OK();
   }
 
   Status GetU64(uint64_t* v) {
-    RM_RETURN_IF_ERROR(Need(8));
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
+    const char* p = nullptr;
+    RM_RETURN_IF_ERROR(Take(sizeof(uint64_t), &p));
+    *v = LoadU64(p);
     return Status::OK();
   }
 
@@ -206,16 +248,15 @@ class Cursor {
   Status GetString(std::string* s) {
     uint32_t n = 0;
     RM_RETURN_IF_ERROR(GetU32(&n));
-    RM_RETURN_IF_ERROR(Need(n));
-    s->assign(data_ + pos_, n);
-    pos_ += n;
+    const char* p = nullptr;
+    RM_RETURN_IF_ERROR(Take(n, &p));
+    s->assign(p, n);
     return Status::OK();
   }
 
   Status Skip(size_t n) {
-    RM_RETURN_IF_ERROR(Need(n));
-    pos_ += n;
-    return Status::OK();
+    const char* p = nullptr;
+    return Take(n, &p);
   }
 
   size_t position() const { return pos_; }
@@ -240,31 +281,59 @@ class Cursor {
 
 /// The serialized form of one measured cell — identical in the tile format
 /// and the cell cache, so a cached measurement round-trips to the exact
-/// bytes a freshly measured one would have produced.
-inline void PutMeasurement(std::string* out, const Measurement& m) {
-  PutDouble(out, m.seconds);
-  PutU64(out, m.output_rows);
-  PutU64(out, m.io.sequential_reads);
-  PutU64(out, m.io.skip_reads);
-  PutU64(out, m.io.random_reads);
-  PutU64(out, m.io.writes);
-  PutU64(out, m.io.buffer_hits);
-  PutU64(out, m.io.bytes_read);
-  PutU64(out, m.io.bytes_written);
-  PutString(out, m.plan_label);
+/// bytes a freshly measured one would have produced: the seconds, eight
+/// u64 counters and the plan label's length (the fixed part), then the
+/// label's bytes.
+inline constexpr size_t kMeasurementFixedBytes =
+    sizeof(double) + 8 * sizeof(uint64_t) + sizeof(uint32_t);
+
+/// The bytes `m` serializes to — the one size both formats presize with.
+inline size_t MeasurementBytes(const Measurement& m) {
+  return kMeasurementFixedBytes + m.plan_label.size();
 }
 
+/// Writes `m` at `p`, which has `MeasurementBytes(m)` bytes of room.
+inline char* StoreMeasurement(char* p, const Measurement& m) {
+  p = StoreDouble(p, m.seconds);
+  p = StoreU64(p, m.output_rows);
+  p = StoreU64(p, m.io.sequential_reads);
+  p = StoreU64(p, m.io.skip_reads);
+  p = StoreU64(p, m.io.random_reads);
+  p = StoreU64(p, m.io.writes);
+  p = StoreU64(p, m.io.buffer_hits);
+  p = StoreU64(p, m.io.bytes_read);
+  p = StoreU64(p, m.io.bytes_written);
+  return StoreString(p, m.plan_label);
+}
+
+inline void PutMeasurement(std::string* out, const Measurement& m) {
+  const size_t at = out->size();
+  out->resize(at + MeasurementBytes(m));
+  StoreMeasurement(out->data() + at, m);
+}
+
+/// Reads one measurement with two bounds checks: its fixed part, then its
+/// label.
 inline Status GetMeasurement(Cursor* c, Measurement* m) {
-  RM_RETURN_IF_ERROR(c->GetDouble(&m->seconds));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->output_rows));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->io.sequential_reads));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->io.skip_reads));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->io.random_reads));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->io.writes));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->io.buffer_hits));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->io.bytes_read));
-  RM_RETURN_IF_ERROR(c->GetU64(&m->io.bytes_written));
-  RM_RETURN_IF_ERROR(c->GetString(&m->plan_label));
+  const char* p = nullptr;
+  RM_RETURN_IF_ERROR(c->Take(kMeasurementFixedBytes, &p));
+  const auto next_u64 = [&p] {
+    const uint64_t v = LoadU64(p);
+    p += sizeof(uint64_t);
+    return v;
+  };
+  m->seconds = std::bit_cast<double>(next_u64());
+  m->output_rows = next_u64();
+  m->io.sequential_reads = next_u64();
+  m->io.skip_reads = next_u64();
+  m->io.random_reads = next_u64();
+  m->io.writes = next_u64();
+  m->io.buffer_hits = next_u64();
+  m->io.bytes_read = next_u64();
+  m->io.bytes_written = next_u64();
+  const uint32_t label_size = LoadU32(p);
+  RM_RETURN_IF_ERROR(c->Take(label_size, &p));
+  m->plan_label.assign(p, label_size);
   return Status::OK();
 }
 
