@@ -2,10 +2,16 @@
 // the data structures the simulator's wall-clock performance rests on,
 // plus the executor hot paths a sweep spends its cells in — B-tree
 // descent, procedural cursor scans, the three fetch policies, the bitmap
-// AND, hash-join build/probe, the cold-start-vs-recycle cost of a
-// simulated machine — the cell-cache layer of the engine loop (keying,
-// concurrent lookup, appending, compacting and opening) and the map-tile
-// codec every sharded worker and coordinator runs.
+// AND, hash-join build/probe, every study plan's low-band cell on a reused
+// tree, the cold-start-vs-recycle cost of a simulated machine — the
+// cell-cache layer of the engine loop (keying, concurrent lookup,
+// appending, compacting and opening) and the map-tile codec every sharded
+// worker and coordinator runs.
+//
+// The cell micros also report `allocs_per_cell`, the global `operator new`
+// calls of one cell after a warm-up cell: a count that does not depend on
+// the host's speed or load, pinned in micro_substrate_pins.json (see
+// tools/check_micro_pins.py).
 
 #include <benchmark/benchmark.h>
 
@@ -27,11 +33,14 @@
 #include "io/buffer_pool.h"
 #include "io/run_context.h"
 #include "storage/procedural_table.h"
+#include "testing/counting_new.h"
 #include "workload/dataset.h"
 #include "workload/distributions.h"
 
 namespace robustmap {
 namespace {
+
+using ::robustmap::testing::HeapAllocations;
 
 void BM_Mix64(benchmark::State& state) {
   uint64_t x = 12345;
@@ -238,19 +247,27 @@ StudyEnvironment& MicroEnv() {
   return *env;
 }
 
-// Measures one full cell — ColdStart, plan execution, drain — for `kind`
-// at `selectivity` (1% by default) on both predicates: the per-cell unit
-// the batched sweep loops amortize their setup across.
+// Measures one full cell — bind, ColdStart, plan execution, drain — for
+// `kind` at `selectivity` (1% by default) on both predicates, on one tree
+// reused from cell to cell as a sweep's machines do; one cell before the
+// timed loop warms the tree's buffers.
 void RunPlanCell(benchmark::State& state, PlanKind kind,
                  double selectivity = 0.01) {
   StudyEnvironment& env = MicroEnv();
-  const Executor::PreparedPlan plan =
-      env.executor().Prepare(kind).ValueOrDie();
+  const Executor& executor = env.executor();
+  Executor::PlanTree tree =
+      executor.BuildTree(executor.Prepare(kind).ValueOrDie());
   const QuerySpec query = env.MakeQuery(selectivity, selectivity);
+  benchmark::DoNotOptimize(executor.Run(env.ctx(), &tree, query).ValueOrDie());
+  uint64_t allocs = 0;
   for (auto _ : state) {
+    const uint64_t before = HeapAllocations();
     benchmark::DoNotOptimize(
-        env.executor().Run(env.ctx(), plan, query).ValueOrDie());
+        executor.Run(env.ctx(), &tree, query).ValueOrDie());
+    allocs += HeapAllocations() - before;
   }
+  state.counters["allocs_per_cell"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
 }
 
 // The three fetch policies of exec/fetch.h, as the study plans exercise
@@ -305,33 +322,54 @@ void BM_MergeJoinCell(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeJoinCell);
 
+// Every study plan's cell in the low band (2^-10 on both predicates, 256
+// rows per single-column range), where a sweep spends most of its cells;
+// the argument is the plan's position in `AllStudyPlans()`.
+void BM_LowBandCell(benchmark::State& state) {
+  const PlanKind kind = AllStudyPlans()[static_cast<size_t>(state.range(0))];
+  state.SetLabel(PlanKindLabel(kind));
+  RunPlanCell(state, kind, 0x1p-10);
+}
+BENCHMARK(BM_LowBandCell)->ArgName("plan")->DenseRange(0, kNumStudyPlans - 1);
+
 // Cold start vs. arena recycle of a simulated machine, measured around the
-// same cell. `page_node_allocs` counts the page nodes each iteration adds
-// to its machine's pool (`BufferPool::node_allocations()`): a fresh
-// machine grows its node array for every page the cell keeps resident,
-// while a recycled one re-admits into the nodes it already has, so its
-// counter sits near 0 (only its first cell grows the array) — the
-// deterministic form of the speedup, independent of the host's allocator
-// and load.
+// same cell on one reused tree. Two deterministic counters, independent of
+// the host's allocator and load, carry the difference:
+// `page_node_allocs` counts the page nodes each cell adds to its machine's
+// pool (`BufferPool::node_allocations()`): a fresh machine grows its node
+// array for every page the cell keeps resident, a recycled one re-admits
+// into the nodes it already has. `allocs_per_cell` counts the global
+// `operator new` calls of the whole iteration: a fresh machine's device
+// and pool, or, recycled, only the cell's index cursor and its label copy.
+// One cell before the timed loop warms the tree and the parked machine.
 void MachineCell(benchmark::State& state, bool recycle) {
   StudyEnvironment& env = MicroEnv();
+  const Executor& executor = env.executor();
   RunContextFactory factory(*env.ctx());
-  const Executor::PreparedPlan plan =
-      env.executor().Prepare(PlanKind::kIndexAImproved).ValueOrDie();
+  Executor::PlanTree tree = executor.BuildTree(
+      executor.Prepare(PlanKind::kIndexAImproved).ValueOrDie());
   const QuerySpec query = env.MakeQuery(0.01, 0.01);
-  if (recycle) factory.Release(factory.Create());
   uint64_t node_allocs = 0;
-  for (auto _ : state) {
+  uint64_t allocs = 0;
+  const auto cell = [&] {
+    const uint64_t allocs_before = HeapAllocations();
     std::unique_ptr<OwnedRunContext> machine =
         recycle ? factory.Acquire() : factory.Create();
     const uint64_t before = machine->ctx()->pool->node_allocations();
     benchmark::DoNotOptimize(
-        env.executor().Run(machine->ctx(), plan, query).ValueOrDie());
+        executor.Run(machine->ctx(), &tree, query).ValueOrDie());
     node_allocs += machine->ctx()->pool->node_allocations() - before;
     if (recycle) factory.Release(std::move(machine));
-  }
+    allocs += HeapAllocations() - allocs_before;
+  };
+  cell();
+  node_allocs = 0;
+  allocs = 0;
+  for (auto _ : state) cell();
   state.counters["page_node_allocs"] = benchmark::Counter(
       static_cast<double>(node_allocs), benchmark::Counter::kAvgIterations);
+  state.counters["allocs_per_cell"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
 }
 
 void BM_MachineColdStart(benchmark::State& state) {

@@ -134,6 +134,14 @@ class ProgressTracker {
   std::vector<size_t> per_plan_done_ GUARDED_BY(mu_);
 };
 
+/// The plan trees of one simulated machine in a study sweep: `owner` is
+/// the machine's context once a worker has claimed the slot, and `trees`
+/// holds one tree per plan, built at the machine's first cell of that plan.
+struct MachineTrees {
+  std::atomic<RunContext*> owner{nullptr};
+  std::vector<std::optional<Executor::PlanTree>> trees;
+};
+
 /// The paper's standard study sweep under one in-process backend choice:
 /// axes are predicate selectivities, plans are `PlanKind`s executed under
 /// `ctx`'s warmup policy. The serial path measures on `ctx` itself, and
@@ -144,10 +152,11 @@ class ProgressTracker {
 ///
 /// Everything a cell does not depend on is paid once per sweep, not once
 /// per cell: plans are validated and their labels materialized through
-/// `Executor::Prepare`, and every grid point's query — selectivity math,
-/// predicate binding — is bound up front, so the inner loop is a table
-/// lookup plus the measurement itself. A caller running several sweeps
-/// against the same prototype (the warm-cold study) may pass
+/// `Executor::Prepare`, every grid point's query — selectivity math,
+/// predicate binding — is bound up front, and each machine builds one
+/// operator tree per plan and rebinds it per cell, so the inner loop is a
+/// table lookup, a bind and the measurement itself. A caller running
+/// several sweeps against the same prototype (the warm-cold study) may pass
 /// `shared_factory` so the parallel loop recycles its simulated machines
 /// across sweeps; the factory must have been built from `ctx`.
 ///
@@ -212,6 +221,31 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
       is_hit[cell] = cache->Lookup(fps[cell], &hits[cell]) ? 1 : 0;
     }
   }
+  // One tree per plan and machine for the whole sweep. A worker finds its
+  // machine's slot by the context pointer, claiming a free one on its first
+  // cell, so the loop takes no lock: slots are written only when claimed
+  // (and a tree only by the one thread running that machine).
+  const size_t num_slots =
+      order_dependent ? 1 : ResolveParallelism(opts.num_threads);
+  std::vector<MachineTrees> slots(num_slots);
+  for (MachineTrees& slot : slots) slot.trees.resize(plans.size());
+  const auto tree_for = [&](RunContext* run_ctx,
+                            size_t plan) -> Executor::PlanTree* {
+    for (MachineTrees& slot : slots) {
+      RunContext* owner = slot.owner.load(std::memory_order_acquire);
+      // A free slot is claimed; a lost race leaves the winner in `owner`.
+      if (owner == nullptr &&
+          slot.owner.compare_exchange_strong(owner, run_ctx,
+                                             std::memory_order_acq_rel)) {
+        owner = run_ctx;
+      }
+      if (owner != run_ctx) continue;
+      std::optional<Executor::PlanTree>& tree = slot.trees[plan];
+      if (!tree.has_value()) tree.emplace(executor.BuildTree(prepared[plan]));
+      return &*tree;
+    }
+    return nullptr;
+  };
   // Every cell is reused or measured, and only a measured one reaches the
   // measurement-side sinks (`sweep.cells_measured`, the latency histogram,
   // the io.* counters) — so a warm rerun proves "zero cells measured" from
@@ -228,8 +262,13 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
       }
       SweepTelemetry::Get().AddCounter("cache.misses", 1);
     }
+    Executor::PlanTree* tree = tree_for(run_ctx, plan);
+    if (tree == nullptr) {
+      return Status::Internal("sweep ran on more machines than its " +
+                              std::to_string(num_slots) + " threads");
+    }
     const CellTimer timer(observing);
-    auto m = executor.Run(run_ctx, prepared[plan], queries[point]);
+    auto m = executor.Run(run_ctx, tree, queries[point]);
     if (m.ok()) timer.Observe(m.value());
     return m;
   };

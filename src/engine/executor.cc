@@ -1,5 +1,8 @@
 #include "engine/executor.h"
 
+#include <initializer_list>
+#include <span>
+
 #include "exec/bitmap_ops.h"
 #include "exec/fetch.h"
 #include "exec/hash_join.h"
@@ -12,6 +15,11 @@ namespace robustmap {
 
 namespace {
 
+// The predicate slots of a study query (a on column 0, b on column 1), as
+// `PlanTree` indexes them.
+constexpr int kA = 0;
+constexpr int kB = 1;
+
 // Inclusive range for a predicate, widened to the whole domain if inactive.
 void PredRange(const PredicateSpec& pred, int64_t domain, int64_t* lo,
                int64_t* hi) {
@@ -22,13 +30,6 @@ void PredRange(const PredicateSpec& pred, int64_t domain, int64_t* lo,
     *lo = 0;
     *hi = domain - 1;
   }
-}
-
-std::vector<RangePredicate> ActivePredicates(const QuerySpec& q) {
-  std::vector<RangePredicate> preds;
-  if (q.pred_a.active) preds.push_back({0, q.pred_a.lo, q.pred_a.hi});
-  if (q.pred_b.active) preds.push_back({1, q.pred_b.lo, q.pred_b.hi});
-  return preds;
 }
 
 }  // namespace
@@ -79,157 +80,156 @@ Status Executor::ValidatePlan(PlanKind kind) const {
 Result<OperatorPtr> Executor::BuildPlan(PlanKind kind,
                                         const QuerySpec& query) const {
   RM_RETURN_IF_ERROR(ValidatePlan(kind));
-  return BuildPlanUnchecked(kind, query);
+  // A bare operator tree carries no label: skip `Prepare`'s allocation.
+  PlanTree tree = BuildTree(PreparedPlan(kind, std::string()));
+  tree.Bind(query);
+  return std::move(tree.root_);
 }
 
-Result<OperatorPtr> Executor::BuildPlanUnchecked(PlanKind kind,
-                                                 const QuerySpec& query) const {
-  int64_t a_lo, a_hi, b_lo, b_hi;
-  PredRange(query.pred_a, db_.domain, &a_lo, &a_hi);
-  PredRange(query.pred_b, db_.domain, &b_lo, &b_hi);
-
-  auto single_index_scan = [&](Index* idx, int64_t lo,
-                               int64_t hi) -> OperatorPtr {
-    IndexScanOptions o;
-    o.k0_lo = lo;
-    o.k0_hi = hi;
-    return std::make_unique<IndexScanOp>(idx, o);
+Executor::PlanTree Executor::BuildTree(const PreparedPlan& plan) const {
+  PlanTree t(plan, db_.domain);
+  size_t num_scans = 0;
+  // A scan of `idx` whose leading key column takes predicate `lead`.
+  auto scan = [&](Index* idx, int lead, bool composite = false,
+                  bool mdam = false) -> OperatorPtr {
+    auto op = std::make_unique<IndexScanOp>(idx, IndexScanOptions{});
+    t.scans_[num_scans++] = {op.get(), lead, composite, mdam};
+    return op;
+  };
+  // A fetch of `child`'s rids; `residual`, when active, filters the rows.
+  auto fetch = [&](OperatorPtr child, FetchPolicy policy,
+                   int residual) -> OperatorPtr {
+    std::vector<RangePredicate> none;
+    auto op = std::make_unique<FetchOp>(std::move(child), db_.table, policy,
+                                        std::move(none));
+    t.residual_fetch_ = op.get();
+    t.residual_ = residual;
+    return op;
+  };
+  // MVCC: System B must fetch the row versions even though the index
+  // covers the query; the predicates were already applied in-index.
+  auto bitmap_fetch = [&](OperatorPtr child) -> OperatorPtr {
+    std::vector<RangePredicate> none;
+    return std::make_unique<FetchOp>(std::move(child), db_.table,
+                                     FetchPolicy::kBitmap, std::move(none));
   };
 
-  auto cover_scan = [&](Index* idx, int64_t lo0, int64_t hi0, bool filter,
-                        int64_t lo1, int64_t hi1, bool mdam) -> OperatorPtr {
-    IndexScanOptions o;
-    o.k0_lo = lo0;
-    o.k0_hi = hi0;
-    o.filter_k1 = filter;
-    o.k1_lo = lo1;
-    o.k1_hi = hi1;
-    o.use_mdam = mdam;
-    o.k0_domain = db_.domain;
-    o.k1_domain = db_.domain;
-    return std::make_unique<IndexScanOp>(idx, o);
-  };
-
-  switch (kind) {
-    case PlanKind::kTableScan:
-      return OperatorPtr(
-          std::make_unique<TableScanOp>(db_.table, ActivePredicates(query)));
+  switch (plan.kind()) {
+    case PlanKind::kTableScan: {
+      std::vector<RangePredicate> none;
+      auto op = std::make_unique<TableScanOp>(db_.table, std::move(none));
+      t.table_scan_ = op.get();
+      t.root_ = std::move(op);
+      break;
+    }
 
     case PlanKind::kIndexAImproved:
-    case PlanKind::kIndexANaive: {
-      std::vector<RangePredicate> residual;
-      if (query.pred_b.active) {
-        residual.push_back({1, query.pred_b.lo, query.pred_b.hi});
-      }
-      FetchPolicy policy = kind == PlanKind::kIndexAImproved
-                               ? FetchPolicy::kSorted
-                               : FetchPolicy::kNaive;
-      return OperatorPtr(std::make_unique<FetchOp>(
-          single_index_scan(db_.idx_a, a_lo, a_hi), db_.table, policy,
-          std::move(residual)));
-    }
+      t.root_ = fetch(scan(db_.idx_a, kA), FetchPolicy::kSorted, kB);
+      break;
+
+    case PlanKind::kIndexANaive:
+      t.root_ = fetch(scan(db_.idx_a, kA), FetchPolicy::kNaive, kB);
+      break;
 
     case PlanKind::kIndexBImproved:
-    case PlanKind::kIndexBNaive: {
-      std::vector<RangePredicate> residual;
-      if (query.pred_a.active) {
-        residual.push_back({0, query.pred_a.lo, query.pred_a.hi});
-      }
-      FetchPolicy policy = kind == PlanKind::kIndexBImproved
-                               ? FetchPolicy::kSorted
-                               : FetchPolicy::kNaive;
-      return OperatorPtr(std::make_unique<FetchOp>(
-          single_index_scan(db_.idx_b, b_lo, b_hi), db_.table, policy,
-          std::move(residual)));
-    }
+      t.root_ = fetch(scan(db_.idx_b, kB), FetchPolicy::kSorted, kA);
+      break;
+
+    case PlanKind::kIndexBNaive:
+      t.root_ = fetch(scan(db_.idx_b, kB), FetchPolicy::kNaive, kA);
+      break;
 
     case PlanKind::kMergeJoinAB:
     case PlanKind::kMergeJoinBA: {
-      auto left = single_index_scan(db_.idx_a, a_lo, a_hi);
-      auto right = single_index_scan(db_.idx_b, b_lo, b_hi);
-      if (kind == PlanKind::kMergeJoinBA) std::swap(left, right);
-      return OperatorPtr(
-          std::make_unique<MergeJoinOp>(std::move(left), std::move(right)));
+      OperatorPtr a = scan(db_.idx_a, kA);
+      OperatorPtr b = scan(db_.idx_b, kB);
+      if (plan.kind() == PlanKind::kMergeJoinBA) std::swap(a, b);
+      t.root_ = std::make_unique<MergeJoinOp>(std::move(a), std::move(b));
+      break;
     }
 
     case PlanKind::kHashJoinAB:
     case PlanKind::kHashJoinBA: {
-      auto build = single_index_scan(db_.idx_a, a_lo, a_hi);
-      auto probe = single_index_scan(db_.idx_b, b_lo, b_hi);
-      if (kind == PlanKind::kHashJoinBA) std::swap(build, probe);
-      return OperatorPtr(
-          std::make_unique<HashJoinOp>(std::move(build), std::move(probe)));
+      // Builds on the first child, probes with the second.
+      OperatorPtr a = scan(db_.idx_a, kA);
+      OperatorPtr b = scan(db_.idx_b, kB);
+      if (plan.kind() == PlanKind::kHashJoinBA) std::swap(a, b);
+      t.root_ = std::make_unique<HashJoinOp>(std::move(a), std::move(b));
+      break;
     }
 
-    case PlanKind::kCoverABBitmapFetch: {
-      auto scan = cover_scan(db_.idx_ab, a_lo, a_hi, query.pred_b.active,
-                             b_lo, b_hi, /*mdam=*/false);
-      // MVCC: System B must fetch the row versions even though the index
-      // covers the query; the predicates were already applied in-index.
-      return OperatorPtr(std::make_unique<FetchOp>(
-          std::move(scan), db_.table, FetchPolicy::kBitmap,
-          std::vector<RangePredicate>{}));
-    }
+    case PlanKind::kCoverABBitmapFetch:
+      t.root_ = bitmap_fetch(scan(db_.idx_ab, kA, /*composite=*/true));
+      break;
 
-    case PlanKind::kCoverBABitmapFetch: {
-      auto scan = cover_scan(db_.idx_ba, b_lo, b_hi, query.pred_a.active,
-                             a_lo, a_hi, /*mdam=*/false);
-      return OperatorPtr(std::make_unique<FetchOp>(
-          std::move(scan), db_.table, FetchPolicy::kBitmap,
-          std::vector<RangePredicate>{}));
-    }
+    case PlanKind::kCoverBABitmapFetch:
+      t.root_ = bitmap_fetch(scan(db_.idx_ba, kB, /*composite=*/true));
+      break;
 
     case PlanKind::kBitmapAndFetch: {
-      auto intersect = std::make_unique<BitmapAndOp>(
-          single_index_scan(db_.idx_a, a_lo, a_hi),
-          single_index_scan(db_.idx_b, b_lo, b_hi), db_.table->num_rows());
-      return OperatorPtr(std::make_unique<FetchOp>(
-          std::move(intersect), db_.table, FetchPolicy::kBitmap,
-          std::vector<RangePredicate>{}));
+      const uint64_t rows = db_.table->num_rows();
+      OperatorPtr a = scan(db_.idx_a, kA);
+      OperatorPtr b = scan(db_.idx_b, kB);
+      t.root_ = bitmap_fetch(
+          std::make_unique<BitmapAndOp>(std::move(a), std::move(b), rows));
+      break;
     }
 
-    case PlanKind::kMdamAB: {
-      return cover_scan(db_.idx_ab, a_lo, a_hi, /*filter=*/true, b_lo, b_hi,
-                        /*mdam=*/true);
-    }
+    case PlanKind::kMdamAB:
+      t.root_ = scan(db_.idx_ab, kA, /*composite=*/true, /*mdam=*/true);
+      break;
 
-    case PlanKind::kMdamBA: {
-      return cover_scan(db_.idx_ba, b_lo, b_hi, /*filter=*/true, a_lo, a_hi,
-                        /*mdam=*/true);
-    }
+    case PlanKind::kMdamBA:
+      t.root_ = scan(db_.idx_ba, kB, /*composite=*/true, /*mdam=*/true);
+      break;
 
-    case PlanKind::kCoverABScan: {
-      return cover_scan(db_.idx_ab, a_lo, a_hi, query.pred_b.active, b_lo,
-                        b_hi, /*mdam=*/false);
-    }
+    case PlanKind::kCoverABScan:
+      t.root_ = scan(db_.idx_ab, kA, /*composite=*/true);
+      break;
   }
-  return Status::InvalidArgument("unknown plan kind");
+  return t;
 }
 
-namespace {
+void Executor::PlanTree::Bind(const QuerySpec& query) {
+  const PredicateSpec* const preds[2] = {&query.pred_a, &query.pred_b};
+  std::array<int64_t, 2> lo{};
+  std::array<int64_t, 2> hi{};
+  for (int p : {kA, kB}) PredRange(*preds[p], domain_, &lo[p], &hi[p]);
 
-/// The one measurement sequence both `Run` overloads share: cold start,
-/// drain, read the clock and the I/O delta. `label` is copied into the
-/// measurement last so callers can pass a prepared plan's cached string.
-Result<Measurement> MeasurePlan(RunContext* ctx, Operator* plan,
-                                const std::string& label) {
-  // Cold start: independent, reproducible map cells.
-  ctx->ColdStart();
-  IoStats before = ctx->device->stats();
-  VirtualStopwatch watch(ctx->clock);
+  for (const ScanBinding& s : scans_) {
+    if (s.op == nullptr) continue;
+    const int other = s.lead == kA ? kB : kA;
+    IndexScanOptions o;
+    o.k0_lo = lo[s.lead];
+    o.k0_hi = hi[s.lead];
+    if (s.composite) {
+      o.filter_k1 = s.mdam || preds[other]->active;
+      o.k1_lo = lo[other];
+      o.k1_hi = hi[other];
+      o.use_mdam = s.mdam;
+      o.k0_domain = domain_;
+      o.k1_domain = domain_;
+    }
+    s.op->set_options(o);
+  }
 
-  auto rows = DrainCount(ctx, plan);
-  RM_RETURN_IF_ERROR(rows.status());
-
-  Measurement m;
-  m.seconds = watch.elapsed_seconds();
-  m.output_rows = rows.value();
-  m.io = ctx->device->stats().Delta(before);
-  m.plan_label = label;
-  return m;
+  // Row filters for the active predicates among `wanted` (predicate p
+  // filters column p).
+  std::array<RangePredicate, 2> active;
+  const auto filter = [&](std::initializer_list<int> wanted) {
+    size_t n = 0;
+    for (int p : wanted) {
+      if (preds[p]->active) {
+        active[n++] = {static_cast<uint32_t>(p), preds[p]->lo, preds[p]->hi};
+      }
+    }
+    return std::span<const RangePredicate>(active.data(), n);
+  };
+  if (residual_fetch_ != nullptr) {
+    residual_fetch_->set_residual(filter({residual_}));
+  }
+  if (table_scan_ != nullptr) table_scan_->set_predicates(filter({kA, kB}));
 }
-
-}  // namespace
 
 Result<Executor::PreparedPlan> Executor::Prepare(PlanKind kind) const {
   RM_RETURN_IF_ERROR(ValidatePlan(kind));
@@ -238,16 +238,29 @@ Result<Executor::PreparedPlan> Executor::Prepare(PlanKind kind) const {
 
 Result<Measurement> Executor::Run(RunContext* ctx, PlanKind kind,
                                   const QuerySpec& query) const {
-  auto plan = BuildPlan(kind, query);
-  RM_RETURN_IF_ERROR(plan.status());
-  return MeasurePlan(ctx, plan.value().get(), PlanKindLabel(kind));
+  auto prepared = Prepare(kind);
+  RM_RETURN_IF_ERROR(prepared.status());
+  PlanTree tree = BuildTree(prepared.value());
+  return Run(ctx, &tree, query);
 }
 
-Result<Measurement> Executor::Run(RunContext* ctx, const PreparedPlan& plan,
+Result<Measurement> Executor::Run(RunContext* ctx, PlanTree* tree,
                                   const QuerySpec& query) const {
-  auto tree = BuildPlanUnchecked(plan.kind(), query);
-  RM_RETURN_IF_ERROR(tree.status());
-  return MeasurePlan(ctx, tree.value().get(), plan.label());
+  tree->Bind(query);
+  // Cold start: independent, reproducible map cells.
+  ctx->ColdStart();
+  IoStats before = ctx->device->stats();
+  VirtualStopwatch watch(ctx->clock);
+
+  auto rows = DrainCount(ctx, tree->root());
+  RM_RETURN_IF_ERROR(rows.status());
+
+  Measurement m;
+  m.seconds = watch.elapsed_seconds();
+  m.output_rows = rows.value();
+  m.io = ctx->device->stats().Delta(before);
+  m.plan_label = tree->label();
+  return m;
 }
 
 }  // namespace robustmap

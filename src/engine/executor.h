@@ -1,6 +1,7 @@
 #ifndef ROBUSTMAP_ENGINE_EXECUTOR_H_
 #define ROBUSTMAP_ENGINE_EXECUTOR_H_
 
+#include <array>
 #include <string>
 #include <utility>
 
@@ -13,6 +14,10 @@
 #include "storage/table.h"
 
 namespace robustmap {
+
+class FetchOp;
+class IndexScanOp;
+class TableScanOp;
 
 /// Storage handles for the benchmark database: one two-column table and the
 /// index complement the three systems need. `idx_ab` / `idx_ba` may be null
@@ -50,8 +55,8 @@ class Executor {
   /// label string materialized once — the per-cell invariants of a sweep
   /// (a sweep runs the same plan over thousands of cells, and neither the
   /// null-index checks nor the label allocation depend on the cell).
-  /// Obtained from `Prepare()`; only the operator tree, whose predicate
-  /// bounds change per cell, remains per-`Run` work.
+  /// Obtained from `Prepare()`; `BuildTree` turns it into the operator
+  /// tree a machine reuses for every cell of the plan.
   class PreparedPlan {
    public:
     PlanKind kind() const { return kind_; }
@@ -66,37 +71,79 @@ class Executor {
     std::string label_;
   };
 
+  /// One plan's operator tree, built once and bound to each cell's
+  /// predicate bounds before it runs: a sweep keeps one per plan and
+  /// machine, so its operators keep their buffers from one cell to the
+  /// next and a warmed cell allocates only its index cursors and its
+  /// measurement's label copy. `BuildPlan` and `Run(ctx, kind, query)`
+  /// build a tree and bind it the same way, so a reused tree measures
+  /// bit-identically to a fresh one. Movable; not thread-safe — one
+  /// machine runs it at a time.
+  class PlanTree {
+   public:
+    const std::string& label() const { return label_; }
+    Operator* root() const { return root_.get(); }
+
+    /// Sets `query`'s predicate bounds in the tree's index scans, residual
+    /// filters and table scan, for the next `Open`. Allocation-free once
+    /// the tree has bound a query with as many active predicates.
+    void Bind(const QuerySpec& query);
+
+   private:
+    friend class Executor;
+
+    /// An index scan `Bind` sets: the predicate its leading key column
+    /// takes (0: a, 1: b), and for a composite index whether it filters
+    /// the other predicate in-index (when active) or navigates it by MDAM.
+    struct ScanBinding {
+      IndexScanOp* op = nullptr;
+      int lead = 0;
+      bool composite = false;
+      bool mdam = false;
+    };
+
+    PlanTree(const PreparedPlan& plan, int64_t domain)
+        : label_(plan.label()), domain_(domain) {}
+
+    std::string label_;
+    int64_t domain_;
+    OperatorPtr root_;
+    std::array<ScanBinding, 2> scans_{};
+    /// A fetch filtering predicate `residual_` (0: a, 1: b) when active.
+    FetchOp* residual_fetch_ = nullptr;
+    int residual_ = 0;
+    TableScanOp* table_scan_ = nullptr;
+  };
+
   explicit Executor(const StudyDb& db) : db_(db) {}
 
-  /// Constructs the (unopened) operator tree for `kind` under `query`.
+  /// Constructs the (unopened) operator tree for `kind` under `query`:
+  /// `BuildTree` of the prepared plan, bound to `query`.
   Result<OperatorPtr> BuildPlan(PlanKind kind, const QuerySpec& query) const;
 
   /// Validates that this database can execute `kind` (the table and every
-  /// index the plan needs are bound) and returns the handle that lets
-  /// `Run(ctx, prepared, query)` skip that validation — and the label
-  /// allocation — on every cell.
+  /// index the plan needs are bound) and returns the handle `BuildTree`
+  /// takes, so a sweep validates and labels each plan once.
   Result<PreparedPlan> Prepare(PlanKind kind) const;
 
-  /// Cold-runs the plan to completion, counting output rows.
+  /// The operator tree of `plan`, unbound: `Bind` it before each run.
+  PlanTree BuildTree(const PreparedPlan& plan) const;
+
+  /// Cold-runs the plan to completion on a fresh tree, counting output
+  /// rows.
   Result<Measurement> Run(RunContext* ctx, PlanKind kind,
                           const QuerySpec& query) const;
 
-  /// `Run` for a plan validated by `Prepare()`: bit-identical measurements,
-  /// minus the per-cell validation and label construction.
-  Result<Measurement> Run(RunContext* ctx, const PreparedPlan& plan,
+  /// Binds `query` into `tree` and cold-runs it: the measurement a fresh
+  /// tree would give, bit for bit, whatever `tree` ran before.
+  Result<Measurement> Run(RunContext* ctx, PlanTree* tree,
                           const QuerySpec& query) const;
 
   const StudyDb& db() const { return db_; }
 
  private:
-  /// The storage-requirement checks of `BuildPlan`, separated so `Prepare`
-  /// can run them once per sweep instead of once per cell.
+  /// The storage-requirement checks of `Prepare`.
   Status ValidatePlan(PlanKind kind) const;
-
-  /// Tree construction after validation; `kind` must have passed
-  /// `ValidatePlan`.
-  Result<OperatorPtr> BuildPlanUnchecked(PlanKind kind,
-                                         const QuerySpec& query) const;
 
   StudyDb db_;
 };

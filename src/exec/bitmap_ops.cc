@@ -12,16 +12,29 @@ uint64_t LowestBit(uint64_t x) {
 }  // namespace
 
 void RidBitmap::Reset(uint64_t num_rids) {
+  const uint64_t num_words = (num_rids + 63) / 64;
   num_rids_ = num_rids;
-  num_words_ = (num_rids + 63) / 64;
+  if (num_words == num_words_ && !bits_.empty()) {
+    // Same shape: a word is non-zero only where its summary bit is set.
+    for (uint64_t s = 0; num_words_ + s < bits_.size(); ++s) {
+      uint64_t& marks = bits_[num_words_ + s];
+      for (; marks != 0; marks &= marks - 1) {
+        bits_[(s << 6) + LowestBit(marks)] = 0;
+      }
+    }
+    return;
+  }
+  num_words_ = num_words;
   bits_.assign(num_words_ + (num_words_ + 63) / 64, 0);
 }
 
-void RidBitmap::Release() {
+void RidBitmap::Recycle() {
+  // Not `RecycleBuffer`: kept words stay as they are, for `Reset` to clear
+  // by the summary.
+  if (bits_.capacity() * sizeof(uint64_t) <= kRetainedBufferBytes) return;
+  std::vector<uint64_t>().swap(bits_);
   num_rids_ = 0;
   num_words_ = 0;
-  bits_.clear();
-  bits_.shrink_to_fit();
 }
 
 void RidBitmap::And(const RidBitmap& other) {
@@ -76,11 +89,11 @@ Status BitmapAndOp::FillBitmap(RunContext* ctx, Operator* child,
 }
 
 Status BitmapAndOp::Open(RunContext* ctx) {
+  status_ = Status::OK();
   scan_pos_ = 0;
-  RidBitmap right_bits;
   RM_RETURN_IF_ERROR(FillBitmap(ctx, left_.get(), &bits_));
-  RM_RETURN_IF_ERROR(FillBitmap(ctx, right_.get(), &right_bits));
-  bits_.And(right_bits);
+  RM_RETURN_IF_ERROR(FillBitmap(ctx, right_.get(), &right_bits_));
+  bits_.And(right_bits_);
   // Word-wise AND plus the output scan below, charged as passes over
   // every word whatever the host skips.
   ctx->ChargeCpuOps(bits_.num_words() * 2, ctx->cpu.bitmap_set_seconds);
@@ -97,8 +110,10 @@ bool BitmapAndOp::Next(RunContext* ctx, Row* out) {
 }
 
 void BitmapAndOp::Close(RunContext* ctx) {
-  (void)ctx;
-  bits_.Release();
+  left_->Close(ctx);
+  right_->Close(ctx);
+  bits_.Recycle();
+  right_bits_.Recycle();
 }
 
 std::string BitmapAndOp::DebugName() const {

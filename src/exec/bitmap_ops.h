@@ -14,14 +14,18 @@ namespace robustmap {
 /// non-zero. A sparse set is ANDed and scanned by the words it touches,
 /// skipping whole empty 4,096-rid blocks, instead of by the table size.
 /// The simulated cost of a bitmap is charged by its users from
-/// `num_words()`, so the summary changes host time only.
+/// `num_words()`, so the summary changes host time only. It also makes a
+/// reused bitmap cheap to empty: `Reset` at an unchanged size clears only
+/// the words the summary marks.
 class RidBitmap {
  public:
   /// Empties the set and sizes it for rids in [0, num_rids).
   void Reset(uint64_t num_rids);
 
-  /// Frees the storage; the set is empty until the next `Reset`.
-  void Release();
+  /// At `Close`: keeps the set for the next `Reset` to clear when its
+  /// storage is at most `kRetainedBufferBytes`, frees it (leaving an empty
+  /// set) otherwise.
+  void Recycle();
 
   /// Adds `rid` (< num_rids()); adding a member again is a no-op.
   void Set(Rid rid) {
@@ -76,6 +80,7 @@ class BitmapAndOp : public Operator {
   OperatorPtr right_;
   uint64_t table_rows_;
   RidBitmap bits_;
+  RidBitmap right_bits_;
   uint64_t scan_pos_ = 0;
 };
 

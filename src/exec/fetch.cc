@@ -1,15 +1,13 @@
 #include "exec/fetch.h"
 
-#include <algorithm>
-
 #include "exec/sort.h"
 
 namespace robustmap {
 
 Status FetchOp::Open(RunContext* ctx) {
+  status_ = Status::OK();
   rids_.clear();
   rid_pos_ = 0;
-  bitmap_.Release();
   bitmap_scan_pos_ = 0;
   rows_fetched_ = 0;
   RM_RETURN_IF_ERROR(child_->Open(ctx));
@@ -28,7 +26,7 @@ Status FetchOp::Prepare(RunContext* ctx) {
     // Rid sort: 8-byte items under the sort memory budget.
     ChargeSortCost(ctx, rids_.size(), sizeof(Rid), ctx->sort_memory_bytes,
                    SpillKind::kGraceful);
-    std::sort(rids_.begin(), rids_.end());
+    SortByRid(&rids_, &scratch_);
     return Status::OK();
   }
   // kBitmap: one bit per table row; insertion is cheap and order-free.
@@ -88,10 +86,10 @@ bool FetchOp::Next(RunContext* ctx, Row* out) {
 }
 
 void FetchOp::Close(RunContext* ctx) {
-  if (policy_ == FetchPolicy::kNaive) child_->Close(ctx);
-  rids_.clear();
-  rids_.shrink_to_fit();
-  bitmap_.Release();
+  child_->Close(ctx);
+  RecycleBuffer(&rids_);
+  RecycleBuffer(&scratch_);
+  bitmap_.Recycle();
 }
 
 std::string FetchOp::DebugName() const {

@@ -1,6 +1,7 @@
 #ifndef ROBUSTMAP_EXEC_FETCH_H_
 #define ROBUSTMAP_EXEC_FETCH_H_
 
+#include <span>
 #include <vector>
 
 #include "exec/bitmap_ops.h"
@@ -42,6 +43,12 @@ class FetchOp : public Operator {
 
   uint64_t rows_fetched() const { return rows_fetched_; }
 
+  /// Replaces the residual predicates for the next `Open`; reuses their
+  /// storage.
+  void set_residual(std::span<const RangePredicate> residual) {
+    residual_.assign(residual.begin(), residual.end());
+  }
+
  private:
   /// Blocking preparation for kSorted / kBitmap: drain child, order rids.
   Status Prepare(RunContext* ctx);
@@ -55,6 +62,7 @@ class FetchOp : public Operator {
 
   // kSorted / kBitmap state.
   std::vector<Rid> rids_;
+  std::vector<Rid> scratch_;  ///< `SortByRid`'s buffer
   size_t rid_pos_ = 0;
   RidBitmap bitmap_;
   uint64_t bitmap_scan_pos_ = 0;

@@ -15,12 +15,19 @@ void MergeInto(const Row& build, Row* out) {
 }
 }  // namespace
 
-RidMap::RidMap(size_t expected) {
+void RidMap::Reset(size_t expected) {
   size_t cap = 16;
   while (cap < expected * 2) cap <<= 1;
   keys_.assign(cap, kInvalidRid);
-  values_.assign(cap, UINT32_MAX);
+  // Only slots with a key are read, so stale ordinals may stay.
+  values_.resize(cap);
   mask_ = cap - 1;
+  size_ = 0;
+}
+
+void RidMap::Recycle() {
+  RecycleBuffer(&keys_);
+  RecycleBuffer(&values_);
 }
 
 size_t RidMap::Slot(Rid rid) const { return Mix64(rid) & mask_; }
@@ -46,7 +53,11 @@ uint32_t RidMap::Find(Rid rid) const {
 }
 
 Status HashJoinOp::Open(RunContext* ctx) {
+  status_ = Status::OK();
   build_rows_.clear();
+  materialized_probe_.clear();
+  probe_pos_ = 0;
+  probe_open_ = false;
   partition_pages_ = 0;
 
   RM_RETURN_IF_ERROR(build_->Open(ctx));
@@ -64,12 +75,11 @@ Status HashJoinOp::Open(RunContext* ctx) {
     // recursion level before any joining happens. The probe side must be
     // fully consumed to know its volume — exactly why an oversized build
     // side hurts so much more than an oversized probe side.
-    std::vector<Row> probe_rows;
     RM_RETURN_IF_ERROR(probe_->Open(ctx));
-    while (probe_->Next(ctx, &r)) probe_rows.push_back(r);
+    while (probe_->Next(ctx, &r)) materialized_probe_.push_back(r);
     RM_RETURN_IF_ERROR(probe_->status());
     probe_->Close(ctx);
-    ctx->ChargeCpuOps(probe_rows.size(), ctx->cpu.hash_seconds);
+    ctx->ChargeCpuOps(materialized_probe_.size(), ctx->cpu.hash_seconds);
 
     uint64_t page = ctx->device->model().params().page_size_bytes;
     uint64_t fanout = std::max<uint64_t>(2, ctx->hash_memory_bytes / page);
@@ -77,7 +87,7 @@ Status HashJoinOp::Open(RunContext* ctx) {
     for (uint64_t b = build_bytes; b > ctx->hash_memory_bytes; b /= fanout) {
       ++levels;
     }
-    uint64_t probe_bytes = probe_rows.size() * kRowBytes;
+    uint64_t probe_bytes = materialized_probe_.size() * kRowBytes;
     uint64_t pages = (build_bytes + probe_bytes + page - 1) / page *
                      std::max<uint64_t>(1, levels);
     if (pages > 0) {
@@ -86,19 +96,16 @@ Status HashJoinOp::Open(RunContext* ctx) {
       ctx->device->ReadRun(temp, pages);
       partition_pages_ = pages;
     }
-    // After partitioning, per-partition joins proceed in memory. We keep the
-    // materialized probe and intersect below.
-    materialized_probe_ = std::move(probe_rows);
-    probe_pos_ = 0;
-    probe_open_ = false;
+    // After partitioning, per-partition joins proceed in memory: the
+    // materialized probe is intersected in `Next`.
   } else {
     RM_RETURN_IF_ERROR(probe_->Open(ctx));
     probe_open_ = true;
   }
 
-  map_ = std::make_unique<RidMap>(build_rows_.size());
+  map_.Reset(build_rows_.size());
   for (uint32_t i = 0; i < build_rows_.size(); ++i) {
-    map_->Insert(build_rows_[i].rid, i);
+    map_.Insert(build_rows_[i].rid, i);
   }
   return Status::OK();
 }
@@ -108,7 +115,7 @@ bool HashJoinOp::Next(RunContext* ctx, Row* out) {
     Row r;
     while (probe_->Next(ctx, &r)) {
       ctx->ChargeCpuOps(1, ctx->cpu.hash_seconds);
-      uint32_t hit = map_->Find(r.rid);
+      uint32_t hit = map_.Find(r.rid);
       if (hit != UINT32_MAX) {
         *out = r;
         MergeInto(build_rows_[hit], out);
@@ -122,7 +129,7 @@ bool HashJoinOp::Next(RunContext* ctx, Row* out) {
   while (probe_pos_ < materialized_probe_.size()) {
     const Row& r = materialized_probe_[probe_pos_++];
     ctx->ChargeCpuOps(1, ctx->cpu.hash_seconds);
-    uint32_t hit = map_->Find(r.rid);
+    uint32_t hit = map_.Find(r.rid);
     if (hit != UINT32_MAX) {
       *out = r;
       MergeInto(build_rows_[hit], out);
@@ -134,13 +141,12 @@ bool HashJoinOp::Next(RunContext* ctx, Row* out) {
 }
 
 void HashJoinOp::Close(RunContext* ctx) {
-  if (probe_open_) probe_->Close(ctx);
+  build_->Close(ctx);
+  probe_->Close(ctx);
   probe_open_ = false;
-  build_rows_.clear();
-  build_rows_.shrink_to_fit();
-  materialized_probe_.clear();
-  materialized_probe_.shrink_to_fit();
-  map_.reset();
+  RecycleBuffer(&build_rows_);
+  RecycleBuffer(&materialized_probe_);
+  map_.Recycle();
 }
 
 std::string HashJoinOp::DebugName() const {

@@ -13,7 +13,17 @@ namespace robustmap {
 /// clock; the *simulated* cost is charged explicitly by the operator.
 class RidMap {
  public:
-  explicit RidMap(size_t expected);
+  RidMap() = default;
+  explicit RidMap(size_t expected) { Reset(expected); }
+
+  /// Empties the map and sizes it for `expected` rids, reusing its storage
+  /// when that is large enough; a default-constructed map needs it before
+  /// the first `Insert` or `Find`.
+  void Reset(size_t expected);
+
+  /// Frees the storage when it exceeds `kRetainedBufferBytes` (see
+  /// `RecycleBuffer`); call `Reset` before the next use either way.
+  void Recycle();
 
   /// Inserts rid -> ordinal; keeps the first ordinal on duplicates.
   void Insert(Rid rid, uint32_t ordinal);
@@ -57,7 +67,7 @@ class HashJoinOp : public Operator {
   OperatorPtr probe_;
 
   std::vector<Row> build_rows_;
-  std::unique_ptr<RidMap> map_;
+  RidMap map_;
   bool probe_open_ = false;
   std::vector<Row> materialized_probe_;  ///< used only after a Grace spill
   size_t probe_pos_ = 0;

@@ -5,6 +5,7 @@
 namespace robustmap {
 
 Status IndexScanOp::Open(RunContext* ctx) {
+  status_ = Status::OK();
   examined_ = 0;
   if (opts_.use_mdam || opts_.filter_k1) {
     if (index_->num_key_columns() != 2) {

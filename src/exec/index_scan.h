@@ -50,6 +50,9 @@ class IndexScanOp : public Operator {
   /// After Close: number of entries the scan examined.
   uint64_t entries_examined() const { return examined_; }
 
+  /// Replaces the scan's range and mode for the next `Open`.
+  void set_options(const IndexScanOptions& opts) { opts_ = opts; }
+
  private:
   Index* index_;
   IndexScanOptions opts_;

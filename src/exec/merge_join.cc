@@ -1,7 +1,5 @@
 #include "exec/merge_join.h"
 
-#include <algorithm>
-
 #include "exec/sort.h"
 
 namespace robustmap {
@@ -15,12 +13,12 @@ Status MergeJoinOp::DrainSorted(RunContext* ctx, Operator* child,
   child->Close(ctx);
   ChargeSortCost(ctx, out->size(), /*item_bytes=*/16, ctx->sort_memory_bytes,
                  SpillKind::kGraceful);
-  std::sort(out->begin(), out->end(),
-            [](const Row& a, const Row& b) { return a.rid < b.rid; });
+  SortByRid(out, &scratch_);
   return Status::OK();
 }
 
 Status MergeJoinOp::Open(RunContext* ctx) {
+  status_ = Status::OK();
   left_rows_.clear();
   right_rows_.clear();
   li_ = ri_ = 0;
@@ -53,11 +51,11 @@ bool MergeJoinOp::Next(RunContext* ctx, Row* out) {
 }
 
 void MergeJoinOp::Close(RunContext* ctx) {
-  (void)ctx;
-  left_rows_.clear();
-  left_rows_.shrink_to_fit();
-  right_rows_.clear();
-  right_rows_.shrink_to_fit();
+  left_->Close(ctx);
+  right_->Close(ctx);
+  RecycleBuffer(&left_rows_);
+  RecycleBuffer(&right_rows_);
+  RecycleBuffer(&scratch_);
 }
 
 std::string MergeJoinOp::DebugName() const {

@@ -33,6 +33,7 @@ class MergeJoinOp : public Operator {
   OperatorPtr right_;
   std::vector<Row> left_rows_;
   std::vector<Row> right_rows_;
+  std::vector<Row> scratch_;  ///< `SortByRid`'s buffer, for both sides
   size_t li_ = 0;
   size_t ri_ = 0;
 };

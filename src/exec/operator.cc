@@ -3,12 +3,15 @@
 namespace robustmap {
 
 Result<uint64_t> DrainCount(RunContext* ctx, Operator* op) {
-  RM_RETURN_IF_ERROR(op->Open(ctx));
+  Status s = op->Open(ctx);
   uint64_t count = 0;
-  Row row;
-  while (op->Next(ctx, &row)) ++count;
-  RM_RETURN_IF_ERROR(op->status());
+  if (s.ok()) {
+    Row row;
+    while (op->Next(ctx, &row)) ++count;
+    s = op->status();
+  }
   op->Close(ctx);
+  if (!s.ok()) return s;
   return count;
 }
 

@@ -1,8 +1,10 @@
 #ifndef ROBUSTMAP_EXEC_OPERATOR_H_
 #define ROBUSTMAP_EXEC_OPERATOR_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "io/run_context.h"
@@ -16,6 +18,12 @@ namespace robustmap {
 /// stream is exhausted *or* an error occurred; callers distinguish the two
 /// via `status()` (RocksDB iterator idiom — keeps the hot path free of
 /// Status copies).
+///
+/// A tree is reusable: a sweep runs one tree per plan and machine over
+/// thousands of cells. `Open` resets every piece of per-run state (the
+/// status included), and `Close` may be called after any `Open`, whether
+/// it succeeded or failed, and more than once: it closes every child and
+/// keeps buffers for the next run (see `RecycleBuffer`).
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -36,8 +44,27 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
+/// The most bytes an operator buffer keeps across `Close` for the next run
+/// of its tree. A low-band cell (a few hundred rows per side, a bitmap over
+/// 2^16 rids) fits, so a warmed tree sweeps that band without touching the
+/// heap; a larger buffer is freed at `Close`, so paper-scale cells do not
+/// pin megabytes per plan and machine.
+inline constexpr size_t kRetainedBufferBytes = size_t{64} << 10;
+
+/// Empties `buf` at `Close`: keeps its storage when that is at most
+/// `kRetainedBufferBytes`, frees it otherwise.
+template <typename T>
+void RecycleBuffer(std::vector<T>* buf) {
+  if (buf->capacity() * sizeof(T) > kRetainedBufferBytes) {
+    std::vector<T>().swap(*buf);
+  } else {
+    buf->clear();
+  }
+}
+
 /// Runs `op` to completion, counting rows. Returns the row count or the
-/// operator's error. Opens and closes the operator.
+/// operator's error. Opens `op`, and closes it on every path, so a failed
+/// run leaves no child open in a reused tree.
 Result<uint64_t> DrainCount(RunContext* ctx, Operator* op);
 
 }  // namespace robustmap

@@ -1,9 +1,64 @@
 #include "exec/sort.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace robustmap {
+
+namespace {
+
+Rid KeyOf(const Row& row) { return row.rid; }
+Rid KeyOf(Rid rid) { return rid; }
+
+template <typename T>
+void RadixSortByRid(std::vector<T>* items, std::vector<T>* scratch,
+                    size_t min_items) {
+  const size_t n = items->size();
+  if (n < min_items) {
+    std::sort(items->begin(), items->end(),
+              [](const T& a, const T& b) { return KeyOf(a) < KeyOf(b); });
+    return;
+  }
+  Rid any_bits = 0;
+  for (const T& item : *items) any_bits |= KeyOf(item);
+  const int bytes = (static_cast<int>(std::bit_width(any_bits)) + 7) / 8;
+  // Every pass's byte histogram, from one read of the input.
+  std::array<std::array<size_t, 256>, sizeof(Rid)> count;
+  for (int b = 0; b < bytes; ++b) count[b].fill(0);
+  for (const T& item : *items) {
+    const Rid key = KeyOf(item);
+    for (int b = 0; b < bytes; ++b) ++count[b][(key >> (8 * b)) & 0xff];
+  }
+  scratch->resize(n);
+  T* src = items->data();
+  T* dst = scratch->data();
+  for (int b = 0; b < bytes; ++b) {
+    const int shift = 8 * b;
+    std::array<size_t, 256>& next = count[b];
+    // A byte every item shares leaves the order as it is.
+    if (next[(KeyOf(src[0]) >> shift) & 0xff] == n) continue;
+    size_t offset = 0;
+    for (size_t& c : next) offset += std::exchange(c, offset);
+    for (size_t i = 0; i < n; ++i) {
+      dst[next[(KeyOf(src[i]) >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != items->data()) std::copy(src, src + n, items->data());
+}
+
+}  // namespace
+
+void SortByRid(std::vector<Row>* rows, std::vector<Row>* scratch) {
+  RadixSortByRid(rows, scratch, kRadixSortMinRows);
+}
+
+void SortByRid(std::vector<Rid>* rids, std::vector<Rid>* scratch) {
+  RadixSortByRid(rids, scratch, kRadixSortMinRids);
+}
 
 uint64_t ChargeSortCost(RunContext* ctx, uint64_t n_items, uint64_t item_bytes,
                         uint64_t memory_bytes, SpillKind kind) {
@@ -38,6 +93,7 @@ uint64_t ChargeSortCost(RunContext* ctx, uint64_t n_items, uint64_t item_bytes,
 }
 
 Status SortOp::Open(RunContext* ctx) {
+  status_ = Status::OK();
   rows_.clear();
   pos_ = 0;
   spilled_pages_ = 0;
@@ -50,8 +106,7 @@ Status SortOp::Open(RunContext* ctx) {
   spilled_pages_ = ChargeSortCost(ctx, rows_.size(), item_bytes_,
                                   ctx->sort_memory_bytes, spill_);
   if (key_.kind == SortKeySpec::Kind::kRid) {
-    std::sort(rows_.begin(), rows_.end(),
-              [](const Row& a, const Row& b) { return a.rid < b.rid; });
+    SortByRid(&rows_, &scratch_);
   } else {
     uint32_t c = key_.column;
     std::sort(rows_.begin(), rows_.end(), [c](const Row& a, const Row& b) {
@@ -70,9 +125,9 @@ bool SortOp::Next(RunContext* ctx, Row* out) {
 }
 
 void SortOp::Close(RunContext* ctx) {
-  (void)ctx;
-  rows_.clear();
-  rows_.shrink_to_fit();
+  child_->Close(ctx);
+  RecycleBuffer(&rows_);
+  RecycleBuffer(&scratch_);
 }
 
 std::string SortOp::DebugName() const {

@@ -4,6 +4,7 @@ namespace robustmap {
 
 Status TableScanOp::Open(RunContext* ctx) {
   (void)ctx;
+  status_ = Status::OK();
   next_page_ = 0;
   buffered_.clear();
   buffered_pos_ = 0;
@@ -35,8 +36,8 @@ bool TableScanOp::Next(RunContext* ctx, Row* out) {
 
 void TableScanOp::Close(RunContext* ctx) {
   (void)ctx;
-  buffered_.clear();
-  page_rows_.clear();
+  RecycleBuffer(&buffered_);
+  RecycleBuffer(&page_rows_);
 }
 
 std::string TableScanOp::DebugName() const {

@@ -1,6 +1,7 @@
 #ifndef ROBUSTMAP_EXEC_TABLE_SCAN_H_
 #define ROBUSTMAP_EXEC_TABLE_SCAN_H_
 
+#include <span>
 #include <vector>
 
 #include "exec/operator.h"
@@ -23,6 +24,12 @@ class TableScanOp : public Operator {
   bool Next(RunContext* ctx, Row* out) override;
   void Close(RunContext* ctx) override;
   std::string DebugName() const override;
+
+  /// Replaces the pushed-down predicates for the next `Open`; reuses their
+  /// storage.
+  void set_predicates(std::span<const RangePredicate> predicates) {
+    predicates_.assign(predicates.begin(), predicates.end());
+  }
 
  private:
   const Table* table_;

@@ -55,6 +55,32 @@ TEST(ExecutorTest, SinglePredicateQueriesWork) {
   }
 }
 
+// Every study plan with either predicate off: the plans bind the inactive
+// predicate as the whole domain, and the composite-index plans filter, or
+// navigate, only an active second predicate in-index.
+TEST(ExecutorTest, EveryPlanAgreesWithOnePredicateOff) {
+  ProcEnv env;
+  Executor executor(env.db());
+  for (auto [sa, sb] : {std::make_pair(0.125, -1.0),
+                        std::make_pair(-1.0, 0.125)}) {
+    QuerySpec q = MakeStudyQuery(sa, sb, env.domain());
+    const auto range = [](const PredicateSpec& p, int64_t* lo, int64_t* hi) {
+      *lo = p.active ? p.lo : INT64_MIN;
+      *hi = p.active ? p.hi : INT64_MAX;
+    };
+    int64_t a_lo, a_hi, b_lo, b_hi;
+    range(q.pred_a, &a_lo, &a_hi);
+    range(q.pred_b, &b_lo, &b_hi);
+    const uint64_t expected = env.CountMatching(a_lo, a_hi, b_lo, b_hi);
+    for (PlanKind kind : AllStudyPlans()) {
+      auto m = executor.Run(env.ctx(), kind, q);
+      ASSERT_TRUE(m.ok()) << PlanKindLabel(kind);
+      EXPECT_EQ(m.value().output_rows, expected)
+          << PlanKindLabel(kind) << " " << q.ToString();
+    }
+  }
+}
+
 TEST(ExecutorTest, HeapAndProceduralStorageAgree) {
   // The same plans over a real heap/B-tree database must match its own
   // brute force — proving the operators are storage-agnostic.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "exec/index_scan.h"
 #include "testing/test_env.h"
 
@@ -135,6 +139,79 @@ TEST(ChargeSortCostTest, DiscontinuityOnlyForNaive) {
   // comparison CPU dominates at this input size.
   EXPECT_GT(naive_above, naive_below * 3 / 2);
   EXPECT_GT(naive_above, graceful_above * 3 / 2);
+}
+
+// `SortByRid` against `std::stable_sort` by rid: sizes on both sides of
+// both `std::sort` cutoffs, rid widths from 1 bit to past 32 bits (one to
+// five radix passes), and few distinct rids. Rows carry their input
+// position in a column, so a reorder of equal rids shows: the radix sort,
+// from the cutoff up, must keep their input order; below it the rows must
+// still be the input's. The scratch buffers are reused across cases, as an
+// operator reuses them across cells.
+TEST(SortByRidTest, MatchesStableSort) {
+  Rng rng(20260);
+  std::vector<Row> rows, row_scratch;
+  std::vector<Rid> rids, rid_scratch;
+  const std::vector<int> widths = {1, 2, 7, 8, 9, 12, 16, 17, 24, 31, 32, 33,
+                                   40, 63};
+  const std::vector<size_t> sizes = {0,
+                                     1,
+                                     2,
+                                     kRadixSortMinRows - 1,
+                                     kRadixSortMinRows,
+                                     kRadixSortMinRows + 1,
+                                     kRadixSortMinRids - 1,
+                                     kRadixSortMinRids,
+                                     kRadixSortMinRids + 1,
+                                     1000,
+                                     5000};
+  const auto by_rid = [](const Row& a, const Row& b) { return a.rid < b.rid; };
+  const auto by_rid_then_position = [](const Row& a, const Row& b) {
+    return a.rid != b.rid ? a.rid < b.rid : a.cols[0] < b.cols[0];
+  };
+  for (int width : widths) {
+    for (size_t n : sizes) {
+      for (bool few_distinct : {false, true}) {
+        const uint64_t mask = (uint64_t{1} << width) - 1;
+        // Few distinct rids: 5 values spread over the width's range.
+        std::vector<Rid> pool;
+        for (int i = 0; i < 5; ++i) pool.push_back(rng.Next() & mask);
+        rows.clear();
+        rids.clear();
+        for (size_t i = 0; i < n; ++i) {
+          const Rid rid =
+              few_distinct ? pool[rng.NextBounded(5)] : (rng.Next() & mask);
+          Row r;
+          r.rid = rid;
+          r.SetCol(0, static_cast<int64_t>(i));
+          rows.push_back(r);
+          rids.push_back(rid);
+        }
+        std::vector<Row> want_rows = rows;
+        std::stable_sort(want_rows.begin(), want_rows.end(), by_rid);
+        std::vector<Rid> want_rids = rids;
+        std::stable_sort(want_rids.begin(), want_rids.end());
+
+        SortByRid(&rows, &row_scratch);
+        SortByRid(&rids, &rid_scratch);
+        const std::string where = "width " + std::to_string(width) + ", n " +
+                                  std::to_string(n) +
+                                  (few_distinct ? ", few distinct" : "");
+        ASSERT_EQ(rows.size(), n) << where;
+        // Below the cutoff `std::sort` may reorder equal rids.
+        if (n < kRadixSortMinRows) {
+          std::sort(rows.begin(), rows.end(), by_rid_then_position);
+        }
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(rows[i].rid, want_rows[i].rid) << where << ", at " << i;
+          ASSERT_EQ(rows[i].cols[0], want_rows[i].cols[0])
+              << where << ", at " << i;
+          ASSERT_EQ(rows[i].valid_cols, want_rows[i].valid_cols) << where;
+        }
+        ASSERT_EQ(rids, want_rids) << where;
+      }
+    }
+  }
 }
 
 TEST(ChargeSortCostTest, MorePassesForHugeInputs) {

@@ -3,33 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <list>
-#include <new>
 #include <random>
 #include <string>
 #include <vector>
 
-namespace {
-
-// Every global `operator new` of this test binary, counted, so a test can
-// assert that a stretch of pool work allocates nothing.
-std::atomic<uint64_t> g_heap_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-// Out of line, so no caller's new/delete pair is inlined into one frame
-// where GCC would see `free` meet `operator new` memory and warn.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "testing/counting_new.h"
 
 namespace robustmap {
 namespace {
@@ -203,9 +182,9 @@ TEST_F(BufferPoolTest, RecycledPoolCyclesAllocateNothing) {
     pool.Access(base + 700, /*cacheable=*/false);
   };
   cycle(0);
-  const uint64_t before = g_heap_allocations.load();
+  const uint64_t before = robustmap::testing::HeapAllocations();
   for (uint64_t round = 1; round <= 20; ++round) cycle(round * 1000);
-  const uint64_t allocations = g_heap_allocations.load() - before;
+  const uint64_t allocations = robustmap::testing::HeapAllocations() - before;
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(hits, 21u * 60u);
   EXPECT_EQ(pool.resident_pages(), 64u);

@@ -3,11 +3,39 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "core/robustness_map.h"
+#include "engine/executor.h"
+#include "io/io_stats.h"
 
 namespace robustmap::testing {
+
+/// Asserts two I/O ledgers agree on every counter.
+inline void ExpectIoStatsEqual(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.sequential_reads, b.sequential_reads);
+  EXPECT_EQ(a.skip_reads, b.skip_reads);
+  EXPECT_EQ(a.random_reads, b.random_reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.buffer_hits, b.buffer_hits);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+}
+
+/// Asserts two measurements agree on every field, seconds both by value
+/// (so a NaN fails) and bit for bit (so +0.0 and -0.0 differ).
+inline void ExpectMeasurementsBitIdentical(const Measurement& a,
+                                           const Measurement& b) {
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.seconds),
+            std::bit_cast<uint64_t>(b.seconds))
+      << a.seconds << " vs " << b.seconds;
+  EXPECT_EQ(a.output_rows, b.output_rows);
+  ExpectIoStatsEqual(a.io, b.io);
+  EXPECT_EQ(a.plan_label, b.plan_label);
+}
 
 /// Asserts two maps agree on shape, plan labels, and *every* field of
 /// every cell — the determinism contract parallel, sharded, and serialized
@@ -22,19 +50,8 @@ inline void ExpectMapsBitIdentical(const RobustnessMap& a,
   for (size_t plan = 0; plan < a.num_plans(); ++plan) {
     EXPECT_EQ(a.plan_label(plan), b.plan_label(plan));
     for (size_t pt = 0; pt < a.space().num_points(); ++pt) {
-      const Measurement& ma = a.At(plan, pt);
-      const Measurement& mb = b.At(plan, pt);
       SCOPED_TRACE(a.plan_label(plan) + " point " + std::to_string(pt));
-      EXPECT_EQ(ma.seconds, mb.seconds);
-      EXPECT_EQ(ma.output_rows, mb.output_rows);
-      EXPECT_EQ(ma.io.sequential_reads, mb.io.sequential_reads);
-      EXPECT_EQ(ma.io.skip_reads, mb.io.skip_reads);
-      EXPECT_EQ(ma.io.random_reads, mb.io.random_reads);
-      EXPECT_EQ(ma.io.writes, mb.io.writes);
-      EXPECT_EQ(ma.io.buffer_hits, mb.io.buffer_hits);
-      EXPECT_EQ(ma.io.bytes_read, mb.io.bytes_read);
-      EXPECT_EQ(ma.io.bytes_written, mb.io.bytes_written);
-      EXPECT_EQ(ma.plan_label, mb.plan_label);
+      ExpectMeasurementsBitIdentical(a.At(plan, pt), b.At(plan, pt));
     }
   }
 }
