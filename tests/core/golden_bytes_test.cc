@@ -7,10 +7,12 @@
 // move map bytes must update them deliberately and say why.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/permutation.h"
 #include "common/rng.h"
@@ -77,9 +79,9 @@ TEST(GoldenBytesTest, FeistelPermutation) {
   }
 }
 
-/// FNV-1a over the `WriteMapTile` bytes of the serial 13-plan map of
-/// `space` over 4,096 rows with 2^value_bits distinct values per column.
-uint64_t SerialMapDigest(const ParameterSpace& space, int value_bits) {
+/// The serial 13-plan map of `space` over 4,096 rows with 2^value_bits
+/// distinct values per column.
+RobustnessMap SerialMap(const ParameterSpace& space, int value_bits) {
   StudyOptions opts;
   opts.row_bits = 12;
   opts.value_bits = value_bits;
@@ -88,33 +90,119 @@ uint64_t SerialMapDigest(const ParameterSpace& space, int value_bits) {
   req.plans = AllStudyPlans();
   req.space = space;
   req.sweep.num_threads = 1;
-  const RobustnessMap map =
-      SweepEngine::Run(env->ctx(), env->executor(), req).ValueOrDie().map();
+  return SweepEngine::Run(env->ctx(), env->executor(), req)
+      .ValueOrDie()
+      .map();
+}
+
+/// 2^-12..2^-4 at 2 steps per octave: the cheap band where each cell
+/// touches a few dozen index entries. 4 rows per value, as in the
+/// map-production benchmark, so the band resolves down to single values.
+const RobustnessMap& LowBandMap() {
+  static const RobustnessMap map = SerialMap(
+      ParameterSpace::TwoD(Axis::SelectivityFine("a", -12, -4, 2),
+                           Axis::SelectivityFine("b", -12, -4, 2)),
+      /*value_bits=*/10);
+  return map;
+}
+
+/// The paper's 13 x 13 grid, 2^-12..1 on both predicates, with 64 rows
+/// per value as at the default scale (composite groups of 64 entries).
+const RobustnessMap& PaperGridMap() {
+  static const RobustnessMap map =
+      SerialMap(ParameterSpace::TwoD(Axis::Selectivity("a", -12, 0),
+                                     Axis::Selectivity("b", -12, 0)),
+                /*value_bits=*/6);
+  return map;
+}
+
+/// FNV-1a over the `WriteMapTile` bytes of `map` as one whole-grid tile:
+/// pins the encoding.
+uint64_t EncodedDigest(const RobustnessMap& map) {
   TileSpec full;
-  full.x_end = space.x_size();
-  full.y_end = space.y_size();
+  full.x_end = map.space().x_size();
+  full.y_end = map.space().y_size();
   std::ostringstream os;
-  EXPECT_TRUE(WriteMapTile(os, MapTile{full, space, map}).ok());
+  EXPECT_TRUE(WriteMapTile(os, MapTile{full, map.space(), map}).ok());
   const std::string bytes = os.str();
   return wire::Fnv1a64(bytes.data(), bytes.size());
 }
 
+/// A digest of plan `plan`'s cells in cell order, folded with `Mix64` from
+/// the values themselves: the seconds' bit pattern, the row count and the
+/// seven `IoStats` counters. No encoding takes part, so a change of the
+/// file format leaves it alone and a change of any measured value moves
+/// it.
+uint64_t ContentDigest(const RobustnessMap& map, size_t plan) {
+  uint64_t h = 0;
+  for (size_t pt = 0; pt < map.space().num_points(); ++pt) {
+    const Measurement& m = map.At(plan, pt);
+    for (const uint64_t v :
+         {std::bit_cast<uint64_t>(m.seconds), m.output_rows,
+          m.io.sequential_reads, m.io.skip_reads, m.io.random_reads,
+          m.io.writes, m.io.buffer_hits, m.io.bytes_read,
+          m.io.bytes_written}) {
+      h = Mix64(h ^ v);
+    }
+  }
+  return h;
+}
+
+/// Checks one content pin per plan, naming each plan whose cells moved.
+void ExpectContentPins(const RobustnessMap& map,
+                       const std::vector<uint64_t>& pins) {
+  ASSERT_EQ(map.num_plans(), pins.size());
+  for (size_t plan = 0; plan < pins.size(); ++plan) {
+    EXPECT_EQ(ContentDigest(map, plan), pins[plan])
+        << map.plan_label(plan) << "'s cells moved";
+  }
+}
+
 TEST(GoldenBytesTest, SerialMapLowBand) {
-  // 2^-12..2^-4 at 2 steps per octave: the cheap band where each cell
-  // touches a few dozen index entries. 4 rows per value, as in the
-  // map-production benchmark, so the band resolves down to single values.
-  const ParameterSpace space =
-      ParameterSpace::TwoD(Axis::SelectivityFine("a", -12, -4, 2),
-                           Axis::SelectivityFine("b", -12, -4, 2));
-  EXPECT_EQ(SerialMapDigest(space, /*value_bits=*/10), 9209757738236220951ULL);
+  EXPECT_EQ(EncodedDigest(LowBandMap()), 9209757738236220951ULL);
 }
 
 TEST(GoldenBytesTest, SerialMapPaperGrid) {
-  // The paper's 13 x 13 grid, 2^-12..1 on both predicates, with 64 rows
-  // per value as at the default scale (composite groups of 64 entries).
-  const ParameterSpace space = ParameterSpace::TwoD(
-      Axis::Selectivity("a", -12, 0), Axis::Selectivity("b", -12, 0));
-  EXPECT_EQ(SerialMapDigest(space, /*value_bits=*/6), 11920684836973472563ULL);
+  EXPECT_EQ(EncodedDigest(PaperGridMap()), 11920684836973472563ULL);
+}
+
+// The content pins of the two maps above, one per plan in
+// `AllStudyPlans()` order. They do not depend on the file format, so they
+// are the evidence that a format change moved only the encoding.
+TEST(GoldenBytesTest, SerialMapLowBandContent) {
+  ExpectContentPins(LowBandMap(), {
+      11993574663647799212ULL,
+      3727597308550365069ULL,
+      13694756269044616890ULL,
+      8102319723556894194ULL,
+      8195864400808594256ULL,
+      7410403681218588443ULL,
+      5729337264185481673ULL,
+      13857351549286736990ULL,
+      16393396718437866512ULL,
+      886485991836694316ULL,
+      5588748069653130592ULL,
+      3946062416509903992ULL,
+      5588748069653130592ULL,
+  });
+}
+
+TEST(GoldenBytesTest, SerialMapPaperGridContent) {
+  ExpectContentPins(PaperGridMap(), {
+      945323871576626137ULL,
+      14429667723558646187ULL,
+      15289776690049433394ULL,
+      12213715611330394199ULL,
+      4703473876449254667ULL,
+      6860368076261184608ULL,
+      16740370356320684793ULL,
+      1405769209400093581ULL,
+      15681214531645506111ULL,
+      5617393585488261318ULL,
+      8834809886701922119ULL,
+      2857893322463697898ULL,
+      8834809886701922119ULL,
+  });
 }
 
 }  // namespace
