@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "common/format.h"
 #include "core/sweep.h"
+#include "engine/executor.h"
 #include "exec/fetch.h"
 #include "exec/index_scan.h"
 #include "viz/ascii_heatmap.h"
@@ -29,15 +30,7 @@ Result<Measurement> RunFetchPlan(RunContext* ctx, const StudyEnvironment* env,
   so.k0_hi = q.pred_a.hi;
   auto scan = std::make_unique<IndexScanOp>(env->db().idx_a, so);
   FetchOp fetch(std::move(scan), env->db().table, policy, {});
-
-  ctx->ColdStart();
-  VirtualStopwatch watch(ctx->clock);
-  auto rows = DrainCount(ctx, &fetch);
-  RM_RETURN_IF_ERROR(rows.status());
-  Measurement m;
-  m.seconds = watch.elapsed_seconds();
-  m.output_rows = rows.value();
-  return m;
+  return MeasureCold(ctx, &fetch);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "core/landmarks.h"
 #include "core/sweep.h"
+#include "engine/executor.h"
 #include "exec/sort.h"
 #include "viz/ascii_heatmap.h"
 
@@ -61,17 +62,7 @@ Result<Measurement> RunSortRows(RunContext* ctx, uint64_t rows,
   key.kind = SortKeySpec::Kind::kColumn;
   key.column = 0;
   SortOp sort(std::move(source), key, kind);
-
-  ctx->ColdStart();
-  IoStats before = ctx->device->stats();
-  VirtualStopwatch watch(ctx->clock);
-  auto drained = DrainCount(ctx, &sort);
-  RM_RETURN_IF_ERROR(drained.status());
-  Measurement m;
-  m.seconds = watch.elapsed_seconds();
-  m.output_rows = drained.value();
-  m.io = ctx->device->stats().Delta(before);
-  return m;
+  return MeasureCold(ctx, &sort);
 }
 
 }  // namespace

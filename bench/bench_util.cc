@@ -272,8 +272,7 @@ bool MapsBitIdentical(const RobustnessMap& a, const RobustnessMap& b) {
           ma.io.writes != mb.io.writes ||
           ma.io.buffer_hits != mb.io.buffer_hits ||
           ma.io.bytes_read != mb.io.bytes_read ||
-          ma.io.bytes_written != mb.io.bytes_written ||
-          ma.plan_label != mb.plan_label) {
+          ma.io.bytes_written != mb.io.bytes_written) {
         return false;
       }
     }

@@ -142,8 +142,7 @@ class WallTimer {
 };
 
 /// True iff the maps agree on shape, plan labels, and *every* field of
-/// every cell — seconds, row counts, each I/O counter, byte totals, and
-/// labels. The determinism contract the self-checking benches assert; one
+/// every cell — seconds, row counts, each I/O counter and byte totals. The determinism contract the self-checking benches assert; one
 /// definition so no bench's notion of "bit-identical" can quietly weaken.
 bool MapsBitIdentical(const RobustnessMap& a, const RobustnessMap& b);
 

@@ -28,9 +28,10 @@
 // journal segments and their entries, dropped tail bytes), and a
 // per-study entry breakdown.
 //
-// Reads any tile format version this build's reader accepts (v1/v2 files
-// are single-layer; v3 files carry one named layer per study output, e.g.
-// cold/warm/delta — select with --layer, default 0). A layer named "delta"
+// Reads the one tile format version this build writes (v4). A tile
+// carries one layer per study output — a plain map's single unnamed
+// layer, or named ones such as cold/warm/delta; select with --layer,
+// default 0. A layer named "delta"
 // renders on the diverging blue/white/red scale, everything else on the
 // absolute scale. Errors name the failing file and are distinct for
 // truncation/corruption vs. unknown version, exactly as the library
@@ -286,7 +287,6 @@ int SelfTest() {
       m.seconds = 0.001 * static_cast<double>(pl * 100 + pt + 1);
       m.output_rows = pl * 10 + pt;
       m.io.sequential_reads = pt;
-      m.plan_label = map.plan_label(pl);
       map.Set(pl, pt, std::move(m));
     }
   }
@@ -426,7 +426,6 @@ int SelfTest() {
     e.fingerprint = 0x1000 + i;
     e.study = i < 2 ? "plain" : "warmcold";
     e.m.seconds = 0.25 * static_cast<double>(i + 1);
-    e.m.plan_label = "scan";
     cdata.entries.push_back(std::move(e));
   }
   const std::string cpath = OutDir() + "/map_cat_selftest_cells.rmc";

@@ -385,12 +385,10 @@ BENCHMARK(BM_MachineRecycle);
 // The cell-cache layer of the engine loop. Keys and measurements come from
 // run-time indices and a seeded RNG, so nothing folds away.
 Measurement CacheMeasurement(uint64_t i) {
-  static const std::vector<PlanKind> plans = AllStudyPlans();
   Measurement m;
   m.seconds = static_cast<double>(i) * 1e-3;
   m.output_rows = i;
   m.io.random_reads = i % 97;
-  m.plan_label = PlanKindLabel(plans[i % plans.size()]);
   return m;
 }
 
@@ -438,7 +436,8 @@ void BM_CellCacheLookup(benchmark::State& state) {
 BENCHMARK(BM_CellCacheLookup)->Threads(1)->Threads(2);
 
 // The tile codec on a whole sharded_tiles map as one tile: the 12 index
-// plans over the 65x65 low band, 50,700 cells with real plan labels.
+// plans over the 65x65 low band, 50,700 cells, with real plan labels in
+// the header.
 const MapTile& LowBandTile() {
   static const MapTile* tile = [] {
     const ParameterSpace space = ParameterSpace::TwoD(
@@ -451,9 +450,8 @@ const MapTile& LowBandTile() {
     RobustnessMap map(space, labels);
     for (size_t plan = 0; plan < labels.size(); ++plan) {
       for (size_t pt = 0; pt < space.num_points(); ++pt) {
-        Measurement m = CacheMeasurement(plan * space.num_points() + pt);
-        m.plan_label = labels[plan];
-        map.Set(plan, pt, std::move(m));
+        map.Set(plan, pt,
+                CacheMeasurement(plan * space.num_points() + pt));
       }
     }
     const TileSpec spec{0, 0, space.x_size(), 0, space.y_size()};

@@ -11,6 +11,7 @@
 #include "common/format.h"
 #include "core/landmarks.h"
 #include "core/sweep_engine.h"
+#include "engine/executor.h"
 #include "exec/index_scan.h"
 #include "exec/sort.h"
 #include "viz/ascii_heatmap.h"
@@ -29,17 +30,7 @@ Result<Measurement> MeasureSort(StudyEnvironment* env, double input_fraction,
   so.k0_hi = q.pred_a.hi;
   SortKeySpec key{SortKeySpec::Kind::kColumn, 0};
   SortOp sort(std::make_unique<IndexScanOp>(env->db().idx_a, so), key, kind);
-
-  ctx->clock->Reset();
-  ctx->pool->Clear();
-  ctx->device->ResetHead();
-  VirtualStopwatch watch(ctx->clock);
-  auto rows = DrainCount(ctx, &sort);
-  RM_RETURN_IF_ERROR(rows.status());
-  Measurement m;
-  m.seconds = watch.elapsed_seconds();
-  m.output_rows = rows.value();
-  return m;
+  return MeasureCold(ctx, &sort);
 }
 
 }  // namespace

@@ -35,10 +35,10 @@ constexpr size_t kMinFileSize =
 // Magic + entry count + checksum: the least a journal segment can be.
 constexpr size_t kSegmentOverhead =
     kMagicSize + sizeof(uint64_t) + kChecksumSize;
-// A fingerprint, a study length, and the measurement's fixed fields: the
-// least any entry occupies.
-constexpr size_t kMinEntryBytes =
-    sizeof(uint64_t) + sizeof(uint32_t) + wire::kMeasurementFixedBytes;
+// A fingerprint, a study length and a measurement: an entry's bytes besides
+// its study string.
+constexpr size_t kEntryFixedBytes =
+    sizeof(uint64_t) + sizeof(uint32_t) + wire::kMeasurementBytes;
 
 // The artifact name Cursor errors lead with ("truncated cell cache: ...").
 constexpr char kWhat[] = "cell cache";
@@ -64,12 +64,6 @@ uint64_t ExtendHex64(uint64_t h, uint64_t v) {
     v >>= 4;
   }
   return Fnv1a64Extend(h, std::string_view(hex, sizeof(hex)));
-}
-
-/// Serialized size of one entry: fingerprint, study, measurement.
-size_t EntryBytes(const CellCacheEntry& e) {
-  return sizeof(uint64_t) + wire::StringBytes(e.study) +
-         wire::MeasurementBytes(e.m);
 }
 
 /// An entry with its sort key alongside, so sorting never chases the
@@ -100,8 +94,8 @@ Status SortEntries(std::vector<EntryRef>* entries) {
 
 /// The bytes `entries` encode to.
 size_t EntriesBytes(const std::vector<EntryRef>& entries) {
-  size_t bytes = 0;
-  for (const EntryRef& ref : entries) bytes += EntryBytes(*ref.entry);
+  size_t bytes = entries.size() * kEntryFixedBytes;
+  for (const EntryRef& ref : entries) bytes += ref.entry->study.size();
   return bytes;
 }
 
@@ -206,7 +200,7 @@ struct Layout {
 /// Corruption, not as a multi-terabyte resize throwing bad_alloc.
 Status GetCount(Cursor* c, uint64_t* count) {
   RM_RETURN_IF_ERROR(c->GetU64(count));
-  if (*count > c->remaining() / kMinEntryBytes) {
+  if (*count > c->remaining() / kEntryFixedBytes) {
     return Status::Corruption("cell cache claims " + std::to_string(*count) +
                               " entries but only " +
                               std::to_string(c->remaining()) +
@@ -229,12 +223,9 @@ Status SkipEntries(Cursor* c, uint64_t count) {
           "files are sorted)");
     }
     prev = fp;
-    // The study, then the measurement's fixed part up to its label length.
+    // The study, then the measurement.
     RM_RETURN_IF_ERROR(c->GetU32(&len));
-    RM_RETURN_IF_ERROR(c->Skip(size_t{len} + wire::kMeasurementFixedBytes -
-                               sizeof(uint32_t)));
-    RM_RETURN_IF_ERROR(c->GetU32(&len));  // plan label
-    RM_RETURN_IF_ERROR(c->Skip(len));
+    RM_RETURN_IF_ERROR(c->Skip(size_t{len} + wire::kMeasurementBytes));
   }
   return Status::OK();
 }

@@ -17,8 +17,9 @@ namespace robustmap {
 /// Current version of the binary cell-cache file format. Readers reject
 /// anything else outright (`NotSupported`) — the cache carries measured
 /// data between processes, so silent misinterpretation is never an
-/// acceptable failure mode. Bump whenever the entry layout changes.
-inline constexpr uint32_t kCellCacheFormatVersion = 1;
+/// acceptable failure mode; `CellResultCache::Open` warns and starts
+/// empty on one. Bump whenever the entry layout changes.
+inline constexpr uint32_t kCellCacheFormatVersion = 2;
 
 /// Version of the *fingerprint schema*: the canonical string hashed into
 /// each entry's key, including the serialized `Measurement` field set.
@@ -36,7 +37,8 @@ std::string CellCacheFileName(const std::string& dir);
 /// study that measured it (inspection metadata — the fingerprint alone
 /// decides identity), and the full measurement, every field a map tile
 /// stores — so a cache hit reproduces the exact bytes a fresh measurement
-/// would have serialized to.
+/// would have serialized to. The plan's label is hashed into the
+/// fingerprint and not stored.
 struct CellCacheEntry {
   uint64_t fingerprint = 0;
   std::string study;
@@ -62,7 +64,8 @@ struct CellCacheData {
 ///
 ///   magic "RMCCACHE" | u32 format version | u32 fingerprint schema
 ///   | u64 entry count
-///   | per entry: u64 fingerprint + study string + measurement
+///   | per entry: u64 fingerprint + study string + 72-byte measurement
+///     (the seconds and eight u64 counters, as in a map tile)
 ///   | u64 FNV-1a checksum over everything before it
 ///
 /// Entries are written in ascending fingerprint order whatever order the

@@ -17,14 +17,12 @@ namespace {
 using wire::Cursor;
 using wire::Fnv1a64;
 using wire::GetMeasurement;
-using wire::kMeasurementFixedBytes;
-using wire::MeasurementBytes;
+using wire::kMeasurementBytes;
 using wire::PutDouble;
 using wire::PutString;
 using wire::PutU32;
 using wire::PutU64;
 using wire::StoreMeasurement;
-using wire::StoreString;
 using wire::StringBytes;
 
 constexpr char kMagic[8] = {'R', 'M', 'A', 'P', 'T', 'I', 'L', 'E'};
@@ -88,11 +86,10 @@ Result<std::string> EncodeMapTile(const MapTile& tile) {
     }
   }
   const size_t num_layers = tile.num_layers();
-  // Multi-layer tiles must be self-describing (one name per layer, the
-  // merge keys on them); a single unnamed layer is the classic plain tile
-  // and stays on the v2 byte stream so artifacts remain byte-comparable.
-  const bool v3 = num_layers > 1 || !tile.layer_names.empty();
-  if (v3 && tile.layer_names.size() != num_layers) {
+  // The merge keys on layer names, so a multi-layer tile names every
+  // layer; only a single layer may go unnamed (written as "").
+  if (tile.layer_names.size() != num_layers &&
+      !(num_layers == 1 && tile.layer_names.empty())) {
     return Status::InvalidArgument(
         "multi-layer tile needs one name per layer (have " +
         std::to_string(tile.layer_names.size()) + " names for " +
@@ -102,7 +99,7 @@ Result<std::string> EncodeMapTile(const MapTile& tile) {
   // Sized once: the header is appended into the reserved buffer, then the
   // cells are stored straight into the rest of it.
   size_t header_bytes = kMagicSize + sizeof(uint32_t) + sizeof(double) +
-                        (v3 ? sizeof(uint64_t) : 0) + 7 * sizeof(uint64_t) +
+                        8 * sizeof(uint64_t) +
                         AxisBytes(tile.parent_space.x());
   if (tile.parent_space.is_2d()) {
     header_bytes += AxisBytes(tile.parent_space.y());
@@ -110,23 +107,19 @@ Result<std::string> EncodeMapTile(const MapTile& tile) {
   for (const std::string& label : tile.map.plan_labels()) {
     header_bytes += StringBytes(label);
   }
-  size_t body_bytes = 0;
   for (size_t li = 0; li < num_layers; ++li) {
-    if (v3) body_bytes += StringBytes(tile.layer_names[li]);
-    const RobustnessMap& layer = tile.layer(li);
-    for (size_t plan = 0; plan < layer.num_plans(); ++plan) {
-      for (size_t pt = 0; pt < layer.space().num_points(); ++pt) {
-        body_bytes += MeasurementBytes(layer.At(plan, pt));
-      }
-    }
+    header_bytes += StringBytes(tile.layer_name(li));
   }
+  const size_t layer_cells =
+      tile.map.num_plans() * tile.map.space().num_points();
+  const size_t body_bytes = num_layers * layer_cells * kMeasurementBytes;
 
   std::string buf;
   buf.reserve(header_bytes + body_bytes + kChecksumSize);
   buf.append(kMagic, kMagicSize);
-  PutU32(&buf, v3 ? 3 : 2);
+  PutU32(&buf, kMapTileFormatVersion);
   PutDouble(&buf, tile.wall_seconds);
-  if (v3) PutU64(&buf, num_layers);
+  PutU64(&buf, num_layers);
   PutU64(&buf, tile.spec.shard_id);
   PutU64(&buf, tile.spec.x_begin);
   PutU64(&buf, tile.spec.x_end);
@@ -139,10 +132,12 @@ Result<std::string> EncodeMapTile(const MapTile& tile) {
   for (const std::string& label : tile.map.plan_labels()) {
     PutString(&buf, label);
   }
+  for (size_t li = 0; li < num_layers; ++li) {
+    PutString(&buf, tile.layer_name(li));
+  }
   buf.resize(header_bytes + body_bytes);
   char* p = buf.data() + header_bytes;
   for (size_t li = 0; li < num_layers; ++li) {
-    if (v3) p = StoreString(p, tile.layer_names[li]);
     const RobustnessMap& layer = tile.layer(li);
     for (size_t plan = 0; plan < layer.num_plans(); ++plan) {
       for (size_t pt = 0; pt < layer.space().num_points(); ++pt) {
@@ -187,12 +182,10 @@ Result<MapTile> ParseMapTile(std::string_view buf) {
                 kWhat);
   uint32_t version = 0;
   RM_RETURN_IF_ERROR(header.GetU32(&version));
-  if (version < kMinReadableMapTileFormatVersion ||
-      version > kMapTileFormatVersion) {
+  if (version != kMapTileFormatVersion) {
     return Status::NotSupported(
         "map tile format version " + std::to_string(version) +
-        " (this build reads versions " +
-        std::to_string(kMinReadableMapTileFormatVersion) + ".." +
+        " (this build reads version " +
         std::to_string(kMapTileFormatVersion) + ")");
   }
   const size_t payload_size = buf.size() - kChecksumSize;
@@ -207,22 +200,18 @@ Result<MapTile> ParseMapTile(std::string_view buf) {
 
   Cursor c(buf.data() + kVersionOffset + sizeof(uint32_t),
            payload_size - kVersionOffset - sizeof(uint32_t), kWhat);
-  // The tile sweep's wall time follows the version. v3 adds the layer
-  // count; v2 is by definition single-layer.
   double wall_seconds = 0;
   RM_RETURN_IF_ERROR(c.GetDouble(&wall_seconds));
-  uint64_t num_layers = 1;
-  if (version >= 3) {
-    RM_RETURN_IF_ERROR(c.GetU64(&num_layers));
-    // Each layer needs at least a name length and one cell; bound the
-    // count by the bytes that could back it before it sizes anything.
-    if (num_layers == 0 || num_layers > c.remaining() / sizeof(uint32_t)) {
-      return Status::Corruption("map tile claims " +
-                                std::to_string(num_layers) +
-                                " layers but only " +
-                                std::to_string(c.remaining()) +
-                                " bytes remain");
-    }
+  uint64_t num_layers = 0;
+  RM_RETURN_IF_ERROR(c.GetU64(&num_layers));
+  // Each layer needs at least a name length; bound the count by the bytes
+  // that could back it before it sizes anything.
+  if (num_layers == 0 || num_layers > c.remaining() / sizeof(uint32_t)) {
+    return Status::Corruption("map tile claims " +
+                              std::to_string(num_layers) +
+                              " layers but only " +
+                              std::to_string(c.remaining()) +
+                              " bytes remain");
   }
   TileSpec spec;
   uint64_t v = 0;
@@ -266,38 +255,38 @@ Result<MapTile> ParseMapTile(std::string_view buf) {
   for (uint64_t i = 0; i < num_plans; ++i) {
     RM_RETURN_IF_ERROR(c.GetString(&labels[i]));
   }
-  // Every cell occupies at least its measurement's fixed part; reject
-  // plan x point x layer products the remaining bytes cannot possibly back
-  // before sizing the maps (divisions, so the product cannot overflow).
-  const size_t points = sub.value().num_points();
-  const size_t max_cells = c.remaining() / kMeasurementFixedBytes;
-  if (num_plans != 0 && max_cells / num_plans / num_layers < points) {
-    return Status::Corruption(
-        "map tile claims more cells than its bytes can hold");
+  std::vector<std::string> layer_names(num_layers);
+  for (uint64_t li = 0; li < num_layers; ++li) {
+    RM_RETURN_IF_ERROR(c.GetString(&layer_names[li]));
   }
-  std::vector<std::string> layer_names;
+  // A single unnamed layer is the plain map, whose tile carries no names.
+  if (num_layers == 1 && layer_names[0].empty()) layer_names.clear();
+  // The cells are exactly the rest of the payload: layers x plans x points
+  // measurements of `kMeasurementBytes` each. Checked before the maps are
+  // sized, with overflow-checked products, so a crafted count is
+  // Corruption rather than a huge allocation.
+  const size_t points = sub.value().num_points();
+  size_t cell_bytes = 0;
+  if (__builtin_mul_overflow(num_layers * kMeasurementBytes, num_plans,
+                             &cell_bytes) ||
+      __builtin_mul_overflow(cell_bytes, points, &cell_bytes) ||
+      cell_bytes != c.remaining()) {
+    return Status::Corruption("map tile's " + std::to_string(c.remaining()) +
+                              " cell bytes do not hold its plans x points "
+                              "x layers");
+  }
   std::vector<RobustnessMap> layers;
   layers.reserve(num_layers);
   for (uint64_t li = 0; li < num_layers; ++li) {
-    if (version >= 3) {
-      std::string name;
-      RM_RETURN_IF_ERROR(c.GetString(&name));
-      layer_names.push_back(std::move(name));
-    }
     RobustnessMap layer(sub.value(), labels);
     for (size_t plan = 0; plan < layer.num_plans(); ++plan) {
-      for (size_t pt = 0; pt < layer.space().num_points(); ++pt) {
+      for (size_t pt = 0; pt < points; ++pt) {
         Measurement m;
         RM_RETURN_IF_ERROR(GetMeasurement(&c, &m));
         layer.Set(plan, pt, std::move(m));
       }
     }
     layers.push_back(std::move(layer));
-  }
-  if (c.remaining() != 0) {
-    return Status::Corruption("map tile has " +
-                              std::to_string(c.remaining()) +
-                              " trailing bytes past its declared cells");
   }
   MapTile tile{spec, std::move(parent), std::move(layers.front()),
                wall_seconds};

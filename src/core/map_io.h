@@ -13,22 +13,12 @@
 
 namespace robustmap {
 
-/// Current version of the binary tile format. Writers emit the *lowest*
-/// version that can carry the tile — v2 for a plain single-layer tile
-/// (keeping every pre-existing artifact byte-stable), v3 only when the tile
-/// carries layer names or more than one layer. Readers accept versions
-/// `kMinReadableMapTileFormatVersion`..`kMapTileFormatVersion` and reject
-/// anything else outright as `NotSupported` — the format carries measured
-/// data between processes (and potentially machines), so silent
-/// misinterpretation is never an acceptable failure mode.
-///
-/// v2: magic, version, `wall_seconds` (the tile sweep's measured wall
-///     time, which `map_cat` prints), spec, axes, labels, cells, checksum.
-/// v3: adds a layer count after `wall_seconds` and, after the plan labels,
-///     one named cell block per layer — the serialized form of a
-///     multi-output study (e.g. cold/warm/delta from a warm-cold sweep).
-inline constexpr uint32_t kMapTileFormatVersion = 3;
-inline constexpr uint32_t kMinReadableMapTileFormatVersion = 2;
+/// Current version of the binary tile format. Readers accept this version
+/// only and reject any other outright as `NotSupported`: the format
+/// carries measured data between processes (and potentially machines), so
+/// silent misinterpretation is never an acceptable failure mode. A resuming
+/// sweep recomputes a tile of another version like any other invalid tile.
+inline constexpr uint32_t kMapTileFormatVersion = 4;
 
 /// One serialized unit of a sharded sweep: one `RobustnessMap` per study
 /// output layer over a rectangular slice of a parent grid, together with
@@ -51,8 +41,8 @@ struct MapTile {
   double wall_seconds = 0;
 
   /// Layer names, one per layer when non-empty (e.g. {"cold", "warm",
-  /// "delta"}). May only be empty for single-layer tiles — the plain-map
-  /// case, whose files stay on the v2 byte stream.
+  /// "delta"}). May only be empty for single-layer tiles: the plain map,
+  /// whose one layer is written with the name "".
   std::vector<std::string> layer_names{};
 
   /// Layers beyond `map`, in study order; every layer must cover the same
@@ -74,17 +64,18 @@ struct MapTile {
 
 /// Serializes a tile. The on-disk layout is:
 ///
-///   magic "RMAPTILE" | u32 version | f64 wall_seconds
-///   | u64 layer_count (v3 only)
-///   | header + axes + labels
-///   | per layer: name (v3 only) + cells
+///   magic "RMAPTILE" | u32 version | f64 wall_seconds | u64 layer_count
+///   | u64 shard_id, x_begin, x_end, y_begin, y_end, is_2d
+///   | axes (name, u64 count, values) | u64 plan count + plan labels
+///   | one name per layer
+///   | cells: per layer, per plan, per point, one 72-byte measurement
 ///   | u64 FNV-1a checksum over everything before it
 ///
 /// All integers little-endian, doubles as IEEE-754 bit patterns, strings
 /// length-prefixed — fully deterministic, so equal tiles serialize to equal
-/// bytes (the CI byte-for-byte diff relies on this). Single-layer unnamed
-/// tiles are written as v2 — exactly the pre-multi-layer byte stream — so
-/// plain-map artifacts stay byte-comparable across releases. Rejects tiles
+/// bytes (the CI byte-for-byte diff relies on this). A plan's label is
+/// written once, in the header; a cell is only its measured values. The
+/// one layer of an unnamed single-layer tile is named "". Rejects tiles
 /// whose layers disagree with each other or whose map space is not the
 /// slice of `parent_space` at `spec`, and multi-layer tiles without one
 /// name per layer.

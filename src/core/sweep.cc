@@ -35,7 +35,6 @@ Result<RobustnessMap> DiffMaps(const RobustnessMap& warm,
       }
       Measurement m;
       m.seconds = w.seconds - c.seconds;
-      m.plan_label = w.plan_label;
       delta.Set(plan, pt, std::move(m));
     }
   }

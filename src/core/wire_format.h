@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdint>
@@ -69,11 +68,6 @@ inline char* StoreDouble(char* p, double v) {
 /// The bytes `s` serializes to: its u32 length, then its bytes.
 inline size_t StringBytes(const std::string& s) {
   return sizeof(uint32_t) + s.size();
-}
-
-inline char* StoreString(char* p, const std::string& s) {
-  p = StoreU32(p, static_cast<uint32_t>(s.size()));
-  return std::copy(s.begin(), s.end(), p);
 }
 
 inline void PutU32(std::string* out, uint32_t v) {
@@ -279,20 +273,16 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-/// The serialized form of one measured cell — identical in the tile format
+/// The serialized form of one measured cell, identical in the tile format
 /// and the cell cache, so a cached measurement round-trips to the exact
-/// bytes a freshly measured one would have produced: the seconds, eight
-/// u64 counters and the plan label's length (the fixed part), then the
-/// label's bytes.
-inline constexpr size_t kMeasurementFixedBytes =
-    sizeof(double) + 8 * sizeof(uint64_t) + sizeof(uint32_t);
+/// bytes a freshly measured one would have produced: the seconds, then
+/// eight u64 counters (rows and the seven `IoStats` counters). Every
+/// measurement is this many bytes; the plan's label lives once in the
+/// tile header or the cell's fingerprint, not in the cell.
+inline constexpr size_t kMeasurementBytes =
+    sizeof(double) + 8 * sizeof(uint64_t);
 
-/// The bytes `m` serializes to — the one size both formats presize with.
-inline size_t MeasurementBytes(const Measurement& m) {
-  return kMeasurementFixedBytes + m.plan_label.size();
-}
-
-/// Writes `m` at `p`, which has `MeasurementBytes(m)` bytes of room.
+/// Writes `m` at `p`, which has `kMeasurementBytes` bytes of room.
 inline char* StoreMeasurement(char* p, const Measurement& m) {
   p = StoreDouble(p, m.seconds);
   p = StoreU64(p, m.output_rows);
@@ -302,21 +292,18 @@ inline char* StoreMeasurement(char* p, const Measurement& m) {
   p = StoreU64(p, m.io.writes);
   p = StoreU64(p, m.io.buffer_hits);
   p = StoreU64(p, m.io.bytes_read);
-  p = StoreU64(p, m.io.bytes_written);
-  return StoreString(p, m.plan_label);
+  return StoreU64(p, m.io.bytes_written);
 }
 
 inline void PutMeasurement(std::string* out, const Measurement& m) {
-  const size_t at = out->size();
-  out->resize(at + MeasurementBytes(m));
-  StoreMeasurement(out->data() + at, m);
+  char chunk[kMeasurementBytes];
+  out->append(chunk, StoreMeasurement(chunk, m));
 }
 
-/// Reads one measurement with two bounds checks: its fixed part, then its
-/// label.
+/// Reads one measurement with one bounds check.
 inline Status GetMeasurement(Cursor* c, Measurement* m) {
   const char* p = nullptr;
-  RM_RETURN_IF_ERROR(c->Take(kMeasurementFixedBytes, &p));
+  RM_RETURN_IF_ERROR(c->Take(kMeasurementBytes, &p));
   const auto next_u64 = [&p] {
     const uint64_t v = LoadU64(p);
     p += sizeof(uint64_t);
@@ -331,9 +318,6 @@ inline Status GetMeasurement(Cursor* c, Measurement* m) {
   m->io.buffer_hits = next_u64();
   m->io.bytes_read = next_u64();
   m->io.bytes_written = next_u64();
-  const uint32_t label_size = LoadU32(p);
-  RM_RETURN_IF_ERROR(c->Take(label_size, &p));
-  m->plan_label.assign(p, label_size);
   return Status::OK();
 }
 

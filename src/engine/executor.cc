@@ -80,14 +80,14 @@ Status Executor::ValidatePlan(PlanKind kind) const {
 Result<OperatorPtr> Executor::BuildPlan(PlanKind kind,
                                         const QuerySpec& query) const {
   RM_RETURN_IF_ERROR(ValidatePlan(kind));
-  // A bare operator tree carries no label: skip `Prepare`'s allocation.
+  // A bare operator tree needs no label: skip `Prepare`'s allocation.
   PlanTree tree = BuildTree(PreparedPlan(kind, std::string()));
   tree.Bind(query);
   return std::move(tree.root_);
 }
 
 Executor::PlanTree Executor::BuildTree(const PreparedPlan& plan) const {
-  PlanTree t(plan, db_.domain);
+  PlanTree t(db_.domain);
   size_t num_scans = 0;
   // A scan of `idx` whose leading key column takes predicate `lead`.
   auto scan = [&](Index* idx, int lead, bool composite = false,
@@ -247,19 +247,20 @@ Result<Measurement> Executor::Run(RunContext* ctx, PlanKind kind,
 Result<Measurement> Executor::Run(RunContext* ctx, PlanTree* tree,
                                   const QuerySpec& query) const {
   tree->Bind(query);
+  return MeasureCold(ctx, tree->root());
+}
+
+Result<Measurement> MeasureCold(RunContext* ctx, Operator* root) {
   // Cold start: independent, reproducible map cells.
   ctx->ColdStart();
-  IoStats before = ctx->device->stats();
+  const IoStats before = ctx->device->stats();
   VirtualStopwatch watch(ctx->clock);
-
-  auto rows = DrainCount(ctx, tree->root());
+  auto rows = DrainCount(ctx, root);
   RM_RETURN_IF_ERROR(rows.status());
-
   Measurement m;
   m.seconds = watch.elapsed_seconds();
   m.output_rows = rows.value();
   m.io = ctx->device->stats().Delta(before);
-  m.plan_label = tree->label();
   return m;
 }
 

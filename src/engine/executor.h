@@ -36,8 +36,17 @@ struct Measurement {
   double seconds = 0;        ///< virtual elapsed time
   uint64_t output_rows = 0;  ///< result cardinality (correctness anchor)
   IoStats io;                ///< physical I/O behind the time
+  /// Unused: a map holds each plan's label once (`plan_labels()`), and no
+  /// file stores it per cell. mapbench's `ReplaySweep` is its last writer;
+  /// the benchmark change of ROADMAP item 1 deletes both.
   std::string plan_label;
 };
+
+/// Cold-runs `root` to completion on `ctx` and measures it: `ColdStart`,
+/// then the virtual time `DrainCount` takes, the rows it counts and the
+/// device's I/O delta. The one measurement routine, for plan trees
+/// (`Executor::Run`) and hand-wired operators alike.
+Result<Measurement> MeasureCold(RunContext* ctx, Operator* root);
 
 /// Builds operator trees for the fixed plan kinds and measures their
 /// execution under controlled run-time conditions.
@@ -74,14 +83,12 @@ class Executor {
   /// One plan's operator tree, built once and bound to each cell's
   /// predicate bounds before it runs: a sweep keeps one per plan and
   /// machine, so its operators keep their buffers from one cell to the
-  /// next and a warmed cell allocates only its index cursors and its
-  /// measurement's label copy. `BuildPlan` and `Run(ctx, kind, query)`
+  /// next and a warmed cell allocates only its index cursors. `BuildPlan` and `Run(ctx, kind, query)`
   /// build a tree and bind it the same way, so a reused tree measures
   /// bit-identically to a fresh one. Movable; not thread-safe — one
   /// machine runs it at a time.
   class PlanTree {
    public:
-    const std::string& label() const { return label_; }
     Operator* root() const { return root_.get(); }
 
     /// Sets `query`'s predicate bounds in the tree's index scans, residual
@@ -102,10 +109,8 @@ class Executor {
       bool mdam = false;
     };
 
-    PlanTree(const PreparedPlan& plan, int64_t domain)
-        : label_(plan.label()), domain_(domain) {}
+    explicit PlanTree(int64_t domain) : domain_(domain) {}
 
-    std::string label_;
     int64_t domain_;
     OperatorPtr root_;
     std::array<ScanBinding, 2> scans_{};

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cinttypes>
@@ -16,15 +17,21 @@
 
 #include "common/rng.h"
 #include "core/parameter_space.h"
+#include "core/sweep_engine.h"
 #include "core/wire_format.h"
+#include "testing/map_expect.h"
+#include "testing/old_formats.h"
 #include "testing/test_env.h"
 
 namespace robustmap {
 namespace {
 
+using ::robustmap::testing::CellCacheEntryV1;
+using ::robustmap::testing::EncodeCellCacheV1;
+using ::robustmap::testing::ExpectMapsBitIdentical;
 using ::robustmap::testing::ProcEnv;
 
-Measurement SampleMeasurement(double seconds, const std::string& label) {
+Measurement SampleMeasurement(double seconds) {
   Measurement m;
   m.seconds = seconds;
   m.output_rows = 17;
@@ -35,7 +42,6 @@ Measurement SampleMeasurement(double seconds, const std::string& label) {
   m.io.buffer_hits = 9;
   m.io.bytes_read = 1 << 14;
   m.io.bytes_written = 1 << 12;
-  m.plan_label = label;
   return m;
 }
 
@@ -49,7 +55,6 @@ void ExpectMeasurementsEqual(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.io.buffer_hits, b.io.buffer_hits);
   EXPECT_EQ(a.io.bytes_read, b.io.bytes_read);
   EXPECT_EQ(a.io.bytes_written, b.io.bytes_written);
-  EXPECT_EQ(a.plan_label, b.plan_label);
 }
 
 /// Entries inserted in descending fingerprint order, so the writer's
@@ -60,8 +65,7 @@ CellCacheData SampleData() {
     CellCacheEntry e;
     e.fingerprint = 0x9000 - i * 0x100;
     e.study = i % 2 == 0 ? "plain" : "warmcold";
-    e.m = SampleMeasurement(0.5 + static_cast<double>(i),
-                            "plan" + std::to_string(i));
+    e.m = SampleMeasurement(0.5 + static_cast<double>(i));
     data.entries.push_back(std::move(e));
   }
   return data;
@@ -192,7 +196,7 @@ TEST(CellCacheIoTest, FileRoundTripAndAtomicReplace) {
   CellCacheEntry extra;
   extra.fingerprint = 0xffff;
   extra.study = "plain";
-  extra.m = SampleMeasurement(9.0, "extra");
+  extra.m = SampleMeasurement(9.0);
   updated.entries.push_back(std::move(extra));
   ASSERT_TRUE(WriteCellCacheFile(path, updated).ok());
   auto second = ReadCellCacheFile(path);
@@ -207,8 +211,8 @@ TEST(CellResultCacheTest, PublishLookupAndFirstWriterWins) {
   EXPECT_FALSE(cache.Lookup(42, &out));
   EXPECT_FALSE(cache.Contains(42));
 
-  EXPECT_TRUE(cache.Publish(42, "plain", SampleMeasurement(1.0, "scan")));
-  EXPECT_FALSE(cache.Publish(42, "plain", SampleMeasurement(2.0, "scan")));
+  EXPECT_TRUE(cache.Publish(42, "plain", SampleMeasurement(1.0)));
+  EXPECT_FALSE(cache.Publish(42, "plain", SampleMeasurement(2.0)));
   EXPECT_EQ(cache.size(), 1u);
   ASSERT_TRUE(cache.Lookup(42, &out));
   EXPECT_EQ(out.seconds, 1.0);  // the first writer's value survived
@@ -221,7 +225,7 @@ TEST(CellResultCacheTest, OpenFlushReopenKeepsEntries) {
     cache.Open(dir);
     EXPECT_TRUE(cache.attached());
     EXPECT_EQ(cache.size(), 0u);
-    cache.Publish(7, "plain", SampleMeasurement(0.25, "scan"));
+    cache.Publish(7, "plain", SampleMeasurement(0.25));
     ASSERT_TRUE(cache.WriteCellCacheFile().ok());
   }
   CellResultCache cache;
@@ -230,14 +234,13 @@ TEST(CellResultCacheTest, OpenFlushReopenKeepsEntries) {
   Measurement out;
   ASSERT_TRUE(cache.Lookup(7, &out));
   EXPECT_EQ(out.seconds, 0.25);
-  EXPECT_EQ(out.plan_label, "scan");
 }
 
 TEST(CellResultCacheTest, CleanCacheFlushIsANoOp) {
   const std::string dir = FreshCacheDir("clean_flush");
   CellResultCache cache;
   cache.Open(dir);
-  cache.Publish(1, "plain", SampleMeasurement(1.0, "scan"));
+  cache.Publish(1, "plain", SampleMeasurement(1.0));
   ASSERT_TRUE(cache.WriteCellCacheFile().ok());
   // Nothing new since the flush: the file must not be rewritten (remove
   // it and flush again — a no-op leaves it absent).
@@ -264,8 +267,7 @@ TEST(CellResultCacheTest, FlushedBytesEqualWriteCellCache) {
     CellCacheEntry e;
     e.fingerprint = Mix64(i);
     e.study = i % 3 == 0 ? "warmcold" : "plain";
-    e.m = SampleMeasurement(0.001 * static_cast<double>(i),
-                            "plan" + std::to_string(i % 13));
+    e.m = SampleMeasurement(0.001 * static_cast<double>(i));
     ASSERT_TRUE(cache.Publish(e.fingerprint, e.study, e.m));
     data.entries.push_back(std::move(e));
   }
@@ -292,7 +294,7 @@ TEST(CellResultCacheTest, PublishDuringFlushIsNeverLost) {
     std::atomic<bool> done{false};
     std::thread publisher([&] {
       for (uint64_t i = first; i < first + round; ++i) {
-        cache.Publish(Mix64(i), "plain", SampleMeasurement(1.0, "scan"));
+        cache.Publish(Mix64(i), "plain", SampleMeasurement(1.0));
       }
       done.store(true);
     });
@@ -328,8 +330,7 @@ TEST(CellResultCacheTest, ConcurrentLookupAndPublish) {
   // key's measurement is a function of the key, like a deterministic cell.
   constexpr uint64_t kKeys = 2000;
   const auto expected = [](uint64_t i) {
-    return SampleMeasurement(0.5 * static_cast<double>(i),
-                             "plan" + std::to_string(i % 7));
+    return SampleMeasurement(0.5 * static_cast<double>(i));
   };
   CellResultCache cache;
   std::atomic<uint64_t> inserted{0};
@@ -362,8 +363,7 @@ CellCacheEntry JournalEntry(uint64_t i) {
   CellCacheEntry e;
   e.fingerprint = Mix64(i);
   e.study = i % 3 == 0 ? "warmcold" : "plain";
-  e.m = SampleMeasurement(0.001 * static_cast<double>(i),
-                          "plan" + std::to_string(i % 13));
+  e.m = SampleMeasurement(0.001 * static_cast<double>(i));
   return e;
 }
 
@@ -759,7 +759,7 @@ TEST(CellResultCacheTest, OpenToleratesDamageAndRepopulates) {
     EXPECT_TRUE(cache.attached());
     EXPECT_EQ(cache.size(), 0u);  // damaged contents dropped wholesale
 
-    cache.Publish(9, "plain", SampleMeasurement(0.5, "scan"));
+    cache.Publish(9, "plain", SampleMeasurement(0.5));
     ASSERT_TRUE(cache.WriteCellCacheFile().ok());
     auto healed = ReadCellCacheFile(CellCacheFileName(dir));
     ASSERT_TRUE(healed.ok()) << healed.status().ToString();
@@ -768,6 +768,76 @@ TEST(CellResultCacheTest, OpenToleratesDamageAndRepopulates) {
     ASSERT_EQ(healed.value().entries.size(), 1u);
     EXPECT_EQ(healed.value().entries[0].fingerprint, 9u);
   }
+}
+
+TEST(CellResultCacheTest, VersionOneFileOpensEmptyAndLeavesTheMapAlone) {
+  // A cells.rmc of the previous format (v1: a plan label in every entry)
+  // gets the unreadable-file warning and an empty cache, never a misread:
+  // its entries, keyed under the very cells the sweep measures but holding
+  // wrong seconds, do not reach the map.
+  ProcEnv env;
+  Executor executor(env.db());
+  SweepRequest req;
+  req.plans = {PlanKind::kTableScan, PlanKind::kIndexAImproved};
+  req.space = ParameterSpace::TwoD(Axis::Selectivity("a", -3, 0),
+                                   Axis::Selectivity("b", -3, 0));
+  req.backend = BackendKind::kSerial;
+  const RobustnessMap reference =
+      SweepEngine::Run(env.ctx(), executor, req).ValueOrDie().map();
+
+  const uint64_t env_fp = EnvironmentFingerprint(*env.ctx(), env.domain());
+  const std::string spec = env.ctx()->warmup.ToSpec();
+  std::vector<CellCacheEntryV1> old;
+  for (size_t plan = 0; plan < reference.num_plans(); ++plan) {
+    for (size_t pt = 0; pt < req.space.num_points(); ++pt) {
+      CellCacheEntryV1 e;
+      e.fingerprint = CellFingerprint(
+          env_fp, StudyKindName(StudyKind::kPlainMap), spec,
+          reference.plan_label(plan), req.space.x_value(pt),
+          req.space.y_value(pt));
+      e.study = StudyKindName(StudyKind::kPlainMap);
+      e.m = reference.At(plan, pt);
+      e.m.seconds += 1.0;
+      e.label = reference.plan_label(plan);
+      old.push_back(std::move(e));
+    }
+  }
+  std::sort(old.begin(), old.end(),
+            [](const CellCacheEntryV1& a, const CellCacheEntryV1& b) {
+              return a.fingerprint < b.fingerprint;
+            });
+  const std::string dir = FreshCacheDir("version_one");
+  {
+    CellResultCache seed;
+    seed.Open(dir);  // creates the directory
+    const std::string v1 = EncodeCellCacheV1(old);
+    std::ofstream f(CellCacheFileName(dir), std::ios::binary);
+    f.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  }
+
+  CellResultCache cache;
+  ::testing::internal::CaptureStderr();
+  cache.Open(dir);
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_NE(warning.find("ignoring unreadable"), std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find("version 1"), std::string::npos) << warning;
+
+  req.cell_cache = &cache;
+  const RobustnessMap swept =
+      SweepEngine::Run(env.ctx(), executor, req).ValueOrDie().map();
+  ExpectMapsBitIdentical(swept, reference);
+  // The old file was keyed exactly as this sweep keys: the sweep published
+  // a fresh entry under every one of its keys, and the next flush
+  // replaces the file with one of this build's version.
+  for (const CellCacheEntryV1& e : old) {
+    EXPECT_TRUE(cache.Contains(e.fingerprint));
+  }
+  ASSERT_TRUE(cache.WriteCellCacheFile().ok());
+  auto healed = ReadCellCacheFile(CellCacheFileName(dir));
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(healed.value().entries.size(), old.size());
 }
 
 TEST(CellFingerprintTest, DistinctInputsYieldDistinctKeys) {
@@ -812,7 +882,7 @@ TEST(CellFingerprintTest, KeysArePinned) {
   // were computed by the string-building implementation the cache format
   // shipped with. A change here needs a fingerprint-schema bump.
   EXPECT_EQ(kCellCacheFingerprintSchemaVersion, 1u);
-  EXPECT_EQ(kCellCacheFormatVersion, 1u);
+  EXPECT_EQ(kCellCacheFormatVersion, 2u);
   EXPECT_EQ(CellFingerprint(0x0123456789abcdefull, "plain", "cold",
                             "Index(a) fetch", 0.25, 0x1p-12),
             0x37f145adade845c4ull);

@@ -9,12 +9,18 @@
 #include <vector>
 
 #include "core/shard_planner.h"
+#include "core/wire_format.h"
+#include "engine/plan.h"
+#include "testing/counting_new.h"
 #include "testing/map_expect.h"
+#include "testing/old_formats.h"
 
 namespace robustmap {
 namespace {
 
+using ::robustmap::testing::EncodeMapTileV3;
 using ::robustmap::testing::ExpectMapsBitIdentical;
+using ::robustmap::testing::HeapAllocations;
 
 ParameterSpace SmallSpace() {
   return ParameterSpace::TwoD(Axis::Selectivity("sel(a)", -3, 0),
@@ -38,7 +44,6 @@ RobustnessMap FillMap(const ParameterSpace& space,
       m.io.buffer_hits = pl + pt;
       m.io.bytes_read = (pt + 1) * 8192;
       m.io.bytes_written = pl * 8192;
-      m.plan_label = labels[pl];
       map.Set(pl, pt, std::move(m));
     }
   }
@@ -64,36 +69,6 @@ std::string Serialize(const MapTile& tile) {
 
 Result<MapTile> Deserialize(const std::string& bytes) {
   return ParseMapTile(bytes);
-}
-
-/// Independent FNV-1a 64 implementation (cross-checks the library's
-/// constant choice as a side effect).
-uint64_t TestFnv1a64(const std::string& data) {
-  uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Builds the v1 byte stream of `tile` out of the current writer's v2
-/// bytes: drop the 8-byte wall_seconds field that v2 inserted after the
-/// version word, patch the version back to 1, and restamp the trailing
-/// checksum. This is exactly the layout the v1 writer produced, so the
-/// reader's rejection of it is tested against real v1 bytes without
-/// checking a binary blob into the repo.
-std::string SerializeAsV1(const MapTile& tile) {
-  std::string v2 = Serialize(tile);
-  constexpr size_t kWallOffset = 8 + 4;  // magic + version
-  std::string v1 = v2.substr(0, kWallOffset) + v2.substr(kWallOffset + 8);
-  v1[8] = 1;  // version word is little-endian; low byte carries the value
-  v1.resize(v1.size() - 8);  // strip the now-stale checksum
-  const uint64_t checksum = TestFnv1a64(v1);
-  for (int i = 0; i < 8; ++i) {
-    v1.push_back(static_cast<char>((checksum >> (8 * i)) & 0xff));
-  }
-  return v1;
 }
 
 TEST(MapIoTest, RoundTripsFullTile) {
@@ -145,21 +120,9 @@ TEST(MapIoTest, WallSecondsMetadataRoundTrips) {
                    0.0);
 }
 
-TEST(MapIoTest, RejectsVersionOneFiles) {
-  // v1 (no wall-time field) is below the oldest readable version: a
-  // well-formed v1 byte stream is NotSupported, never misread as v2.
-  const std::string v1 =
-      SerializeAsV1(FullTile(SmallSpace(), {"scan", "idx.a"}));
-  auto r = Deserialize(v1);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsNotSupported()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("version 1"), std::string::npos)
-      << r.status().ToString();
-}
-
 TEST(MapIoTest, TruncationInsideWallMetadataIsCorruption) {
   std::string bytes = Serialize(FullTile(SmallSpace(), {"scan"}));
-  // Cut mid-way through the v2 wall_seconds field (starts at byte 12).
+  // Cut mid-way through the wall_seconds field (starts at byte 12).
   auto r = Deserialize(bytes.substr(0, 15));
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
@@ -270,9 +233,8 @@ TEST(MapIoTest, MultiLayerTileRoundTrips) {
   MapTile tile = MultiLayerTile(space, {"scan", "idx.a"});
   tile.wall_seconds = 4.5;
   const std::string bytes = Serialize(tile);
-  // Multi-layer tiles are the v3 byte stream (version word follows the
-  // 8-byte magic, little-endian).
-  EXPECT_EQ(bytes[8], 3);
+  // The version word follows the 8-byte magic, little-endian.
+  EXPECT_EQ(bytes[8], static_cast<char>(kMapTileFormatVersion));
   auto back = Deserialize(bytes).ValueOrDie();
   ASSERT_EQ(back.num_layers(), 3u);
   EXPECT_EQ(back.layer_names, tile.layer_names);
@@ -286,23 +248,50 @@ TEST(MapIoTest, MultiLayerTileRoundTrips) {
   EXPECT_EQ(bytes, Serialize(tile));
 }
 
-TEST(MapIoTest, SingleLayerTilesStayOnVersionTwoBytes) {
-  // The byte-stability contract of the multi-layer change: a plain
-  // single-layer tile serializes to exactly the pre-multi-layer v2 stream,
-  // so artifacts produced before and after the layer field merge compare
-  // equal under cmp(1).
+TEST(MapIoTest, SingleLayerTilesRoundTripTheirName) {
+  // One layout for every tile: a plain map's tile (no names, as mapbench
+  // and the plain study build it) writes its one layer named "" and reads
+  // back with no names; a single named layer keeps its name.
+  const MapTile plain = FullTile(SmallSpace(), {"scan"});
+  const std::string bytes = Serialize(plain);
+  EXPECT_EQ(bytes[8], static_cast<char>(kMapTileFormatVersion));
+  auto back = Deserialize(bytes).ValueOrDie();
+  EXPECT_EQ(back.num_layers(), 1u);
+  EXPECT_TRUE(back.layer_names.empty());
+  ExpectMapsBitIdentical(back.map, plain.map);
+
+  MapTile named = plain;
+  named.layer_names = {"cold"};
+  auto named_back = Deserialize(Serialize(named)).ValueOrDie();
+  EXPECT_EQ(named_back.layer_names, named.layer_names);
+}
+
+TEST(MapIoTest, CellsAreExactlyTheRestOfThePayload) {
+  // Every cell is 72 bytes, so the reader checks the cell block's length
+  // exactly: one cell more or less than plans x points x layers, with a
+  // valid checksum, is Corruption.
   const std::string bytes = Serialize(FullTile(SmallSpace(), {"scan"}));
-  EXPECT_EQ(bytes[8], 2);
+  const std::string payload = bytes.substr(0, bytes.size() - 8);
+  const std::string one_more = payload + std::string(72, '\0');
+  const std::string one_less = payload.substr(0, payload.size() - 72);
+  for (const std::string& cells : {one_more, one_less}) {
+    std::string damaged = cells;
+    wire::PutU64(&damaged, wire::Fnv1a64(damaged.data(), damaged.size()));
+    auto r = Deserialize(damaged);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+  }
 }
 
 TEST(MapIoTest, MultiLayerTruncationAndCorruptionStayDistinct) {
-  const std::string v3 = Serialize(MultiLayerTile(SmallSpace(), {"scan"}));
-  for (size_t keep : {size_t{13}, v3.size() / 2, v3.size() - 1}) {
-    auto r = Deserialize(v3.substr(0, keep));
+  const std::string bytes =
+      Serialize(MultiLayerTile(SmallSpace(), {"scan"}));
+  for (size_t keep : {size_t{13}, bytes.size() / 2, bytes.size() - 1}) {
+    auto r = Deserialize(bytes.substr(0, keep));
     ASSERT_FALSE(r.ok()) << "kept " << keep;
     EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
   }
-  std::string damaged = v3;
+  std::string damaged = bytes;
   damaged[damaged.size() / 2] ^= 0x01;
   auto r = Deserialize(damaged);
   ASSERT_FALSE(r.ok());
@@ -328,6 +317,52 @@ TEST(MapIoTest, WriterRejectsMalformedLayerSets) {
   MapTile mixed = MultiLayerTile(space, {"scan"});
   mixed.extra_layers[0] = FillMap(mixed.map.space(), {"other"});
   EXPECT_TRUE(WriteMapTile(os, mixed).IsInvalidArgument());
+}
+
+TEST(MapIoTest, RejectsVersionThreeFiles) {
+  // v3 (a plan label in every cell) is not this build's version: a
+  // well-formed, checksum-valid v3 byte stream is NotSupported, never
+  // misread as v4.
+  const std::string v3 =
+      EncodeMapTileV3(MultiLayerTile(SmallSpace(), {"scan", "idx.a"}));
+  auto r = Deserialize(v3);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsNotSupported()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("version 3"), std::string::npos)
+      << r.status().ToString();
+}
+
+/// A whole sharded_tiles-shaped map as one tile: the 12 index plans with
+/// their real labels over a `side` x `side` grid.
+MapTile IndexPlansTile(size_t side) {
+  const ParameterSpace space = ParameterSpace::TwoD(
+      Axis::SelectivityFine("a", -16, -8, static_cast<int>(side - 1) / 8),
+      Axis::SelectivityFine("b", -16, -8, static_cast<int>(side - 1) / 8));
+  std::vector<std::string> labels;
+  for (PlanKind kind : AllStudyPlans()) {
+    if (kind != PlanKind::kTableScan) labels.push_back(PlanKindLabel(kind));
+  }
+  return FullTile(space, labels);
+}
+
+TEST(MapIoTest, ParseAllocatesPerPlanNotPerCell) {
+  // A cell is plain numbers, so parsing a whole map allocates for its
+  // header (axes, labels) and one cell array per plan and layer, never per
+  // cell: a grid with 49 times the cells parses with as many allocations.
+  const auto parse_allocations = [](const std::string& bytes) {
+    const uint64_t before = HeapAllocations();
+    auto tile = ParseMapTile(bytes);
+    const uint64_t allocs = HeapAllocations() - before;
+    EXPECT_TRUE(tile.ok()) << tile.status().ToString();
+    return allocs;
+  };
+  const MapTile small = IndexPlansTile(9);
+  const MapTile large = IndexPlansTile(65);
+  ASSERT_EQ(small.map.num_plans(), 12u);
+  ASSERT_EQ(large.map.space().num_points(), 65u * 65u);
+  const uint64_t small_allocs = parse_allocations(Serialize(small));
+  EXPECT_EQ(parse_allocations(Serialize(large)), small_allocs);
+  EXPECT_LE(small_allocs, 4 * small.map.num_plans());
 }
 
 TEST(MergeTilesTest, MergesEveryLayerAndChecksLayerAgreement) {

@@ -3,17 +3,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/map_io.h"
 #include "core/sharded_sweep.h"
 #include "engine/query.h"
 #include "testing/map_expect.h"
+#include "testing/old_formats.h"
 #include "testing/test_env.h"
 
 namespace robustmap {
 namespace {
 
+using ::robustmap::testing::EncodeMapTileV3;
 using ::robustmap::testing::ExpectMapsBitIdentical;
 using ::robustmap::testing::ProcEnv;
 
@@ -296,6 +300,44 @@ TEST(SweepEngineTest, ShardedResumeRejectsTilesOfADifferentStudy) {
   for (size_t li = 0; li < 3; ++li) {
     SCOPED_TRACE(li);
     ExpectMapsBitIdentical(reference.layers[li], second.layers[li]);
+  }
+}
+
+TEST(SweepEngineTest, ShardedResumeRecomputesAVersionThreeTile) {
+  // A warm-cold tile as the previous format wrote it (v3: a plan label in
+  // every cell) is NotSupported to this build. Resume recomputes it like
+  // any other invalid tile, reuses the others, and merges the serial
+  // bytes.
+  ProcEnv env;
+  Executor executor(env.db());
+  SweepRequest req =
+      BaseRequest(StudyKind::kWarmColdDelta, BackendKind::kShardedProcess);
+  req.sharded.tile_dir = FreshTileDir("version_three");
+  req.sharded.num_workers = 2;
+  req.sharded.num_tiles = 4;
+  ASSERT_TRUE(SweepEngine::Run(env.ctx(), executor, req).ok());
+
+  const std::string path = req.sharded.tile_dir + "/" + TileFileName(1);
+  {
+    const std::string v3 =
+        EncodeMapTileV3(ReadMapTileFile(path).ValueOrDie());
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(v3.data(), static_cast<std::streamsize>(v3.size()));
+  }
+  EXPECT_TRUE(ReadMapTileFile(path).status().IsNotSupported());
+
+  auto resumed = SweepEngine::Run(env.ctx(), executor, req).ValueOrDie();
+  const ShardedSweepStats& stats = resumed.sharded_stats;
+  EXPECT_EQ(stats.tiles_reused, stats.tiles_total - 1);
+  EXPECT_EQ(stats.tiles_computed, 1u + stats.tiles_split);
+
+  auto reference = SweepEngine::Run(env.ctx(), executor,
+                                    BaseRequest(StudyKind::kWarmColdDelta,
+                                                BackendKind::kSerial))
+                       .ValueOrDie();
+  for (size_t li = 0; li < 3; ++li) {
+    SCOPED_TRACE(li);
+    ExpectMapsBitIdentical(reference.layers[li], resumed.layers[li]);
   }
 }
 

@@ -106,21 +106,17 @@ TEST(PlanTreeTest, ReusedTreeMatchesFreshTreeOnEveryCell) {
 }
 
 /// The heap allocations of one warmed low-band cell of `kind`: one per
-/// index cursor (MDAM's own cursor wraps one inner cursor), plus the
-/// measurement's copy of the plan label when it is longer than the 15
-/// characters std::string keeps inline.
+/// index cursor (MDAM's own cursor wraps one inner cursor).
 uint64_t AllocsPerWarmCell(PlanKind kind) {
   switch (kind) {
     case PlanKind::kTableScan:
       return 0;
-    // One cursor, and a label past 15 characters.
     case PlanKind::kIndexAImproved:
     case PlanKind::kIndexBImproved:
     case PlanKind::kCoverABBitmapFetch:
     case PlanKind::kCoverBABitmapFetch:
     case PlanKind::kCoverABScan:
-      return 1 + 1;
-    // Two cursors, and an inline label.
+      return 1;
     case PlanKind::kMergeJoinAB:
     case PlanKind::kMergeJoinBA:
     case PlanKind::kHashJoinAB:
@@ -128,7 +124,7 @@ uint64_t AllocsPerWarmCell(PlanKind kind) {
     case PlanKind::kBitmapAndFetch:
     case PlanKind::kMdamAB:
     case PlanKind::kMdamBA:
-      return 2 + 0;
+      return 2;
     case PlanKind::kIndexANaive:
     case PlanKind::kIndexBNaive:
       break;
@@ -138,10 +134,10 @@ uint64_t AllocsPerWarmCell(PlanKind kind) {
 }
 
 // After one warm-up cell, a cell on a reused tree allocates only its index
-// cursors and its label copy (`AllocsPerWarmCell`). The cell is the
-// largest of the sweep benchmark's low band (2^-8 on both predicates of a
-// 2^16-row table: 256 rows per single-column range).
-TEST(PlanTreeTest, WarmedLowBandCellAllocatesOnlyCursorsAndLabel) {
+// cursors (`AllocsPerWarmCell`), exactly. The cell is the largest of the
+// sweep benchmark's low band (2^-8 on both predicates of a 2^16-row table:
+// 256 rows per single-column range).
+TEST(PlanTreeTest, WarmedLowBandCellAllocatesOnlyCursors) {
   StudyOptions opts;
   opts.row_bits = 16;
   auto env = StudyEnvironment::Create(opts).ValueOrDie();

@@ -34,7 +34,6 @@ inline void ExpectMeasurementsBitIdentical(const Measurement& a,
       << a.seconds << " vs " << b.seconds;
   EXPECT_EQ(a.output_rows, b.output_rows);
   ExpectIoStatsEqual(a.io, b.io);
-  EXPECT_EQ(a.plan_label, b.plan_label);
 }
 
 /// Asserts two maps agree on shape, plan labels, and *every* field of
