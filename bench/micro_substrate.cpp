@@ -340,7 +340,7 @@ BENCHMARK(BM_LowBandCell)->ArgName("plan")->DenseRange(0, kNumStudyPlans - 1);
 // array for every page the cell keeps resident, a recycled one re-admits
 // into the nodes it already has. `allocs_per_cell` counts the global
 // `operator new` calls of the whole iteration: a fresh machine's device
-// and pool, or, recycled, only the cell's index cursor and its label copy.
+// and pool, or, recycled, only the cell's index cursor.
 // One cell before the timed loop warms the tree and the parked machine.
 void MachineCell(benchmark::State& state, bool recycle) {
   StudyEnvironment& env = MicroEnv();

@@ -266,9 +266,9 @@ Result<MapTile> ParseMapTile(std::string_view buf) {
   // sized, with overflow-checked products, so a crafted count is
   // Corruption rather than a huge allocation.
   const size_t points = sub.value().num_points();
-  size_t cell_bytes = 0;
-  if (__builtin_mul_overflow(num_layers * kMeasurementBytes, num_plans,
-                             &cell_bytes) ||
+  size_t cell_bytes = kMeasurementBytes;
+  if (__builtin_mul_overflow(cell_bytes, num_layers, &cell_bytes) ||
+      __builtin_mul_overflow(cell_bytes, num_plans, &cell_bytes) ||
       __builtin_mul_overflow(cell_bytes, points, &cell_bytes) ||
       cell_bytes != c.remaining()) {
     return Status::Corruption("map tile's " + std::to_string(c.remaining()) +

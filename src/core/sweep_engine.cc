@@ -607,7 +607,7 @@ size_t StudyLayerCount(StudyKind kind) {
 std::vector<std::string> StudyLayerNames(StudyKind kind) {
   switch (kind) {
     case StudyKind::kPlainMap:
-      return {};  // unnamed single layer: plain tiles stay on v2 bytes
+      return {};  // one unnamed layer
     case StudyKind::kWarmColdDelta:
       return {"cold", "warm", "delta"};
   }

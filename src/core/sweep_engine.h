@@ -34,8 +34,8 @@ const char* StudyKindName(StudyKind kind);
 size_t StudyLayerCount(StudyKind kind);
 
 /// The layer names stored in this study's tiles, in output order. Empty
-/// for single-layer studies: plain tiles carry no names, which keeps them
-/// on the v2 byte stream (byte-stable artifacts).
+/// for single-layer studies: a plain tile's one layer goes unnamed (the
+/// tile format writes it as "").
 std::vector<std::string> StudyLayerNames(StudyKind kind);
 
 /// The *execution* axis of a sweep: which machinery measures the cells.

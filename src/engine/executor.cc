@@ -80,7 +80,7 @@ Status Executor::ValidatePlan(PlanKind kind) const {
 Result<OperatorPtr> Executor::BuildPlan(PlanKind kind,
                                         const QuerySpec& query) const {
   RM_RETURN_IF_ERROR(ValidatePlan(kind));
-  // A bare operator tree needs no label: skip `Prepare`'s allocation.
+  // A bare operator tree carries no label: skip `Prepare`'s allocation.
   PlanTree tree = BuildTree(PreparedPlan(kind, std::string()));
   tree.Bind(query);
   return std::move(tree.root_);

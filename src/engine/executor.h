@@ -83,10 +83,10 @@ class Executor {
   /// One plan's operator tree, built once and bound to each cell's
   /// predicate bounds before it runs: a sweep keeps one per plan and
   /// machine, so its operators keep their buffers from one cell to the
-  /// next and a warmed cell allocates only its index cursors. `BuildPlan` and `Run(ctx, kind, query)`
-  /// build a tree and bind it the same way, so a reused tree measures
-  /// bit-identically to a fresh one. Movable; not thread-safe — one
-  /// machine runs it at a time.
+  /// next and a warmed cell allocates only its index cursors. `BuildPlan`
+  /// and `Run(ctx, kind, query)` build a tree and bind it the same way, so
+  /// a reused tree measures bit-identically to a fresh one. Movable; not
+  /// thread-safe — one machine runs it at a time.
   class PlanTree {
    public:
     Operator* root() const { return root_.get(); }

@@ -29,6 +29,7 @@ namespace {
 using ::robustmap::testing::CellCacheEntryV1;
 using ::robustmap::testing::EncodeCellCacheV1;
 using ::robustmap::testing::ExpectMapsBitIdentical;
+using ::robustmap::testing::ExpectMeasurementsBitIdentical;
 using ::robustmap::testing::ProcEnv;
 
 Measurement SampleMeasurement(double seconds) {
@@ -43,18 +44,6 @@ Measurement SampleMeasurement(double seconds) {
   m.io.bytes_read = 1 << 14;
   m.io.bytes_written = 1 << 12;
   return m;
-}
-
-void ExpectMeasurementsEqual(const Measurement& a, const Measurement& b) {
-  EXPECT_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.output_rows, b.output_rows);
-  EXPECT_EQ(a.io.sequential_reads, b.io.sequential_reads);
-  EXPECT_EQ(a.io.skip_reads, b.io.skip_reads);
-  EXPECT_EQ(a.io.random_reads, b.io.random_reads);
-  EXPECT_EQ(a.io.writes, b.io.writes);
-  EXPECT_EQ(a.io.buffer_hits, b.io.buffer_hits);
-  EXPECT_EQ(a.io.bytes_read, b.io.bytes_read);
-  EXPECT_EQ(a.io.bytes_written, b.io.bytes_written);
 }
 
 /// Entries inserted in descending fingerprint order, so the writer's
@@ -104,7 +93,7 @@ TEST(CellCacheIoTest, RoundTripPreservesEveryFieldAndSortsEntries) {
     const CellCacheEntry& want = data.entries[data.entries.size() - 1 - i];
     EXPECT_EQ(got.fingerprint, want.fingerprint);
     EXPECT_EQ(got.study, want.study);
-    ExpectMeasurementsEqual(got.m, want.m);
+    ExpectMeasurementsBitIdentical(got.m, want.m);
     if (i > 0) {
       EXPECT_LT(back.value().entries[i - 1].fingerprint, got.fingerprint);
     }
@@ -339,7 +328,7 @@ TEST(CellResultCacheTest, ConcurrentLookupAndPublish) {
       const uint64_t i = forward ? n : begin + end - 1 - n;
       Measurement hit;
       if (cache.Lookup(Mix64(i), &hit)) {
-        ExpectMeasurementsEqual(hit, expected(i));
+        ExpectMeasurementsBitIdentical(hit, expected(i));
       } else if (cache.Publish(Mix64(i), "plain", expected(i))) {
         inserted.fetch_add(1);
       }
@@ -355,7 +344,7 @@ TEST(CellResultCacheTest, ConcurrentLookupAndPublish) {
   for (uint64_t i = 0; i < kKeys; ++i) {
     Measurement out;
     ASSERT_TRUE(cache.Lookup(Mix64(i), &out)) << "entry " << i << " lost";
-    ExpectMeasurementsEqual(out, expected(i));
+    ExpectMeasurementsBitIdentical(out, expected(i));
   }
 }
 
@@ -566,7 +555,7 @@ TEST(CellCacheJournalTest, SegmentRepeatingOrMisorderingKeysIsDropped) {
   EXPECT_FALSE(cache.Contains(JournalEntry(2000).fingerprint));
   Measurement out;
   ASSERT_TRUE(cache.Lookup(JournalEntry(5).fingerprint, &out));
-  ExpectMeasurementsEqual(out, JournalEntry(5).m);
+  ExpectMeasurementsBitIdentical(out, JournalEntry(5).m);
 }
 
 TEST(CellCacheJournalTest, FlushAfterADroppedRepeatingSegmentCompacts) {
@@ -659,7 +648,7 @@ TEST(CellCacheJournalTest, CompactionEqualsWriteCellCacheOfTheSameEntries) {
     const CellCacheEntry& c = compacted.value().entries[i];
     ASSERT_EQ(j.fingerprint, c.fingerprint) << i;
     EXPECT_EQ(j.study, c.study);
-    ExpectMeasurementsEqual(j.m, c.m);
+    ExpectMeasurementsBitIdentical(j.m, c.m);
   }
 
   // More 8-entry flushes append until the segments would outgrow the

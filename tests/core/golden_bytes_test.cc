@@ -158,9 +158,8 @@ void ExpectContentPins(const RobustnessMap& map,
   }
 }
 
-// The byte-level pins follow the tile format: these are v4 bytes (one
-// label per plan, 72-byte cells). Moving to v4 re-pinned both while every
-// content pin below held.
+// These two pin the tile bytes, so a change of the file format re-pins
+// them; the content pins below must hold through it.
 TEST(GoldenBytesTest, SerialMapLowBand) {
   EXPECT_EQ(EncodedDigest(LowBandMap()), 7645379232963441154ULL);
 }

@@ -348,7 +348,7 @@ MapTile IndexPlansTile(size_t side) {
 TEST(MapIoTest, ParseAllocatesPerPlanNotPerCell) {
   // A cell is plain numbers, so parsing a whole map allocates for its
   // header (axes, labels) and one cell array per plan and layer, never per
-  // cell: a grid with 49 times the cells parses with as many allocations.
+  // cell: a grid with 52 times the cells parses with as many allocations.
   const auto parse_allocations = [](const std::string& bytes) {
     const uint64_t before = HeapAllocations();
     auto tile = ParseMapTile(bytes);
